@@ -12,39 +12,32 @@ scenario A on the ``smoke`` profile):
 
 ``serial_inprocess``
     :class:`SerialExecutor`: every task in the calling process.  The
-    floor any dispatch overhead is measured against.
+    best simple alternative, and the reference of the headline.
 
-``per_task_pools``
-    The pre-batching dispatch shape: one ``Campaign.run_one`` call per
-    task against a 4-worker :class:`ParallelExecutor` — exactly how the
-    benchmark harness's ``ScenarioCache`` drove its simulations — which
-    creates (and tears down) a worker pool *per task*, so every task
-    pays interpreter start-up and ``repro`` imports again.
+``persistent_pool``
+    The default campaign: one :class:`TaskSession` pins a single
+    4-worker pool for the whole sweep and every task is its own flight.
+    The pool spin-up *is* included in the timing — it is paid once.
 
-``persistent_batched``
-    The persistent-worker backend: one ``Campaign(batch="auto")`` whose
-    :class:`TaskSession` pins a single 4-worker pool for the whole
-    sweep and packs tasks into near-equal-cost worker batches.  The
-    pool spin-up *is* included in the timing — it is paid once.
+``persistent_pool_auto``
+    The same pool with ``batch="auto"``: tasks packed into
+    near-equal-cost worker batches, a few per worker.
 
-A fourth, ``distributed``, section records the same sweep through a
+A ``distributed`` section records the same sweep through a
 loopback :class:`DistributedExecutor` fleet (coordinator + spawned
 ``repro worker`` TCP processes): not a speed contender on one machine —
 frames, pickling and heartbeats price in the network seam — but the
 trend line that keeps the wire overhead honest, and the digest assert
 proves the backend is identity-free like every other configuration.
 
-All parallel configurations use the ``spawn`` start method, for two
-reasons: it is the portable production default (the only method on
-Windows, the default on macOS, and the direction CPython is moving on
-Linux — ``fork`` is unsafe once threads exist), and it is the regime the
-ROADMAP item targets ("batch several independent simulations per worker
-process — amortise interpreter startup in sweeps").  Under ``fork``
-workers inherit the parent's imported modules nearly for free, so the
-same comparison narrows to pool-construction and per-task IPC overhead;
-a ``fork`` section is recorded alongside for honesty.  The start method,
-like batching itself, is identity-free: the configurations must agree on
-every trajectory digest (asserted below).
+The headline pool configurations use the ``spawn`` start method: it is
+the portable production default (the only method on Windows, the default
+on macOS, and the direction CPython is moving on Linux — ``fork`` is
+unsafe once threads exist) and the one where worker start-up is most
+expensive.  Under ``fork`` workers inherit the parent's imported modules
+nearly for free; a ``fork`` section is recorded alongside.  The start
+method, like the flight geometry, is identity-free: the configurations
+must agree on every trajectory digest (asserted below).
 """
 
 from __future__ import annotations
@@ -57,7 +50,6 @@ from benchmarks.conftest import BENCH_SEED, attach_obs_metrics, write_artefact
 from repro.experiments.persistence import trajectory_digest
 from repro.experiments.scenarios import get_scenario
 from repro.runtime import (
-    BATCH_OFF,
     Campaign,
     DistributedExecutor,
     ExperimentTask,
@@ -101,34 +93,19 @@ def _timed(fn) -> Dict[str, object]:
 
 
 def run_serial(tasks: List[ExperimentTask]) -> Dict[str, object]:
-    # batch=BATCH_OFF pins the pre-batching dispatch path: the baseline
-    # configurations must stay per-task even under REPRO_CAMPAIGN_BATCH
-    # (otherwise the headline would compare the new backend to itself).
-    campaign = Campaign(executor=SerialExecutor(), batch=BATCH_OFF)
+    campaign = Campaign(executor=SerialExecutor())
     return _timed(lambda: campaign.run(tasks))
 
 
-def run_per_task_pools(
-    tasks: List[ExperimentTask], start_method: str
-) -> Dict[str, object]:
-    campaign = Campaign(
-        executor=ParallelExecutor(
-            jobs=PARALLEL_JOBS, start_method=start_method
-        ),
-        batch=BATCH_OFF,
-    )
-    return _timed(lambda: [campaign.run_one(task) for task in tasks])
-
-
-def run_persistent_batched(
-    tasks: List[ExperimentTask], start_method: str
+def run_persistent_pool(
+    tasks: List[ExperimentTask], start_method: str, batch
 ) -> Dict[str, object]:
     def run() -> List:
         with Campaign(
             executor=ParallelExecutor(
                 jobs=PARALLEL_JOBS, start_method=start_method
             ),
-            batch="auto",
+            batch=batch,
         ) as campaign:
             return campaign.run(tasks)
 
@@ -158,20 +135,20 @@ def test_perf_campaign_trajectory(output_dir):
         trajectory_digest(result) for result in serial["results"]
     ]
 
+    pool_key = f"persistent_pool{PARALLEL_JOBS}"
+    auto_key = f"{pool_key}_auto"
     configs: Dict[str, Dict[str, object]] = {"serial_inprocess": serial}
     fork_section: Dict[str, Dict[str, object]] = {}
     for method, section in ((START_METHOD, configs), ("fork", fork_section)):
-        section[f"per_task_pools{PARALLEL_JOBS}"] = run_per_task_pools(
-            tasks, method
-        )
-        section[f"persistent_batched{PARALLEL_JOBS}"] = run_persistent_batched(
-            tasks, method
-        )
+        # "off" rather than None: the default flight geometry even under
+        # REPRO_CAMPAIGN_BATCH.
+        section[pool_key] = run_persistent_pool(tasks, method, "off")
+        section[auto_key] = run_persistent_pool(tasks, method, "auto")
 
     distributed = run_distributed(tasks)
 
-    # Batching, pooling, the start method and the executor backend are
-    # identity-free: every configuration must reproduce the serial
+    # Flight geometry, pooling, the start method and the executor backend
+    # are identity-free: every configuration must reproduce the serial
     # trajectories bit for bit, in submission order.
     for section in (configs, fork_section, {"distributed": distributed}):
         for name, record in section.items():
@@ -180,19 +157,12 @@ def test_perf_campaign_trajectory(output_dir):
             ]
             assert digests == reference_digests, f"{name} diverged"
 
-    per_task_key = f"per_task_pools{PARALLEL_JOBS}"
-    batched_key = f"persistent_batched{PARALLEL_JOBS}"
+    def speedup(record, reference):
+        return round(record["tasks_per_sec"] / reference["tasks_per_sec"], 3)
 
-    def speedup(section, config, reference):
-        return round(
-            section[config]["tasks_per_sec"]
-            / section[reference]["tasks_per_sec"],
-            3,
-        )
-
-    headline = speedup(configs, batched_key, per_task_key)
+    headline = speedup(configs[pool_key], serial)
     document = {
-        "schema": 1,
+        "schema": 2,
         "created_unix": round(time.time(), 3),
         "sweep": {
             "scenario": "A",
@@ -214,30 +184,23 @@ def test_perf_campaign_trajectory(output_dir):
             "workers": PARALLEL_JOBS,
             "transport": "loopback TCP frames (spawned repro workers)",
             **_strip_results(distributed),
-            "vs_persistent_batched": round(
-                distributed["tasks_per_sec"]
-                / configs[f"persistent_batched{PARALLEL_JOBS}"][
-                    "tasks_per_sec"
-                ],
-                3,
-            ),
+            "vs_persistent_pool_auto": speedup(distributed, configs[auto_key]),
         },
         "speedups": {
-            f"{batched_key}_vs_{per_task_key}": headline,
-            f"{batched_key}_vs_serial": speedup(
-                configs, batched_key, "serial_inprocess"
+            f"{pool_key}_vs_serial": headline,
+            f"{auto_key}_vs_serial": speedup(configs[auto_key], serial),
+            f"{pool_key}_vs_serial_fork": speedup(
+                fork_section[pool_key], serial
             ),
-            f"{batched_key}_vs_{per_task_key}_fork": round(
-                fork_section[batched_key]["tasks_per_sec"]
-                / fork_section[per_task_key]["tasks_per_sec"],
-                3,
+            f"{auto_key}_vs_serial_fork": speedup(
+                fork_section[auto_key], serial
             ),
         },
         "headline": {
             "description": (
                 f"tasks/sec of a {len(tasks)}-task smoke sweep, persistent "
-                f"batched {PARALLEL_JOBS}-worker pool vs per-task pools "
-                f"({START_METHOD} start method)"
+                f"{PARALLEL_JOBS}-worker pool (one task per flight, "
+                f"{START_METHOD} start method) vs serial in-process"
             ),
             "speedup": headline,
         },
@@ -250,33 +213,22 @@ def test_perf_campaign_trajectory(output_dir):
         encoding="utf-8",
     )
 
-    lines = [f"{'config':<24} {'seconds':>10} {'tasks/sec':>10}"]
+    lines = [f"{'config':<28} {'seconds':>10} {'tasks/sec':>10}"]
     for name, record in configs.items():
         lines.append(
-            f"{name:<24} {record['seconds']:>10} {record['tasks_per_sec']:>10}"
+            f"{name:<28} {record['seconds']:>10} {record['tasks_per_sec']:>10}"
         )
     for name, record in fork_section.items():
         lines.append(
-            f"{name + ' (fork)':<24} {record['seconds']:>10} "
+            f"{name + ' (fork)':<28} {record['seconds']:>10} "
             f"{record['tasks_per_sec']:>10}"
         )
     lines.append(
-        f"{'distributed' + str(PARALLEL_JOBS):<24} "
+        f"{'distributed' + str(PARALLEL_JOBS):<28} "
         f"{distributed['seconds']:>10} {distributed['tasks_per_sec']:>10}"
     )
     lines.append(
-        f"headline speedup ({batched_key} vs {per_task_key}, "
+        f"headline speedup ({pool_key} vs serial_inprocess, "
         f"{START_METHOD}): {headline}x"
     )
     write_artefact(output_dir, "BENCH_campaign.txt", "\n".join(lines))
-
-    # Tripwire, not the headline: the committed JSON records the real
-    # ratio (>= 1.5x on the maintainer container, more on multi-core
-    # hosts where the persistent pool adds true parallelism).  The
-    # in-test floor is looser because single-shot wall-clock ratios on a
-    # loaded shared host jitter by tens of percent — like the
-    # connectivity benchmark, the trend line is the record and the
-    # assert only catches the backend losing its advantage outright.
-    assert headline >= 1.2, (
-        f"persistent batched pool only {headline}x over per-task pools"
-    )

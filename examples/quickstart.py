@@ -15,7 +15,7 @@ Run with:  python examples/quickstart.py
 
 from repro.api import (
     KademliaConfig,
-    KademliaSimulation,
+    OverlaySimulation,
     RandomSource,
     ResilienceModel,
     TrafficModel,
@@ -32,7 +32,7 @@ def main() -> None:
     #    lookups with parallelism 3, contacts dropped after 1 failed RPC.
     config = KademliaConfig(bucket_size=8, alpha=3, staleness_limit=1,
                             refresh_interval_minutes=15.0)
-    simulation = KademliaSimulation(
+    simulation = OverlaySimulation(
         config=config,
         loss=get_loss_model("none"),
         traffic=TrafficModel(enabled=True, lookups_per_node_per_minute=4,

@@ -52,7 +52,7 @@ from repro.core.resilience import ResilienceModel, resilience_of
 from repro.experiments.profiles import PROFILES, ScaleProfile, get_profile
 from repro.experiments.runner import ExperimentResult, ExperimentRunner
 from repro.experiments.scenarios import SCENARIOS, Scenario, get_scenario
-from repro.experiments.simulation import KademliaSimulation
+from repro.experiments.simulation import OverlaySimulation
 from repro.experiments.snapshot import RoutingTableSnapshot, synthetic_snapshot
 from repro.experiments import sweep as _sweep
 from repro.experiments.sweep import (
@@ -122,7 +122,7 @@ __all__ = [
     "ExperimentRunner",
     # simulation primitives (quickstart-level control)
     "KademliaConfig",
-    "KademliaSimulation",
+    "OverlaySimulation",
     "TrafficModel",
     "get_churn_scenario",
     "get_loss_model",

@@ -107,15 +107,13 @@ def _batch_value(text: str):
 
     One grammar for the knob: validation delegates to
     :func:`repro.runtime.campaign.resolve_batch`.  An off-meaning value
-    is returned as the explicit ``"off"`` string (not ``None``) so it
-    forces per-task dispatch even when the ``REPRO_CAMPAIGN_BATCH``
-    environment default is set.
+    resolves to ``1`` (not ``None``), so it selects one task per flight
+    even when the ``REPRO_CAMPAIGN_BATCH`` environment default is set.
     """
     try:
-        resolved = resolve_batch(text)
+        return resolve_batch(text)
     except ValueError as error:
         raise argparse.ArgumentTypeError(str(error))
-    return "off" if resolved is None else resolved
 
 
 def _positive_int(text: str) -> int:
@@ -241,12 +239,13 @@ def _add_common_run_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--batch", type=_batch_value, default=None, metavar="{auto,N,off}",
         help=(
-            "run several tasks per warm worker call through one "
+            "tasks per worker call (flight) on the campaign's one "
             "persistent pool: 'auto' packs near-equal-cost batches "
             "(sized by the _costs.json cost model, a few per --jobs "
-            "worker), an integer packs fixed-size chunks, 'off' forces "
-            "per-task dispatch; defaults to $REPRO_CAMPAIGN_BATCH, off "
-            "otherwise (bit-identical output either way)"
+            "worker), an integer packs fixed-size chunks, 'off' sends "
+            "one task per flight; defaults to $REPRO_CAMPAIGN_BATCH, off "
+            "otherwise (same self-healing and bit-identical output "
+            "for every value)"
         ),
     )
     parser.add_argument(

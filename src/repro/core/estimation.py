@@ -59,7 +59,6 @@ from __future__ import annotations
 import math
 import random
 import time as wallclock
-import warnings
 from dataclasses import dataclass
 from statistics import NormalDist
 from typing import List, Mapping, Optional, Sequence, Tuple
@@ -160,39 +159,6 @@ class EstimatedConnectivityReport:
     def ci_width(self) -> float:
         """Width of the confidence interval (0.0 on exact recovery)."""
         return self.ci_high - self.ci_low
-
-    # -- legacy attribute aliases (deprecated) --------------------------
-    @property
-    def minimum(self) -> int:
-        """Deprecated alias for :attr:`minimum_bound`."""
-        warnings.warn(
-            "EstimatedConnectivityReport.minimum is deprecated; use "
-            ".min_connectivity (protocol) or .minimum_bound (explicit)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.minimum_bound
-
-    @property
-    def average(self) -> float:
-        """Deprecated alias for :attr:`average_estimate`."""
-        warnings.warn(
-            "EstimatedConnectivityReport.average is deprecated; use "
-            ".avg_connectivity (protocol) or .average_estimate (explicit)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.average_estimate
-
-    @property
-    def exact(self) -> bool:
-        """Deprecated alias: estimated reports are never exact."""
-        warnings.warn(
-            "EstimatedConnectivityReport.exact is deprecated; use .is_exact",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return False
 
     # ------------------------------------------------------------------
     def as_dict(self) -> dict:

@@ -22,13 +22,12 @@ from repro.experiments.profiles import PROFILES, ScaleProfile, get_profile
 from repro.experiments.runner import ExperimentResult, ExperimentRunner
 from repro.experiments.scenarios import SCENARIOS, Scenario, ScenarioRegistry, get_scenario
 from repro.experiments.snapshot import RoutingTableSnapshot
-from repro.experiments.simulation import KademliaSimulation, OverlaySimulation
+from repro.experiments.simulation import OverlaySimulation
 from repro.experiments.sweep import run_bucket_size_sweep, run_scenario
 
 __all__ = [
     "ExperimentResult",
     "ExperimentRunner",
-    "KademliaSimulation",
     "OverlaySimulation",
     "PROFILES",
     "PhaseSchedule",

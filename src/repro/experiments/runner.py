@@ -17,7 +17,7 @@ from repro.core.timeseries import ConnectivitySample, ConnectivityTimeSeries
 from repro.experiments.phases import PhaseSchedule
 from repro.experiments.profiles import ScaleProfile, get_profile
 from repro.experiments.scenarios import Scenario
-from repro.experiments.simulation import KademliaSimulation
+from repro.experiments.simulation import OverlaySimulation
 from repro.experiments.snapshot import RoutingTableSnapshot
 from repro.overlay import get_overlay
 from repro.simulator.random_source import RandomSource
@@ -90,7 +90,7 @@ class ExperimentResult:
         }
 
 
-def _record_run_metrics(registry, simulation: KademliaSimulation, wall: float) -> None:
+def _record_run_metrics(registry, simulation: OverlaySimulation, wall: float) -> None:
     """Fold end-of-run simulator/transport aggregates into the registry.
 
     Hot-loop quantities (events executed, message counts) are read off
@@ -219,7 +219,7 @@ class ExperimentRunner:
     # ------------------------------------------------------------------
     def build_simulation(
         self, scenario: Scenario, hardening=None
-    ) -> KademliaSimulation:
+    ) -> OverlaySimulation:
         """Construct (but do not run) the simulation for ``scenario``.
 
         The scenario's ``protocol`` selects the overlay (Kademlia, Chord
@@ -265,7 +265,7 @@ class ExperimentRunner:
                 "protocol_factory": overlay.protocol_factory(),
                 "protocol_name": overlay.name,
             }
-        return KademliaSimulation(
+        return OverlaySimulation(
             config=config,
             loss=get_loss_model(scenario.loss),
             traffic=traffic,

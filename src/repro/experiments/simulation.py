@@ -15,9 +15,6 @@ churn, traffic and loss models onto the discrete-event engine:
   refresh, paper: every 60 minutes; Chord's stabilisation; Pastry's row
   repair), scheduled relative to its own join time;
 * *snapshots* capture all alive nodes' routing tables at fixed intervals.
-
-``KademliaSimulation`` remains as an alias: the Kademlia path is a pure
-refactor and every existing caller keeps working unchanged.
 """
 
 from __future__ import annotations
@@ -297,8 +294,3 @@ class OverlaySimulation:
     def run_until(self, end_time: float) -> None:
         """Advance the simulation to ``end_time``."""
         self.simulator.run_until(end_time)
-
-
-#: Backwards-compatible alias — every pre-overlay caller constructed the
-#: simulation under this name with Kademlia defaults.
-KademliaSimulation = OverlaySimulation

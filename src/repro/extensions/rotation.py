@@ -31,7 +31,7 @@ from repro.kademlia.protocol import KademliaProtocol
 class MaintenancePolicy(TypingProtocol):
     """Periodic per-node maintenance hook run by the simulation.
 
-    Implementations are attached to :class:`KademliaSimulation` via a
+    Implementations are attached to :class:`OverlaySimulation` via a
     :class:`~repro.extensions.hardening.HardeningConfig`; the simulation
     invokes :meth:`apply` for every alive node once per
     ``interval_minutes``.

@@ -10,10 +10,10 @@ execution harness:
   content-addressed key and deterministic child-seed derivation;
 * :mod:`repro.runtime.executor` — :class:`SerialExecutor` and the
   process-pool backed :class:`ParallelExecutor`, which produce bit-identical
-  results because every task carries its own random universe; plus the
-  persistent-worker :class:`TaskSession` (one long-lived pool running
-  whole task batches per worker call, warm per-process state across a
-  campaign);
+  results because every task carries its own random universe; both
+  hand the campaign a persistent-worker :class:`TaskSession` (one
+  long-lived pool running a batch of one or more tasks per worker
+  call, warm across a campaign);
 * :mod:`repro.runtime.cache` — :class:`ResultCache`, an on-disk
   content-addressed store of :class:`ExperimentResult` documents with
   hit/miss statistics and an eviction API;
@@ -52,7 +52,6 @@ from repro.runtime.cache import CacheInfo, CacheStats, ResultCache, VerifyReport
 from repro.runtime.campaign import (
     BATCH_AUTO,
     BATCH_ENV_VAR,
-    BATCH_OFF,
     SCHEDULE_CHEAPEST,
     SCHEDULE_FIFO,
     Campaign,
@@ -105,12 +104,11 @@ from repro.runtime.resilience import (
     default_retry_policy,
     is_retryable,
 )
-from repro.runtime.task import ExperimentTask, derive_seed, execute_task
+from repro.runtime.task import ExperimentTask, derive_seed
 
 __all__ = [
     "BATCH_AUTO",
     "BATCH_ENV_VAR",
-    "BATCH_OFF",
     "CacheInfo",
     "CacheStats",
     "Campaign",
@@ -151,7 +149,6 @@ __all__ = [
     "WorkerLostError",
     "default_retry_policy",
     "derive_seed",
-    "execute_task",
     "execute_task_batch",
     "is_retryable",
     "make_executor",

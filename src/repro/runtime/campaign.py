@@ -16,15 +16,16 @@ optional :class:`~repro.runtime.cache.ResultCache` and runs batches of
    campaigns can stream per-task figures incrementally instead of
    waiting for the whole batch.
 
-With ``batch`` enabled the campaign dispatches through a **persistent
-task session** (:class:`repro.runtime.executor.TaskSession`): one
-long-lived worker pool survives across every ``run()`` call of the
-campaign, and pending tasks are packed into near-equal-cost batches
-(``batch="auto"``, sized by the cost model to a few batches per worker)
-or fixed-size chunks (``batch=N``) so each worker call amortises
-dispatch and interpreter start-up over many simulations.  Progress events still
-fire once per task and still carry the task's result; they surface as
-each *batch* completes.
+Every pending task is dispatched through one **persistent task session**
+(:class:`repro.runtime.executor.TaskSession`): one long-lived worker pool
+survives across every ``run()`` call of the campaign, and tasks go out
+as *flights* — one task per flight by default, near-equal-cost batches
+under ``batch="auto"`` (sized by the cost model to a few batches per
+worker) or fixed-size chunks under ``batch=N``.  Every flight is healed
+by the same driver (retry, bisection, respawn, hedging, graceful
+shutdown — see :meth:`Campaign._dispatch`).  Progress events fire once
+per task and carry the task's result; they surface as each *flight*
+completes.
 
 Scheduling is **order-only** by construction: tasks are independent (each
 carries its own seed-derived random universe) and ``run`` returns results
@@ -108,41 +109,44 @@ BATCH_AUTO = "auto"
 #: overtaken by idle workers.
 BATCH_AUTO_OVERSUBSCRIBE = 4
 
+#: Flights kept in flight per executor worker; the rest of the queue is
+#: submitted as flights settle.  Two keeps one flight queued behind each
+#: running one (no worker idles while the driver records a result), yet
+#: a flight's straggler deadline still measures its own running time
+#: rather than the whole queue ahead of it, and a pool break fails only
+#: the flights actually handed to the pool.
+FLIGHTS_PER_WORKER = 2
+
 #: Environment default of the campaign ``batch`` knob (same values as the
 #: ``--batch`` CLI option: ``auto`` or a positive integer; empty/``off``/
-#: ``none``/``0`` disable batching).  CI re-runs the determinism digest
-#: suite with ``REPRO_CAMPAIGN_BATCH=auto`` to gate the knob's
+#: ``none``/``0`` mean one task per flight).  CI re-runs the determinism
+#: digest suite with ``REPRO_CAMPAIGN_BATCH=auto`` to gate the knob's
 #: order-invariance.
 BATCH_ENV_VAR = "REPRO_CAMPAIGN_BATCH"
 
 
-#: Batch value that explicitly disables batching, overriding the
-#: environment default — callers that must measure or guarantee per-task
-#: dispatch (e.g. the campaign benchmark's baseline configurations) pass
-#: this instead of ``None``.
+#: Batch value that explicitly selects one task per flight, overriding
+#: the environment default — callers that must measure or guarantee
+#: per-task dispatch pass this instead of ``None``.
 BATCH_OFF = "off"
 
 
-def resolve_batch(
-    batch: Union[None, str, int],
-) -> Union[None, str, int]:
+def resolve_batch(batch: Union[None, str, int]) -> Union[str, int]:
     """Normalise a ``batch`` knob value (``None`` consults the environment).
 
-    Returns ``None`` (batching off), :data:`BATCH_AUTO`, or a positive
-    batch size; raises :class:`ValueError` on anything else.  The
-    explicit strings ``"off"``/``"none"`` (and :data:`BATCH_OFF`) force
-    per-task dispatch even when :data:`BATCH_ENV_VAR` is set — only
-    ``None`` defers to the environment.
+    Returns :data:`BATCH_AUTO` or a positive flight size — ``1``, one
+    task per flight, when the knob is off or unset; raises
+    :class:`ValueError` on anything else.  The explicit strings
+    ``"off"``/``"none"`` (and :data:`BATCH_OFF`) select flights of one
+    even when :data:`BATCH_ENV_VAR` is set — only ``None`` defers to the
+    environment.
     """
     if batch is None:
-        configured = os.environ.get(BATCH_ENV_VAR, "").strip()
-        if configured == "":
-            return None
-        batch = configured
+        batch = os.environ.get(BATCH_ENV_VAR, "").strip() or BATCH_OFF
     if isinstance(batch, str):
         lowered = batch.lower()
         if lowered in (BATCH_OFF, "none", "0"):
-            return None
+            return 1
         if lowered == BATCH_AUTO:
             return BATCH_AUTO
         try:
@@ -233,28 +237,28 @@ class Campaign:
         later cheapest-first one).  Without cache or model, cheapest-first
         degrades to submission order.
     batch:
-        ``None`` (default) dispatches one task per worker submission,
-        consulting the :data:`REPRO_CAMPAIGN_BATCH <BATCH_ENV_VAR>`
-        environment variable first.  ``"auto"`` packs pending tasks into
-        near-equal-cost batches (a few per executor worker, LPT over the
-        cost model's estimates) dispatched through a persistent
-        :class:`~repro.runtime.executor.TaskSession`; an integer packs
-        fixed-size chunks of that many tasks.  Identity-free like every
-        scheduling knob: results stay in submission order, bit-identical
-        for every value.  A batched campaign owns its worker pool until
-        :meth:`close` (or use the campaign as a context manager).
+        Tasks per flight (worker submission).  ``None`` (default)
+        consults the :data:`REPRO_CAMPAIGN_BATCH <BATCH_ENV_VAR>`
+        environment variable and otherwise dispatches one task per
+        flight.  ``"auto"`` packs pending tasks into near-equal-cost
+        batches (a few per executor worker, LPT over the cost model's
+        estimates); an integer packs fixed-size chunks of that many
+        tasks.  Identity-free like every scheduling knob: results stay
+        in submission order, bit-identical for every value.  Whatever
+        the value, the campaign owns its worker pool from the first
+        dispatched task until :meth:`close` (or use the campaign as a
+        context manager).
     retry_policy:
         :class:`~repro.runtime.resilience.RetryPolicy` governing the
-        batched path's self-healing: bounded per-task retry attempts
-        with seeded backoff, batch bisection to isolate poison tasks,
+        campaign's self-healing: bounded per-task retry attempts with
+        seeded backoff, flight bisection to isolate poison tasks,
         bounded session respawns (then degradation to in-process serial
         execution) and cost-model-predicted straggler hedging.  Defaults
         to ``RetryPolicy()``; pass
-        :data:`~repro.runtime.resilience.FAIL_FAST` for the legacy
+        :data:`~repro.runtime.resilience.FAIL_FAST` for
         first-error-propagates behaviour.  Identity-free like the
         schedule: healing changes when and where a task runs, never a
-        bit of its result.  The unbatched path (``batch=None``) always
-        fails fast.
+        bit of its result.
     """
 
     def __init__(
@@ -294,8 +298,8 @@ class Campaign:
         """Release the persistent task session, if one was opened.
 
         Idempotent; a later :meth:`run` transparently opens a fresh
-        session.  Campaigns without batching hold no session and need no
-        closing (``close`` is still safe to call).
+        session.  A campaign that never dispatched a task (everything
+        served from the cache) holds no session.
         """
         session, self._task_session = self._task_session, None
         if session is not None:
@@ -308,11 +312,10 @@ class Campaign:
         self.close()
 
     def __del__(self) -> None:
-        # Safety net for call sites that predate the batch knob (or that
-        # pick it up via REPRO_CAMPAIGN_BATCH) and never close: release
-        # the pool and the exported PYTHONPATH when the campaign is
-        # collected rather than never.  Deterministic call sites should
-        # still close()/``with`` — GC timing is an upper bound, not a
+        # Safety net for call sites that never close: release the pool
+        # and the exported PYTHONPATH when the campaign is collected
+        # rather than never.  Deterministic call sites should still
+        # close()/``with`` — GC timing is an upper bound, not a
         # lifecycle.
         try:
             self.close()
@@ -323,8 +326,8 @@ class Campaign:
     def run(self, tasks: Sequence[ExperimentTask]) -> List[ExperimentResult]:
         """Run ``tasks`` and return their results in submission order.
 
-        Batched campaigns install a cooperative shutdown guard for the
-        duration of the run: the first SIGINT/SIGTERM stops dispatch,
+        A cooperative shutdown guard is installed for the duration of
+        the run: the first SIGINT/SIGTERM stops dispatch,
         flushes completed results and stats, closes the session and
         raises :class:`~repro.runtime.resilience.CampaignInterrupted`
         (a re-run resumes warm from the cache); a second SIGINT
@@ -337,15 +340,12 @@ class Campaign:
         try:
             with tracing.span(
                 "campaign.run", tasks=len(tasks), schedule=self.schedule
-            ):
-                if self.batch is not None:
-                    with ShutdownGuard() as guard:
-                        self._guard = guard
-                        try:
-                            return self._run(tasks)
-                        finally:
-                            self._guard = None
-                return self._run(tasks)
+            ), ShutdownGuard() as guard:
+                self._guard = guard
+                try:
+                    return self._run(tasks)
+                finally:
+                    self._guard = None
         finally:
             # Fold this run's lookup counters into the cache directory's
             # persistent stats (one lock acquisition; no-op without
@@ -415,19 +415,10 @@ class Campaign:
                     None,
                 )
 
-            failure_records: List[TaskFailureRecord] = []
             try:
-                if self.batch is None:
-                    self.executor.run_tasks(
-                        [tasks[index] for index in dispatch_order],
-                        on_result=lambda batch_index, result: _record(
-                            dispatch_order[batch_index], result
-                        ),
-                    )
-                else:
-                    failure_records = self._run_batched(
-                        tasks, dispatch_order, _record, _record_failure
-                    )
+                failure_records = self._dispatch(
+                    tasks, dispatch_order, _record, _record_failure
+                )
             finally:
                 # Persist whatever was observed even when a task or the
                 # progress callback raised mid-batch.
@@ -479,7 +470,7 @@ class Campaign:
         return self.run([task])[0]
 
     # ------------------------------------------------------------------
-    def _run_batched(
+    def _dispatch(
         self,
         tasks: Sequence[ExperimentTask],
         dispatch_order: List[int],
@@ -488,15 +479,17 @@ class Campaign:
     ) -> List[TaskFailureRecord]:
         """Resilient dispatch through the persistent task session.
 
-        Batches go out as independent *flights*; each failure is healed
-        according to the retry policy instead of aborting the run:
+        Packed batches go out as independent *flights*, at most
+        :data:`FLIGHTS_PER_WORKER` per worker at a time; each failure is
+        healed according to the retry policy instead of aborting the
+        run:
 
         * a failed multi-task flight is **bisected** — the survivors are
           re-dispatched as two halves, isolating a poison task in
           O(log n) rounds without ever attributing blame to the wrong
           task;
         * a failed singleton flight charges that task one attempt;
-          retryable errors back off (seeded, bounded) and re-dispatch,
+          retryable errors back off (seeded, bounded) and re-queue,
           everything else — or an exhausted budget — records a
           structured :class:`TaskFailureRecord` and the campaign moves
           on;
@@ -520,7 +513,9 @@ class Campaign:
         """
         policy = self.retry_policy
         registry = self._obs
-        batches = self._pack_batches(tasks, dispatch_order)
+        workers = max(1, getattr(self.executor, "worker_count", 1))
+        window = FLIGHTS_PER_WORKER * workers
+        batches = self._pack_batches(tasks, dispatch_order, workers)
         if self._task_session is None:
             self._task_session = self.executor.open_task_session()
             if registry is not None:
@@ -535,6 +530,8 @@ class Campaign:
         attempts: Dict[int, int] = {}
         inflight: Dict[Future, _Flight] = {}
         queue = deque(batches)
+        requeued: List[List[Tuple[int, ExperimentTask]]] = []
+        break_slots = 0
         respawns = 0
         degraded = False
         draining = False
@@ -581,7 +578,7 @@ class Campaign:
                 policy.hedge
                 and not degraded
                 and self.cost_model is not None
-                and getattr(self.executor, "worker_count", 1) > 1
+                and workers > 1
             ):
                 predicted = self.cost_model.estimate_batch_seconds(
                     [task for _, task in flight.pairs]
@@ -604,17 +601,28 @@ class Campaign:
         def requeue(
             survivors: List[Tuple[int, ExperimentTask]], error: BaseException
         ) -> None:
+            nonlocal break_slots
+            if isinstance(error, BrokenExecutor):
+                # A dying worker fails every dispatched flight at once,
+                # but only a flight on a worker can have killed it: the
+                # pool is FIFO, so those are the oldest ``workers``
+                # broken flights.  The rest were merely queued and go
+                # back uncharged.
+                if break_slots == 0:
+                    requeued.append(survivors)
+                    return
+                break_slots -= 1
             if len(survivors) > 1:
-                # Not attributable to one task: bisect and re-dispatch
-                # both halves; repeated failures isolate the poison task
-                # in O(log n) rounds.  Innocent survivors re-run — wasted
+                # Not attributable to one task: bisect and re-queue both
+                # halves; repeated failures isolate the poison task in
+                # O(log n) rounds.  Innocent survivors re-run — wasted
                 # work, never wrong results (tasks are deterministic and
                 # cache puts idempotent).
                 if registry is not None:
                     registry.inc("campaign.bisections")
                 middle = len(survivors) // 2
-                submit_flight(survivors[:middle])
-                submit_flight(survivors[middle:])
+                requeued.append(survivors[:middle])
+                requeued.append(survivors[middle:])
                 return
             index, task = survivors[0]
             attempts[index] = attempts.get(index, 0) + 1
@@ -634,7 +642,7 @@ class Campaign:
                 )
                 if delay > 0:
                     sleep(delay)
-                submit_flight(survivors)
+                requeued.append(survivors)
             else:
                 failures[index] = TaskFailureRecord.from_error(
                     index, task.key(), task.label(), attempts[index], error
@@ -662,8 +670,8 @@ class Campaign:
                 if draining:
                     return
                 if policy.fail_fast:
-                    # Legacy contract: the first batch error propagates
-                    # unhealed (the outer handler closes the session).
+                    # The first flight error propagates unhealed (the
+                    # outer handler closes the session).
                     raise
                 survivors = survivors_of(flight)
                 if not survivors:
@@ -685,6 +693,18 @@ class Campaign:
             tracing.point("batch", tasks=fresh)
             for sibling in list(flight.futures):
                 sibling.cancel()
+
+        def settle_done() -> None:
+            # In submission order: a pool break fails every dispatched
+            # flight at once, and the survivors go back to the front of
+            # the queue oldest first — the flights most likely charged an
+            # attempt before are the first onto the fresh pool.
+            nonlocal break_slots
+            break_slots = workers
+            for future in [f for f in inflight if f.done()]:
+                handle_done(future)
+            queue.extendleft(reversed(requeued))
+            requeued.clear()
 
         def hedge_overdue() -> None:
             if not policy.hedge or degraded:
@@ -724,11 +744,8 @@ class Campaign:
                     for future in list(inflight):
                         future.cancel()
                     while inflight:
-                        done, _ = wait(
-                            list(inflight), return_when=FIRST_COMPLETED
-                        )
-                        for future in done:
-                            handle_done(future)
+                        wait(list(inflight), return_when=FIRST_COMPLETED)
+                        settle_done()
                     logger.warning(
                         "%s received: dispatch stopped, %d completed "
                         "result(s) flushed, closing session",
@@ -739,14 +756,17 @@ class Campaign:
                     raise CampaignInterrupted(
                         signal_name, len(recorded), len(dispatch_order)
                     )
-                while queue and self._shutdown_requested() is None:
-                    submit_flight(list(queue.popleft()))
+                while (
+                    queue
+                    and len(inflight) < window
+                    and self._shutdown_requested() is None
+                ):
+                    submit_flight(queue.popleft())
                     # Serial sessions settle futures synchronously:
                     # surface their results (cache writes, progress)
-                    # before submitting the next batch instead of after
+                    # before submitting the next flight instead of after
                     # the whole run.
-                    for future in [f for f in list(inflight) if f.done()]:
-                        handle_done(future)
+                    settle_done()
                 if not inflight:
                     continue
                 timeout = None
@@ -766,17 +786,16 @@ class Campaign:
                         if timeout is None
                         else min(timeout, until_next)
                     )
-                done, _ = wait(
+                wait(
                     list(inflight),
                     timeout=timeout,
                     return_when=FIRST_COMPLETED,
                 )
-                for future in done:
-                    handle_done(future)
+                settle_done()
                 hedge_overdue()
         except BaseException:
             logger.warning(
-                "closing persistent task session after a failed batch run; "
+                "closing persistent task session after a failed run; "
                 "the next run() opens a fresh worker pool"
             )
             for future in list(inflight):
@@ -790,7 +809,10 @@ class Campaign:
         return [failures[index] for index in sorted(failures)]
 
     def _pack_batches(
-        self, tasks: Sequence[ExperimentTask], dispatch_order: List[int]
+        self,
+        tasks: Sequence[ExperimentTask],
+        dispatch_order: List[int],
+        workers: int,
     ) -> List[List[Tuple[int, ExperimentTask]]]:
         """Group the dispatch-ordered submission indices into task batches.
 
@@ -804,7 +826,6 @@ class Campaign:
         progress timing.
         """
         if self.batch == BATCH_AUTO:
-            workers = max(1, getattr(self.executor, "worker_count", 1))
             if workers == 1:
                 groups = [[index] for index in dispatch_order]
             else:

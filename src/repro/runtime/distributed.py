@@ -65,28 +65,20 @@ import sys
 import threading
 import time
 from collections import deque
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    BrokenExecutor,
-    Future,
-    wait,
-)
+from concurrent.futures import BrokenExecutor, Future
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
-from repro.experiments.runner import ExperimentResult
 from repro.runtime import faults
 from repro.runtime.cache import ResultCache
 from repro.runtime.executor import (
     ExecutionSession,
     Executor,
     ParallelExecutor,
-    ResultCallback,
     TaskSession,
 )
-from repro.runtime.task import ExperimentTask
 
 logger = logging.getLogger("repro.runtime.distributed")
 
@@ -1000,21 +992,6 @@ class _CoordinatorSession(ExecutionSession):
                 future.cancel()
             raise
 
-    def map_completed(
-        self, fn: Callable[[Any], Any], items: Sequence[Any]
-    ) -> Iterator[Tuple[int, Any]]:
-        pending = {self.submit(fn, item): index
-                   for index, item in enumerate(items)}
-        try:
-            while pending:
-                done, _ = wait(pending, return_when=FIRST_COMPLETED)
-                for future in done:
-                    index = pending.pop(future)
-                    yield index, future.result()
-        finally:
-            for future in pending:
-                future.cancel()
-
     def close(self) -> None:
         if self._closing.is_set():
             return
@@ -1245,22 +1222,3 @@ class DistributedExecutor(Executor):
         return _CoordinatorSession(
             coordinator, self, processes, command, env
         )
-
-    # -- whole-batch convenience ---------------------------------------
-    def run_tasks(
-        self,
-        tasks: Sequence[ExperimentTask],
-        on_result: Optional[ResultCallback] = None,
-    ) -> List[ExperimentResult]:
-        """Execute ``tasks`` remotely, one single-task batch per lease."""
-        if not tasks:
-            return []
-        session = self.open_task_session()
-        try:
-            results = session.run_batches(
-                [[(index, task)] for index, task in enumerate(tasks)],
-                on_result,
-            )
-        finally:
-            session.close()
-        return [results[index] for index in range(len(tasks))]

@@ -1,34 +1,29 @@
 """Task executors.
 
-An :class:`Executor` turns a batch of :class:`ExperimentTask` objects into
-their results.  Because each task carries its own seed-derived random
-universe, execution order and process placement cannot influence any result:
+An :class:`Executor` is a factory of worker *sessions*.  Because each
+:class:`ExperimentTask` carries its own seed-derived random universe,
+execution order and process placement cannot influence any result:
 :class:`ParallelExecutor` is bit-identical to :class:`SerialExecutor` (the
 equivalence is asserted by ``tests/runtime``).
 
-Both executors report per-task completion through an optional ``on_result``
-callback (index into the submitted batch, result), which the campaign driver
-uses to stream progress and to populate the result cache as soon as each
-task finishes rather than when the whole batch does.
+The generic *session* API (:meth:`Executor.open_session`) is used by the
+batched pair-flow engine (:mod:`repro.runtime.pairflow`): a session pins
+worker processes for its whole lifetime and runs an optional initializer
+once per worker, so per-snapshot state (the compact Even-transformed
+network) is shipped to each worker exactly once and then reused by every
+shard dispatched through :meth:`ExecutionSession.map`.
 
-Beyond whole-experiment tasks, executors expose a generic *session* API
-(:meth:`Executor.session`) used by the batched pair-flow engine
-(:mod:`repro.runtime.pairflow`): a session pins worker processes for its
-whole lifetime and runs an optional initializer once per worker, so
-per-snapshot state (the compact Even-transformed network) is shipped to
-each worker exactly once and then reused by every shard dispatched through
-:meth:`ExecutionSession.map`.
-
-On top of the generic session API sits the *task session*
-(:meth:`Executor.open_task_session` → :class:`TaskSession`): a long-lived
-pool that accepts whole **batches** of experiment tasks per worker call
-(:func:`execute_task_batch`) instead of one task per submission.  Workers
-keep warm per-process state across the tasks of a session: imported
-modules stay imported and bytecode stays specialised — the dominant
-per-task overhead under the ``spawn`` start method, paid once per
-session instead of once per task.  Batching is a pure scheduling knob:
-results are keyed by submission index and bit-identical to per-task
-dispatch.
+On top of it sits the *task session*
+(:meth:`Executor.open_task_session` → :class:`TaskSession`), the one way
+experiment tasks reach a worker: a long-lived pool that accepts
+**batches** of one or more tasks per worker call
+(:func:`execute_task_batch`), each submitted as a future the campaign
+driver tracks.  Workers stay warm across the tasks of a session:
+imported modules stay imported and bytecode stays specialised — the
+dominant per-task overhead under the ``spawn`` start method, paid once
+per session instead of once per task.  Batch geometry is a pure
+scheduling knob: results are keyed by submission index and bit-identical
+for every packing.
 """
 
 from __future__ import annotations
@@ -38,34 +33,15 @@ import multiprocessing
 import os
 import threading
 from abc import ABC, abstractmethod
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    Future,
-    ProcessPoolExecutor,
-    wait,
-)
+from concurrent.futures import Future, ProcessPoolExecutor
 from contextlib import ExitStack, contextmanager
 from pathlib import Path
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.runner import ExperimentResult
-from repro.obs import tracing
-from repro.runtime import faults
 from repro.runtime.task import ExperimentTask, execute_task
 
 logger = logging.getLogger("repro.runtime.executor")
-
-#: ``on_result(index, result)`` — called as each task of a batch completes.
-ResultCallback = Callable[[int, ExperimentResult], None]
 
 #: One batch of (submission index, task) pairs, run by a single worker call.
 IndexedBatch = Sequence[Tuple[int, ExperimentTask]]
@@ -77,21 +53,6 @@ class ExecutionSession(ABC):
     @abstractmethod
     def map(self, fn: Callable[[Any], Any], items: Sequence[Any]) -> List[Any]:
         """Run ``fn`` over ``items`` and return results in submission order."""
-
-    def map_completed(
-        self, fn: Callable[[Any], Any], items: Sequence[Any]
-    ) -> Iterator[Tuple[int, Any]]:
-        """Yield ``(item_index, fn(item))`` pairs in *completion* order.
-
-        The streaming twin of :meth:`map`: results surface as soon as
-        each call finishes instead of when the whole batch does, which is
-        what lets the campaign driver emit per-task progress while other
-        batches are still running.  The serial default computes lazily in
-        submission order (completion order and submission order coincide
-        in one process).
-        """
-        for index, item in enumerate(items):
-            yield index, fn(item)
 
     def submit(self, fn: Callable[[Any], Any], item: Any) -> Future:
         """Submit one call and return its :class:`~concurrent.futures.Future`.
@@ -128,18 +89,14 @@ class _SerialSession(ExecutionSession):
 class _PoolSession(ExecutionSession):
     """Dispatches calls onto a live :class:`ProcessPoolExecutor`.
 
-    When constructed with an :class:`~contextlib.ExitStack` the session
-    *owns* its pool: :meth:`close` unwinds the stack (shutting the pool
-    down and restoring the exported ``PYTHONPATH``).  Sessions yielded by
-    the :meth:`Executor.session` context manager pass ``owned=None`` — the
-    context manager owns the resources.
+    The session *owns* its pool through ``owned``: :meth:`close` unwinds
+    the stack (shutting the pool down and restoring the exported
+    ``PYTHONPATH``).
     """
 
-    def __init__(
-        self, pool: ProcessPoolExecutor, owned: Optional[ExitStack] = None
-    ) -> None:
+    def __init__(self, pool: ProcessPoolExecutor, owned: ExitStack) -> None:
         self._pool = pool
-        self._owned = owned
+        self._owned: Optional[ExitStack] = owned
 
     def map(self, fn: Callable[[Any], Any], items: Sequence[Any]) -> List[Any]:
         futures = [self._pool.submit(fn, item) for item in items]
@@ -158,41 +115,12 @@ class _PoolSession(ExecutionSession):
                 future.cancel()
             raise
 
-    def map_completed(
-        self, fn: Callable[[Any], Any], items: Sequence[Any]
-    ) -> Iterator[Tuple[int, Any]]:
-        """Yield ``(item_index, result)`` as calls complete on the pool.
-
-        A failing call — or a consumer that raises (or abandons the
-        iterator) mid-stream — cancels every call that has not started
-        yet, so an aborted stream never leaves work queued behind it.
-        """
-        pending = {
-            self._pool.submit(fn, item): index
-            for index, item in enumerate(items)
-        }
-        try:
-            while pending:
-                done, _ = wait(pending, return_when=FIRST_COMPLETED)
-                for future in done:
-                    index = pending.pop(future)
-                    yield index, future.result()
-        finally:
-            if pending:
-                logger.warning(
-                    "cancelling %d queued call(s) after an aborted "
-                    "completion stream",
-                    len(pending),
-                )
-            for future in pending:
-                future.cancel()
-
     def submit(self, fn: Callable[[Any], Any], item: Any) -> Future:
         """Submit one call onto the pool (raises if the pool is broken)."""
         return self._pool.submit(fn, item)
 
     def close(self) -> None:
-        """Shut down the pool if this session owns it (idempotent)."""
+        """Shut down the pool (idempotent)."""
         owned, self._owned = self._owned, None
         if owned is not None:
             self._reap_broken_workers()
@@ -221,41 +149,14 @@ class _PoolSession(ExecutionSession):
 
 
 # ----------------------------------------------------------------------
-# Warm-worker task batches
+# Worker entry point
 # ----------------------------------------------------------------------
-class _WarmWorkerState:
-    """Per-process state kept warm across the tasks of a task session.
-
-    The warmth that matters is the process itself: a persistent worker
-    pays interpreter start-up, module imports and bytecode
-    specialisation once, then amortises them over every batch it
-    receives — per-task pools pay all of it per task.  Python-level
-    caching of runner objects was measured to save nothing on top
-    (constructing an :class:`ExperimentRunner` is six attribute
-    assignments; the task already carries a resolved profile), so this
-    registry only tracks throughput counters for diagnostics and tests.
-    """
-
-    def __init__(self) -> None:
-        self.tasks_executed = 0
-        self.batches_executed = 0
-
-    def execute(self, task: ExperimentTask) -> ExperimentResult:
-        self.tasks_executed += 1
-        faults.maybe_inject_task_fault(task.label())
-        return task.run()
-
-
-#: Lazily created per-process warm state (one per worker process; also one
-#: in the parent process when a serial session runs batches in-process).
-_WARM_STATE: Optional[_WarmWorkerState] = None
-
-
-def _warm_state() -> _WarmWorkerState:
-    global _WARM_STATE
-    if _WARM_STATE is None:
-        _WARM_STATE = _WarmWorkerState()
-    return _WARM_STATE
+#: Per-process throughput counter (one per worker process; also one in
+#: the parent process when a serial session runs batches in-process).
+#: Diagnostics only — the warmth a persistent worker keeps is the process
+#: itself (interpreter start-up, imports, specialised bytecode); Python-
+#: level caching of runner objects was measured to save nothing on top.
+_WORKER_COUNTERS = {"tasks_executed": 0}
 
 
 def execute_task_batch(
@@ -264,24 +165,20 @@ def execute_task_batch(
     """Worker entry point: run a batch of (index, task) pairs in order.
 
     Returns ``(index, result)`` pairs so the parent can map results back
-    to submission order regardless of how batches were packed.  Runs
-    through the per-process warm state, so consecutive tasks of a batch
-    (and consecutive batches of a session) share imported modules and
-    per-configuration runners.
+    to submission order regardless of how batches were packed.  Every
+    task goes through :func:`~repro.runtime.task.execute_task`, the one
+    fault-injection site.
     """
-    state = _warm_state()
-    state.batches_executed += 1
-    return [(index, state.execute(task)) for index, task in indexed_tasks]
+    results = []
+    for index, task in indexed_tasks:
+        _WORKER_COUNTERS["tasks_executed"] += 1
+        results.append((index, execute_task(task)))
+    return results
 
 
-def _warm_state_snapshot(_item: Any = None) -> Dict[str, int]:
-    """Report the calling process's warm-state counters (test/debug aid)."""
-    state = _warm_state()
-    return {
-        "pid": os.getpid(),
-        "tasks_executed": state.tasks_executed,
-        "batches_executed": state.batches_executed,
-    }
+def _worker_counters_snapshot(_item: Any = None) -> Dict[str, int]:
+    """Report the calling process's throughput counter (test/debug aid)."""
+    return {"pid": os.getpid(), **_WORKER_COUNTERS}
 
 
 class TaskSession:
@@ -290,81 +187,49 @@ class TaskSession:
     Wraps one caller-owned :class:`ExecutionSession` (a pinned worker
     pool, or the current process for serial executors) and runs whole
     batches per worker call through :func:`execute_task_batch`.  The
-    session — and with it every worker's warm state — survives across
-    :meth:`run_batches` calls until :meth:`close`, which is what turns a
+    session — and with it every warm worker — survives across
+    :meth:`submit_batch` calls until :meth:`close`, which is what turns a
     grid of small simulations from "one pool per task" into "one pool
     per campaign".
 
     Failure containment: batches are independent worker calls, so a task
-    that raises (or a worker that dies) fails its own batch; batches that
-    already completed have streamed their results through ``on_result``
-    (the campaign driver caches them immediately).  A dead worker breaks
-    the underlying process pool — callers must close this session and
-    open a fresh one; tasks of unfinished batches simply re-run there
-    (or are served from the cache next time).
+    that raises (or a worker that dies) fails its own batch's future and
+    no other.  A dead worker breaks the underlying process pool —
+    callers must close this session and open a fresh one; tasks of
+    unfinished batches simply re-run there (or are served from the cache
+    next time).
     """
 
     def __init__(self, session: ExecutionSession) -> None:
         self._session = session
 
-    def run_batches(
-        self,
-        batches: Sequence[IndexedBatch],
-        on_result: Optional[ResultCallback] = None,
-    ) -> Dict[int, ExperimentResult]:
-        """Run every batch; stream per-task ``on_result`` as batches finish.
-
-        Returns ``{submission_index: result}`` over all batches.  Tasks
-        inside a batch are reported in batch order, batches in completion
-        order.
-        """
-        results: Dict[int, ExperimentResult] = {}
-        for _, batch_results in self._session.map_completed(
-            execute_task_batch, [list(batch) for batch in batches]
-        ):
-            tracing.point("batch", tasks=len(batch_results))
-            for index, result in batch_results:
-                results[index] = result
-                if on_result is not None:
-                    on_result(index, result)
-        return results
-
     def submit_batch(self, batch: IndexedBatch) -> Future:
         """Submit one batch and return the future of its (index, result) pairs.
 
-        The resilient campaign driver dispatches through this instead of
-        :meth:`run_batches` so it can track per-batch completion, impose
-        straggler deadlines and re-dispatch survivors of a failed batch.
-        On a serial session the batch executes inline and the returned
-        future is already settled.
+        The caller owns completion handling, which is what lets the
+        campaign driver track per-batch completion, impose straggler
+        deadlines and re-dispatch survivors of a failed batch.  On a
+        serial session the batch executes inline and the returned future
+        is already settled.
         """
         return self._session.submit(execute_task_batch, list(batch))
 
     def warm_state_snapshots(self, probes: int = 1) -> List[Dict[str, int]]:
-        """Sample per-worker warm-state counters (diagnostics/tests)."""
-        return self._session.map(_warm_state_snapshot, list(range(probes)))
+        """Sample per-worker throughput counters (diagnostics/tests)."""
+        return self._session.map(_worker_counters_snapshot, list(range(probes)))
 
     def close(self) -> None:
         """Release the underlying session (idempotent)."""
         self._session.close()
 
 
-class Executor(ABC):
-    """Runs batches of experiment tasks."""
+class Executor:
+    """A factory of worker sessions; the base class executes in-process."""
 
     #: Number of concurrent worker processes this executor dispatches to
-    #: (1 for in-process execution).  The campaign's ``batch="auto"``
-    #: packing uses it as the batch count, so every worker gets one
-    #: near-equal-cost batch.
+    #: (1 for in-process execution).  The campaign sizes its in-flight
+    #: window and its ``batch="auto"`` packing by it.
     worker_count: int = 1
-
-    @abstractmethod
-    def run_tasks(
-        self,
-        tasks: Sequence[ExperimentTask],
-        on_result: Optional[ResultCallback] = None,
-    ) -> List[ExperimentResult]:
-        """Execute ``tasks`` and return their results in submission order."""
 
     def open_task_session(self) -> TaskSession:
         """Open a caller-owned :class:`TaskSession` over a persistent pool.
@@ -375,24 +240,6 @@ class Executor(ABC):
         """
         return TaskSession(self.open_session())
 
-    @contextmanager
-    def session(
-        self,
-        initializer: Optional[Callable[..., None]] = None,
-        initargs: Tuple[Any, ...] = (),
-    ) -> Iterator[ExecutionSession]:
-        """Yield an :class:`ExecutionSession` with ``initializer`` applied.
-
-        The serial default runs the initializer once in-process; parallel
-        executors override this to run it once per worker process when the
-        worker starts, which is what lets callers ship a large read-only
-        payload (e.g. a compact residual network) to each worker exactly
-        once instead of once per submitted item.
-        """
-        if initializer is not None:
-            initializer(*initargs)
-        yield _SerialSession()
-
     def open_session(
         self,
         initializer: Optional[Callable[..., None]] = None,
@@ -400,11 +247,14 @@ class Executor(ABC):
     ) -> ExecutionSession:
         """Open a session whose lifetime the *caller* controls.
 
-        Unlike :meth:`session` (a context manager scoped to one ``with``
-        block), the returned session stays open until its ``close()`` is
-        called — the pair-flow engine pool reuse keeps one session alive
-        across every snapshot of an experiment run.  The serial default
-        runs the initializer in-process and returns a no-op-close session.
+        The returned session stays open until its ``close()`` is called —
+        the pair-flow engine pool reuse keeps one session alive across
+        every snapshot of an experiment run.  The serial default runs
+        the initializer in-process and returns a no-op-close session;
+        parallel executors run it once per worker process when the worker
+        starts, which is what lets callers ship a large read-only payload
+        (e.g. a compact residual network) to each worker exactly once
+        instead of once per submitted item.
         """
         if initializer is not None:
             initializer(*initargs)
@@ -414,19 +264,6 @@ class Executor(ABC):
 class SerialExecutor(Executor):
     """Runs every task in the current process, one after another."""
 
-    def run_tasks(
-        self,
-        tasks: Sequence[ExperimentTask],
-        on_result: Optional[ResultCallback] = None,
-    ) -> List[ExperimentResult]:
-        results: List[ExperimentResult] = []
-        for index, task in enumerate(tasks):
-            result = execute_task(task)
-            results.append(result)
-            if on_result is not None:
-                on_result(index, result)
-        return results
-
 
 class ParallelExecutor(Executor):
     """Runs tasks on a :class:`concurrent.futures.ProcessPoolExecutor`.
@@ -434,9 +271,8 @@ class ParallelExecutor(Executor):
     Parameters
     ----------
     jobs:
-        Number of worker processes (defaults to the CPU count).  The pool is
-        created per batch and sized to ``min(jobs, len(batch))`` so small
-        batches do not pay for idle workers.
+        Number of worker processes per session (defaults to the CPU
+        count); workers spawn lazily, on first use.
     start_method:
         Multiprocessing start method for worker pools (``"fork"``,
         ``"spawn"`` or ``"forkserver"``; ``None`` keeps the platform
@@ -466,71 +302,6 @@ class ParallelExecutor(Executor):
     @property
     def worker_count(self) -> int:  # type: ignore[override]
         return self.jobs
-
-    def run_tasks(
-        self,
-        tasks: Sequence[ExperimentTask],
-        on_result: Optional[ResultCallback] = None,
-    ) -> List[ExperimentResult]:
-        if not tasks:
-            return []
-        results: List[Optional[ExperimentResult]] = [None] * len(tasks)
-        workers = min(self.jobs, len(tasks))
-        with _exported_package_path():
-            with ProcessPoolExecutor(
-                max_workers=workers, mp_context=self._mp_context
-            ) as pool:
-                pending = {
-                    pool.submit(execute_task, task): index
-                    for index, task in enumerate(tasks)
-                }
-                try:
-                    while pending:
-                        done, _ = wait(pending, return_when=FIRST_COMPLETED)
-                        for future in done:
-                            index = pending.pop(future)
-                            result = future.result()
-                            results[index] = result
-                            if on_result is not None:
-                                on_result(index, result)
-                except BaseException:
-                    # A failing task or a raising on_result callback ends
-                    # the batch: cancel everything not yet started so the
-                    # pool shutdown below only waits for the tasks that
-                    # are actually running, instead of silently executing
-                    # the rest of the batch first.
-                    if pending:
-                        logger.warning(
-                            "cancelling %d queued task(s) after a failed "
-                            "batch",
-                            len(pending),
-                        )
-                    for future in pending:
-                        future.cancel()
-                    raise
-        return results  # type: ignore[return-value]
-
-    @contextmanager
-    def session(
-        self,
-        initializer: Optional[Callable[..., None]] = None,
-        initargs: Tuple[Any, ...] = (),
-    ) -> Iterator[ExecutionSession]:
-        """Yield a session backed by one process pool held open throughout.
-
-        The pool (and therefore the per-worker initializer state) survives
-        across every :meth:`ExecutionSession.map` call of the session, so
-        wave-structured workloads pay the worker start-up and payload
-        shipping cost once, not once per wave.
-        """
-        with _exported_package_path():
-            with ProcessPoolExecutor(
-                max_workers=self.jobs,
-                mp_context=self._mp_context,
-                initializer=initializer,
-                initargs=initargs,
-            ) as pool:
-                yield _PoolSession(pool)
 
     def open_session(
         self,

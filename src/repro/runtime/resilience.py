@@ -1,7 +1,7 @@
 """Self-healing primitives for campaign execution.
 
 The campaign driver (:mod:`repro.runtime.campaign`) composes these into
-its batched dispatch loop:
+its one dispatch loop:
 
 :class:`RetryPolicy`
     Bounded attempts with seeded exponential backoff — the schedule is a
@@ -126,12 +126,12 @@ class RetryPolicy:
     def fail_fast(self) -> bool:
         """Whether every healing mechanism is disabled.
 
-        A fail-fast policy restores the legacy batched-dispatch contract:
-        the first batch error propagates out of ``run()`` unhealed — no
-        retry, no bisection, no respawn, no serial degradation.  The
-        degradation guarantee matters for callers whose *task code* can
-        kill its process (the healing loop would otherwise eventually
-        re-run such a task in the driver process).
+        Under a fail-fast policy the first flight error propagates out
+        of ``run()`` unhealed — no retry, no bisection, no respawn, no
+        serial degradation.  The degradation guarantee matters for
+        callers whose *task code* can kill its process (the healing loop
+        would otherwise eventually re-run such a task in the driver
+        process).
         """
         return (
             self.max_attempts <= 1 and self.max_respawns == 0 and not self.hedge

@@ -155,11 +155,12 @@ class ExperimentTask:
 def execute_task(task: ExperimentTask) -> ExperimentResult:
     """Module-level task entry point (picklable for process pools).
 
-    Every execution path — serial, per-task pool, warm batched session —
-    funnels through here or :class:`~repro.runtime.executor._WarmWorkerState`,
-    which makes this the injection site for the deterministic fault
-    harness (:mod:`repro.runtime.faults`); a no-op when ``REPRO_FAULTS``
-    is unset.
+    Every task of every flight — in-process, pool worker or distributed
+    worker — runs through here
+    (via :func:`~repro.runtime.executor.execute_task_batch`), which makes
+    this the one injection site for the deterministic fault harness
+    (:mod:`repro.runtime.faults`); a no-op when ``REPRO_FAULTS`` is
+    unset.
     """
     from repro.runtime import faults
 

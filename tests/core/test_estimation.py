@@ -1,7 +1,6 @@
 """Tests for the sampling-based connectivity estimator."""
 
 import random
-import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -186,24 +185,6 @@ class TestReportSurface:
         assert report.avg_connectivity == report.average
         assert report.is_exact is True
         assert report.confidence_interval is None
-
-    def test_deprecated_aliases_warn_but_work(self):
-        report = self._report()
-        with pytest.warns(DeprecationWarning):
-            assert report.minimum == report.minimum_bound
-        with pytest.warns(DeprecationWarning):
-            assert report.average == report.average_estimate
-        with pytest.warns(DeprecationWarning):
-            assert report.exact is report.min_is_exact
-
-    def test_protocol_properties_do_not_warn(self):
-        report = self._report()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            report.min_connectivity
-            report.avg_connectivity
-            report.is_exact
-            report.confidence_interval
 
     def test_as_dict_round_trip(self):
         report = self._report()

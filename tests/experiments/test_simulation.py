@@ -1,9 +1,9 @@
-"""Tests for the KademliaSimulation orchestration layer."""
+"""Tests for the OverlaySimulation orchestration layer."""
 
 from repro.churn.churn_model import get_churn_scenario
 from repro.churn.loss import get_loss_model
 from repro.churn.traffic import TrafficModel
-from repro.experiments.simulation import KademliaSimulation
+from repro.experiments.simulation import OverlaySimulation
 from repro.kademlia.config import KademliaConfig
 from repro.simulator.random_source import RandomSource
 
@@ -15,7 +15,7 @@ def make_simulation(churn="none", loss="none", traffic_enabled=True, seed=0,
     traffic = (TrafficModel(enabled=True, lookups_per_node_per_minute=2,
                             disseminations_per_node_per_minute=0.2)
                if traffic_enabled else TrafficModel.disabled())
-    return KademliaSimulation(
+    return OverlaySimulation(
         config=config,
         loss=get_loss_model(loss),
         traffic=traffic,

@@ -17,8 +17,8 @@ from repro.runtime.executor import Executor
 class ExplodingExecutor(Executor):
     """Fails the test if any task reaches the executor (cache must serve)."""
 
-    def run_tasks(self, tasks, on_result=None):
-        raise AssertionError(f"{len(tasks)} task(s) were not served from the cache")
+    def open_task_session(self):
+        raise AssertionError("a task was not served from the cache")
 
 
 @pytest.fixture(scope="module")

@@ -117,6 +117,20 @@ class TestFaultedCampaignsConverge:
         assert cache.verify().clean
         assert cache.info().corrupt_entries == 1  # persisted for post-mortems
 
+    def test_default_campaign_survives_worker_crashes(self, monkeypatch):
+        """Nothing set but the executor — default flights of one, default
+        ``RetryPolicy()`` — and every worker crashing on its 2nd task:
+        ``run`` returns (no task failed permanently) the golden digests.
+        Costs ascend by >= 25 % per task, so the task left running when a
+        pool breaks wins the race on the next pool instead of being
+        charged a third attempt by scheduling noise."""
+        tasks = tiny_tasks(bucket_sizes=(3, 5, 8, 12, 16, 24))
+        golden = golden_digests(tasks)
+        _activate(monkeypatch, "worker-crash@2")
+        with Campaign(executor=ParallelExecutor(jobs=2)) as campaign:
+            results = campaign.run(tasks)
+        assert digests_of(results) == golden
+
     def test_corrupt_read_quarantines_and_recomputes(
         self, monkeypatch, tmp_path
     ):
@@ -148,7 +162,10 @@ class TestFaultedCampaignsConverge:
 
 
 class TestGracefulShutdown:
-    def test_sigint_mid_campaign_flushes_then_resumes_warm(self, tmp_path):
+    @pytest.mark.parametrize("batch", [None, 1, 2, "auto"])
+    def test_sigint_mid_campaign_flushes_then_resumes_warm(
+        self, tmp_path, batch
+    ):
         tasks = tiny_tasks()
         golden = golden_digests(tasks)
         cache_dir = tmp_path / "cache"
@@ -162,38 +179,39 @@ class TestGracefulShutdown:
 
         with pytest.raises(CampaignInterrupted) as exc_info:
             with Campaign(
-                cache=cache, batch=2, progress=interrupt_after_first
+                cache=cache, batch=batch, progress=interrupt_after_first
             ) as campaign:
                 campaign.run(tasks)
         interruption = exc_info.value
         assert interruption.signal_name == "SIGINT"
-        # The first batch (2 tasks) completed and was flushed; the second
-        # was never dispatched.
-        assert interruption.completed == 2
+        # The first flight completed and was flushed; the second was
+        # never dispatched (serial "auto" keeps one task per flight).
+        flushed = 2 if batch == 2 else 1
+        assert interruption.completed == flushed
         assert interruption.total == len(tasks)
 
         # The interrupted run's lookup stats were flushed to _meta.json
         # by the run() finally clause (cache consistency, satellite d).
         info = ResultCache(cache_dir).info()
-        assert info.entries == 2
+        assert info.entries == flushed
         assert info.misses >= 2  # the pre-scan misses of the first run
 
         # The default SIGINT handler was restored on exit.
         assert signal.getsignal(signal.SIGINT) is signal.default_int_handler
 
-        # Warm re-run: the two flushed results come back as hits, the
-        # remaining two compute fresh, digests match the golden run.
+        # Warm re-run: the flushed results come back as hits, the rest
+        # compute fresh, digests match the golden run.
         rerun_cache = ResultCache(cache_dir)
         rerun_events = []
         with Campaign(
-            cache=rerun_cache, batch=2, progress=rerun_events.append
+            cache=rerun_cache, batch=batch, progress=rerun_events.append
         ) as campaign:
             results = campaign.run(tasks)
         assert digests_of(results) == golden
-        assert rerun_cache.stats.hits == 2
+        assert rerun_cache.stats.hits == flushed
         statuses = [event.status for event in rerun_events]
-        assert statuses.count("hit") == 2
-        assert statuses.count("completed") == 2
+        assert statuses.count("hit") == flushed
+        assert statuses.count("completed") == len(tasks) - flushed
 
     def test_second_run_after_interrupt_uses_fresh_guard(self, tmp_path):
         # A campaign object survives an interrupt: the next run() installs

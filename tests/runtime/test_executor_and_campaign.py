@@ -13,6 +13,7 @@ from repro.runtime import (
     SCHEDULE_CHEAPEST,
     Campaign,
     CampaignTaskFailure,
+    Executor,
     ExperimentTask,
     ParallelExecutor,
     ResultCache,
@@ -70,23 +71,44 @@ class TestExecutors:
         with pytest.raises(ValueError):
             make_executor(-3)
 
+    def test_executor_surface_is_sessions_and_worker_count(self):
+        public = {name for name in vars(Executor) if not name.startswith("_")}
+        assert public == {"open_session", "open_task_session", "worker_count"}
+
     def test_parallel_matches_serial(self):
         """Same seeds through both executors -> identical time series."""
         tasks = tiny_tasks()
-        serial = SerialExecutor().run_tasks(tasks)
-        parallel = ParallelExecutor(jobs=2).run_tasks(tasks)
+        serial = Campaign(executor=SerialExecutor()).run(tasks)
+        with Campaign(executor=ParallelExecutor(jobs=2)) as campaign:
+            parallel = campaign.run(tasks)
         assert series_of(serial) == series_of(parallel)
 
     def test_results_in_submission_order(self):
         tasks = tiny_tasks(bucket_sizes=(3, 5, 8))
-        results = ParallelExecutor(jobs=2).run_tasks(tasks)
+        with Campaign(executor=ParallelExecutor(jobs=2)) as campaign:
+            results = campaign.run(tasks)
         assert [r.scenario.bucket_size for r in results] == [3, 5, 8]
 
-    def test_on_result_streams_every_completion(self):
-        seen = []
+    @pytest.mark.parametrize(
+        "executor", [SerialExecutor(), ParallelExecutor(jobs=2)]
+    )
+    def test_submit_batch_settles_with_indexed_results(self, executor):
         tasks = tiny_tasks()
-        SerialExecutor().run_tasks(tasks, on_result=lambda i, r: seen.append(i))
-        assert sorted(seen) == list(range(len(tasks)))
+        session = executor.open_task_session()
+        try:
+            futures = [
+                session.submit_batch([(index, task)])
+                for index, task in enumerate(tasks)
+            ]
+            settled = [future.result() for future in futures]
+        finally:
+            session.close()
+        assert [[index for index, _ in pairs] for pairs in settled] == [
+            [0], [1],
+        ]
+        assert series_of(
+            [result for pairs in settled for _, result in pairs]
+        ) == series_of(Campaign().run(tasks))
 
 
 def _failing_shard(_item):
@@ -173,6 +195,25 @@ class TestCampaign:
         campaign.run(tasks)
         assert [event.status for event in events] == ["hit"] * len(tasks)
         assert events[-1].cache_hits == len(tasks)
+
+    def test_fully_cached_run_opens_no_session(self, tmp_path):
+        from repro import obs
+
+        cache = ResultCache(tmp_path / "cache")
+        tasks = tiny_tasks()
+        Campaign(cache=cache).run(tasks)
+        obs.disable()
+        registry = obs.enable()
+        try:
+            with Campaign(
+                executor=ParallelExecutor(jobs=2), cache=cache
+            ) as campaign:
+                campaign.run(tasks)
+                assert campaign._task_session is None
+        finally:
+            obs.disable()
+        assert registry.counter("campaign.cache_hits") == len(tasks)
+        assert registry.counter("campaign.sessions_opened") == 0
 
     def test_partial_cache_mixes_hits_and_runs(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
@@ -317,7 +358,8 @@ def _exploding_task():
 class TestBatchPacking:
     def test_resolve_batch_values(self, monkeypatch):
         monkeypatch.delenv("REPRO_CAMPAIGN_BATCH", raising=False)
-        assert resolve_batch(None) is None
+        assert resolve_batch(None) == 1
+        assert Campaign().batch == 1
         assert resolve_batch("auto") == "auto"
         assert resolve_batch("AUTO") == "auto"
         assert resolve_batch(3) == 3
@@ -330,13 +372,13 @@ class TestBatchPacking:
         assert resolve_batch(None) == "auto"
         assert Campaign().batch == "auto"
         # Explicit "off" (or its aliases) wins over the environment
-        # default — this keeps the campaign benchmark's baselines honest.
-        assert resolve_batch("off") is None
-        assert resolve_batch("none") is None
-        assert resolve_batch("0") is None
-        assert Campaign(batch="off").batch is None
+        # default: one task per flight.
+        assert resolve_batch("off") == 1
+        assert resolve_batch("none") == 1
+        assert resolve_batch("0") == 1
+        assert Campaign(batch="off").batch == 1
         monkeypatch.setenv("REPRO_CAMPAIGN_BATCH", "off")
-        assert resolve_batch(None) is None
+        assert resolve_batch(None) == 1
         monkeypatch.setenv("REPRO_CAMPAIGN_BATCH", "2")
         assert resolve_batch(None) == 2
 
@@ -523,18 +565,6 @@ class TestBatchedPoolLifecycle:
         assert campaign._task_session is None
         assert self._live_children() <= before
 
-    def test_map_completed_cancels_pending_on_error(self):
-        session = ParallelExecutor(jobs=1).open_session()
-        try:
-            with pytest.raises(RuntimeError, match="shard failed"):
-                for _ in session.map_completed(
-                    _failing_shard, [1, 2, 3, 4]
-                ):
-                    pass  # pragma: no cover - first result already raises
-        finally:
-            session.close()
-        assert self._live_children() == set()
-
     def test_overlapping_sessions_restore_pythonpath_last_close(self):
         # Persistent sessions can overlap in one process (two batched
         # campaigns); the PYTHONPATH export is reference-counted, so
@@ -567,16 +597,17 @@ def _poison_task():
     )
 
 
+@pytest.mark.parametrize("batch", [None, 1, 2, "auto"])
 class TestSelfHealingCampaign:
-    """The default retry policy completes around failures (PR tentpole)."""
+    """Every flight geometry — the default construction included — heals."""
 
-    def test_poison_task_is_isolated_not_fatal(self, tmp_path):
+    def test_poison_task_is_isolated_not_fatal(self, tmp_path, batch):
         cache = ResultCache(tmp_path / "cache")
         good = tiny_tasks(bucket_sizes=(3, 5, 8))
         tasks = good[:2] + [_poison_task()] + good[2:]
         events = []
         with Campaign(
-            cache=cache, progress=events.append, batch=2
+            cache=cache, progress=events.append, batch=batch
         ) as campaign:
             with pytest.raises(CampaignTaskFailure) as exc_info:
                 campaign.run(tasks)
@@ -602,7 +633,7 @@ class TestSelfHealingCampaign:
             statuses[index] == "completed" for index in (0, 1, 3)
         )
 
-    def test_retryable_failures_heal_transparently(self, tmp_path):
+    def test_retryable_failures_heal_transparently(self, tmp_path, batch):
         # An error marked retryable that stops recurring: the campaign
         # retries and the run succeeds with no exception at all.
         attempts = {"count": 0}
@@ -628,7 +659,7 @@ class TestSelfHealingCampaign:
 
         tasks = tiny_tasks(bucket_sizes=(3,))
         campaign = Campaign(
-            batch=1,
+            batch=batch,
             retry_policy=RetryPolicy(base_delay=0.0, jitter=0.0),
         )
         campaign._task_session = _FlakySession()
@@ -637,7 +668,7 @@ class TestSelfHealingCampaign:
         assert len(results) == 1 and results[0] is not None
         assert attempts["count"] == 2  # failed once, healed on retry
 
-    def test_respawn_ladder_degrades_to_serial(self, tmp_path):
+    def test_respawn_ladder_degrades_to_serial(self, tmp_path, batch):
         # A pool that breaks on every submit: the campaign respawns up to
         # the budget, then degrades to in-process serial execution and
         # still completes the run.
@@ -660,7 +691,8 @@ class TestSelfHealingCampaign:
         tasks = tiny_tasks(bucket_sizes=(3, 5))
         policy = RetryPolicy(max_respawns=2, base_delay=0.0, jitter=0.0)
         with Campaign(
-            executor=_BrokenExecutorBackend(), batch=2, retry_policy=policy
+            executor=_BrokenExecutorBackend(), batch=batch,
+            retry_policy=policy,
         ) as campaign:
             results = campaign.run(tasks)
         assert all(result is not None for result in results)

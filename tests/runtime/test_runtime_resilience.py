@@ -12,13 +12,16 @@ Two families, both hypothesis-driven:
 import logging
 import signal
 import threading
-from concurrent.futures import BrokenExecutor, Future
+import time
+from concurrent.futures import BrokenExecutor, Future, ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.runtime.campaign import Campaign
+from repro.runtime.executor import ParallelExecutor
 from repro.runtime.resilience import (
     FAIL_FAST,
     RETRIES_ENV_VAR,
@@ -97,7 +100,7 @@ class TestBackoffProperties:
         assert default_retry_policy() == RetryPolicy()
         monkeypatch.setenv(RETRIES_ENV_VAR, "12")
         assert default_retry_policy().max_attempts == 12
-        assert Campaign(batch=2).retry_policy.max_attempts == 12
+        assert Campaign().retry_policy.max_attempts == 12
         for bogus in ("many", "0"):
             monkeypatch.setenv(RETRIES_ENV_VAR, bogus)
             with pytest.raises(ValueError):
@@ -239,7 +242,7 @@ def _drive(tasks_count, poison, batch_size, error_factory, policy):
     session = _ScriptedSession(poison, error_factory)
     campaign._task_session = session
     recorded, failed = {}, []
-    failures = campaign._run_batched(
+    failures = campaign._dispatch(
         tasks,
         list(range(tasks_count)),
         lambda index, result: recorded.__setitem__(index, result),
@@ -298,6 +301,150 @@ class TestBisectionIsolation:
         )
         assert failures == [] and failed == []
         assert set(recorded) == set(range(6))
+
+
+class _PoolBreakSession:
+    """Holds its first four flights, then fails them all at once — what a
+    dying worker does to everything a 2-worker pool had been handed."""
+
+    def __init__(self):
+        self.dispatched = []
+        self.held = []
+        self.broke = False
+
+    def submit_batch(self, batch):
+        pairs = list(batch)
+        self.dispatched.append([index for index, _ in pairs])
+        future = Future()
+        future.set_running_or_notify_cancel()
+        if self.broke:
+            future.set_result([(index, f"result-{index}") for index, _ in pairs])
+            return future
+        self.held.append(future)
+        if len(self.held) == 4:
+            self.broke = True
+            for held in self.held:
+                held.set_exception(BrokenExecutor("a worker died"))
+        return future
+
+    def close(self):
+        pass
+
+
+class TestPoolBreakAttribution:
+    def test_only_running_flights_are_charged_and_oldest_go_first(self):
+        obs.disable()
+        registry = obs.enable()
+        try:
+            campaign = Campaign(
+                executor=ParallelExecutor(jobs=2),
+                batch=1,
+                retry_policy=RetryPolicy(base_delay=0.0, jitter=0.0),
+            )
+        finally:
+            obs.disable()
+        session = _PoolBreakSession()
+        campaign._task_session = session
+        recorded = {}
+        failures = campaign._dispatch(
+            [_StubTask(i) for i in range(6)],
+            list(range(6)),
+            lambda index, result: recorded.__setitem__(index, result),
+            lambda index: None,
+        )
+        campaign._task_session = None
+        assert failures == [] and set(recorded) == set(range(6))
+        # Flights 0 and 1 were on the two workers; 2 and 3 were queued.
+        assert registry.counter("campaign.retries") == 2
+        # Survivors return to the front of the queue, oldest first.
+        assert session.dispatched == [[i] for i in (0, 1, 2, 3, 0, 1, 2, 3, 4, 5)]
+
+
+# ----------------------------------------------------------------------
+# Straggler hedging
+# ----------------------------------------------------------------------
+class _TimedSession:
+    """Two worker threads; every stub task sleeps for its own duration."""
+
+    def __init__(self, durations):
+        self.durations = durations
+        self.dispatched = []
+        self._pool = ThreadPoolExecutor(max_workers=2)
+
+    def _run(self, pairs):
+        for index, _ in pairs:
+            time.sleep(self.durations[index])
+        return [(index, f"result-{index}") for index, _ in pairs]
+
+    def submit_batch(self, batch):
+        pairs = list(batch)
+        self.dispatched.append([index for index, _ in pairs])
+        return self._pool.submit(self._run, pairs)
+
+    def close(self):
+        self._pool.shutdown(wait=True)
+
+
+class _FlatCostModel:
+    """Warm cost model predicting the same cost for every task."""
+
+    def __init__(self, seconds):
+        self.seconds = seconds
+
+    def estimate_batch_seconds(self, tasks):
+        return self.seconds * len(tasks)
+
+
+def _drive_timed(durations, predicted):
+    """Singleton flights on two workers under a warm cost model."""
+    obs.disable()
+    registry = obs.enable()
+    try:
+        campaign = Campaign(
+            executor=ParallelExecutor(jobs=2),
+            batch=1,
+            cost_model=_FlatCostModel(predicted),
+            retry_policy=RetryPolicy(
+                min_straggler_seconds=0.0, straggler_factor=6.0
+            ),
+        )
+    finally:
+        obs.disable()
+    session = _TimedSession(durations)
+    campaign._task_session = session
+    recorded = {}
+    try:
+        failures = campaign._dispatch(
+            [_StubTask(i) for i in range(len(durations))],
+            list(range(len(durations))),
+            lambda index, result: recorded.__setitem__(index, result),
+            lambda index: None,
+        )
+    finally:
+        campaign._task_session = None
+        session.close()
+    assert failures == []
+    assert set(recorded) == set(range(len(durations)))
+    return registry.counter("campaign.hedges"), session
+
+
+class TestStragglerHedging:
+    def test_queue_time_is_not_run_time(self):
+        # 24 healthy tasks of exactly the predicted cost: the last flight
+        # starts ~1.1 s after the first, far beyond its 6 x 0.1 s
+        # deadline if that were stamped with the whole queue ahead of it.
+        hedges, session = _drive_timed([0.1] * 24, predicted=0.1)
+        assert hedges == 0
+        assert sorted(session.dispatched) == [[i] for i in range(24)]
+
+    def test_real_straggler_is_hedged(self):
+        # One task runs 10x its prediction: it outlives its deadline and
+        # is speculatively re-dispatched; the first result wins.
+        durations = [0.1] * 6
+        durations[1] = 1.0
+        hedges, session = _drive_timed(durations, predicted=0.1)
+        assert hedges == 1
+        assert session.dispatched.count([1]) == 2
 
 
 # ----------------------------------------------------------------------
