@@ -308,7 +308,6 @@ def test_perf_scheduler_time_to_first_figure(output_dir, tmp_path):
             scenario=get_scenario(name),
             profile=SCHEDULER_PROFILE,
             seed=BENCH_SEED,
-            adaptive_shards=True,
         )
         for name in SCHEDULER_SCENARIOS
     ]
@@ -365,7 +364,7 @@ def test_perf_scheduler_time_to_first_figure(output_dir, tmp_path):
     section = {
         "description": (
             "mixed-cost tiny sweep (scenarios submitted most-expensive-"
-            "first), uncached, --adaptive-shards; cheapest-first dispatch "
+            "first), uncached; cheapest-first dispatch "
             "via the _costs.json cost model warmed by the fifo pass"
         ),
         "scenarios_submission_order": list(SCHEDULER_SCENARIOS),

@@ -11,7 +11,10 @@ Five entry points cover the common workflows:
 ``run_scenario`` / ``run_sweep``
     Run one scenario, or a sweep of parameter overrides, through the
     cached/parallel experiment runtime.  All scheduling and backend
-    knobs are keyword-only.
+    knobs are keyword-only; their names and defaults are the fields of
+    :class:`MeasurementSpec` (what is measured — identity-bearing) and
+    :class:`ExecutionOptions` (when and where it runs — identity-free),
+    the two values the named sweeps and every internal layer take whole.
 ``analyze_snapshot``
     Connectivity + resilience of a routing-table snapshot (a
     :class:`RoutingTableSnapshot` or a path to one), in exact or
@@ -70,9 +73,9 @@ from repro.extensions.hardening import HardeningConfig
 from repro.graph.algorithms.paths import vertex_disjoint_paths
 from repro.graph.digraph import DiGraph
 from repro.kademlia.config import KademliaConfig
+from repro.options import ExecutionOptions, MeasurementSpec
 from repro.runtime.cache import ResultCache
 from repro.runtime.campaign import Campaign
-from repro.runtime.executor import make_executor
 from repro.runtime.resilience import RetryPolicy
 from repro.simulator.random_source import RandomSource
 
@@ -127,6 +130,9 @@ __all__ = [
     "get_churn_scenario",
     "get_loss_model",
     "RandomSource",
+    # the knobs as two values (named sweeps, open_campaign callers)
+    "MeasurementSpec",
+    "ExecutionOptions",
     # runtime building blocks for open_campaign callers
     "Campaign",
     "ResultCache",
@@ -138,23 +144,26 @@ def _resolve_scenario(scenario: Union[Scenario, str]) -> Scenario:
     return get_scenario(scenario) if isinstance(scenario, str) else scenario
 
 
+def _open_cache(cache_dir: Optional[Union[str, Path]]) -> Optional[ResultCache]:
+    return ResultCache(cache_dir) if cache_dir is not None else None
+
+
 def run_scenario(
     scenario: Union[Scenario, str],
     *,
     profile: Union[ScaleProfile, str] = "bench",
     seed: int = 42,
-    algorithm: str = "dinic",
-    connectivity: str = "exact",
-    sample_pairs: int = 256,
-    ci_level: float = 0.95,
+    algorithm: str = MeasurementSpec.algorithm,
+    connectivity: str = MeasurementSpec.connectivity,
+    sample_pairs: int = MeasurementSpec.sample_pairs,
+    ci_level: float = MeasurementSpec.ci_level,
     keep_snapshots: bool = False,
-    jobs: int = 1,
-    flow_jobs: int = 1,
+    jobs: int = ExecutionOptions.jobs,
+    flow_jobs: int = ExecutionOptions.flow_jobs,
     cache_dir: Optional[Union[str, Path]] = None,
-    schedule: str = "fifo",
-    adaptive_shards: bool = False,
-    batch: Union[None, str, int] = None,
-    backend: str = "local",
+    schedule: str = ExecutionOptions.schedule,
+    batch: Union[None, str, int] = ExecutionOptions.batch,
+    backend: str = ExecutionOptions.backend,
     progress=None,
 ) -> ExperimentResult:
     """Run one scenario end-to-end and return its result.
@@ -164,28 +173,17 @@ def run_scenario(
     estimated per-snapshot measurement (identity-bearing, parameterised
     by ``sample_pairs`` / ``ci_level``).  Everything after ``seed`` is
     keyword-only; the scheduling/backend knobs (``jobs``, ``flow_jobs``,
-    ``schedule``, ``adaptive_shards``, ``batch``, ``backend``) are
-    identity-free — any combination returns bit-identical results.
-    ``cache_dir`` enables the content-addressed result cache.
+    ``schedule``, ``batch``, ``backend``) are identity-free — any
+    combination returns bit-identical results.  ``cache_dir`` enables
+    the content-addressed result cache.
     """
-    return _sweep.run_scenario(
-        _resolve_scenario(scenario),
-        profile=profile,
-        seed=seed,
-        algorithm=algorithm,
-        jobs=jobs,
-        flow_jobs=flow_jobs,
-        cache=ResultCache(cache_dir) if cache_dir is not None else None,
-        progress=progress,
-        schedule=schedule,
-        adaptive_shards=adaptive_shards,
-        batch=batch,
-        backend=backend,
-        keep_snapshots=keep_snapshots,
-        connectivity=connectivity,
-        sample_pairs=sample_pairs,
-        ci_level=ci_level,
-    )
+    return run_sweep(
+        scenario, [{}], profile=profile, seed=seed, algorithm=algorithm,
+        connectivity=connectivity, sample_pairs=sample_pairs,
+        ci_level=ci_level, keep_snapshots=keep_snapshots, jobs=jobs,
+        flow_jobs=flow_jobs, cache_dir=cache_dir, schedule=schedule,
+        batch=batch, backend=backend, progress=progress,
+    )[0]
 
 
 def run_sweep(
@@ -194,18 +192,17 @@ def run_sweep(
     *,
     profile: Union[ScaleProfile, str] = "bench",
     seed: int = 42,
-    algorithm: str = "dinic",
-    connectivity: str = "exact",
-    sample_pairs: int = 256,
-    ci_level: float = 0.95,
+    algorithm: str = MeasurementSpec.algorithm,
+    connectivity: str = MeasurementSpec.connectivity,
+    sample_pairs: int = MeasurementSpec.sample_pairs,
+    ci_level: float = MeasurementSpec.ci_level,
     keep_snapshots: bool = False,
-    jobs: int = 1,
-    flow_jobs: int = 1,
+    jobs: int = ExecutionOptions.jobs,
+    flow_jobs: int = ExecutionOptions.flow_jobs,
     cache_dir: Optional[Union[str, Path]] = None,
-    schedule: str = "fifo",
-    adaptive_shards: bool = False,
-    batch: Union[None, str, int] = None,
-    backend: str = "local",
+    schedule: str = ExecutionOptions.schedule,
+    batch: Union[None, str, int] = ExecutionOptions.batch,
+    backend: str = ExecutionOptions.backend,
     progress=None,
 ) -> List[ExperimentResult]:
     """Run one variant of ``scenario`` per override mapping.
@@ -214,7 +211,9 @@ def run_sweep(
     mappings (e.g. ``[{"bucket_size": 8}, {"bucket_size": 16}]``) and
     results come back in override order.  For the paper's named sweeps
     use :func:`run_bucket_size_sweep` and friends, which key their
-    return values by the swept parameter.  Knob semantics match
+    return values by the swept parameter and take the knobs as the two
+    values (``measurement=MeasurementSpec(...)``,
+    ``execution=ExecutionOptions(...)``).  Knob semantics match
     :func:`run_scenario`.
     """
     return _sweep.run_sweep(
@@ -222,32 +221,29 @@ def run_sweep(
         overrides,
         profile=profile,
         seed=seed,
-        algorithm=algorithm,
-        jobs=jobs,
-        flow_jobs=flow_jobs,
-        cache=ResultCache(cache_dir) if cache_dir is not None else None,
+        measurement=MeasurementSpec(
+            algorithm, connectivity, sample_pairs, ci_level
+        ),
+        execution=ExecutionOptions(
+            jobs=jobs, flow_jobs=flow_jobs, schedule=schedule, batch=batch,
+            backend=backend,
+        ),
+        cache=_open_cache(cache_dir),
         progress=progress,
-        schedule=schedule,
-        adaptive_shards=adaptive_shards,
-        batch=batch,
-        backend=backend,
         keep_snapshots=keep_snapshots,
-        connectivity=connectivity,
-        sample_pairs=sample_pairs,
-        ci_level=ci_level,
     )
 
 
 def analyze_snapshot(
     snapshot: Union[RoutingTableSnapshot, str, Path],
     *,
-    connectivity: str = "exact",
-    sample_pairs: int = 256,
-    ci_level: float = 0.95,
+    connectivity: str = MeasurementSpec.connectivity,
+    sample_pairs: int = MeasurementSpec.sample_pairs,
+    ci_level: float = MeasurementSpec.ci_level,
     sample_fraction: Optional[float] = None,
     seed: int = 0,
-    algorithm: str = "dinic",
-    flow_jobs: int = 1,
+    algorithm: str = MeasurementSpec.algorithm,
+    flow_jobs: int = ExecutionOptions.flow_jobs,
 ):
     """Analyze a routing-table snapshot's connectivity and resilience.
 
@@ -262,40 +258,24 @@ def analyze_snapshot(
     """
     if not isinstance(snapshot, RoutingTableSnapshot):
         snapshot = RoutingTableSnapshot.load(snapshot)
-    if connectivity == "estimate":
-        estimator = ConnectivityEstimator(
-            sample_pairs=sample_pairs,
-            ci_level=ci_level,
-            seed=seed,
-            algorithm=algorithm,
-            flow_jobs=flow_jobs,
-        )
-        with estimator:
-            return estimator.analyze_snapshot(snapshot.routing_tables)
-    if connectivity != "exact":
-        raise ValueError(
-            f"connectivity must be 'exact' or 'estimate', got {connectivity!r}"
-        )
-    analyzer = ConnectivityAnalyzer(
-        algorithm=algorithm,
+    measurement = MeasurementSpec(algorithm, connectivity, sample_pairs, ci_level)
+    with measurement.analyzer(
+        seed,
+        ExecutionOptions(flow_jobs=flow_jobs),
         source_fraction=sample_fraction,
         target_fraction=sample_fraction if sample_fraction else 0.05,
-        seed=seed,
-        flow_jobs=flow_jobs,
-    )
-    with analyzer:
+    ) as analyzer:
         return analyzer.analyze_snapshot(snapshot.routing_tables)
 
 
 def estimate_connectivity(
     source: Union[RoutingTableSnapshot, DiGraph, Mapping[int, Sequence[int]]],
     *,
-    sample_pairs: int = 256,
-    ci_level: float = 0.95,
+    sample_pairs: int = MeasurementSpec.sample_pairs,
+    ci_level: float = MeasurementSpec.ci_level,
     seed: int = 0,
-    algorithm: str = "dinic",
-    flow_jobs: int = 1,
-    adaptive_shards: bool = False,
+    algorithm: str = MeasurementSpec.algorithm,
+    flow_jobs: int = ExecutionOptions.flow_jobs,
 ) -> EstimatedConnectivityReport:
     """Estimate the connectivity of a snapshot, table mapping, or graph.
 
@@ -304,18 +284,13 @@ def estimate_connectivity(
     engine, the average is reported with a seeded deterministic
     confidence interval at ``ci_level``, and the minimum is bounded by
     an ascending-degree-bound branch-and-bound pass (see
-    :mod:`repro.core.estimation`).  ``flow_jobs`` / ``adaptive_shards``
-    are identity-free: any setting returns the same bits.
+    :mod:`repro.core.estimation`).  ``flow_jobs`` is identity-free: any
+    setting returns the same bits.
     """
-    estimator = ConnectivityEstimator(
-        sample_pairs=sample_pairs,
-        ci_level=ci_level,
-        seed=seed,
-        algorithm=algorithm,
-        flow_jobs=flow_jobs,
-        adaptive_shards=adaptive_shards,
-    )
-    with estimator:
+    measurement = MeasurementSpec(algorithm, "estimate", sample_pairs, ci_level)
+    with measurement.analyzer(
+        seed, ExecutionOptions(flow_jobs=flow_jobs)
+    ) as estimator:
         if isinstance(source, DiGraph):
             return estimator.analyze_graph(source)
         if isinstance(source, RoutingTableSnapshot):
@@ -325,12 +300,12 @@ def estimate_connectivity(
 
 def open_campaign(
     *,
-    jobs: int = 1,
+    jobs: int = ExecutionOptions.jobs,
     cache_dir: Optional[Union[str, Path]] = None,
-    schedule: str = "fifo",
-    batch: Union[None, str, int] = None,
-    backend: str = "local",
-    retry_policy: Optional[RetryPolicy] = None,
+    schedule: str = ExecutionOptions.schedule,
+    batch: Union[None, str, int] = ExecutionOptions.batch,
+    backend: str = ExecutionOptions.backend,
+    retry_policy: Optional[RetryPolicy] = ExecutionOptions.retries,
     progress=None,
 ) -> Campaign:
     """Build a configured :class:`Campaign` (use as a context manager).
@@ -342,11 +317,8 @@ def open_campaign(
         with open_campaign(jobs=4, cache_dir=".cache") as campaign:
             results = campaign.run(tasks)
     """
-    return Campaign(
-        executor=make_executor(jobs, backend=backend),
-        cache=ResultCache(cache_dir) if cache_dir is not None else None,
-        progress=progress,
-        schedule=schedule,
-        batch=batch,
-        retry_policy=retry_policy,
+    execution = ExecutionOptions(
+        jobs=jobs, schedule=schedule, batch=batch, backend=backend,
+        retries=retry_policy,
     )
+    return execution.campaign(cache=_open_cache(cache_dir), progress=progress)

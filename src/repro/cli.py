@@ -54,8 +54,7 @@ a task), ``--cache-dir DIR`` (content-addressed result reuse across
 invocations), ``--shared-cache HOST:PORT`` (a remote ``cache serve``
 tier behind the local directory), ``--schedule {fifo,cheapest}``
 (dispatch pending tasks in submission order or cheapest-first by the
-``_costs.json`` cost model beside the cache) and ``--adaptive-shards``
-(cost-aware pair-flow shard sizing and wave ordering); all combinations
+``_costs.json`` cost model beside the cache); all combinations
 produce bit-identical output — scheduling and placement knobs change
 only *when and where* work runs, never what it computes.  Progress and
 cache statistics go to stderr so stdout stays identical regardless of
@@ -72,7 +71,6 @@ from contextlib import contextmanager
 from typing import List, Optional
 
 from repro import obs
-from repro.core.analyzer import ConnectivityAnalyzer
 from repro.obs import tracing
 from repro.obs.summary import format_summary, write_metrics
 from repro.experiments.profiles import PROFILES
@@ -87,18 +85,19 @@ from repro.experiments.snapshot import RoutingTableSnapshot
 from repro.experiments.sweep import run_bucket_size_sweep, run_scenario
 from repro.graph.io.dimacs import write_dimacs
 from repro.graph.transform.even_transform import even_transform
+from repro.options import ExecutionOptions, MeasurementSpec
 from repro.overlay import overlay_names
 from repro.analysis.figures import render_series_table
 from repro.runtime import faults
 from repro.runtime.cache import ResultCache
-from repro.runtime.campaign import Campaign, resolve_batch, sweep_tasks
+from repro.runtime.campaign import resolve_batch, sweep_tasks
 from repro.runtime.distributed import (
     RemoteCacheTier,
     parse_address,
     run_worker,
     serve_cache,
 )
-from repro.runtime.executor import EXECUTOR_BACKENDS, make_executor
+from repro.runtime.executor import EXECUTOR_BACKENDS
 from repro.runtime.resilience import RetryPolicy
 
 
@@ -132,6 +131,45 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _add_measurement_options(parser: argparse.ArgumentParser) -> None:
+    """``--flow-jobs`` and the estimate-mode flags shared by every command
+    that analyzes snapshots; defaults come from :mod:`repro.options`."""
+    parser.add_argument(
+        "--flow-jobs", type=_positive_int, default=ExecutionOptions.flow_jobs,
+        help=(
+            "worker processes for the per-snapshot pair-flow engine "
+            "(bit-identical output for any value; default: 1)"
+        ),
+    )
+    parser.add_argument(
+        "--connectivity", default=MeasurementSpec.connectivity,
+        choices=["exact", "estimate"],
+        help=(
+            "per-snapshot connectivity measurement: 'exact' (the paper's "
+            "pipeline, default) or 'estimate' (stratified sampled-pair "
+            "estimation with confidence intervals — the only feasible "
+            "mode beyond ~10^4 nodes).  Identity-bearing: estimated "
+            "results live under their own fingerprint/cache dimension"
+        ),
+    )
+    parser.add_argument(
+        "--sample-pairs", type=_positive_int, default=None, metavar="N",
+        help=(
+            "estimate mode: ordered-pair budget per snapshot (default: "
+            f"{MeasurementSpec.sample_pairs}); requires --connectivity "
+            "estimate"
+        ),
+    )
+    parser.add_argument(
+        "--ci-level", type=float, default=None, metavar="LEVEL",
+        help=(
+            "estimate mode: two-sided confidence level in (0,1) for the "
+            f"reported interval (default: {MeasurementSpec.ci_level}); "
+            "requires --connectivity estimate"
+        ),
+    )
+
+
 def _add_common_run_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--profile", default="bench", choices=sorted(PROFILES),
@@ -161,11 +199,12 @@ def _add_common_run_options(parser: argparse.ArgumentParser) -> None:
         ),
     )
     parser.add_argument(
-        "--jobs", type=_positive_int, default=1,
+        "--jobs", type=_positive_int, default=ExecutionOptions.jobs,
         help="number of worker processes (1 = run in-process; default: 1)",
     )
     parser.add_argument(
-        "--backend", default="local", choices=list(EXECUTOR_BACKENDS),
+        "--backend", default=ExecutionOptions.backend,
+        choices=list(EXECUTOR_BACKENDS),
         help=(
             "executor family for --jobs workers: 'local' (in-process "
             "pool, default) or 'distributed' (spawn a loopback TCP "
@@ -174,38 +213,7 @@ def _add_common_run_options(parser: argparse.ArgumentParser) -> None:
             "the local backend)"
         ),
     )
-    parser.add_argument(
-        "--flow-jobs", type=_positive_int, default=1,
-        help=(
-            "worker processes for the per-snapshot pair-flow engine "
-            "(bit-identical output for any value; default: 1)"
-        ),
-    )
-    parser.add_argument(
-        "--connectivity", default="exact", choices=["exact", "estimate"],
-        help=(
-            "per-snapshot connectivity measurement: 'exact' (the paper's "
-            "pipeline, default) or 'estimate' (stratified sampled-pair "
-            "estimation with confidence intervals — the only feasible "
-            "mode beyond ~10^4 nodes).  Identity-bearing: estimated "
-            "results live under their own fingerprint/cache dimension"
-        ),
-    )
-    parser.add_argument(
-        "--sample-pairs", type=_positive_int, default=None, metavar="N",
-        help=(
-            "estimate mode: ordered-pair budget per snapshot (default: "
-            "256); requires --connectivity estimate"
-        ),
-    )
-    parser.add_argument(
-        "--ci-level", type=float, default=None, metavar="LEVEL",
-        help=(
-            "estimate mode: two-sided confidence level in (0,1) for the "
-            "reported interval (default: 0.95); requires --connectivity "
-            "estimate"
-        ),
-    )
+    _add_measurement_options(parser)
     parser.add_argument(
         "--cache-dir", default=None,
         help="directory of the content-addressed result cache (default: off)",
@@ -220,7 +228,8 @@ def _add_common_run_options(parser: argparse.ArgumentParser) -> None:
         ),
     )
     parser.add_argument(
-        "--schedule", default="fifo", choices=["fifo", "cheapest"],
+        "--schedule", default=ExecutionOptions.schedule,
+        choices=["fifo", "cheapest"],
         help=(
             "dispatch order of uncached tasks: submission order (fifo, "
             "default) or ascending estimated cost from the _costs.json "
@@ -229,15 +238,8 @@ def _add_common_run_options(parser: argparse.ArgumentParser) -> None:
         ),
     )
     parser.add_argument(
-        "--adaptive-shards", action="store_true",
-        help=(
-            "cost-aware pair-flow scheduling inside each task (adaptive "
-            "shard sizing, tightness-ordered minimum passes; "
-            "bit-identical output)"
-        ),
-    )
-    parser.add_argument(
-        "--batch", type=_batch_value, default=None, metavar="{auto,N,off}",
+        "--batch", type=_batch_value, default=ExecutionOptions.batch,
+        metavar="{auto,N,off}",
         help=(
             "tasks per worker call (flight) on the campaign's one "
             "persistent pool: 'auto' packs near-equal-cost batches "
@@ -337,9 +339,19 @@ def _make_cache(args: argparse.Namespace) -> Optional[ResultCache]:
     return ResultCache(args.cache_dir, remote=remote)
 
 
-def _make_retry_policy(args: argparse.Namespace) -> Optional[RetryPolicy]:
-    retries = getattr(args, "retries", None)
-    return None if retries is None else RetryPolicy(max_attempts=retries)
+def _execution(args: argparse.Namespace) -> ExecutionOptions:
+    """The run commands' scheduling/placement flags as one value."""
+    return ExecutionOptions(
+        jobs=args.jobs,
+        flow_jobs=args.flow_jobs,
+        schedule=args.schedule,
+        batch=args.batch,
+        backend=args.backend,
+        retries=(
+            None if args.retries is None
+            else RetryPolicy(max_attempts=args.retries)
+        ),
+    )
 
 
 @contextmanager
@@ -476,28 +488,32 @@ def _apply_overrides(scenario, args):
     return scenario.with_overrides(**overrides) if overrides else scenario
 
 
-def _estimation_kwargs(args) -> dict:
-    """Resolve the --connectivity/--sample-pairs/--ci-level options.
+def _measurement(args: argparse.Namespace) -> MeasurementSpec:
+    """The --connectivity/--sample-pairs/--ci-level (and, where the
+    command has it, --algorithm) flags as one value.
 
     The sampling parameters are identity-bearing, so passing them without
     selecting estimate mode is a hard error rather than a silent no-op.
     """
+    sampling = {
+        name: getattr(args, name)
+        for name in ("sample_pairs", "ci_level")
+        if getattr(args, name) is not None
+    }
     if args.connectivity != "estimate":
-        if args.sample_pairs is not None or args.ci_level is not None:
+        if sampling:
             raise SystemExit(
                 "--sample-pairs/--ci-level require --connectivity estimate"
             )
-        return {"connectivity": "exact"}
-    ci_level = 0.95 if args.ci_level is None else args.ci_level
-    if not 0.0 < ci_level < 1.0:
-        raise SystemExit(f"--ci-level must be in (0, 1), got {ci_level}")
-    return {
-        "connectivity": "estimate",
-        "sample_pairs": (
-            256 if args.sample_pairs is None else args.sample_pairs
-        ),
-        "ci_level": ci_level,
-    }
+    elif not 0.0 < sampling.get("ci_level", MeasurementSpec.ci_level) < 1.0:
+        raise SystemExit(
+            f"--ci-level must be in (0, 1), got {sampling['ci_level']}"
+        )
+    return MeasurementSpec(
+        algorithm=getattr(args, "algorithm", MeasurementSpec.algorithm),
+        connectivity=args.connectivity,
+        **sampling,
+    )
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -509,11 +525,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         with _faults_scope(args):
             result = run_scenario(
                 scenario, profile=args.profile, seed=args.seed,
-                jobs=args.jobs, flow_jobs=args.flow_jobs, cache=cache,
-                progress=_make_progress(args),
-                schedule=args.schedule, adaptive_shards=args.adaptive_shards,
-                batch=args.batch, retry_policy=_make_retry_policy(args),
-                backend=args.backend, **_estimation_kwargs(args),
+                measurement=_measurement(args), execution=_execution(args),
+                cache=cache, progress=_make_progress(args),
             )
         _report_cache_stats(cache)
     finally:
@@ -542,11 +555,8 @@ def _cmd_sweep_k(args: argparse.Namespace) -> int:
             results = run_bucket_size_sweep(
                 scenario, bucket_sizes=args.k, profile=args.profile,
                 seed=args.seed,
-                jobs=args.jobs, flow_jobs=args.flow_jobs, cache=cache,
-                progress=_make_progress(args),
-                schedule=args.schedule, adaptive_shards=args.adaptive_shards,
-                batch=args.batch, retry_policy=_make_retry_policy(args),
-                backend=args.backend, **_estimation_kwargs(args),
+                measurement=_measurement(args), execution=_execution(args),
+                cache=cache, progress=_make_progress(args),
             )
         _report_cache_stats(cache)
     finally:
@@ -569,22 +579,20 @@ def _cmd_table2(args: argparse.Namespace) -> int:
     bases = [get_scenario(name) for name in ("E", "F", "G", "H")]
     if args.protocol != "kademlia":
         bases = [base.with_overrides(protocol=args.protocol) for base in bases]
+    measurement, execution = _measurement(args), _execution(args)
     tasks = [
         task
         for base in bases
         for task in sweep_tasks(
             base,
             [{"bucket_size": k} for k in args.k],
-            profile=args.profile, seed=args.seed, flow_jobs=args.flow_jobs,
-            adaptive_shards=args.adaptive_shards, **_estimation_kwargs(args),
+            profile=args.profile, seed=args.seed,
+            measurement=measurement, execution=execution,
         )
     ]
     try:
-        with _faults_scope(args), Campaign(
-            executor=make_executor(args.jobs, backend=args.backend),
-            cache=cache,
-            progress=_make_progress(args), schedule=args.schedule,
-            batch=args.batch, retry_policy=_make_retry_policy(args),
+        with _faults_scope(args), execution.campaign(
+            cache=cache, progress=_make_progress(args)
         ) as campaign:
             results = campaign.run(tasks)
         _report_cache_stats(cache)
@@ -614,11 +622,8 @@ def _cmd_obs_summary(args: argparse.Namespace) -> int:
         with _faults_scope(args):
             run_scenario(
                 scenario, profile=args.profile, seed=args.seed,
-                jobs=args.jobs, flow_jobs=args.flow_jobs, cache=cache,
-                progress=_make_progress(args),
-                schedule=args.schedule, adaptive_shards=args.adaptive_shards,
-                batch=args.batch, retry_policy=_make_retry_policy(args),
-                backend=args.backend, **_estimation_kwargs(args),
+                measurement=_measurement(args), execution=_execution(args),
+                cache=cache, progress=_make_progress(args),
             )
         _report_cache_stats(cache)
         registry = obs.active()
@@ -766,39 +771,18 @@ def _cmd_worker(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze_snapshot(args: argparse.Namespace) -> int:
-    snapshot = RoutingTableSnapshot.load(args.snapshot)
-    estimate_mode = getattr(args, "connectivity", "exact") == "estimate"
-    if not estimate_mode and (
-        args.sample_pairs is not None or args.ci_level is not None
-    ):
-        raise SystemExit(
-            "--sample-pairs/--ci-level require --connectivity estimate"
-        )
+    measurement = _measurement(args)
+    estimate_mode = measurement.connectivity == "estimate"
     if args.exact and estimate_mode:
         raise SystemExit("--exact and --connectivity estimate are exclusive")
-    if estimate_mode:
-        from repro.core.estimation import ConnectivityEstimator
-
-        estimator = ConnectivityEstimator(
-            sample_pairs=(
-                256 if args.sample_pairs is None else args.sample_pairs
-            ),
-            ci_level=0.95 if args.ci_level is None else args.ci_level,
-            seed=args.seed,
-            algorithm=args.algorithm,
-            flow_jobs=args.flow_jobs,
-        )
-        with estimator:
-            report = estimator.analyze_snapshot(snapshot.routing_tables)
-    else:
-        analyzer = ConnectivityAnalyzer(
-            algorithm=args.algorithm,
-            source_fraction=None if args.exact else args.sample_fraction,
-            target_fraction=args.sample_fraction,
-            flow_jobs=args.flow_jobs,
-        )
-        with analyzer:
-            report = analyzer.analyze_snapshot(snapshot.routing_tables)
+    snapshot = RoutingTableSnapshot.load(args.snapshot)
+    with measurement.analyzer(
+        args.seed,
+        ExecutionOptions(flow_jobs=args.flow_jobs),
+        source_fraction=None if args.exact else args.sample_fraction,
+        target_fraction=args.sample_fraction,
+    ) as analyzer:
+        report = analyzer.analyze_snapshot(snapshot.routing_tables)
     print(f"snapshot time:        {snapshot.time}")
     print(f"network size:         {snapshot.network_size}")
     print(f"minimum connectivity: {report.min_connectivity}")
@@ -887,39 +871,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="source/target sampling fraction (ignored with --exact)",
     )
     analyze_parser.add_argument(
-        "--algorithm", default="dinic",
+        "--algorithm", default=MeasurementSpec.algorithm,
         choices=["dinic", "edmonds_karp", "push_relabel"],
         help="max-flow algorithm for the pair-flow engine (default: dinic)",
     )
-    analyze_parser.add_argument(
-        "--flow-jobs", type=_positive_int, default=1,
-        help="worker processes for the pair-flow engine (default: 1)",
-    )
-    analyze_parser.add_argument(
-        "--connectivity", default="exact", choices=["exact", "estimate"],
-        help=(
-            "measurement mode: 'exact' (default) or 'estimate' "
-            "(sampled-pair estimation with confidence intervals — the "
-            "only feasible mode beyond ~10^4 nodes)"
-        ),
-    )
-    analyze_parser.add_argument(
-        "--sample-pairs", type=_positive_int, default=None, metavar="N",
-        help=(
-            "estimate mode: ordered-pair budget (default: 256); requires "
-            "--connectivity estimate"
-        ),
-    )
-    analyze_parser.add_argument(
-        "--ci-level", type=float, default=None, metavar="LEVEL",
-        help=(
-            "estimate mode: confidence level in (0,1) (default: 0.95); "
-            "requires --connectivity estimate"
-        ),
-    )
+    _add_measurement_options(analyze_parser)
     analyze_parser.add_argument(
         "--seed", type=int, default=0,
-        help="seed of the estimate-mode sampling stream (default: 0)",
+        help="seed of the pair-sampling stream (default: 0)",
     )
     analyze_parser.set_defaults(func=_cmd_analyze_snapshot)
 

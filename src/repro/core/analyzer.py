@@ -136,33 +136,17 @@ class ConnectivityReport:
 class FlowEngineHost:
     """Shared engine plumbing of the exact analyzer and the estimator.
 
-    Owns the max-flow engine configuration (algorithm, worker count,
-    shard geometry, adaptive scheduling) and the lazily opened worker
-    pool that persists across every snapshot the host sees.  Subclasses
-    implement ``analyze_graph`` / ``analyze_snapshot`` on top of
-    :meth:`_make_engine`.
+    Owns the max-flow engine configuration (algorithm, worker count) and
+    the lazily opened worker pool that persists across every snapshot
+    the host sees.  Subclasses implement ``analyze_graph`` /
+    ``analyze_snapshot`` on top of :meth:`_make_engine`.
     """
 
-    def __init__(
-        self,
-        algorithm: str = "dinic",
-        flow_jobs: int = 1,
-        flow_shard_size: Optional[int] = None,
-        flow_wave_width: Optional[int] = None,
-        adaptive_shards: bool = False,
-    ) -> None:
+    def __init__(self, algorithm: str = "dinic", flow_jobs: int = 1) -> None:
         if flow_jobs < 1:
             raise ValueError("flow_jobs must be >= 1")
         self.algorithm = algorithm
         self.flow_jobs = flow_jobs
-        self.flow_shard_size = flow_shard_size
-        self.flow_wave_width = flow_wave_width
-        self.adaptive_shards = adaptive_shards
-        self._pair_costs = None
-        if adaptive_shards:
-            from repro.runtime.costmodel import PairCostTracker
-
-            self._pair_costs = PairCostTracker()
         self._flow_session = None
 
     # ------------------------------------------------------------------
@@ -201,28 +185,12 @@ class FlowEngineHost:
         layer, which imports this module — resolving the engine at call
         time keeps the package import graph acyclic.
         """
-        from repro.runtime.pairflow import (
-            DEFAULT_SHARD_SIZE,
-            DEFAULT_WAVE_WIDTH,
-            PairFlowEngine,
-        )
+        from repro.runtime.pairflow import PairFlowEngine
 
         return PairFlowEngine(
             graph,
             algorithm=self.algorithm,
             flow_jobs=self.flow_jobs,
-            shard_size=(
-                DEFAULT_SHARD_SIZE
-                if self.flow_shard_size is None
-                else self.flow_shard_size
-            ),
-            wave_width=(
-                DEFAULT_WAVE_WIDTH
-                if self.flow_wave_width is None
-                else self.flow_wave_width
-            ),
-            adaptive=self.adaptive_shards,
-            cost_tracker=self._pair_costs,
             session=self._flow_pool(),
         )
 
@@ -256,17 +224,6 @@ class ConnectivityAnalyzer(FlowEngineHost):
         evaluates shards in-process; any value produces bit-identical
         reports because the engine's shard/wave structure is independent
         of the worker count.
-    flow_shard_size / flow_wave_width:
-        Engine scheduling granularity overrides (``None`` keeps the
-        engine defaults).
-    adaptive_shards:
-        Enable the engine's cost-aware scheduling (shard sizes derived
-        from the observed per-pair cost, tightness-ordered minimum
-        passes).  One cost tracker is shared across every snapshot the
-        analyzer sees, so costs observed early in a run schedule the
-        later snapshots.  Purely an execution knob: reports are
-        bit-identical with it on or off (the order-invariance guarantee
-        asserted by the determinism digest suite).
     """
 
     def __init__(
@@ -279,21 +236,12 @@ class ConnectivityAnalyzer(FlowEngineHost):
         average_pairs: int = 48,
         seed: int = 0,
         flow_jobs: int = 1,
-        flow_shard_size: Optional[int] = None,
-        flow_wave_width: Optional[int] = None,
-        adaptive_shards: bool = False,
     ) -> None:
         if source_fraction is not None and source_fraction <= 0:
             raise ValueError("source_fraction must be positive or None")
         if target_fraction <= 0:
             raise ValueError("target_fraction must be positive")
-        super().__init__(
-            algorithm=algorithm,
-            flow_jobs=flow_jobs,
-            flow_shard_size=flow_shard_size,
-            flow_wave_width=flow_wave_width,
-            adaptive_shards=adaptive_shards,
-        )
+        super().__init__(algorithm=algorithm, flow_jobs=flow_jobs)
         self.source_fraction = source_fraction
         self.target_fraction = target_fraction
         self.min_sources = min_sources

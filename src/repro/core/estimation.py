@@ -14,8 +14,8 @@ split into contiguous strata, each stratum receives a share of the pair
 budget proportional to its number of non-adjacent ordered pairs (the
 exact per-stratum population size, computable in O(n)), and every
 sampled pair is evaluated *exactly* through the batched
-:class:`~repro.runtime.pairflow.PairFlowEngine` — so ``--flow-jobs``,
-adaptive shards and the distributed backend apply unchanged.  The
+:class:`~repro.runtime.pairflow.PairFlowEngine` — so ``--flow-jobs``
+and the distributed backend apply unchanged.  The
 stratified mean is reported with a confidence interval built from the
 per-stratum sample variance plus one pseudo-observation at the
 conservative range variance (Popoviciu's ``B^2/4`` for values bounded
@@ -31,8 +31,8 @@ estimates bit for bit.
 minimum: candidates are the lowest-out-degree x lowest-in-degree corner
 of the pair grid (the paper's ``c * n`` sampling, Section 5.2),
 evaluated in ascending order of their degree bound
-``min(out_degree(s), in_degree(t))`` (the PR 4 tightness ordering) with
-the running minimum as the flow cutoff.  Because the order is
+``min(out_degree(s), in_degree(t))`` with the running minimum as the
+flow cutoff.  Because the order is
 ascending, the first candidate whose bound reaches the running minimum
 prunes *every* remaining candidate.  The reported value is an upper
 bound on ``kappa(D)``; the explicit ``min_is_exact`` flag is True only
@@ -68,11 +68,8 @@ from repro.core.connectivity_graph import build_connectivity_graph, disconnected
 from repro.core.resilience import resilience_of
 from repro.graph.algorithms.components import strongly_connected_components
 from repro.graph.digraph import DiGraph
+from repro.options import ExecutionOptions, MeasurementSpec
 
-#: Default ordered-pair budget of the average pass.
-DEFAULT_SAMPLE_PAIRS = 256
-#: Default two-sided confidence level of the reported interval.
-DEFAULT_CI_LEVEL = 0.95
 #: Default number of degree-bound strata for the average pass.
 DEFAULT_STRATA = 4
 #: Minimum-pass candidate corner: ``max(MIN_CANDIDATES, ceil(frac * n))``
@@ -220,25 +217,22 @@ class ConnectivityEstimator(FlowEngineHost):
         Seed of the sampling stream.  One stream persists across the
         snapshots an estimator instance sees (like the exact analyzer's),
         and it depends only on graph structure — never a flow value.
-    algorithm / flow_jobs / flow_shard_size / flow_wave_width /
-    adaptive_shards:
-        Engine knobs, identical to :class:`ConnectivityAnalyzer` — all
-        identity-free (any combination reports the same bits).
+    algorithm / flow_jobs:
+        Engine knobs, identical to :class:`ConnectivityAnalyzer`
+        (``flow_jobs`` is identity-free: any value reports the same
+        bits).
     """
 
     def __init__(
         self,
-        sample_pairs: int = DEFAULT_SAMPLE_PAIRS,
-        ci_level: float = DEFAULT_CI_LEVEL,
+        sample_pairs: int = MeasurementSpec.sample_pairs,
+        ci_level: float = MeasurementSpec.ci_level,
         strata: int = DEFAULT_STRATA,
         min_fraction: float = DEFAULT_MIN_FRACTION,
         min_candidates: int = DEFAULT_MIN_CANDIDATES,
         seed: int = 0,
         algorithm: str = "dinic",
         flow_jobs: int = 1,
-        flow_shard_size: Optional[int] = None,
-        flow_wave_width: Optional[int] = None,
-        adaptive_shards: bool = False,
     ) -> None:
         if sample_pairs < 1:
             raise ValueError(f"sample_pairs must be >= 1, got {sample_pairs}")
@@ -246,13 +240,7 @@ class ConnectivityEstimator(FlowEngineHost):
             raise ValueError(f"ci_level must be in (0, 1), got {ci_level}")
         if strata < 1:
             raise ValueError(f"strata must be >= 1, got {strata}")
-        super().__init__(
-            algorithm=algorithm,
-            flow_jobs=flow_jobs,
-            flow_shard_size=flow_shard_size,
-            flow_wave_width=flow_wave_width,
-            adaptive_shards=adaptive_shards,
-        )
+        super().__init__(algorithm=algorithm, flow_jobs=flow_jobs)
         self.sample_pairs = int(sample_pairs)
         self.ci_level = float(ci_level)
         self.strata = int(strata)
@@ -609,8 +597,8 @@ class EstimateValidation:
 
 def validate_exact_vs_estimate(
     graph: DiGraph,
-    sample_pairs: int = DEFAULT_SAMPLE_PAIRS,
-    ci_level: float = DEFAULT_CI_LEVEL,
+    sample_pairs: int = MeasurementSpec.sample_pairs,
+    ci_level: float = MeasurementSpec.ci_level,
     seed: int = 0,
     algorithm: str = "dinic",
     flow_jobs: int = 1,
@@ -626,14 +614,10 @@ def validate_exact_vs_estimate(
     from repro.core.vertex_connectivity import connectivity_statistics
 
     stats = connectivity_statistics(graph, algorithm=algorithm)
-    estimator = ConnectivityEstimator(
-        sample_pairs=sample_pairs,
-        ci_level=ci_level,
-        seed=seed,
-        algorithm=algorithm,
-        flow_jobs=flow_jobs,
-    )
-    with estimator:
+    measurement = MeasurementSpec(algorithm, "estimate", sample_pairs, ci_level)
+    with measurement.analyzer(
+        seed, ExecutionOptions(flow_jobs=flow_jobs)
+    ) as estimator:
         estimate = estimator.analyze_graph(graph)
     return EstimateValidation(
         exact_minimum=stats.minimum,

@@ -18,14 +18,9 @@ from repro.analysis.statistics import mean, population_variance
 from repro.experiments.profiles import ScaleProfile
 from repro.experiments.runner import ExperimentResult
 from repro.experiments.scenarios import Scenario
+from repro.options import ExecutionOptions, MeasurementSpec
 from repro.runtime.cache import ResultCache
-from repro.runtime.campaign import (
-    SCHEDULE_FIFO,
-    Campaign,
-    ProgressCallback,
-    replication_tasks,
-)
-from repro.runtime.executor import Executor, make_executor
+from repro.runtime.campaign import ProgressCallback, replication_tasks
 
 
 @dataclass(frozen=True)
@@ -100,41 +95,27 @@ def replicate_scenario(
     scenario: Scenario,
     seeds: Sequence[int],
     profile: "ScaleProfile | str" = "tiny",
-    algorithm: str = "dinic",
-    jobs: int = 1,
+    measurement: MeasurementSpec = MeasurementSpec(),
+    execution: ExecutionOptions = ExecutionOptions(),
     cache: "ResultCache | None" = None,
-    executor: "Executor | None" = None,
     progress: "ProgressCallback | None" = None,
-    schedule: str = SCHEDULE_FIFO,
-    adaptive_shards: bool = False,
-    batch: "str | int | None" = None,
 ) -> ReplicationSummary:
     """Run ``scenario`` once per seed and aggregate the summary statistics.
 
     Replications are independent tasks, so they dispatch through
-    :mod:`repro.runtime`: ``jobs > 1`` runs them in parallel with identical
-    output, and a :class:`~repro.runtime.cache.ResultCache` lets repeated
-    invocations (or a grown seed list) reuse finished runs.  ``schedule``,
-    ``adaptive_shards`` and ``batch`` are the cost-aware dispatch knobs of
-    :class:`Campaign` / the pair-flow engine — ordering and grouping only,
-    results are identical for every combination (``batch`` packs several
-    replications per warm worker call, see :class:`Campaign`).
+    :mod:`repro.runtime` like every sweep: ``measurement`` says what each
+    snapshot's analysis computes, ``execution`` how the runs are
+    scheduled and placed (bit-identical results for any value — see
+    :mod:`repro.options`), and a :class:`~repro.runtime.cache.ResultCache`
+    lets repeated invocations (or a grown seed list) reuse finished runs.
     """
     if not seeds:
         raise ValueError("at least one seed is required")
-    with Campaign(
-        executor=executor if executor is not None else make_executor(jobs),
-        cache=cache,
-        progress=progress,
-        schedule=schedule,
-        batch=batch,
-    ) as campaign:
-        results = campaign.run(
-            replication_tasks(
-                scenario, seeds, profile=profile, algorithm=algorithm,
-                adaptive_shards=adaptive_shards,
-            )
-        )
+    tasks = replication_tasks(
+        scenario, seeds, profile, measurement=measurement, execution=execution
+    )
+    with execution.campaign(cache=cache, progress=progress) as campaign:
+        results = campaign.run(tasks)
     statistics = {
         name: ReplicatedStatistic(
             name=name, values=[extract(result) for result in results]

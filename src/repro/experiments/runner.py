@@ -12,13 +12,13 @@ from repro.obs import tracing
 from repro.churn.churn_model import get_churn_scenario
 from repro.churn.loss import get_loss_model
 from repro.churn.traffic import TrafficModel
-from repro.core.analyzer import ConnectivityAnalyzer
 from repro.core.timeseries import ConnectivitySample, ConnectivityTimeSeries
 from repro.experiments.phases import PhaseSchedule
 from repro.experiments.profiles import ScaleProfile, get_profile
 from repro.experiments.scenarios import Scenario
 from repro.experiments.simulation import OverlaySimulation
 from repro.experiments.snapshot import RoutingTableSnapshot
+from repro.options import ExecutionOptions, MeasurementSpec
 from repro.overlay import get_overlay
 from repro.simulator.random_source import RandomSource
 from repro.simulator.transport import TransportStats
@@ -144,27 +144,15 @@ class ExperimentRunner:
     keep_snapshots:
         Store the raw routing-table snapshots on the result (memory-heavy;
         off by default).
-    algorithm:
-        Max-flow algorithm forwarded to the connectivity analyzer.
-    flow_jobs:
-        Worker processes for the per-snapshot batched pair-flow engine
-        (see :class:`repro.core.analyzer.ConnectivityAnalyzer`).  Purely
-        an execution knob: any value yields bit-identical results, so it
-        is not part of the experiment's identity.
-    adaptive_shards:
-        Cost-aware pair-flow scheduling (adaptive shard sizing plus
-        tightness-ordered minimum passes).  Like ``flow_jobs``, an
-        execution knob with bit-identical output, excluded from the
+    measurement:
+        :class:`~repro.options.MeasurementSpec` — what every snapshot's
+        analysis computes (max-flow algorithm, exact or estimated
+        connectivity).  Identity-bearing.
+    execution:
+        :class:`~repro.options.ExecutionOptions` — how the analysis is
+        executed (the pair-flow engine's worker processes).  Any value
+        yields bit-identical results, so it is not part of the
         experiment's identity.
-    connectivity:
-        Per-snapshot measurement mode: ``"exact"`` (the paper's
-        pipeline) or ``"estimate"`` (sampled-pair estimation with
-        confidence intervals, :mod:`repro.core.estimation`).  Unlike the
-        knobs above this **is** identity-bearing: estimated series are
-        statistically, not bit-, compatible with exact ones.
-    sample_pairs / ci_level:
-        Estimation-mode parameters (pair budget and confidence level);
-        ignored in exact mode.
     """
 
     def __init__(
@@ -172,48 +160,31 @@ class ExperimentRunner:
         profile: ScaleProfile | str = "bench",
         seed: int = 42,
         keep_snapshots: bool = False,
-        algorithm: str = "dinic",
-        flow_jobs: int = 1,
-        adaptive_shards: bool = False,
-        connectivity: str = "exact",
-        sample_pairs: int = 256,
-        ci_level: float = 0.95,
+        measurement: MeasurementSpec = MeasurementSpec(),
+        execution: ExecutionOptions = ExecutionOptions(),
     ) -> None:
-        if connectivity not in ("exact", "estimate"):
-            raise ValueError(
-                f"connectivity must be 'exact' or 'estimate', got {connectivity!r}"
-            )
         self.profile = get_profile(profile) if isinstance(profile, str) else profile
         self.seed = seed
         self.keep_snapshots = keep_snapshots
-        self.algorithm = algorithm
-        self.flow_jobs = flow_jobs
-        self.adaptive_shards = adaptive_shards
-        self.connectivity = connectivity
-        self.sample_pairs = sample_pairs
-        self.ci_level = ci_level
+        self.measurement = measurement
+        self.execution = execution
 
     @classmethod
     def for_task(cls, task) -> "ExperimentRunner":
         """Build the runner matching an :class:`repro.runtime.task.ExperimentTask`.
 
-        The single mapping from a task's execution knobs to a configured
-        runner (used by :meth:`ExperimentTask.run`).  A runner is
+        Used by :meth:`ExperimentTask.run`.  A runner is
         scenario-independent and holds no per-run mutable state —
         :meth:`run` builds a fresh simulation and analyzer every call —
-        so construction is six attribute assignments and is not worth
+        so construction is five attribute assignments and is not worth
         caching anywhere.
         """
         return cls(
             profile=task.profile,
             seed=task.seed,
             keep_snapshots=task.keep_snapshots,
-            algorithm=task.algorithm,
-            flow_jobs=task.flow_jobs,
-            adaptive_shards=task.adaptive_shards,
-            connectivity=getattr(task, "connectivity", "exact"),
-            sample_pairs=getattr(task, "sample_pairs", 256),
-            ci_level=getattr(task, "ci_level", 0.95),
+            measurement=task.measurement,
+            execution=task.execution,
         )
 
     # ------------------------------------------------------------------
@@ -287,34 +258,19 @@ class ExperimentRunner:
     def build_analyzer(self):
         """Return the per-snapshot connectivity measurement object.
 
-        Exact mode builds the paper's :class:`ConnectivityAnalyzer` from
-        the profile; estimate mode builds a
-        :class:`repro.core.estimation.ConnectivityEstimator` with the
-        runner's sampling parameters.  Both expose the same
-        ``analyze_graph`` / context-manager surface and report through
-        the shared connectivity-report protocol, so :meth:`_run` never
-        branches.
+        Built by the runner's :class:`~repro.options.MeasurementSpec`
+        with the profile's pair sampling and the runner's seed; exact
+        and estimate mode expose the same ``analyze_graph`` /
+        context-manager surface and report through the shared
+        connectivity-report protocol, so :meth:`_run` never branches.
         """
         profile = self.profile
-        if self.connectivity == "estimate":
-            from repro.core.estimation import ConnectivityEstimator
-
-            return ConnectivityEstimator(
-                sample_pairs=self.sample_pairs,
-                ci_level=self.ci_level,
-                seed=self.seed,
-                algorithm=self.algorithm,
-                flow_jobs=self.flow_jobs,
-                adaptive_shards=self.adaptive_shards,
-            )
-        return ConnectivityAnalyzer(
-            algorithm=self.algorithm,
+        return self.measurement.analyzer(
+            seed=self.seed,
+            execution=self.execution,
             source_fraction=profile.source_fraction,
             target_fraction=profile.target_fraction,
             average_pairs=profile.average_pairs,
-            seed=self.seed,
-            flow_jobs=self.flow_jobs,
-            adaptive_shards=self.adaptive_shards,
         )
 
     # ------------------------------------------------------------------

@@ -7,9 +7,9 @@ those sweeps and return results keyed by the swept value, which is the form
 the report generators and benchmarks consume.
 
 Every sweep dispatches through :mod:`repro.runtime`: tasks are independent,
-so ``jobs > 1`` runs them on a process pool with bit-identical output, and
-passing a :class:`~repro.runtime.cache.ResultCache` makes repeated sweeps
-reuse finished runs instead of re-simulating them.
+so ``execution.jobs > 1`` runs them on a process pool with bit-identical
+output, and passing a :class:`~repro.runtime.cache.ResultCache` makes
+repeated sweeps reuse finished runs instead of re-simulating them.
 """
 
 from __future__ import annotations
@@ -24,88 +24,9 @@ from repro.experiments.scenarios import (
     PAPER_STALENESS_VALUES,
     Scenario,
 )
+from repro.options import ExecutionOptions, MeasurementSpec
 from repro.runtime.cache import ResultCache
-from repro.runtime.campaign import (
-    SCHEDULE_FIFO,
-    Campaign,
-    ProgressCallback,
-    sweep_tasks,
-)
-from repro.runtime.executor import Executor, make_executor
-from repro.runtime.resilience import RetryPolicy
-
-
-def _make_campaign(
-    jobs: int,
-    cache: Optional[ResultCache],
-    executor: Optional[Executor],
-    progress: Optional[ProgressCallback],
-    schedule: str = SCHEDULE_FIFO,
-    batch: "str | int | None" = None,
-    retry_policy: Optional[RetryPolicy] = None,
-    backend: str = "local",
-) -> Campaign:
-    return Campaign(
-        executor=(
-            executor
-            if executor is not None
-            else make_executor(jobs, backend=backend)
-        ),
-        cache=cache,
-        progress=progress,
-        schedule=schedule,
-        batch=batch,
-        retry_policy=retry_policy,
-    )
-
-
-def run_scenario(
-    scenario: Scenario,
-    profile: ScaleProfile | str = "bench",
-    seed: int = 42,
-    algorithm: str = "dinic",
-    jobs: int = 1,
-    flow_jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-    executor: Optional[Executor] = None,
-    progress: Optional[ProgressCallback] = None,
-    schedule: str = SCHEDULE_FIFO,
-    adaptive_shards: bool = False,
-    batch: "str | int | None" = None,
-    retry_policy: Optional[RetryPolicy] = None,
-    backend: str = "local",
-    keep_snapshots: bool = False,
-    connectivity: str = "exact",
-    sample_pairs: int = 256,
-    ci_level: float = 0.95,
-) -> ExperimentResult:
-    """Run a single scenario with the given profile and seed.
-
-    ``jobs`` parallelises across tasks; ``flow_jobs`` parallelises the
-    per-snapshot connectivity analysis *within* a task (see README
-    "Performance" for how the two compose).  ``schedule``,
-    ``adaptive_shards`` and ``batch`` select cost-aware dispatch
-    (order/grouping only; results are bit-identical for every
-    combination — ``batch`` runs several tasks per warm worker call
-    through a persistent pool, see :class:`Campaign`).  ``backend``
-    picks the executor family (``"local"`` pool or ``"distributed"``
-    loopback workers) when no explicit ``executor`` is given; output is
-    bit-identical either way.  ``connectivity`` selects exact or
-    sampled-pair estimated per-snapshot measurement (identity-bearing,
-    with ``sample_pairs`` / ``ci_level`` — see
-    :mod:`repro.core.estimation`).
-    """
-    tasks = sweep_tasks(
-        scenario, [{}], profile=profile, seed=seed, algorithm=algorithm,
-        keep_snapshots=keep_snapshots, flow_jobs=flow_jobs,
-        adaptive_shards=adaptive_shards, connectivity=connectivity,
-        sample_pairs=sample_pairs, ci_level=ci_level,
-    )
-    with _make_campaign(
-        jobs, cache, executor, progress, schedule, batch, retry_policy,
-        backend,
-    ) as campaign:
-        return campaign.run(tasks)[0]
+from repro.runtime.campaign import ProgressCallback, sweep_tasks
 
 
 def run_sweep(
@@ -113,71 +34,46 @@ def run_sweep(
     overrides: Iterable[Mapping[str, object]],
     profile: ScaleProfile | str = "bench",
     seed: int = 42,
-    algorithm: str = "dinic",
-    jobs: int = 1,
-    flow_jobs: int = 1,
+    measurement: MeasurementSpec = MeasurementSpec(),
+    execution: ExecutionOptions = ExecutionOptions(),
     cache: Optional[ResultCache] = None,
-    executor: Optional[Executor] = None,
     progress: Optional[ProgressCallback] = None,
-    schedule: str = SCHEDULE_FIFO,
-    adaptive_shards: bool = False,
-    batch: "str | int | None" = None,
-    retry_policy: Optional[RetryPolicy] = None,
-    backend: str = "local",
     keep_snapshots: bool = False,
-    connectivity: str = "exact",
-    sample_pairs: int = 256,
-    ci_level: float = 0.95,
 ) -> List[ExperimentResult]:
     """Run one variant of ``base`` per override set and return the results.
 
     The generic form behind every named sweep below; exposed for callers
-    (CLI, benchmarks) that sweep custom dimension combinations.  Results
-    come back in override order whatever the ``schedule``.
+    (CLI, benchmarks) that sweep custom dimension combinations.
+    ``measurement`` says what every snapshot's analysis computes
+    (identity-bearing); ``execution`` says how the runs are scheduled and
+    placed — any value returns bit-identical results, in override order
+    (see :mod:`repro.options` for both).
     """
     tasks = sweep_tasks(
-        base, overrides, profile=profile, seed=seed, algorithm=algorithm,
-        keep_snapshots=keep_snapshots, flow_jobs=flow_jobs,
-        adaptive_shards=adaptive_shards, connectivity=connectivity,
-        sample_pairs=sample_pairs, ci_level=ci_level,
+        base, overrides, profile, seed, keep_snapshots=keep_snapshots,
+        measurement=measurement, execution=execution,
     )
-    with _make_campaign(
-        jobs, cache, executor, progress, schedule, batch, retry_policy,
-        backend,
-    ) as campaign:
+    with execution.campaign(cache=cache, progress=progress) as campaign:
         return campaign.run(tasks)
+
+
+def run_scenario(scenario: Scenario, **run_options) -> ExperimentResult:
+    """Run a single scenario; ``run_options`` are :func:`run_sweep`'s keywords."""
+    return run_sweep(scenario, [{}], **run_options)[0]
 
 
 def run_bucket_size_sweep(
     base: Scenario,
     bucket_sizes: Iterable[int] = PAPER_BUCKET_SIZES,
-    profile: ScaleProfile | str = "bench",
-    seed: int = 42,
-    jobs: int = 1,
-    flow_jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-    executor: Optional[Executor] = None,
-    progress: Optional[ProgressCallback] = None,
-    schedule: str = SCHEDULE_FIFO,
-    adaptive_shards: bool = False,
-    batch: "str | int | None" = None,
-    retry_policy: Optional[RetryPolicy] = None,
-    backend: str = "local",
-    connectivity: str = "exact",
-    sample_pairs: int = 256,
-    ci_level: float = 0.95,
+    **run_options,
 ) -> Dict[int, ExperimentResult]:
-    """Run ``base`` once per bucket size (the k-sweep of Figures 2–9)."""
+    """Run ``base`` once per bucket size (the k-sweep of Figures 2–9).
+
+    ``run_options`` here and below are :func:`run_sweep`'s keywords.
+    """
     bucket_sizes = list(bucket_sizes)
     results = run_sweep(
-        base,
-        [{"bucket_size": k} for k in bucket_sizes],
-        profile=profile, seed=seed, jobs=jobs, flow_jobs=flow_jobs,
-        cache=cache, executor=executor, progress=progress,
-        schedule=schedule, adaptive_shards=adaptive_shards, batch=batch,
-        retry_policy=retry_policy, backend=backend,
-        connectivity=connectivity, sample_pairs=sample_pairs,
-        ci_level=ci_level,
+        base, [{"bucket_size": k} for k in bucket_sizes], **run_options
     )
     return dict(zip(bucket_sizes, results))
 
@@ -186,33 +82,14 @@ def run_alpha_sweep(
     base: Scenario,
     alphas: Iterable[int],
     bucket_sizes: Iterable[int] = PAPER_BUCKET_SIZES,
-    profile: ScaleProfile | str = "bench",
-    seed: int = 42,
-    jobs: int = 1,
-    flow_jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-    executor: Optional[Executor] = None,
-    progress: Optional[ProgressCallback] = None,
-    schedule: str = SCHEDULE_FIFO,
-    adaptive_shards: bool = False,
-    batch: "str | int | None" = None,
-    retry_policy: Optional[RetryPolicy] = None,
-    backend: str = "local",
-    connectivity: str = "exact",
-    sample_pairs: int = 256,
-    ci_level: float = 0.95,
+    **run_options,
 ) -> Dict[Tuple[int, int], ExperimentResult]:
     """Run the (alpha, k) grid behind Figure 10; keys are ``(alpha, k)``."""
     keys = [(alpha, k) for alpha in alphas for k in bucket_sizes]
     results = run_sweep(
         base,
         [{"alpha": alpha, "bucket_size": k} for alpha, k in keys],
-        profile=profile, seed=seed, jobs=jobs, flow_jobs=flow_jobs,
-        cache=cache, executor=executor, progress=progress,
-        schedule=schedule, adaptive_shards=adaptive_shards, batch=batch,
-        retry_policy=retry_policy, backend=backend,
-        connectivity=connectivity, sample_pairs=sample_pairs,
-        ci_level=ci_level,
+        **run_options,
     )
     return dict(zip(keys, results))
 
@@ -220,33 +97,12 @@ def run_alpha_sweep(
 def run_staleness_sweep(
     base: Scenario,
     staleness_values: Iterable[int] = PAPER_STALENESS_VALUES,
-    profile: ScaleProfile | str = "bench",
-    seed: int = 42,
-    jobs: int = 1,
-    flow_jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-    executor: Optional[Executor] = None,
-    progress: Optional[ProgressCallback] = None,
-    schedule: str = SCHEDULE_FIFO,
-    adaptive_shards: bool = False,
-    batch: "str | int | None" = None,
-    retry_policy: Optional[RetryPolicy] = None,
-    backend: str = "local",
-    connectivity: str = "exact",
-    sample_pairs: int = 256,
-    ci_level: float = 0.95,
+    **run_options,
 ) -> Dict[int, ExperimentResult]:
     """Run ``base`` once per staleness limit (Figure 11)."""
     staleness_values = list(staleness_values)
     results = run_sweep(
-        base,
-        [{"staleness_limit": s} for s in staleness_values],
-        profile=profile, seed=seed, jobs=jobs, flow_jobs=flow_jobs,
-        cache=cache, executor=executor, progress=progress,
-        schedule=schedule, adaptive_shards=adaptive_shards, batch=batch,
-        retry_policy=retry_policy, backend=backend,
-        connectivity=connectivity, sample_pairs=sample_pairs,
-        ci_level=ci_level,
+        base, [{"staleness_limit": s} for s in staleness_values], **run_options
     )
     return dict(zip(staleness_values, results))
 
@@ -255,32 +111,13 @@ def run_loss_sweep(
     base: Scenario,
     loss_levels: Iterable[str] = PAPER_LOSS_LEVELS,
     staleness_values: Iterable[int] = PAPER_STALENESS_VALUES,
-    profile: ScaleProfile | str = "bench",
-    seed: int = 42,
-    jobs: int = 1,
-    flow_jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-    executor: Optional[Executor] = None,
-    progress: Optional[ProgressCallback] = None,
-    schedule: str = SCHEDULE_FIFO,
-    adaptive_shards: bool = False,
-    batch: "str | int | None" = None,
-    retry_policy: Optional[RetryPolicy] = None,
-    backend: str = "local",
-    connectivity: str = "exact",
-    sample_pairs: int = 256,
-    ci_level: float = 0.95,
+    **run_options,
 ) -> Dict[Tuple[str, int], ExperimentResult]:
     """Run the (loss, s) grid behind Figures 12–14; keys are ``(loss, s)``."""
     keys = [(loss, s) for loss in loss_levels for s in staleness_values]
     results = run_sweep(
         base,
         [{"loss": loss, "staleness_limit": s} for loss, s in keys],
-        profile=profile, seed=seed, jobs=jobs, flow_jobs=flow_jobs,
-        cache=cache, executor=executor, progress=progress,
-        schedule=schedule, adaptive_shards=adaptive_shards, batch=batch,
-        retry_policy=retry_policy, backend=backend,
-        connectivity=connectivity, sample_pairs=sample_pairs,
-        ci_level=ci_level,
+        **run_options,
     )
     return dict(zip(keys, results))

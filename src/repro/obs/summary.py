@@ -157,12 +157,11 @@ def format_summary(snapshot: Dict[str, Any]) -> str:
     pairs_evaluated = _counter(snapshot, "pairflow.pairs_evaluated")
     pruned = _counter(snapshot, "pairflow.pairs_pruned")
     shards = _counter(snapshot, "pairflow.shards")
-    resizes = _counter(snapshot, "pairflow.adaptive_resizes")
     lines.append(
         f"pairflow   pairs: {pairs_submitted} submitted, "
         f"{pairs_evaluated} evaluated "
         f"(prune rate: {_ratio(pruned, pairs_submitted):.0%}) | "
-        f"shards: {shards} | adaptive resizes: {resizes}"
+        f"shards: {shards}"
     )
 
     # Connectivity estimator --------------------------------------------

@@ -6,7 +6,7 @@ each replicated over seeds.  This package turns that observation into an
 execution harness:
 
 * :mod:`repro.runtime.task` — :class:`ExperimentTask`, the fully specified
-  unit of work (scenario, profile, seed, algorithm), with a stable
+  unit of work (scenario, profile, seed, measurement), with a stable
   content-addressed key and deterministic child-seed derivation;
 * :mod:`repro.runtime.executor` — :class:`SerialExecutor` and the
   process-pool backed :class:`ParallelExecutor`, which produce bit-identical
@@ -23,9 +23,7 @@ execution harness:
   cache, in submission order or cheapest-first;
 * :mod:`repro.runtime.costmodel` — the persistent cost models behind
   cost-aware scheduling: :class:`TaskCostModel` (wall-clock by coarse
-  task shape, ``_costs.json`` sidecar beside the result cache) and
-  :class:`PairCostTracker` (per-pair max-flow cost feeding the pair-flow
-  engine's adaptive shard sizing);
+  task shape, ``_costs.json`` sidecar beside the result cache);
 * :mod:`repro.runtime.faults` — the deterministic fault-injection harness
   (``REPRO_FAULTS``): seeded nth-occurrence/probability matchers that
   crash workers, raise task errors, stall batches, corrupt cache bytes
@@ -60,7 +58,6 @@ from repro.runtime.campaign import (
 )
 from repro.runtime.costmodel import (
     CostModel,
-    PairCostTracker,
     TaskCostModel,
     task_shape_key,
 )
@@ -128,7 +125,6 @@ __all__ = [
     "FrameError",
     "InjectedConnectionError",
     "InjectedTaskError",
-    "PairCostTracker",
     "PairFlowEngine",
     "PairFlowOutcome",
     "ParallelExecutor",

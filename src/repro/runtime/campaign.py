@@ -31,8 +31,9 @@ Scheduling is **order-only** by construction: tasks are independent (each
 carries its own seed-derived random universe) and ``run`` returns results
 in submission order regardless of dispatch order or batch geometry, so
 the schedule and the batching can change when a figure appears but never
-a single bit of it.  Like ``flow_jobs`` and ``adaptive_shards``, the
-``batch`` knob never enters a task fingerprint.
+a single bit of it.  Like every field of
+:class:`~repro.options.ExecutionOptions`, the ``batch`` knob never enters
+a task fingerprint.
 
 The module also provides the batch builders (:func:`sweep_tasks`,
 :func:`replication_tasks`) used by ``repro.experiments.sweep`` and
@@ -71,6 +72,7 @@ from repro.experiments.profiles import ScaleProfile
 from repro.experiments.runner import ExperimentResult
 from repro.experiments.scenarios import Scenario
 from repro.obs import tracing
+from repro.options import ExecutionOptions, MeasurementSpec
 from repro.runtime.cache import ResultCache
 from repro.runtime.costmodel import TaskCostModel
 from repro.runtime.executor import Executor, SerialExecutor, TaskSession
@@ -913,27 +915,16 @@ def sweep_tasks(
     overrides: Iterable[Mapping[str, object]],
     profile: "ScaleProfile | str",
     seed: int,
-    algorithm: str = "dinic",
     keep_snapshots: bool = False,
-    flow_jobs: int = 1,
-    adaptive_shards: bool = False,
-    connectivity: str = "exact",
-    sample_pairs: int = 256,
-    ci_level: float = 0.95,
+    measurement: MeasurementSpec = MeasurementSpec(),
+    execution: ExecutionOptions = ExecutionOptions(),
 ) -> List[ExperimentTask]:
     """One task per override set applied to ``base`` (a parameter sweep)."""
     return [
         ExperimentTask.create(
-            scenario=base.with_overrides(**dict(changes)),
-            profile=profile,
-            seed=seed,
-            algorithm=algorithm,
-            keep_snapshots=keep_snapshots,
-            flow_jobs=flow_jobs,
-            adaptive_shards=adaptive_shards,
-            connectivity=connectivity,
-            sample_pairs=sample_pairs,
-            ci_level=ci_level,
+            base.with_overrides(**dict(changes)), profile, seed,
+            keep_snapshots=keep_snapshots, measurement=measurement,
+            execution=execution,
         )
         for changes in overrides
     ]
@@ -943,27 +934,15 @@ def replication_tasks(
     scenario: Scenario,
     seeds: Sequence[int],
     profile: "ScaleProfile | str",
-    algorithm: str = "dinic",
     keep_snapshots: bool = False,
-    flow_jobs: int = 1,
-    adaptive_shards: bool = False,
-    connectivity: str = "exact",
-    sample_pairs: int = 256,
-    ci_level: float = 0.95,
+    measurement: MeasurementSpec = MeasurementSpec(),
+    execution: ExecutionOptions = ExecutionOptions(),
 ) -> List[ExperimentTask]:
     """One task per seed for the same scenario (multi-seed replication)."""
     return [
         ExperimentTask.create(
-            scenario=scenario,
-            profile=profile,
-            seed=seed,
-            algorithm=algorithm,
-            keep_snapshots=keep_snapshots,
-            flow_jobs=flow_jobs,
-            adaptive_shards=adaptive_shards,
-            connectivity=connectivity,
-            sample_pairs=sample_pairs,
-            ci_level=ci_level,
+            scenario, profile, seed, keep_snapshots=keep_snapshots,
+            measurement=measurement, execution=execution,
         )
         for seed in seeds
     ]

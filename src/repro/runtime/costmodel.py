@@ -13,10 +13,7 @@ supplies the *cost side* of the scheduler:
   seconds keyed by a coarse *task shape fingerprint* (profile, scenario
   size class, churn, traffic, algorithm), stored in a ``_costs.json``
   sidecar beside the result cache (the ``_`` prefix keeps it out of the
-  cache's entry namespace, like ``_meta.json``);
-* :class:`PairCostTracker` — an in-memory per-pair max-flow cost
-  estimate fed by :class:`~repro.runtime.pairflow.PairFlowEngine`
-  evaluations, from which the engine derives its adaptive shard size.
+  cache's entry namespace, like ``_meta.json``).
 
 Cost models are **scheduling hints only**.  They order and group work;
 they never enter a task fingerprint, a cache key, or any recorded
@@ -154,7 +151,7 @@ def task_shape_key(task: ExperimentTask) -> str:
             scenario.size_class,
             scenario.churn,
             "traffic" if scenario.traffic else "quiet",
-            task.algorithm,
+            task.measurement.algorithm,
         )
     )
 
@@ -266,27 +263,3 @@ class TaskCostModel(CostModel):
         packed = sorted((sorted(group) for group in groups if group),
                         key=lambda group: group[0])
         return packed
-
-
-# ----------------------------------------------------------------------
-class PairCostTracker:
-    """Running per-pair cost estimate of the pair-flow hot path.
-
-    One tracker is shared by all engines of a run (the analyzer owns it,
-    like the shared worker pool), so the shard size observed on one
-    snapshot's evaluation feeds the next snapshot's scheduling.  Keys are
-    the max-flow algorithm name: per-pair cost differs far more across
-    algorithms than across the similarly-shaped graphs of one run.
-    """
-
-    def __init__(self, model: Optional[CostModel] = None) -> None:
-        self._model = model if model is not None else CostModel()
-
-    def observe(self, algorithm: str, pairs: int, seconds: float) -> None:
-        """Fold the cost of one evaluation (``pairs`` flows) into the model."""
-        if pairs > 0 and seconds >= 0:
-            self._model.observe(f"pairflow/{algorithm}", seconds / pairs)
-
-    def seconds_per_pair(self, algorithm: str) -> Optional[float]:
-        """Estimated seconds per max-flow pair, or ``None`` if unobserved."""
-        return self._model.estimate(f"pairflow/{algorithm}")

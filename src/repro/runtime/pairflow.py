@@ -26,40 +26,12 @@ values recorded in waves ``<= w``; within a shard the worker additionally
 tightens its own local running minimum.  Both are upper bounds on the
 global minimum, so the reported minimum stays exact while most flows are
 cut off early (see ``network_flow_function`` for the cutoff contract).
-
-**Adaptive scheduling** (``adaptive=True``) layers two cost-aware
-decisions on top of that machinery without changing a single reported
-statistic:
-
-* *shard sizing* — the shard size is derived from the observed per-pair
-  max-flow cost (a :class:`~repro.runtime.costmodel.PairCostTracker`
-  shared across the engines of a run), targeting a fixed wall-clock per
-  shard instead of a fixed pair count, so tiny graphs stop paying one
-  IPC round trip per handful of microsecond flows;
-* *wave reordering* — the minimum pass evaluates pairs in ascending
-  order of their degree bound ``min(out_degree(source),
-  in_degree(target))`` (an upper bound on ``kappa``), so likely-minimum
-  pairs run in the earliest waves and the cutoff tightens as early as
-  possible.
-
-Bit-identity survives because the statistics the engine reports upward
-are order- and geometry-invariant: the reported minimum equals
-``min(initial bound, min kappa over the pairs)`` under *any* evaluation
-order (every recorded value is ``min(kappa, cutoff-in-force)`` and every
-cutoff is an upper bound on that minimum), and cutoff-free evaluations
-record exact values whatever the shard size.  The one geometry-dependent
-quantity — where ``stop_at_zero`` truncates — is handled by replaying
-the canonical schedule when a zero is recorded (see
-:meth:`PairFlowEngine._adaptive_minimum`); on the analyzer's production
-path that replay is unreachable, because the minimum pass only runs on
-strongly connected graphs where every ``kappa >= 1``.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from time import perf_counter
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.graph.digraph import DiGraph
@@ -71,7 +43,6 @@ from repro.graph.transform.even_transform import (
 )
 from repro.obs import active as obs_active
 from repro.obs import tracing
-from repro.runtime.costmodel import PairCostTracker
 from repro.runtime.executor import Executor, make_executor
 
 Vertex = object
@@ -87,14 +58,6 @@ DEFAULT_SHARD_SIZE = 24
 #: parameter — never derived from the worker count — because the statistics
 #: must not depend on how many processes happen to be available.
 DEFAULT_WAVE_WIDTH = 8
-
-#: Adaptive mode: wall-clock one shard should cost, and the clamp on the
-#: derived shard size.  The target amortises the per-shard dispatch
-#: overhead while keeping waves short enough that cutoffs still propagate
-#: and a wave still spreads across workers.
-ADAPTIVE_SHARD_SECONDS = 0.05
-ADAPTIVE_MIN_SHARD = 4
-ADAPTIVE_MAX_SHARD = 256
 
 
 #: Distinguishes engine payloads when one worker pool serves several
@@ -227,18 +190,6 @@ class PairFlowEngine:
         Scheduling granularity (see module docstring).  Both shape which
         cutoff each pair sees, so the two sides of an equivalence check
         must share them — the defaults are used everywhere in practice.
-    adaptive:
-        Enable cost-aware scheduling: shard sizes derived from the
-        observed per-pair cost and a tightness-ordered minimum pass (see
-        module docstring).  Off by default; every reported statistic is
-        bit-identical either way, only the evaluation order and the
-        dispatch granularity change.
-    cost_tracker:
-        Shared :class:`~repro.runtime.costmodel.PairCostTracker` fed by
-        every evaluation.  The analyzer passes one tracker across all
-        engines of a run so later snapshots are scheduled with costs
-        observed on earlier ones; an adaptive engine without an explicit
-        tracker keeps a private one.
     executor:
         Pre-built :class:`Executor` overriding ``flow_jobs``.
     session:
@@ -261,8 +212,6 @@ class PairFlowEngine:
         flow_jobs: int = 1,
         shard_size: int = DEFAULT_SHARD_SIZE,
         wave_width: int = DEFAULT_WAVE_WIDTH,
-        adaptive: bool = False,
-        cost_tracker: Optional[PairCostTracker] = None,
         executor: Optional[Executor] = None,
         session=None,
     ) -> None:
@@ -275,10 +224,6 @@ class PairFlowEngine:
         self.algorithm = algorithm
         self.shard_size = shard_size
         self.wave_width = wave_width
-        self.adaptive = adaptive
-        if cost_tracker is None and adaptive:
-            cost_tracker = PairCostTracker()
-        self.cost_tracker = cost_tracker
         self.executor = executor or make_executor(flow_jobs)
         self.transform: IndexedEvenTransform = indexed_even_transform(graph)
         self._compact: Optional[CompactNetwork] = None
@@ -316,33 +261,15 @@ class PairFlowEngine:
         degree bound); ``stop_at_zero`` stops scheduling new waves once a
         recorded value hits 0 (a shard also stops locally), mirroring the
         serial minimum pass's early exit at wave granularity.
-
-        This entry point always uses the engine's *canonical* geometry
-        (``shard_size``/``wave_width`` as configured) and the given pair
-        order — the adaptive scheduling of :meth:`minimum_over` and
-        :meth:`average_over` never leaks into direct callers.
         """
-        return self._evaluate(
-            list(pairs), self.shard_size, use_cutoff, initial_minimum,
-            stop_at_zero,
-        )
-
-    def _evaluate(
-        self,
-        pairs: List[Tuple[Vertex, Vertex]],
-        shard_size: int,
-        use_cutoff: bool,
-        initial_minimum: Optional[int],
-        stop_at_zero: bool,
-    ) -> PairFlowOutcome:
-        """Evaluate ``pairs`` in order under an explicit shard size."""
+        pairs = list(pairs)
         if not pairs:
             return PairFlowOutcome(
                 values=[], pairs_evaluated=0, minimum=None, min_pair=None, total=0
             )
-        started = perf_counter()
         endpoint_indices = self.transform.flow_endpoint_indices
         indexed = [endpoint_indices(source, target) for source, target in pairs]
+        shard_size = self.shard_size
         shards = [
             tuple(indexed[start:start + shard_size])
             for start in range(0, len(indexed), shard_size)
@@ -438,20 +365,6 @@ class PairFlowEngine:
             if use_cutoff:
                 registry.inc("pairflow.cutoff_pairs", len(values))
 
-        if self.cost_tracker is not None and values and not use_cutoff:
-            # Only cutoff-free evaluations feed the tracker: those flows
-            # run to completion, so their cost is representative, whereas
-            # cutoff-truncated minimum-pass flows would bias the estimate
-            # toward zero.  Wall-clock is scaled by the workers a pooled
-            # session could keep busy to approximate CPU-seconds per pair
-            # rather than elapsed time.
-            workers = getattr(self.executor, "jobs", 1)
-            effective = max(1, min(workers, len(shards)))
-            self.cost_tracker.observe(
-                self.algorithm,
-                len(values),
-                (perf_counter() - started) * effective,
-            )
         if not values:
             return PairFlowOutcome(
                 values=[], pairs_evaluated=0, minimum=None, min_pair=None, total=0
@@ -489,15 +402,12 @@ class PairFlowEngine:
             for target in targets
             if target != source and not has_edge(source, target)
         ]
-        if self.adaptive:
-            outcome = self._adaptive_minimum(pairs, initial_minimum)
-        else:
-            outcome = self.evaluate(
-                pairs,
-                use_cutoff=True,
-                initial_minimum=initial_minimum,
-                stop_at_zero=True,
-            )
+        outcome = self.evaluate(
+            pairs,
+            use_cutoff=True,
+            initial_minimum=initial_minimum,
+            stop_at_zero=True,
+        )
         if outcome.minimum is None:
             if initial_minimum is not None:
                 return initial_minimum, 0
@@ -516,103 +426,10 @@ class PairFlowEngine:
         """Mean exact ``kappa`` over ``pairs`` (no cutoffs).
 
         Returns ``(average, pairs evaluated)``; ``(0.0, 0)`` for an empty
-        batch.  In adaptive mode the shard size follows the observed
-        per-pair cost — with no cutoffs every value is exact and every
-        pair is evaluated, so the outcome cannot depend on the geometry.
+        batch.
         """
-        shard_size = (
-            self._adaptive_shard_size() if self.adaptive else self.shard_size
-        )
-        outcome = self._evaluate(
-            list(pairs), shard_size, use_cutoff=False, initial_minimum=None,
-            stop_at_zero=False,
-        )
+        outcome = self.evaluate(pairs, use_cutoff=False)
         return outcome.average, outcome.pairs_evaluated
-
-    # ------------------------------------------------------------------
-    def _adaptive_shard_size(self) -> int:
-        """Shard size targeting ``ADAPTIVE_SHARD_SECONDS`` of work per shard.
-
-        Falls back to the canonical ``shard_size`` until the tracker has
-        seen at least one evaluation (typically the first snapshot of a
-        run seeds the tracker for all later ones).
-        """
-        per_pair = (
-            self.cost_tracker.seconds_per_pair(self.algorithm)
-            if self.cost_tracker is not None
-            else None
-        )
-        if not per_pair or per_pair <= 0:
-            return self.shard_size
-        derived = int(round(ADAPTIVE_SHARD_SECONDS / per_pair))
-        clamped = max(ADAPTIVE_MIN_SHARD, min(ADAPTIVE_MAX_SHARD, derived))
-        registry = self._obs
-        if registry is not None and clamped != self.shard_size:
-            registry.inc("pairflow.adaptive_resizes")
-            registry.observe("pairflow.adaptive_shard_size", clamped)
-        return clamped
-
-    def _adaptive_minimum(
-        self,
-        pairs: List[Tuple[Vertex, Vertex]],
-        initial_minimum: Optional[int],
-    ) -> PairFlowOutcome:
-        """Tightness-ordered, cost-sized minimum pass.
-
-        Pairs run in ascending order of ``min(out_degree(source),
-        in_degree(target))`` — an upper bound on ``kappa(source,
-        target)`` — so the pairs most likely to realise the minimum run
-        in the earliest waves and every later wave inherits a cutoff
-        close to the final answer.
-
-        The statistics consumed upstream are bit-identical to the
-        canonical schedule: the reported minimum is order-invariant (see
-        module docstring) and, as long as no zero is recorded,
-        ``stop_at_zero`` never truncates, so both schedules evaluate
-        every pair.  A recorded zero makes the truncation point
-        geometry-dependent, so that case discards the adaptive attempt
-        and replays the canonical schedule — cheap, because the zero
-        cutoff short-circuits every remaining flow, and unreachable from
-        the analyzer (which settles ``kappa = 0`` via the
-        strongly-connected-components check before ever running flows).
-        """
-
-        def canonical() -> PairFlowOutcome:
-            return self.evaluate(
-                pairs,
-                use_cutoff=True,
-                initial_minimum=initial_minimum,
-                stop_at_zero=True,
-            )
-
-        if not pairs or initial_minimum == 0:
-            # Nothing to schedule (the canonical pass exits before its
-            # first wave when the seed cutoff is already 0).
-            return canonical()
-        graph = self.graph
-        out_degree = graph.out_degree
-        in_degree = graph.in_degree
-        order = sorted(
-            range(len(pairs)),
-            key=lambda position: (
-                min(out_degree(pairs[position][0]), in_degree(pairs[position][1])),
-                position,
-            ),
-        )
-        outcome = self._evaluate(
-            [pairs[position] for position in order],
-            self._adaptive_shard_size(),
-            use_cutoff=True,
-            initial_minimum=initial_minimum,
-            stop_at_zero=True,
-        )
-        if outcome.minimum == 0:
-            # Geometry-dependent truncation point: discard the adaptive
-            # attempt and replay the canonical schedule (see docstring).
-            if self._obs is not None:
-                self._obs.inc("pairflow.adaptive_replays")
-            return canonical()
-        return outcome
 
     # ------------------------------------------------------------------
     def _acquire_session(self):

@@ -2,7 +2,7 @@
 
 An :class:`ExperimentTask` pins down everything that determines one
 :class:`~repro.experiments.runner.ExperimentResult`: the scenario, the fully
-resolved scale profile, the root seed, the max-flow algorithm and whether
+resolved scale profile, the root seed, the measurement and whether
 routing-table snapshots are kept.  Because the simulation is a pure function
 of these inputs (every stochastic component draws from named child streams
 of the root seed, see :mod:`repro.simulator.random_source`), a task's
@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from typing import Dict
 
 from repro.experiments.profiles import ScaleProfile, get_profile
 from repro.experiments.runner import ExperimentResult, ExperimentRunner
 from repro.experiments.scenarios import Scenario
+from repro.options import ExecutionOptions, MeasurementSpec
 
 #: Version of the task fingerprint layout.  Bump when the meaning of a
 #: fingerprint field changes so stale cache entries can never be mistaken
@@ -31,37 +32,27 @@ TASK_FORMAT_VERSION = 1
 class ExperimentTask:
     """One fully specified simulation run.
 
-    ``flow_jobs`` configures the per-snapshot batched pair-flow engine and
-    is deliberately **excluded** from the fingerprint: the engine produces
-    bit-identical statistics for any worker count, so two tasks differing
-    only in ``flow_jobs`` are the same experiment and share one cache
-    entry.  ``adaptive_shards`` (cost-model-driven shard sizing and
-    tightness-ordered minimum passes, see
-    :mod:`repro.runtime.pairflow`) is excluded for the same reason:
-    scheduling changes only *when* flows run, never any recorded
-    statistic.
+    ``measurement`` (:class:`~repro.options.MeasurementSpec`) is
+    **identity-bearing**: the max-flow algorithm and the per-snapshot
+    connectivity mode with its sampling parameters decide what the run
+    records, so they are part of the fingerprint.
 
-    ``connectivity`` selects the per-snapshot measurement mode:
-    ``"exact"`` (the paper's pipeline, the default) or ``"estimate"``
-    (sampled-pair estimation, :mod:`repro.core.estimation`).  The mode
-    and its ``sample_pairs`` / ``ci_level`` parameters are
-    **identity-bearing** — estimated results are statistically, not
-    bit-, compatible with exact ones, so they live under their own
-    fingerprint dimension.  Exact-mode fingerprints keep the
-    pre-estimation encoding (keys omitted) so committed cache entries
-    stay valid.
+    ``execution`` (:class:`~repro.options.ExecutionOptions`) rides along
+    so the run can configure its pair-flow engine wherever it executes,
+    and is **identity-free**: every combination produces bit-identical
+    statistics, so :meth:`fingerprint` is computed from the other fields
+    only, and two tasks differing only in ``execution`` are the same
+    experiment — equal, and sharing one cache entry.
     """
 
     scenario: Scenario
     profile: ScaleProfile
     seed: int
-    algorithm: str = "dinic"
     keep_snapshots: bool = False
-    flow_jobs: int = 1
-    adaptive_shards: bool = False
-    connectivity: str = "exact"
-    sample_pairs: int = 256
-    ci_level: float = 0.95
+    measurement: MeasurementSpec = MeasurementSpec()
+    execution: ExecutionOptions = field(
+        default=ExecutionOptions(), compare=False
+    )
 
     # ------------------------------------------------------------------
     @classmethod
@@ -70,62 +61,44 @@ class ExperimentTask:
         scenario: Scenario,
         profile: "ScaleProfile | str",
         seed: int,
-        algorithm: str = "dinic",
         keep_snapshots: bool = False,
-        flow_jobs: int = 1,
-        adaptive_shards: bool = False,
-        connectivity: str = "exact",
-        sample_pairs: int = 256,
-        ci_level: float = 0.95,
+        measurement: MeasurementSpec = MeasurementSpec(),
+        execution: ExecutionOptions = ExecutionOptions(),
     ) -> "ExperimentTask":
         """Build a task, resolving a profile name to its definition."""
-        if connectivity not in ("exact", "estimate"):
-            raise ValueError(
-                f"connectivity must be 'exact' or 'estimate', got {connectivity!r}"
-            )
         resolved = get_profile(profile) if isinstance(profile, str) else profile
         return cls(
             scenario=scenario,
             profile=resolved,
             seed=int(seed),
-            algorithm=algorithm,
             keep_snapshots=keep_snapshots,
-            flow_jobs=int(flow_jobs),
-            adaptive_shards=bool(adaptive_shards),
-            connectivity=connectivity,
-            sample_pairs=int(sample_pairs),
-            ci_level=float(ci_level),
+            measurement=measurement,
+            execution=execution,
         )
 
     # ------------------------------------------------------------------
     def fingerprint(self) -> Dict:
         """Return the canonical JSON-serialisable identity of this task.
 
-        Every field that influences the result is included (``flow_jobs``
-        and ``adaptive_shards`` are not — see the class docstring); two
-        tasks are interchangeable exactly when their fingerprints are
-        equal.  The overlay protocol is identity-bearing, but Kademlia
-        fingerprints keep the pre-protocol-dimension encoding (key
-        omitted) so committed cache entries stay valid.
+        Every field that influences the result is included — the identity
+        fields plus :meth:`MeasurementSpec.fingerprint`; ``execution`` is
+        never consulted (see the class docstring) — and two tasks are
+        interchangeable exactly when their fingerprints are equal.  The
+        overlay protocol is identity-bearing, but Kademlia fingerprints
+        keep the pre-protocol-dimension encoding (key omitted) so
+        committed cache entries stay valid.
         """
         scenario = asdict(self.scenario)
         if scenario.get("protocol") == "kademlia":
             del scenario["protocol"]
-        fingerprint = {
+        return {
             "format": TASK_FORMAT_VERSION,
             "scenario": scenario,
             "profile": asdict(self.profile),
             "seed": self.seed,
-            "algorithm": self.algorithm,
             "keep_snapshots": self.keep_snapshots,
+            **self.measurement.fingerprint(),
         }
-        if self.connectivity != "exact":
-            fingerprint["connectivity"] = {
-                "mode": self.connectivity,
-                "sample_pairs": self.sample_pairs,
-                "ci_level": self.ci_level,
-            }
-        return fingerprint
 
     def key(self) -> str:
         """Content-addressed key: SHA-256 over the canonical fingerprint.
@@ -143,7 +116,7 @@ class ExperimentTask:
         """Short human-readable description (progress reporting)."""
         return (
             f"{self.scenario.name} [profile={self.profile.name}, "
-            f"seed={self.seed}, algorithm={self.algorithm}]"
+            f"seed={self.seed}, algorithm={self.measurement.algorithm}]"
         )
 
     # ------------------------------------------------------------------

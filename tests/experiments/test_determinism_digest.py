@@ -22,7 +22,6 @@ constants AND invalidate the persistent result cache in the same PR.
 
 import copy
 import json
-import os
 from pathlib import Path
 
 import pytest
@@ -30,13 +29,9 @@ import pytest
 from repro.experiments.persistence import trajectory_digest
 from repro.experiments.runner import ExperimentRunner
 from repro.experiments.scenarios import get_scenario
+from repro.options import ExecutionOptions, MeasurementSpec
 
 SEED = 42
-
-#: CI sets REPRO_ADAPTIVE_SHARDS=1 to re-run this whole suite with the
-#: cost-aware pair-flow scheduling enabled: every golden digest below must
-#: hold with it on or off (the scheduler's order-invariance guarantee).
-ADAPTIVE_SHARDS = os.environ.get("REPRO_ADAPTIVE_SHARDS", "") == "1"
 
 #: (profile, scenario) -> digest of the pre-rewrite implementation.
 GOLDEN_DIGESTS = {
@@ -49,8 +44,8 @@ GOLDEN_DIGESTS = {
 #: (profile, scenario, protocol) -> digest, pinned when the overlay seam
 #: was introduced: Chord and Pastry run the same churn/attack scenarios
 #: through the shared resilience pipeline, and their trajectories are as
-#: frozen as Kademlia's.  Every digest must hold with adaptive shards on
-#: or off and with observability on or off (obs is identity-free).
+#: frozen as Kademlia's.  Every digest must hold with observability on
+#: or off (obs is identity-free).
 OVERLAY_GOLDEN_DIGESTS = {
     ("tiny", "A", "chord"): "7787c685eb15104026d00ea68e75df36e5b0a9ca08169b310920ea010d6dcbf4",
     ("tiny", "E", "chord"): "03e452134d3da5f4fa4ed48c403b9b446a69f391ef8fe1dcd7fb36412b670329",
@@ -68,15 +63,10 @@ GOLDEN_EVENTS = {
 }
 
 
-def run_result(
-    profile: str,
-    scenario: str,
-    flow_jobs: int = 1,
-    adaptive_shards: bool = ADAPTIVE_SHARDS,
-):
+def run_result(profile: str, scenario: str, flow_jobs: int = 1):
     runner = ExperimentRunner(
-        profile=profile, seed=SEED, keep_snapshots=True, flow_jobs=flow_jobs,
-        adaptive_shards=adaptive_shards,
+        profile=profile, seed=SEED, keep_snapshots=True,
+        execution=ExecutionOptions(flow_jobs=flow_jobs),
     )
     return runner.run(get_scenario(scenario))
 
@@ -95,15 +85,6 @@ class TestTrajectoryDigests:
         result = run_result("tiny", "E", flow_jobs=2)
         assert trajectory_digest(result) == GOLDEN_DIGESTS[("tiny", "E")]
 
-    def test_adaptive_shards_digest_matches_canonical(self):
-        # --adaptive-shards reorders the minimum pass and resizes dispatch
-        # shards from observed costs; the trajectory (snapshots included)
-        # must not move by a single bit, serial or pooled.
-        result = run_result("tiny", "E", adaptive_shards=True)
-        assert trajectory_digest(result) == GOLDEN_DIGESTS[("tiny", "E")]
-        result = run_result("tiny", "E", flow_jobs=2, adaptive_shards=True)
-        assert trajectory_digest(result) == GOLDEN_DIGESTS[("tiny", "E")]
-
 
 class TestOverlayTrajectoryDigests:
     """The protocol axis of the determinism gate.
@@ -119,10 +100,7 @@ class TestOverlayTrajectoryDigests:
         "profile,scenario,protocol", sorted(OVERLAY_GOLDEN_DIGESTS)
     )
     def test_digest_matches_pinned(self, profile, scenario, protocol):
-        runner = ExperimentRunner(
-            profile=profile, seed=SEED, keep_snapshots=True,
-            adaptive_shards=ADAPTIVE_SHARDS,
-        )
+        runner = ExperimentRunner(profile=profile, seed=SEED, keep_snapshots=True)
         result = runner.run(
             get_scenario(scenario).with_overrides(protocol=protocol)
         )
@@ -139,8 +117,8 @@ class TestOverlayTrajectoryDigests:
 
 
 class TestSchedulingOrderInvariance:
-    """--schedule cheapest + --adaptive-shards may change only *when* a
-    task runs, never its digest — gated on every push by CI."""
+    """--schedule cheapest and --batch may change only *when* a task
+    runs, never its digest — gated on every push by CI."""
 
     def test_cheapest_campaign_reproduces_golden_digests(self, tmp_path):
         from repro.runtime import (
@@ -154,7 +132,7 @@ class TestSchedulingOrderInvariance:
         tasks = [
             ExperimentTask.create(
                 scenario=get_scenario(scenario), profile=profile, seed=SEED,
-                keep_snapshots=True, adaptive_shards=True,
+                keep_snapshots=True,
             )
             for profile, scenario in (("tiny", "E"), ("tiny", "A"))
         ]
@@ -187,7 +165,7 @@ class TestSchedulingOrderInvariance:
         tasks = [
             ExperimentTask.create(
                 scenario=get_scenario(scenario), profile="tiny", seed=SEED,
-                keep_snapshots=True, adaptive_shards=ADAPTIVE_SHARDS,
+                keep_snapshots=True,
             )
             for scenario in ("E", "A", "K")
         ]
@@ -254,9 +232,8 @@ class TestSampledCacheEntries:
                 scenario=Scenario(**fingerprint["scenario"]),
                 profile=ScaleProfile(**fingerprint["profile"]),
                 seed=fingerprint["seed"],
-                algorithm=fingerprint["algorithm"],
                 keep_snapshots=fingerprint["keep_snapshots"],
-                adaptive_shards=ADAPTIVE_SHARDS,
+                measurement=MeasurementSpec(algorithm=fingerprint["algorithm"]),
             )
             assert task.key() == committed["key"]  # fingerprint round-trips
 

@@ -8,8 +8,7 @@ The contract under test is two-sided:
 * **Estimate mode is a distinct identity.**  Estimated runs carry a
   ``connectivity`` fingerprint dimension (mode, budget, CI level), their
   reports round-trip through persistence, and — like every analyzer —
-  the estimate is invariant under the identity-free scheduling knobs
-  (``flow_jobs``, ``adaptive_shards``).
+  the estimate is invariant under the identity-free ``flow_jobs`` knob.
 """
 
 import pytest
@@ -24,20 +23,18 @@ from repro.experiments.persistence import (
 from repro.experiments.profiles import get_profile
 from repro.experiments.runner import ExperimentRunner
 from repro.experiments.scenarios import get_scenario
+from repro.options import ExecutionOptions, MeasurementSpec
 from repro.runtime.campaign import sweep_tasks
 from repro.runtime.task import ExperimentTask
 
 SEED = 42
 
 
-def make_task(**overrides):
-    parameters = dict(
-        scenario=get_scenario("A"),
-        profile=get_profile("tiny"),
-        seed=SEED,
+def make_task(**measurement):
+    return ExperimentTask.create(
+        get_scenario("A"), get_profile("tiny"), SEED,
+        measurement=MeasurementSpec(**measurement),
     )
-    parameters.update(overrides)
-    return ExperimentTask.create(**parameters)
 
 
 class TestTaskFingerprint:
@@ -80,12 +77,11 @@ class TestTaskFingerprint:
             [{"bucket_size": 3}, {"bucket_size": 5}],
             profile=get_profile("tiny"),
             seed=SEED,
-            connectivity="estimate",
-            sample_pairs=64,
+            measurement=MeasurementSpec(connectivity="estimate", sample_pairs=64),
         )
         for task in tasks:
-            assert task.connectivity == "estimate"
-            assert task.sample_pairs == 64
+            assert task.measurement.connectivity == "estimate"
+            assert task.measurement.sample_pairs == 64
 
 
 class TestRunnerEstimateMode:
@@ -93,7 +89,7 @@ class TestRunnerEstimateMode:
     def estimate_result(self):
         runner = ExperimentRunner(
             profile="tiny", seed=SEED, keep_snapshots=True,
-            connectivity="estimate", sample_pairs=64,
+            measurement=MeasurementSpec(connectivity="estimate", sample_pairs=64),
         )
         return runner.run(get_scenario("A"))
 
@@ -131,23 +127,19 @@ class TestRunnerEstimateMode:
         assert trajectory_digest(restored) == trajectory_digest(estimate_result)
 
     def test_estimate_digest_invariant_under_scheduling_knobs(self, estimate_result):
-        # flow_jobs / adaptive_shards are identity-free for the estimator
-        # exactly as for the exact analyzer: the sampled pair set and
-        # every reported bit must not move.
+        # flow_jobs is identity-free for the estimator exactly as for the
+        # exact analyzer: the sampled pair set and every reported bit
+        # must not move.
         knobbed = ExperimentRunner(
             profile="tiny", seed=SEED, keep_snapshots=True,
-            connectivity="estimate", sample_pairs=64,
-            flow_jobs=2, adaptive_shards=True,
+            measurement=MeasurementSpec(connectivity="estimate", sample_pairs=64),
+            execution=ExecutionOptions(flow_jobs=2),
         ).run(get_scenario("A"))
         assert trajectory_digest(knobbed) == trajectory_digest(estimate_result)
 
     def test_for_task_round_trips_estimation_parameters(self):
         task = make_task(connectivity="estimate", sample_pairs=32, ci_level=0.9)
         runner = ExperimentRunner.for_task(task)
-        assert runner.connectivity == "estimate"
-        assert runner.sample_pairs == 32
-        assert runner.ci_level == 0.9
-
-    def test_runner_rejects_unknown_mode(self):
-        with pytest.raises(ValueError):
-            ExperimentRunner(profile="tiny", connectivity="guess")
+        assert runner.measurement == MeasurementSpec(
+            connectivity="estimate", sample_pairs=32, ci_level=0.9
+        )

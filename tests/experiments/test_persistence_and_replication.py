@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.core.estimation import EstimatedConnectivityReport
 from repro.experiments.persistence import (
     FORMAT_VERSION,
     load_result,
@@ -14,6 +15,7 @@ from repro.experiments.persistence import (
 from repro.experiments.replication import ReplicatedStatistic, replicate_scenario
 from repro.experiments.runner import ExperimentRunner
 from repro.experiments.scenarios import get_scenario
+from repro.options import ExecutionOptions, MeasurementSpec
 
 
 @pytest.fixture(scope="module")
@@ -140,6 +142,28 @@ class TestReplication:
         assert churn_mean.minimum <= churn_mean.mean <= churn_mean.maximum
         rows = summary.as_rows()
         assert len(rows) == 5
+
+    def test_replicate_in_estimate_mode_identical_across_jobs(self):
+        # Replications take the same two option values as every other
+        # entry point: estimate mode reaches the runs, and the worker
+        # count leaves every aggregated statistic untouched.
+        scenario = get_scenario("E").with_overrides(bucket_size=5)
+        estimate = MeasurementSpec(connectivity="estimate", sample_pairs=32)
+        serial, pooled = (
+            replicate_scenario(
+                scenario, seeds=(1, 2), profile="tiny", measurement=estimate,
+                execution=ExecutionOptions(jobs=jobs),
+            )
+            for jobs in (1, 2)
+        )
+        for summary in (serial, pooled):
+            assert all(
+                isinstance(sample.report, EstimatedConnectivityReport)
+                for result in summary.results
+                for sample in result.series.samples
+            )
+        for name in serial.statistics:
+            assert pooled.statistic(name).values == serial.statistic(name).values
 
     def test_replicate_requires_seeds(self):
         with pytest.raises(ValueError):

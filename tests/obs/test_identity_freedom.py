@@ -20,6 +20,7 @@ from repro.experiments.persistence import trajectory_digest
 from repro.experiments.profiles import ScaleProfile
 from repro.experiments.runner import ExperimentRunner
 from repro.experiments.scenarios import Scenario, get_scenario
+from repro.options import MeasurementSpec
 
 SEED = 42
 
@@ -107,8 +108,8 @@ class TestBatchedCampaignWithObsEnabled:
             scenario=Scenario(**fingerprint["scenario"]),
             profile=ScaleProfile(**fingerprint["profile"]),
             seed=fingerprint["seed"],
-            algorithm=fingerprint["algorithm"],
             keep_snapshots=fingerprint["keep_snapshots"],
+            measurement=MeasurementSpec(algorithm=fingerprint["algorithm"]),
         )
         assert task.key() == committed["key"]
 

@@ -58,7 +58,7 @@ class TestSweepAcceptance:
 
 
 class TestScheduleAcceptance:
-    def test_cheapest_adaptive_output_identical_to_fifo(self, capsys, tmp_path):
+    def test_cheapest_output_identical_to_fifo(self, capsys, tmp_path):
         cache_dir = str(tmp_path / "cache")
         fifo_out, _ = run_cli(
             capsys, SWEEP_ARGV + ["--cache-dir", cache_dir, "--schedule", "fifo"]
@@ -69,20 +69,14 @@ class TestScheduleAcceptance:
         # fresh directory gives the same stdout too).
         cheap_out, cheap_err = run_cli(
             capsys,
-            SWEEP_ARGV + [
-                "--cache-dir", cache_dir,
-                "--schedule", "cheapest", "--adaptive-shards",
-            ],
+            SWEEP_ARGV + ["--cache-dir", cache_dir, "--schedule", "cheapest"],
         )
         assert cheap_out == fifo_out
         assert "2 hits, 0 misses" in cheap_err
         fresh_dir = str(tmp_path / "fresh")
         fresh_out, _ = run_cli(
             capsys,
-            SWEEP_ARGV + [
-                "--cache-dir", fresh_dir,
-                "--schedule", "cheapest", "--adaptive-shards",
-            ],
+            SWEEP_ARGV + ["--cache-dir", fresh_dir, "--schedule", "cheapest"],
         )
         assert fresh_out == fifo_out
         assert (tmp_path / "cache" / "_costs.json").exists()

@@ -10,7 +10,6 @@ from repro.runtime.costmodel import (
     COSTS_FILENAME,
     MAX_OBSERVATIONS,
     CostModel,
-    PairCostTracker,
     TaskCostModel,
     task_shape_key,
 )
@@ -126,17 +125,3 @@ class TestTaskCostModel:
         assert model.cheapest_first(tasks) == [0, 1, 2]
         # An empty model degrades to pure submission order.
         assert TaskCostModel().cheapest_first(tasks) == [0, 1, 2]
-
-
-class TestPairCostTracker:
-    def test_tracks_per_pair_cost_by_algorithm(self):
-        tracker = PairCostTracker()
-        assert tracker.seconds_per_pair("dinic") is None
-        tracker.observe("dinic", pairs=10, seconds=1.0)
-        assert tracker.seconds_per_pair("dinic") == pytest.approx(0.1)
-        assert tracker.seconds_per_pair("edmonds_karp") is None
-
-    def test_empty_evaluations_ignored(self):
-        tracker = PairCostTracker()
-        tracker.observe("dinic", pairs=0, seconds=1.0)
-        assert tracker.seconds_per_pair("dinic") is None

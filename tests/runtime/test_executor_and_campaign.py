@@ -8,6 +8,7 @@ import pytest
 from repro.experiments.replication import replicate_scenario
 from repro.experiments.scenarios import get_scenario
 from repro.experiments.sweep import run_bucket_size_sweep
+from repro.options import ExecutionOptions, MeasurementSpec
 from repro.runtime import (
     FAIL_FAST,
     SCHEDULE_CHEAPEST,
@@ -388,7 +389,8 @@ class TestBatchPacking:
         base = get_scenario("E")
         tasks = [
             ExperimentTask.create(
-                scenario=base, profile="tiny", seed=11, algorithm=algorithm
+                scenario=base, profile="tiny", seed=11,
+                measurement=MeasurementSpec(algorithm=algorithm),
             )
             for algorithm in ("dinic", "edmonds_karp", "push_relabel")
         ] + [
@@ -708,12 +710,17 @@ class TestRewiredSweeps:
         kwargs = dict(bucket_sizes=(3, 5), profile="tiny", seed=13)
         serial = run_bucket_size_sweep(base, **kwargs)
         cache = ResultCache(tmp_path / "cache")
-        parallel = run_bucket_size_sweep(base, jobs=2, cache=cache, **kwargs)
+        two_jobs = ExecutionOptions(jobs=2)
+        parallel = run_bucket_size_sweep(
+            base, execution=two_jobs, cache=cache, **kwargs
+        )
         assert series_of(serial.values()) == series_of(parallel.values())
         assert cache.stats.misses == 2
 
         # Re-running the same sweep is served entirely from the cache.
-        cached = run_bucket_size_sweep(base, jobs=2, cache=cache, **kwargs)
+        cached = run_bucket_size_sweep(
+            base, execution=two_jobs, cache=cache, **kwargs
+        )
         assert series_of(cached.values()) == series_of(serial.values())
         assert cache.stats.hits == 2
 
@@ -722,7 +729,8 @@ class TestRewiredSweeps:
         cache = ResultCache(tmp_path / "cache")
         direct = replicate_scenario(scenario, seeds=(1, 2), profile="tiny")
         routed = replicate_scenario(
-            scenario, seeds=(1, 2), profile="tiny", jobs=2, cache=cache
+            scenario, seeds=(1, 2), profile="tiny",
+            execution=ExecutionOptions(jobs=2), cache=cache,
         )
         for name in direct.statistics:
             assert routed.statistic(name).values == direct.statistic(name).values

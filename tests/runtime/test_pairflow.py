@@ -206,117 +206,6 @@ class TestShardSemantics:
         assert outcome.min_pair == (1, 4)
 
 
-class TestAdaptiveScheduling:
-    """Cost-aware scheduling is order/grouping only: every statistic the
-    engine reports upward is bit-identical with it on or off."""
-
-    @settings(max_examples=25, deadline=None)
-    @given(small_graphs())
-    def test_adaptive_minimum_over_matches_canonical(self, graph):
-        sources = graph.vertices()
-        targets = graph.vertices()
-        bound = min(graph.min_out_degree(), graph.min_in_degree())
-        canonical = PairFlowEngine(graph, shard_size=2, wave_width=2).minimum_over(
-            sources, targets, initial_minimum=bound
-        )
-        adaptive = PairFlowEngine(
-            graph, shard_size=2, wave_width=2, adaptive=True
-        ).minimum_over(sources, targets, initial_minimum=bound)
-        assert adaptive == canonical
-
-    def test_adaptive_zero_case_replays_canonical_truncation(self):
-        # Two disconnected components: the minimum pass records zeros and
-        # stop_at_zero truncates geometry-dependently; the adaptive
-        # engine must fall back to the canonical schedule so even the
-        # pairs_evaluated count matches bit for bit.
-        graph = DiGraph.from_edges(
-            [(1, 2), (2, 3), (3, 1), (4, 5), (5, 6), (6, 4)]
-        )
-        vertices = graph.vertices()
-        canonical = PairFlowEngine(graph, shard_size=2, wave_width=2).minimum_over(
-            vertices, vertices
-        )
-        adaptive = PairFlowEngine(
-            graph, shard_size=2, wave_width=2, adaptive=True
-        ).minimum_over(vertices, vertices)
-        assert adaptive == canonical
-        assert adaptive[0] == 0
-
-    def test_adaptive_average_over_matches_canonical(self):
-        graph = random_regular_out_digraph(40, 4, random.Random(23))
-        pairs = sample_non_adjacent_pairs(graph, 30, random.Random(7))
-        canonical = PairFlowEngine(graph).average_over(pairs)
-        adaptive = PairFlowEngine(graph, adaptive=True).average_over(pairs)
-        assert adaptive == canonical
-
-    def test_warmed_tracker_changes_shard_size_not_results(self):
-        from repro.runtime.costmodel import PairCostTracker
-        from repro.runtime.pairflow import (
-            ADAPTIVE_MAX_SHARD,
-            ADAPTIVE_MIN_SHARD,
-        )
-
-        graph = random_regular_out_digraph(40, 4, random.Random(29))
-        sources = lowest_out_degree_vertices(graph, 6)
-        targets = lowest_in_degree_vertices(graph, 6)
-        bound = min(graph.min_out_degree(), graph.min_in_degree())
-        canonical = PairFlowEngine(graph).minimum_over(
-            sources, targets, initial_minimum=bound
-        )
-
-        # Microsecond pairs drive the derived shard size to the max
-        # clamp; glacial pairs to the min clamp.  Neither changes the
-        # reported statistics.
-        for per_pair, expected in ((1e-6, ADAPTIVE_MAX_SHARD),
-                                   (10.0, ADAPTIVE_MIN_SHARD)):
-            tracker = PairCostTracker()
-            tracker.observe("dinic", pairs=1000, seconds=per_pair * 1000)
-            engine = PairFlowEngine(graph, adaptive=True, cost_tracker=tracker)
-            assert engine._adaptive_shard_size() == expected
-            assert engine.minimum_over(
-                sources, targets, initial_minimum=bound
-            ) == canonical
-
-    def test_cold_tracker_falls_back_to_canonical_shard_size(self):
-        graph = circulant_graph(10, [1, 2])
-        engine = PairFlowEngine(graph, adaptive=True, shard_size=7)
-        assert engine._adaptive_shard_size() == 7
-
-    def test_evaluations_feed_the_tracker(self):
-        from repro.runtime.costmodel import PairCostTracker
-
-        tracker = PairCostTracker()
-        graph = circulant_graph(12, [1, 2])
-        engine = PairFlowEngine(graph, adaptive=True, cost_tracker=tracker)
-        engine.evaluate(non_adjacent_pairs(graph)[:10])
-        assert tracker.seconds_per_pair("dinic") is not None
-
-    def test_adaptive_parallel_matches_canonical_serial(self):
-        graph = random_regular_out_digraph(60, 4, random.Random(31))
-        sources = lowest_out_degree_vertices(graph, 8)
-        targets = lowest_in_degree_vertices(graph, 8)
-        bound = min(graph.min_out_degree(), graph.min_in_degree())
-        canonical = PairFlowEngine(graph, flow_jobs=1).minimum_over(
-            sources, targets, initial_minimum=bound
-        )
-        with PairFlowEngine(graph, flow_jobs=2, adaptive=True) as engine:
-            adaptive = engine.minimum_over(
-                sources, targets, initial_minimum=bound
-            )
-        assert adaptive == canonical
-
-    def test_adaptive_analyzer_reports_identical(self):
-        plain = ConnectivityAnalyzer(seed=9, flow_jobs=1)
-        adaptive = ConnectivityAnalyzer(seed=9, flow_jobs=1, adaptive_shards=True)
-        for seed in (41, 42, 43):
-            graph = make_random_graph(12, 0.4, seed)
-            a = plain.analyze_graph(graph).as_dict()
-            b = adaptive.analyze_graph(graph).as_dict()
-            a.pop("elapsed_seconds")
-            b.pop("elapsed_seconds")
-            assert a == b
-
-
 class TestAnalyzerEquivalence:
     """Acceptance: parallel analyzer reports are bit-identical to serial
     on tier-1 scenario snapshots."""

@@ -7,6 +7,7 @@ from pathlib import Path
 
 from repro.experiments.profiles import get_profile
 from repro.experiments.scenarios import get_scenario
+from repro.options import MeasurementSpec
 from repro.runtime import ExperimentTask, derive_seed
 from repro.runtime.campaign import replication_seeds
 
@@ -29,7 +30,9 @@ class TestTaskKey:
         base = make_task()
         assert base.key() != make_task(seed=8).key()
         assert base.key() != make_task(profile="bench").key()
-        assert base.key() != make_task(algorithm="edmonds_karp").key()
+        assert base.key() != make_task(
+            measurement=MeasurementSpec(algorithm="edmonds_karp")
+        ).key()
         assert base.key() != make_task(keep_snapshots=True).key()
         assert base.key() != make_task(
             scenario=get_scenario("E").with_overrides(bucket_size=8)

@@ -183,6 +183,34 @@ class TestEstimationOptions:
             main(["analyze-snapshot", str(big_snapshot_file),
                   "--sample-pairs", "64"])
 
+    def test_analyze_snapshot_ci_level_range_is_one_line(self, big_snapshot_file):
+        # The same one-line message ``run`` gives, not a ValueError
+        # traceback out of the estimator.
+        with pytest.raises(SystemExit) as error:
+            main(["analyze-snapshot", str(big_snapshot_file),
+                  "--connectivity", "estimate", "--ci-level", "1.5"])
+        assert str(error.value) == "--ci-level must be in (0, 1), got 1.5"
+
+    def test_analyze_snapshot_honours_seed_like_the_facade(
+        self, big_snapshot_file, capsys
+    ):
+        # Exact/sampled mode: --seed drives the average-pass pair sample
+        # (it used to be seed 0 whatever the flag said).
+        from repro import api
+
+        averages = []
+        for seed in (0, 1, 2):
+            assert main(
+                ["analyze-snapshot", str(big_snapshot_file), "--seed", str(seed)]
+            ) == 0
+            report = api.analyze_snapshot(
+                big_snapshot_file, sample_fraction=0.05, seed=seed
+            )
+            expected = f"average connectivity: {report.avg_connectivity:.2f}"
+            assert expected in capsys.readouterr().out
+            averages.append(report.avg_connectivity)
+        assert len(set(averages)) > 1, "seeds must draw different pair samples"
+
     def test_run_estimate_mode_end_to_end(self, capsys):
         assert main(
             ["run", "A", "--profile", "tiny",
