@@ -1,4 +1,4 @@
-"""Dinic's blocking-flow maximum-flow algorithm.
+"""Dinic's blocking-flow maximum-flow algorithm, with bidirectional level graphs.
 
 Dinic's algorithm is used as a baseline and as the default engine for the
 global-connectivity search because it supports early termination via
@@ -8,12 +8,55 @@ current minimum the pair cannot lower the graph connectivity further).
 
 On unit-capacity graphs — which is exactly what Even's transformation
 produces — Dinic runs in :math:`O(E \\sqrt{V})`.
+
+**Level graphs are grown from both ends.**  On routing-table graphs the
+source-sink distance is ~6 arcs at branching ~16, so one BFS from the
+source labels most of the graph in every phase (and all of it in the last
+one, which only proves maximality), while two searches that meet in the
+middle label two small balls.  Each phase keeps a forward frontier from
+the source over arcs with ``caps[arc] > eps`` and a backward frontier from
+the sink over arcs with ``caps[arc ^ 1] > eps``, and always expands the
+smaller frontier by one layer.  A layer that finishes without seeing the
+other side is *complete*: it labels every unlabelled residual neighbour of
+its frontier, so completed forward layers are exactly the distance layers
+``dist_s = 0 .. f`` and completed backward layers exactly ``dist_t = 0 ..
+b``.  The invariants the kernel relies on:
+
+* *First contact gives the distance.*  While no expanded vertex has seen
+  the other side, the two balls are disjoint and no residual arc leads
+  from the forward ball into the backward ball, so the distance is at
+  least ``f + b + 1``.  The first arc ``u -> v`` that does (``u`` on the
+  frontier being expanded, hence ``v`` on the other frontier — had ``v``
+  sat in an already expanded layer, that complete expansion would have
+  labelled ``u`` or met it) closes a path of exactly ``L = f + b + 1``
+  arcs.
+* *Every shortest path is fully labelled.*  A vertex at position ``i`` of
+  a shortest path has ``dist_s = i`` and ``dist_t = L - i``, so it lies in
+  the forward ball when ``i <= f`` and in the backward ball otherwise.
+  Levels are unified as ``dist_s`` on the forward side and ``L - dist_t``
+  on the backward side.  The half-built layer that made contact holds no
+  such vertex (its members are ``f + 1`` from the source but more than
+  ``b`` from the sink), so the search stops at the first contact and
+  drops that layer.
+* *Progress and termination.*  The level graph contains every shortest
+  residual path, so a blocking flow on it strictly increases the distance
+  as in textbook Dinic, and a phase that met always augments at least
+  once.  The loop ends only when a frontier empties without contact —
+  the closure of one endpoint is fully labelled and has no arc to the
+  other — which is exactly "no residual source-sink path".  When the
+  minimum cut sits at an endpoint (``kappa = min(out(s), in(t))``, the
+  common case) that proof is the immediate exhaustion of the small side.
+
+Nothing is cleared per phase or per pair: a vertex belongs to the current
+phase iff its stamp equals the network's generation, its current-arc
+pointer is zeroed when it is labelled, pruning a dead end clears its
+stamp, and the arcs of every augmenting path go to the network's undo log
+so :meth:`ResidualNetwork.reset` restores only those.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Hashable, List, Optional
+from typing import Hashable, List, Optional, Tuple
 
 from repro.graph.digraph import DiGraph
 from repro.graph.maxflow.base import (
@@ -26,41 +69,41 @@ from repro.graph.maxflow.residual import ResidualNetwork
 Vertex = Hashable
 
 
-def _build_level_graph(
-    network: ResidualNetwork, source: int, sink: int, levels: List[int]
-) -> bool:
-    """BFS from ``source`` filling ``levels``; True if ``sink`` is reachable.
+def _expand_layer(
+    network: ResidualNetwork, frontier: List[int], backward: bool, label: int
+) -> Tuple[List[int], bool]:
+    """Stamp the unlabelled residual neighbours of ``frontier`` with ``label``.
 
-    Expansion stops at the sink's level: a shortest augmenting path visits
-    levels ``0 .. L`` with only the sink at ``L``, so vertices that would
-    land beyond ``L`` can never carry flow in this phase and are left
-    unlabelled — which both shortens the BFS and spares the DFS from
-    exploring dead branches.
+    The forward search follows arcs leaving the frontier (``caps[arc]``),
+    the backward search arcs entering it (``caps[arc ^ 1]``).  Forward
+    labels are distances from the source (``>= 0``), backward labels are
+    ``-(distance to the sink) - 1`` (``< 0``), which is how a vertex of the
+    other search is recognised.  Returns ``(layer, met)``: the vertices
+    newly labelled, and whether an arc into the other search was seen — in
+    which case expansion stopped there and ``layer`` is incomplete.
     """
-    for i in range(network.n):
-        levels[i] = -1
-    levels[source] = 0
-    queue = deque([source])
-    popleft = queue.popleft
-    append = queue.append
     heads = network.heads
     caps = network.caps
     adjacency = network.adjacency
-    sink_level = -1
-    while queue:
-        u = popleft()
-        next_level = levels[u] + 1
-        if sink_level >= 0 and next_level >= sink_level:
-            break  # deeper vertices cannot lie on a shortest path
+    levels = network._levels
+    iters = network._iters
+    stamp = network._stamp
+    gen = network._gen
+    flip = int(backward)
+    layer: List[int] = []
+    append = layer.append
+    for u in frontier:
         for arc in adjacency[u]:
-            v = heads[arc]
-            if levels[v] < 0 and caps[arc] > 1e-12:
-                levels[v] = next_level
-                if v == sink:
-                    sink_level = next_level
-                else:
+            if caps[arc ^ flip] > 1e-12:
+                v = heads[arc]
+                if stamp[v] != gen:
+                    stamp[v] = gen
+                    levels[v] = label
+                    iters[v] = 0
                     append(v)
-    return levels[sink] >= 0
+                elif (levels[v] < 0) != backward:  # labelled by the other search
+                    return layer, True
+    return layer, False
 
 
 @register_network_solver("dinic")
@@ -72,10 +115,18 @@ def dinic_on_network(
 ) -> float:
     """Run Dinic on dense vertex indices; mutates the network in place.
 
-    The blocking-flow phase uses an iterative DFS (an explicit arc path
+    Each phase grows the level graph from both ends (module docstring) and
+    then finds a blocking flow with an iterative DFS (an explicit arc path
     instead of recursion — the Even-transformed graphs of large snapshots
-    exceed Python's recursion limit) over preallocated level/current-arc
-    arrays owned by the network, with all hot containers bound to locals.
+    exceed Python's recursion limit) that only enters vertices stamped in
+    this phase.  Level, current-arc and stamp arrays are owned by the
+    network and never cleared; all hot containers are bound to locals.
+
+    ``cutoff`` contract: the value is exact when below the cutoff and at
+    least the cutoff otherwise (exactly ``min(max flow, cutoff)`` on unit
+    capacities).  Every augmenting path is appended to the network's undo
+    log (when it keeps one) and the kernel counters are updated once, on
+    return.
     """
     n = network.n
     if n == 0 or source == sink:
@@ -86,15 +137,58 @@ def dinic_on_network(
     caps = network.caps
     adjacency = network.adjacency
     levels, iters = network.scratch_buffers()
+    stamp = network._stamp
+    gen = network._gen
+    touched = network._touched
     total = 0.0
-    while _build_level_graph(network, source, sink, levels):
-        for i in range(n):
-            iters[i] = 0
+    phases = augmentations = labelled = 0
+    cut = False
+    while not cut:
+        # -- level graph: alternate complete BFS layers from both ends ----
+        # Stored at once: _expand_layer reads it, and a generation must
+        # never be reused, even by the call after an interrupted one.
+        network._gen = gen = gen + 1
+        stamp[source] = stamp[sink] = gen
+        levels[source] = iters[source] = 0
+        levels[sink] = -1  # -(distance to the sink) - 1, see _expand_layer
+        labelled += 2
+        forward = [source]
+        backward = [sink]
+        sink_side = [sink]  # every vertex of a completed backward layer
+        forward_depth = backward_depth = 0
+        met = False
+        while forward and backward and not met:
+            if len(forward) <= len(backward):
+                layer, met = _expand_layer(network, forward, False, forward_depth + 1)
+                if not met:
+                    forward = layer
+                    forward_depth += 1
+            else:
+                layer, met = _expand_layer(network, backward, True, -2 - backward_depth)
+                if not met:
+                    backward = layer
+                    backward_depth += 1
+                    sink_side += layer
+            labelled += len(layer)
+        if not met:
+            break  # one side is exhausted: no residual source-sink path
+        phases += 1
+        pushed_before = augmentations
+        # The layer that made contact holds no vertex of a shortest path.
+        for v in layer:
+            stamp[v] = 0
+        shift = forward_depth + backward_depth + 2  # distance L, plus 1
+        for v in sink_side:
+            levels[v] += shift
+
+        # -- blocking flow: iterative DFS over the stamped level graph ----
         path: List[int] = []  # arcs of the current partial source->u path
         u = source
         while True:
             if u == sink:
                 pushed = min(caps[arc] for arc in path)
+                if touched is not None:
+                    touched += path
                 retreat = 0
                 for position, arc in enumerate(path):
                     caps[arc] -= pushed
@@ -102,8 +196,10 @@ def dinic_on_network(
                     if retreat == 0 and caps[arc] <= 1e-12:
                         retreat = position + 1
                 total += pushed
+                augmentations += 1
                 if cutoff is not None and total >= cutoff:
-                    return total
+                    cut = True
+                    break
                 # Restart from the tail of the first saturated arc.
                 del path[max(retreat - 1, 0):]
                 u = source if not path else heads[path[-1]]
@@ -116,7 +212,11 @@ def dinic_on_network(
             while position < degree:
                 arc = arcs[position]
                 v = heads[arc]
-                if caps[arc] > 1e-12 and levels[v] == next_level:
+                if (
+                    stamp[v] == gen
+                    and levels[v] == next_level
+                    and caps[arc] > 1e-12
+                ):
                     advanced = True
                     break
                 position += 1
@@ -125,15 +225,20 @@ def dinic_on_network(
                 path.append(arcs[position])
                 u = heads[arcs[position]]
             elif u == source:
+                if augmentations == pushed_before:
+                    # Would loop forever: the same level graph comes back.
+                    raise RuntimeError("Dinic: the searches met but no path was found")
                 break  # blocking flow complete for this level graph
             else:
                 # Dead end: prune u from the level graph and retreat.
-                levels[u] = -1
+                stamp[u] = 0
                 path.pop()
                 u = source if not path else heads[path[-1]]
                 iters[u] += 1
-        if cutoff is not None and total >= cutoff:
-            break
+    network.phases += phases
+    network.augmentations += augmentations
+    network.vertices_labelled += labelled
+    network.cutoff_hits += cut
     return total
 
 
@@ -149,4 +254,10 @@ def dinic_max_flow(
     value = dinic_on_network(
         network, network.index_of(source), network.index_of(target), cutoff=cutoff
     )
-    return MaxFlowResult(value=value, source=source, target=target, algorithm="dinic")
+    return MaxFlowResult(
+        value=value,
+        source=source,
+        target=target,
+        algorithm="dinic",
+        augmentations=network.augmentations,
+    )

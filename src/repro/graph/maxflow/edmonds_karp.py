@@ -73,6 +73,7 @@ def edmonds_karp_on_network(
         return 0.0, 0
     if cutoff is not None and cutoff <= 0:
         return 0.0, 0
+    network._touched = None  # no undo log kept: the next reset() copies all
     heads = network.heads
     caps = network.caps
     total = 0.0

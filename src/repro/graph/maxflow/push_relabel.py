@@ -88,6 +88,7 @@ def push_relabel_on_network(
         return 0.0
     if cutoff is not None and cutoff <= 0:
         return 0.0
+    network._touched = None  # no undo log kept: the next reset() copies all
     heads = network.heads
     caps = network.caps
     adjacency = network.adjacency

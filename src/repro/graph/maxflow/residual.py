@@ -25,6 +25,10 @@ from repro.graph.errors import VertexNotFoundError
 
 Vertex = Hashable
 
+#: Names of the per-network kernel counters, in the order
+#: :meth:`ResidualNetwork.kernel_counters` reports them.
+KERNEL_COUNTERS = ("phases", "augmentations", "vertices_labelled", "cutoff_hits")
+
 
 @dataclass(frozen=True)
 class CompactNetwork:
@@ -67,6 +71,10 @@ class ResidualNetwork:
         ``caps[a]`` is the residual capacity of arc ``a``.
     adjacency:
         ``adjacency[v]`` is the list of arc indices leaving ``v``.
+    phases, augmentations, vertices_labelled, cutoff_hits:
+        Running totals of what the Dinic kernel did on this network
+        (level graphs built, augmenting paths pushed, vertices given a
+        level, flows ended by their cutoff); see :data:`KERNEL_COUNTERS`.
     """
 
     __slots__ = (
@@ -79,11 +87,29 @@ class ResidualNetwork:
         "_initial_caps",
         "_levels",
         "_iters",
+        "_stamp",
+        "_gen",
+        "_touched",
+        "phases",
+        "augmentations",
+        "vertices_labelled",
+        "cutoff_hits",
     )
 
     def __init__(self, graph: Optional[DiGraph]) -> None:
         self._levels: Optional[List[int]] = None
         self._iters: Optional[List[int]] = None
+        # Dinic's level-graph membership: v is in the current phase iff
+        # ``_stamp[v] == _gen`` (no stamp ever equals the initial 0).
+        self._stamp: Optional[List[int]] = None
+        self._gen = 0
+        # Undo log: arcs whose pair differs from ``_initial_caps``, or
+        # ``None`` when that set is unknown and ``reset`` must copy it all.
+        self._touched: Optional[List[int]] = None
+        self.phases = 0
+        self.augmentations = 0
+        self.vertices_labelled = 0
+        self.cutoff_hits = 0
         if graph is None:  # shell for the alternate constructors
             self.n = 0
             self._index_of: Dict[Vertex, int] = {}
@@ -185,15 +211,24 @@ class ResidualNetwork:
     def scratch_buffers(self) -> Tuple[List[int], List[int]]:
         """Return the preallocated ``(levels, iterators)`` work arrays.
 
-        The BFS/DFS solvers overwrite both arrays fully before reading
-        them, so they can be shared across calls; allocating them once per
-        network (instead of twice per max-flow query) matters when one
-        Even-transformed network answers thousands of pair queries.
+        Their contents are unspecified between calls: Edmonds-Karp
+        overwrites ``levels`` in full before reading it, while Dinic
+        writes an entry only when it stamps that vertex into the current
+        phase (``_stamp``, allocated alongside) and reads no other.
+        Allocating them once per network (instead of per max-flow query)
+        matters when one Even-transformed network answers thousands of
+        pair queries.
         """
         if self._levels is None or len(self._levels) != self.n:
             self._levels = [0] * self.n
             self._iters = [0] * self.n
+            self._stamp = [0] * self.n
         return self._levels, self._iters  # type: ignore[return-value]
+
+    def kernel_counters(self) -> Tuple[int, ...]:
+        """Return the running totals named by :data:`KERNEL_COUNTERS`."""
+        return tuple(getattr(self, name) for name in KERNEL_COUNTERS)
+
     def index_of(self, vertex: Vertex) -> int:
         """Return the dense index of ``vertex``."""
         try:
@@ -211,9 +246,22 @@ class ResidualNetwork:
         Solvers mutate ``caps`` in place; resetting lets one network object
         be reused for many source/target pairs, which is exactly the access
         pattern of the global-connectivity computation (one transformed graph,
-        many max-flow queries).
+        many max-flow queries).  Dinic logs the arcs of every augmenting
+        path in ``_touched``, so undoing it costs the flow it pushed, not
+        the size of the graph; a solver that does not keep the log sets it
+        to ``None`` and the next reset copies every capacity.
         """
-        self.caps[:] = self._initial_caps
+        touched = self._touched
+        if touched is None:
+            self.caps[:] = self._initial_caps
+            self._touched = []
+            return
+        caps = self.caps
+        initial = self._initial_caps
+        for arc in touched:
+            caps[arc] = initial[arc]
+            caps[arc ^ 1] = initial[arc ^ 1]
+        touched.clear()
 
     def flow_on_arc(self, arc: int) -> float:
         """Return the flow currently routed through forward arc ``arc``."""

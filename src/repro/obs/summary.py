@@ -157,12 +157,21 @@ def format_summary(snapshot: Dict[str, Any]) -> str:
     pairs_evaluated = _counter(snapshot, "pairflow.pairs_evaluated")
     pruned = _counter(snapshot, "pairflow.pairs_pruned")
     shards = _counter(snapshot, "pairflow.shards")
-    lines.append(
+    line = (
         f"pairflow   pairs: {pairs_submitted} submitted, "
         f"{pairs_evaluated} evaluated "
         f"(prune rate: {_ratio(pruned, pairs_submitted):.0%}) | "
         f"shards: {shards}"
     )
+    labelled = _counter(snapshot, "maxflow.vertices_labelled")
+    if labelled:  # only the Dinic kernel counts; zero for the oracles
+        line += (
+            f" | kernel: {_counter(snapshot, 'maxflow.phases')} phases, "
+            f"{_counter(snapshot, 'maxflow.augmentations')} augmentations, "
+            f"{labelled} vertices labelled, "
+            f"{_counter(snapshot, 'maxflow.cutoff_hits')} cutoff hits"
+        )
+    lines.append(line)
 
     # Connectivity estimator --------------------------------------------
     est_runs = _counter(snapshot, "estimation.runs")

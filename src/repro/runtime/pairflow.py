@@ -36,7 +36,11 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.graph.digraph import DiGraph
 from repro.graph.maxflow import network_flow_function
-from repro.graph.maxflow.residual import CompactNetwork, ResidualNetwork
+from repro.graph.maxflow.residual import (
+    KERNEL_COUNTERS,
+    CompactNetwork,
+    ResidualNetwork,
+)
 from repro.graph.transform.even_transform import (
     IndexedEvenTransform,
     indexed_even_transform,
@@ -144,6 +148,23 @@ def _run_shard_on(
     return values
 
 
+#: What one shard sends back: its recorded values and how much the kernel
+#: counters (:data:`KERNEL_COUNTERS`) grew while it ran.
+ShardResult = Tuple[List[int], Tuple[int, ...]]
+
+
+def _run_shard_counted(
+    network: ResidualNetwork,
+    flow_fn: Callable[..., float],
+    shard: PairFlowShard,
+) -> ShardResult:
+    """:func:`_run_shard_on` plus the kernel-counter deltas of the shard."""
+    before = network.kernel_counters()
+    values = _run_shard_on(network, flow_fn, shard)
+    after = network.kernel_counters()
+    return values, tuple(b - a for a, b in zip(before, after))
+
+
 # ----------------------------------------------------------------------
 # Worker side (parallel sessions only).  Each worker process caches the
 # most recently thawed network, keyed by the shard epoch; the compact
@@ -161,7 +182,7 @@ _WORKER_FLOW_FN: Optional[Callable[..., float]] = None
 _PAYLOAD_MISS = None
 
 
-def _execute_shard(shard: PairFlowShard) -> Optional[List[int]]:
+def _execute_shard(shard: PairFlowShard) -> Optional[ShardResult]:
     """Worker-pool entry point: evaluate a shard on the process-local state."""
     global _WORKER_EPOCH, _WORKER_NETWORK, _WORKER_FLOW_FN
     if shard.epoch != _WORKER_EPOCH or _WORKER_NETWORK is None:
@@ -170,7 +191,7 @@ def _execute_shard(shard: PairFlowShard) -> Optional[List[int]]:
         _WORKER_NETWORK = shard.compact.thaw()
         _WORKER_FLOW_FN = network_flow_function(shard.algorithm)
         _WORKER_EPOCH = shard.epoch
-    return _run_shard_on(_WORKER_NETWORK, _WORKER_FLOW_FN, shard)
+    return _run_shard_counted(_WORKER_NETWORK, _WORKER_FLOW_FN, shard)
 
 
 class PairFlowEngine:
@@ -284,6 +305,7 @@ class PairFlowEngine:
         waves_dispatched = 0
         shards_dispatched = 0
         payload_misses = 0
+        kernel_totals = [0] * len(KERNEL_COUNTERS)
         session, owns_session = self._acquire_session()
         span = tracing.span(
             "pairflow.evaluate", pairs=len(pairs), cutoff=use_cutoff
@@ -335,8 +357,10 @@ class PairFlowEngine:
                         missed, session.map(_execute_shard, retries)
                     ):
                         shard_results[index] = result
-                for offset, shard_values in enumerate(shard_results):
+                for offset, (shard_values, counters) in enumerate(shard_results):
                     base = (wave_start + offset) * shard_size
+                    for index, count in enumerate(counters):
+                        kernel_totals[index] += count
                     values.extend(shard_values)
                     evaluated_positions.extend(
                         range(base, base + len(shard_values))
@@ -364,6 +388,10 @@ class PairFlowEngine:
             registry.observe("pairflow.shard_size", shard_size)
             if use_cutoff:
                 registry.inc("pairflow.cutoff_pairs", len(values))
+            # What the Dinic kernel did for those pairs (all zero for the
+            # other solvers); the same totals serially and on a pool.
+            for name, count in zip(KERNEL_COUNTERS, kernel_totals):
+                registry.inc(f"maxflow.{name}", count)
 
         if not values:
             return PairFlowOutcome(
@@ -480,12 +508,12 @@ class _EngineLocalSession:
     def __exit__(self, exc_type, exc, tb) -> None:
         return None
 
-    def map(self, fn, shards) -> List[List[int]]:
+    def map(self, fn, shards) -> List[ShardResult]:
         # ``fn`` is always _execute_shard here; run its body against the
         # engine-local state instead of the worker-pool globals (epoch and
         # compact payload are irrelevant in-process).
         return [
-            _run_shard_on(self._network, self._flow_fn, shard)
+            _run_shard_counted(self._network, self._flow_fn, shard)
             for shard in shards
         ]
 

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from repro import obs
 from repro.experiments.profiles import get_profile
 from repro.experiments.runner import ExperimentRunner
 from repro.graph.digraph import DiGraph
@@ -60,3 +61,12 @@ def circulant12() -> DiGraph:
 def tiny_runner() -> ExperimentRunner:
     """An experiment runner on the test-sized profile."""
     return ExperimentRunner(profile=get_profile("tiny"), seed=7)
+
+
+@pytest.fixture
+def obs_enabled():
+    """Enable observability for one test and fully tear it down after."""
+    obs.disable()
+    registry = obs.enable()
+    yield registry
+    obs.disable()

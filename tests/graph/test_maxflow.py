@@ -115,6 +115,11 @@ class TestInterface:
         result = edmonds_karp_max_flow(diamond_graph, "s", "t")
         assert result.augmentations == 2
 
+    def test_dinic_reports_augmentations(self, diamond_graph):
+        result = dinic_max_flow(diamond_graph, "s", "t")
+        assert result.augmentations == 2
+        assert dinic_max_flow(diamond_graph, "s", "t", cutoff=1.0).augmentations == 1
+
 
 class TestResidualNetwork:
     def test_arc_pairing(self, diamond_graph):

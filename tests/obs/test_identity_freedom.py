@@ -13,8 +13,6 @@ import copy
 import json
 from pathlib import Path
 
-import pytest
-
 from repro import obs
 from repro.experiments.persistence import trajectory_digest
 from repro.experiments.profiles import ScaleProfile
@@ -32,15 +30,6 @@ GOLDEN_TINY_A = "cf0f4cb8bbd8a497cef3a11ffaf3c432c46ecd92687f77000b93815d1a41dab
 SAMPLED_ENTRIES_DIR = (
     Path(__file__).parent.parent / "experiments" / "data" / "sampled-cache-entries"
 )
-
-
-@pytest.fixture
-def obs_enabled():
-    """Enable observability for one test and fully tear it down after."""
-    obs.disable()
-    registry = obs.enable()
-    yield registry
-    obs.disable()
 
 
 class TestDigestsWithObsEnabled:
