@@ -2,12 +2,20 @@
 
 Contacts are kept in least-recently-seen order (head = oldest), the order
 the original Kademlia paper prescribes.  A full bucket prefers its existing
-contacts: a new contact is only admitted if the bucket has room or if an
-existing contact has already been detected as stale (failure streak at or
-above the staleness limit).  Stale contacts are otherwise removed when the
-owning node's communication with them keeps failing — which is exactly the
-mechanism behind the paper's observation that churn and message loss "free
-up entries in the k-buckets" and thereby *increase* connectivity.
+contacts: a new contact is only admitted if the bucket has room.  Room is
+made when the owning node's communication with a contact keeps failing:
+:meth:`KBucket.record_failure` removes the contact the moment its streak
+reaches the staleness limit — which is exactly the mechanism behind the
+paper's observation that churn and message loss "free up entries in the
+k-buckets" and thereby *increase* connectivity.
+
+Because eviction happens at the limit, a bucket driven through
+``record_failure`` (as every bucket of a
+:class:`~repro.kademlia.routing_table.RoutingTable` is) never *holds* a
+stale contact, and step 3 of :meth:`KBucket.add` — replace a stale member
+of a full bucket — cannot fire there; the table's ``add_contact`` skips it.
+The step is kept for stand-alone buckets whose owner marks a contact stale
+without removing it (by writing its ``consecutive_failures`` directly).
 
 A bucket optionally maintains an external flat ``id -> Contact`` index
 shared by every bucket of one routing table (see
@@ -90,7 +98,8 @@ class KBucket:
         1. already present → refresh its position and success state;
         2. bucket has room → append as most-recently-seen;
         3. bucket full but some contact is already stale → evict the stale
-           contact (preferring the least recently seen one) and insert;
+           contact (preferring the least recently seen one) and insert —
+           stand-alone buckets only, see the module docstring;
         4. bucket full of non-stale contacts → reject the new contact.
         """
         contacts = self._contacts

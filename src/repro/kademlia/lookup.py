@@ -16,13 +16,24 @@ what the paper's connectivity results hinge on:
   handled (see :meth:`KademliaProtocol.handle_request`);
 * every failed round-trip increments the contacted node's failure streak in
   the requester's table, removing it once the streak reaches the staleness
-  limit ``s``.
+  limit ``s``;
+* every contact listed in a reply is offered to the requester's table —
+  refreshed if it is a member, inserted if its bucket has room.
+
+A lookup runs inside one simulator event: the clock stands still and nothing
+but the lookup touches the requester's table.  Each bucket's
+least-recently-seen order afterwards therefore depends only on every
+member's *last* mention, which is what lets :func:`iterative_find_node`
+refresh each member once, after the last round-trip, instead of once per
+mention.  The per-mention formulation stays as the path of any protocol
+subclass that hooks the bookkeeping — and as the oracle the deferred one is
+tested against (``tests/kademlia/test_lookup_deferred.py``).
 """
 
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from typing import Set, TYPE_CHECKING
+from typing import List, Set, TYPE_CHECKING
 
 from repro.kademlia.messages import FindNodeRequest, FindNodeResponse
 from repro.overlay.base import LookupResult
@@ -36,16 +47,27 @@ __all__ = ["LookupResult", "iterative_find_node"]
 def iterative_find_node(protocol: "KademliaProtocol", target_id: int) -> LookupResult:
     """Run the iterative FIND_NODE procedure from ``protocol`` for ``target_id``.
 
-    The loop body is the hottest client-side code of the simulation, so
-    the invariants over the original formulation are hoisted: one
-    :class:`FindNodeRequest` serves every round-trip of the lookup (the
-    request is an immutable value object), the distance-sort key is the
-    bound C method ``target_id.__xor__``, and the clock is read once —
-    the whole lookup runs inside a single simulator event, during which
+    Same lookup, two ways of keeping the requester's routing table: stock
+    bookkeeping defers the refreshes (:func:`_find_node_deferred`); a
+    subclass that overrides ``note_contact``, ``rpc`` or ``learn_contacts``
+    — or a configuration that does not learn from replies — goes through
+    those methods once per round-trip and per mention
+    (:func:`_find_node_per_mention`).
+    """
+    if protocol.refreshes_deferrable():
+        return _find_node_deferred(protocol, target_id)
+    return _find_node_per_mention(protocol, target_id)
+
+
+def _find_node_per_mention(protocol: "KademliaProtocol", target_id: int) -> LookupResult:
+    """The lookup with every bookkeeping step made through ``protocol``'s methods.
+
+    One :class:`FindNodeRequest` serves every round-trip of the lookup (the
+    request is an immutable value object) and the clock is read once — the
+    whole lookup runs inside a single simulator event, during which
     simulated time cannot advance.
     """
     config = protocol.config
-    result = LookupResult(target_id=target_id)
     k = config.bucket_size
     alpha = config.alpha
     learn = config.learn_from_responses
@@ -53,7 +75,6 @@ def iterative_find_node(protocol: "KademliaProtocol", target_id: int) -> LookupR
     rpc = protocol.rpc
     learn_contacts = protocol.learn_contacts
     now = protocol.now
-    distance_to_target = target_id.__xor__
     request = FindNodeRequest(target_id=target_id)
 
     # The frontier is a lazy min-heap over (distance, id).  Invariant:
@@ -96,8 +117,162 @@ def iterative_find_node(protocol: "KademliaProtocol", target_id: int) -> LookupR
             if len(responded) >= k:
                 break
 
-    result.queried = queried_count
-    result.failures = failure_count
-    result.rounds = round_count
-    result.contacted = sorted(responded, key=distance_to_target)[:k]
-    return result
+    return LookupResult(
+        target_id=target_id,
+        contacted=sorted(responded, key=target_id.__xor__)[:k],
+        queried=queried_count,
+        failures=failure_count,
+        rounds=round_count,
+    )
+
+
+def _find_node_deferred(protocol: "KademliaProtocol", target_id: int) -> LookupResult:
+    """The lookup with one routing-table refresh per contact, after the last round-trip.
+
+    Same round-trips, same frontier and same table afterwards as
+    :func:`_find_node_per_mention` on a stock protocol, but a reply of
+    ``k`` mostly-known contacts costs a few C-level set operations instead
+    of ``k`` refreshes: every id heard of (responders and reply entries) is
+    appended to ``mentions``, and at the end each member among them is
+    moved to its bucket's tail once, in order of last mention — the order
+    ``k**2`` per-mention moves would have left.
+
+    What reads or changes *membership* cannot wait and stays exact:
+
+    * an unknown id is offered to its bucket on first sight.  A full bucket
+      rejects it, and would reject it at every later mention too — a slot
+      opens only by eviction — so it is parked in ``rejected`` and offered
+      again only after an eviction in that very bucket (``retry``, which
+      also holds the evicted id itself);
+    * a failed round-trip extends the contact's streak from 0 if the
+      contact was mentioned earlier in this lookup (the refresh that has
+      not happened yet would have reset it);
+    * a contact that failed but stayed (streak below ``s``) is reset by a
+      later mention, and only by that: the final pass keeps the streak of
+      whatever is still in ``failed_kept``.
+
+    The requester half of :meth:`KademliaProtocol.rpc` is done here on the
+    transport's result, sparing a frame per round-trip.
+    """
+    transport = protocol.transport
+    if transport is None:
+        protocol._require_bound()
+    transport_rpc = transport.rpc
+    config = protocol.config
+    k = config.bucket_size
+    alpha = config.alpha
+    own_id = protocol.node_id
+    now = protocol.now
+    registry = protocol._obs
+    table = protocol.routing_table
+    index = table._contact_index
+    add_contact = table.add_contact
+    record_failure = table.record_failure
+    request = FindNodeRequest(target_id=target_id)
+
+    # Frontier and dedupe set as in the per-mention path; ``candidates``
+    # additionally holds the requester's own id, which replies list (the
+    # responder has just learned it) and which is neither queried nor stored.
+    seeds = table.closest_contacts(target_id, k)
+    candidates: Set[int] = set(seeds)
+    candidates.add(own_id)
+    frontier = [(node_id ^ target_id, node_id) for node_id in seeds]
+    heapify(frontier)
+    responded: Set[int] = set()
+    queried_count = 0
+    failure_count = 0
+    round_count = 0
+
+    mentions: List[int] = []
+    rejected: Set[int] = set()
+    retry: Set[int] = set()
+    failed_kept: Set[int] = set()
+    add_attempts = 0
+
+    while len(responded) < k and frontier:
+        batch = [heappop(frontier)[1] for _ in range(min(alpha, len(frontier)))]
+        round_count += 1
+
+        for node_id in batch:
+            queried_count += 1
+            ok, response = transport_rpc(own_id, node_id, request)
+            if not ok:
+                failure_count += 1
+                contact = index.get(node_id)
+                if contact is None:
+                    continue
+                if contact.consecutive_failures and node_id in mentions:
+                    contact.consecutive_failures = 0
+                if record_failure(node_id):
+                    if registry is not None:
+                        registry.inc("kademlia.evictions")
+                    retry.add(node_id)
+                    if rejected:
+                        # Bucket index + 1 of the slot that just opened.
+                        opened = (own_id ^ node_id).bit_length()
+                        reopened = {
+                            other
+                            for other in rejected
+                            if (own_id ^ other).bit_length() == opened
+                        }
+                        rejected -= reopened
+                        retry |= reopened
+                else:
+                    failed_kept.add(node_id)
+                continue
+
+            protocol._ever_connected = True
+            mentions.append(node_id)
+            if node_id in retry:
+                retry.remove(node_id)
+                add_attempts += 1
+                if not add_contact(node_id, now):
+                    rejected.add(node_id)
+            if not isinstance(response, FindNodeResponse):
+                failure_count += 1
+                continue
+            responded.add(node_id)
+
+            contacts = response.contacts
+            mentions.extend(contacts)
+            if not candidates.issuperset(contacts) or (
+                retry and not retry.isdisjoint(contacts)
+            ):
+                # Reply order decides who gets a contested slot.
+                for contact_id in contacts:
+                    if contact_id not in candidates:
+                        candidates.add(contact_id)
+                        heappush(frontier, (contact_id ^ target_id, contact_id))
+                        if contact_id in index:
+                            continue
+                    elif contact_id in retry:
+                        retry.remove(contact_id)
+                    else:
+                        continue
+                    add_attempts += 1
+                    if not add_contact(contact_id, now):
+                        rejected.add(contact_id)
+            if failed_kept and not failed_kept.isdisjoint(contacts):
+                for contact_id in failed_kept.intersection(contacts):
+                    index[contact_id].consecutive_failures = 0
+                failed_kept.difference_update(contacts)
+            if len(responded) >= k:
+                break
+
+    # dict.fromkeys over the reversed log keeps each id at its last mention;
+    # walking that dict backwards yields earliest-last-mention first.
+    touches = table.refresh_contacts(
+        reversed(dict.fromkeys(reversed(mentions))), now, failed_kept
+    )
+    if registry is not None:
+        registry.inc("kademlia.lookup.mentions", len(mentions))
+        registry.inc("kademlia.lookup.touches", touches)
+        registry.inc("kademlia.lookup.add_attempts", add_attempts)
+
+    return LookupResult(
+        target_id=target_id,
+        contacted=sorted(responded, key=target_id.__xor__)[:k],
+        queried=queried_count,
+        failures=failure_count,
+        rounds=round_count,
+    )

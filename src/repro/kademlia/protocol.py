@@ -62,26 +62,10 @@ class KademliaProtocol(OverlayProtocol):
         record many contacts within one event (e.g. the learn-from-responses
         loop of a lookup) pass the clock value once instead of re-reading it
         per contact — the simulated clock cannot advance inside an event.
-
-        The already-present case (by far the most common: every reply
-        refreshes mostly-known contacts) replicates
-        :meth:`RoutingTable.add_contact`'s refresh fast path inline, saving
-        one call frame on a path taken ~20 times per handled FIND_NODE.
         """
-        if node_id == self.node_id:
-            return False
         if time is None:
             time = self._clock()
-        routing_table = self.routing_table
-        contact = routing_table._contact_index.get(node_id)
-        if contact is not None:
-            bucket_contacts = contact.bucket_contacts
-            del bucket_contacts[node_id]
-            bucket_contacts[node_id] = contact
-            contact.last_seen = time
-            contact.consecutive_failures = 0
-            return True
-        return routing_table.add_contact(node_id, time)
+        return self.routing_table.add_contact(node_id, time)
 
     def learn_contacts(
         self,
@@ -93,50 +77,40 @@ class KademliaProtocol(OverlayProtocol):
     ) -> None:
         """Absorb one FIND_NODE reply: extend the lookup state and the table.
 
-        Batch form of the lookup's learn-from-responses loop — one call per
-        reply instead of one :meth:`note_contact` call per listed contact.
-        Contacts not seen before in this lookup are added to ``candidates``
-        and pushed onto the lookup's distance-keyed ``frontier`` heap; every
-        listed contact (new or not) is recorded in the routing table.  A
-        subclass that overrides :meth:`note_contact` (e.g. the
-        supplemental-list extension) transparently falls back to the
-        per-contact path so its hook keeps seeing every learned contact.
+        The per-mention bookkeeping of a lookup: contacts not seen before in
+        this lookup are added to ``candidates`` and pushed onto the lookup's
+        distance-keyed ``frontier`` heap; every listed contact (new or not)
+        goes through :meth:`note_contact`, so a subclass hooking that method
+        (e.g. the supplemental-list extension) sees every learned contact.
+        Stock protocols do not come through here — see
+        :meth:`refreshes_deferrable`.
         """
         own_id = self.node_id
-        if type(self).note_contact is not KademliaProtocol.note_contact:
-            note_contact = self.note_contact
-            for contact_id in contact_ids:
-                if contact_id != own_id:
-                    if contact_id not in candidates:
-                        candidates.add(contact_id)
-                        heappush(
-                            frontier, (contact_id ^ target_id, contact_id)
-                        )
-                    note_contact(contact_id, time)
-            return
-        routing_table = self.routing_table
-        index_get = routing_table._contact_index.get
-        add_contact = routing_table.add_contact
-        candidates_add = candidates.add
+        note_contact = self.note_contact
         for contact_id in contact_ids:
-            if contact_id == own_id:
-                continue
-            if contact_id not in candidates:
-                candidates_add(contact_id)
-                heappush(frontier, (contact_id ^ target_id, contact_id))
-            contact = index_get(contact_id)
-            if contact is not None:
-                # Refresh in place: one flat-index probe resolves the
-                # contact, its back-reference the bucket dict for the
-                # most-recently-seen move (same ops as RoutingTable.
-                # add_contact's fast path, minus the call frame).
-                bucket_contacts = contact.bucket_contacts
-                del bucket_contacts[contact_id]
-                bucket_contacts[contact_id] = contact
-                contact.last_seen = time
-                contact.consecutive_failures = 0
-                continue
-            add_contact(contact_id, time)
+            if contact_id != own_id:
+                if contact_id not in candidates:
+                    candidates.add(contact_id)
+                    heappush(frontier, (contact_id ^ target_id, contact_id))
+                note_contact(contact_id, time)
+
+    def refreshes_deferrable(self) -> bool:
+        """True if a lookup may keep this node's table itself, refreshing once.
+
+        :func:`~repro.kademlia.lookup.iterative_find_node` then does the
+        requester-side bookkeeping of :meth:`rpc` and :meth:`learn_contacts`
+        inline and refreshes every mentioned member once at the end.  That
+        is only the same thing while those methods and :meth:`note_contact`
+        are the ones defined here: a subclass overriding any of them keeps
+        being called per round-trip and per mention.
+        """
+        cls = type(self)
+        return (
+            self.config.learn_from_responses
+            and cls.note_contact is KademliaProtocol.note_contact
+            and cls.rpc is KademliaProtocol.rpc
+            and cls.learn_contacts is KademliaProtocol.learn_contacts
+        )
 
     def rpc(self, target_id: int, request: Any) -> Tuple[bool, Any]:
         """Send one request/response round-trip and do the table bookkeeping.

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional
+from typing import Container, Dict, Iterable, List, Optional
 
 from repro.kademlia.config import KademliaConfig
 from repro.kademlia.contact import Contact
@@ -19,10 +19,11 @@ class RoutingTable:
     bucket covers half the identifier space, the next one a quarter, and so
     on (paper Section 4.1).
 
-    This class is the hottest part of the whole simulation — every learned
-    contact of every FIND_NODE reply funnels through :meth:`add_contact`,
-    and every request a node answers runs :meth:`closest_contacts` — so it
-    keeps two auxiliary structures in sync with the buckets:
+    This class is the hottest part of the whole simulation — a lookup
+    offers every contact it learns to :meth:`add_contact` and refreshes
+    every member it heard of through :meth:`refresh_contacts`, and every
+    request a node answers runs :meth:`closest_contacts` — so it keeps two
+    auxiliary structures in sync with the buckets:
 
     * ``_contact_index`` — a flat ``id -> Contact`` dict over all buckets.
       The common case (refreshing an already-known contact) resolves with
@@ -38,6 +39,13 @@ class RoutingTable:
     eviction).  The incremental connectivity-graph maintainer uses it to
     skip rebuilding snapshot-graph rows for tables that did not change
     between snapshots.
+
+    Bucket policy as it actually runs: a contact leaves the table the moment
+    its failure streak reaches ``staleness_limit`` (:meth:`record_failure`;
+    the limit is validated ``>= 1``), so no member is ever stale and a full
+    bucket never admits a newcomer — a slot opens only through an eviction.
+    :meth:`KBucket.add`'s "replace a stale member" step is therefore
+    unreachable from here and :meth:`add_contact` does not scan for one.
     """
 
     __slots__ = (
@@ -106,11 +114,44 @@ class RoutingTable:
             bucket = self._buckets[index] = KBucket(
                 index, self._bucket_size, self._contact_index
             )
-        added = bucket.add(node_id, time, self._staleness_limit)
-        if added:
-            self._contacts_cache = None
-            self.membership_version += 1
-        return added
+        elif len(bucket._contacts) >= self._bucket_size:
+            # Full of members that are all live (see the class docstring):
+            # rejected, without KBucket.add's scan for a stale one.
+            return False
+        bucket.add(node_id, time, self._staleness_limit)
+        self._contacts_cache = None
+        self.membership_version += 1
+        return True
+
+    def refresh_contacts(
+        self,
+        node_ids: Iterable[int],
+        time: float,
+        keep_streak: Container[int] = (),
+    ) -> int:
+        """Refresh every member among ``node_ids``, in order; returns how many.
+
+        Batch form of :meth:`add_contact`'s already-known case: one
+        most-recently-seen move per id, so the ids' order becomes their
+        order at the tail of each bucket.  Non-members are skipped, never
+        inserted.  Ids in ``keep_streak`` are moved and time-stamped but
+        keep their failure streak (a round-trip to them failed after they
+        were last heard of).
+        """
+        index_get = self._contact_index.get
+        refreshed = 0
+        for node_id in node_ids:
+            contact = index_get(node_id)
+            if contact is None:
+                continue
+            bucket_contacts = contact.bucket_contacts
+            del bucket_contacts[node_id]
+            bucket_contacts[node_id] = contact
+            contact.last_seen = time
+            if node_id not in keep_streak:
+                contact.consecutive_failures = 0
+            refreshed += 1
+        return refreshed
 
     def remove_contact(self, node_id: int) -> bool:
         """Remove ``node_id`` from the table; True if it was present."""
@@ -139,15 +180,7 @@ class RoutingTable:
 
     def record_success(self, node_id: int, time: float) -> bool:
         """Record a successful round-trip with an existing contact."""
-        contact = self._contact_index.get(node_id)
-        if contact is None:
-            return False
-        bucket_contacts = contact.bucket_contacts
-        del bucket_contacts[node_id]
-        bucket_contacts[node_id] = contact
-        contact.last_seen = time
-        contact.consecutive_failures = 0
-        return True
+        return node_id in self._contact_index and self.add_contact(node_id, time)
 
     # ------------------------------------------------------------------
     def contains(self, node_id: int) -> bool:

@@ -143,7 +143,7 @@ def format_summary(snapshot: Dict[str, Any]) -> str:
         evictions = _counter(snapshot, f"{protocol}.evictions")
         refreshes = _counter(snapshot, f"{protocol}.refreshes")
         refresh_label = refresh_labels.get(protocol, "refreshes")
-        lines.append(
+        line = (
             f"{protocol:<10} lookups: {lookups} | "
             f"mean lookup virtual-time latency: "
             f"{(latency['mean'] if latency else 0.0):.2f} RTT "
@@ -151,6 +151,14 @@ def format_summary(snapshot: Dict[str, Any]) -> str:
             f"{refresh_label}: {refreshes} | evictions: {evictions} | "
             f"failed RPCs: {failed}"
         )
+        mentions = _counter(snapshot, f"{protocol}.lookup.mentions")
+        if mentions:  # only lookups that defer their table refreshes count
+            line += (
+                f" | table: {mentions} mentions, "
+                f"{_counter(snapshot, f'{protocol}.lookup.touches')} moves, "
+                f"{_counter(snapshot, f'{protocol}.lookup.add_attempts')} add attempts"
+            )
+        lines.append(line)
 
     # Pair-flow engine ---------------------------------------------------
     pairs_submitted = _counter(snapshot, "pairflow.pairs_submitted")

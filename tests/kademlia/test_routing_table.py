@@ -112,6 +112,74 @@ class TestClosestContacts:
         assert table.closest_contacts(target, count=5) == expected
 
 
+class TestNoStaleMembers:
+    """The table evicts at the staleness limit, so it never holds a stale contact.
+
+    This is why ``add_contact`` may reject on a full bucket without looking
+    for a stale member to replace (``KBucket.add`` step 3 is unreachable
+    through the table).
+    """
+
+    OPERATIONS = st.lists(
+        st.tuples(
+            st.sampled_from(
+                ["add_contact", "record_failure", "record_success",
+                 "remove_contact", "refresh_contacts"]
+            ),
+            # 6-bit ids, k = 2: buckets fill up and failures hit members.
+            st.integers(min_value=1, max_value=63),
+        ),
+        max_size=120,
+    )
+
+    @settings(max_examples=120, deadline=None)
+    @given(OPERATIONS, st.integers(min_value=1, max_value=4))
+    def test_no_member_ever_reaches_the_limit(self, operations, limit):
+        table = make_table(owner=0, k=2, b=6, s=limit)
+        for step, (operation, node_id) in enumerate(operations):
+            if operation == "remove_contact":
+                table.remove_contact(node_id)
+            elif operation == "record_failure":
+                table.record_failure(node_id)
+            elif operation == "refresh_contacts":
+                table.refresh_contacts([node_id, node_id ^ 1], float(step), {node_id})
+            else:
+                getattr(table, operation)(node_id, float(step))
+            for bucket in table.buckets():
+                assert len(bucket) <= 2
+                for contact in bucket.contacts():
+                    assert contact.consecutive_failures < limit
+            assert sorted(table.contact_ids()) == sorted(table._contact_index)
+
+    def test_full_bucket_rejects_without_evicting(self):
+        table = make_table(owner=0, k=2, b=8, s=3)
+        assert table.add_contact(128, 0.0) and table.add_contact(129, 0.0)
+        table.record_failure(128)
+        table.record_failure(128)   # streak 2 of 3: failing, but a member
+        version = table.membership_version
+        assert not table.add_contact(130, 1.0)
+        assert table.contact_ids() == [128, 129]
+        assert table.membership_version == version
+
+
+class TestRefreshContacts:
+    def test_moves_members_in_the_given_order_and_skips_strangers(self):
+        table = make_table(owner=0, k=4, b=8, s=3)
+        for node_id in (128, 129, 130, 131):
+            table.add_contact(node_id, 0.0)
+        table.record_failure(129)
+        table.record_failure(131)
+        version = table.membership_version
+        moved = table.refresh_contacts([131, 200, 0, 129, 128], 5.0, keep_streak={131})
+        assert moved == 3
+        bucket = table.bucket_for(128)
+        assert bucket.contact_ids() == [130, 131, 129, 128]
+        assert [c.last_seen for c in bucket.contacts()] == [0.0, 5.0, 5.0, 5.0]
+        assert [c.consecutive_failures for c in bucket.contacts()] == [0, 1, 0, 0]
+        assert not table.contains(200)
+        assert table.membership_version == version
+
+
 class TestRefreshTargets:
     def test_refresh_targets_fall_into_their_buckets(self):
         table = make_table(owner=0b1010, k=4, b=12)
