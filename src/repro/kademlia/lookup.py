@@ -28,6 +28,34 @@ refresh each member once, after the last round-trip, instead of once per
 mention.  The per-mention formulation stays as the path of any protocol
 subclass that hooks the bookkeeping — and as the oracle the deferred one is
 tested against (``tests/kademlia/test_lookup_deferred.py``).
+
+One hop, two ways.  A FIND_NODE round-trip is: count the request, resolve
+the target, draw the request leg, let the responder note the sender and
+pick its ``k`` closest contacts, draw the response leg — the loss model of
+:mod:`repro.simulator.transport`, which owns its statement.
+``Transport.rpc`` plus ``handle_request`` do that around a
+``FindNodeRequest`` / ``FindNodeResponse`` pair.  The deferred lookup does
+the same steps itself, in the same order on the same counters and random
+stream, and asks the responder's table directly
+(:meth:`RoutingTable.find_node_reply`, at the clock value the lookup
+already read — one event, one clock) when, and only when, nobody could
+tell the difference:
+
+* per lookup — the transport's class has the stock ``Transport.rpc``.  A
+  subclass that overrides ``rpc`` (to record, delay, reorder …) or an
+  object that merely quacks like a transport is handed every round-trip
+  whole;
+* per responder — its class has the stock ``handle_request`` and
+  ``note_contact`` (``KademliaProtocol.stock_responder``).  Any other
+  protocol registered under the transport's name still has its
+  ``handle_request`` called with the request object and its reply
+  unwrapped, between the same two draws.
+
+Neither is a setting.  The envelope form is the oracle of the direct one:
+the suites named above drive both over the same seeded runs and compare
+every table, counter and the random stream's state after every operation.
+The per-mention lookup, STORE, PING and FIND_VALUE always go through
+``rpc``.
 """
 
 from __future__ import annotations
@@ -37,6 +65,7 @@ from typing import List, Set, TYPE_CHECKING
 
 from repro.kademlia.messages import FindNodeRequest, FindNodeResponse
 from repro.overlay.base import LookupResult
+from repro.simulator.transport import Transport
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.kademlia.protocol import KademliaProtocol
@@ -152,12 +181,25 @@ def _find_node_deferred(protocol: "KademliaProtocol", target_id: int) -> LookupR
       whatever is still in ``failed_kept``.
 
     The requester half of :meth:`KademliaProtocol.rpc` is done here on the
-    transport's result, sparing a frame per round-trip.
+    round-trip's outcome, and on a stock transport so is the round-trip
+    itself (module docstring, "One hop, two ways").
     """
     transport = protocol.transport
     if transport is None:
         protocol._require_bound()
-    transport_rpc = transport.rpc
+    # Decided once per lookup: drive the stock transport leg by leg from
+    # here, or hand every round-trip to whatever ``rpc`` this one has.
+    own_wire = getattr(type(transport), "rpc", None) is Transport.rpc
+    if not own_wire:
+        transport_rpc = transport.rpc
+    else:
+        stats = transport.stats
+        request_counts = transport.obs_request_counts
+        nodes = transport.network.nodes_by_id
+        protocol_name = transport.protocol_name
+        loss = transport.loss_probability
+        lossy = loss > 0.0
+        draw = transport.rng.random
     config = protocol.config
     k = config.bucket_size
     alpha = config.alpha
@@ -188,6 +230,7 @@ def _find_node_deferred(protocol: "KademliaProtocol", target_id: int) -> LookupR
     retry: Set[int] = set()
     failed_kept: Set[int] = set()
     add_attempts = 0
+    envelope_hops = 0
 
     while len(responded) < k and frontier:
         batch = [heappop(frontier)[1] for _ in range(min(alpha, len(frontier)))]
@@ -195,7 +238,52 @@ def _find_node_deferred(protocol: "KademliaProtocol", target_id: int) -> LookupR
 
         for node_id in batch:
             queried_count += 1
-            ok, response = transport_rpc(own_id, node_id, request)
+            # One round-trip: ``contacts`` is the reply's contact list, or
+            # None when the round-trip failed or was not answered with one.
+            contacts = None
+            if own_wire:
+                stats.requests_sent += 1
+                if request_counts is not None:
+                    request_counts["FindNodeRequest"] = (
+                        request_counts.get("FindNodeRequest", 0) + 1
+                    )
+                ok = False
+                node = nodes.get(node_id)
+                if node is None or not node.alive:
+                    stats.requests_to_dead_nodes += 1
+                elif lossy and draw() < loss:
+                    stats.requests_lost += 1
+                else:
+                    responder = node.protocols.get(protocol_name)
+                    if responder is None:
+                        stats.requests_to_dead_nodes += 1
+                    else:
+                        try:
+                            direct = responder.stock_responder
+                        except AttributeError:  # not a Kademlia protocol
+                            direct = False
+                        if direct:
+                            # The direct hop: no envelope either way.
+                            contacts = responder.routing_table.find_node_reply(
+                                own_id, target_id, now
+                            )
+                            answered = True
+                        else:
+                            envelope_hops += 1
+                            response = responder.handle_request(own_id, request)
+                            answered = response is not None
+                            if isinstance(response, FindNodeResponse):
+                                contacts = response.contacts
+                        if answered and not (lossy and draw() < loss):
+                            ok = True
+                            stats.round_trips_ok += 1
+                        else:
+                            stats.responses_lost += 1
+            else:
+                envelope_hops += 1
+                ok, response = transport_rpc(own_id, node_id, request)
+                if ok and isinstance(response, FindNodeResponse):
+                    contacts = response.contacts
             if not ok:
                 failure_count += 1
                 contact = index.get(node_id)
@@ -228,13 +316,12 @@ def _find_node_deferred(protocol: "KademliaProtocol", target_id: int) -> LookupR
                 add_attempts += 1
                 if not add_contact(node_id, now):
                     rejected.add(node_id)
-            if not isinstance(response, FindNodeResponse):
+            if contacts is None:
                 failure_count += 1
                 continue
             responded.add(node_id)
 
-            contacts = response.contacts
-            mentions.extend(contacts)
+            mentions += contacts
             if not candidates.issuperset(contacts) or (
                 retry and not retry.isdisjoint(contacts)
             ):
@@ -268,6 +355,8 @@ def _find_node_deferred(protocol: "KademliaProtocol", target_id: int) -> LookupR
         registry.inc("kademlia.lookup.mentions", len(mentions))
         registry.inc("kademlia.lookup.touches", touches)
         registry.inc("kademlia.lookup.add_attempts", add_attempts)
+        registry.inc("kademlia.lookup.direct_hops", queried_count - envelope_hops)
+        registry.inc("kademlia.lookup.envelope_hops", envelope_hops)
 
     return LookupResult(
         target_id=target_id,

@@ -38,6 +38,29 @@ class KademliaProtocol(OverlayProtocol):
 
     protocol_name = "kademlia"
 
+    #: Which of the hooks below a class left as defined here, resolved once
+    #: per class (:meth:`__init_subclass__`) because a lookup asks on every
+    #: hop.  ``stock_requester``: ``note_contact``, ``rpc`` and
+    #: ``learn_contacts`` are stock, so a lookup from this node may keep the
+    #: table itself (:meth:`refreshes_deferrable`).  ``stock_responder``:
+    #: ``handle_request`` and ``note_contact`` are stock, so what this node
+    #: does with a FIND_NODE is exactly
+    #: :meth:`RoutingTable.find_node_reply` and a lookup may call that
+    #: without the request/response envelope.
+    stock_requester = True
+    stock_responder = True
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+
+        def stock(*names: str) -> bool:
+            return all(
+                getattr(cls, name) is getattr(KademliaProtocol, name) for name in names
+            )
+
+        cls.stock_requester = stock("note_contact", "rpc", "learn_contacts")
+        cls.stock_responder = stock("handle_request", "note_contact")
+
     def __init__(self, node_id: int, config: KademliaConfig) -> None:
         # OverlayProtocol.__init__ sets up the wiring attributes
         # (transport, clock, bootstrap_id, ever_connected).
@@ -104,13 +127,7 @@ class KademliaProtocol(OverlayProtocol):
         are the ones defined here: a subclass overriding any of them keeps
         being called per round-trip and per mention.
         """
-        cls = type(self)
-        return (
-            self.config.learn_from_responses
-            and cls.note_contact is KademliaProtocol.note_contact
-            and cls.rpc is KademliaProtocol.rpc
-            and cls.learn_contacts is KademliaProtocol.learn_contacts
-        )
+        return self.stock_requester and self.config.learn_from_responses
 
     def rpc(self, target_id: int, request: Any) -> Tuple[bool, Any]:
         """Send one request/response round-trip and do the table bookkeeping.
@@ -177,16 +194,24 @@ class KademliaProtocol(OverlayProtocol):
 
         FIND_NODE is checked first: lookups make it by far the most common
         request, and the dispatch order is observable only through speed
-        (the request types are mutually exclusive).
+        (the request types are mutually exclusive).  Its answer is
+        :meth:`RoutingTable.find_node_reply` in an envelope — the same call
+        a lookup makes directly when it skips the envelope — unless a
+        subclass hooks :meth:`note_contact`, which then hears of the sender
+        as it does for every other request.
         """
-        self.note_contact(sender_id, self._clock())
-
+        now = self._clock()
         if isinstance(request, FindNodeRequest):
-            # count defaults to the table's cached bucket size k.
-            closest = self.routing_table.closest_contacts(request.target_id)
+            table = self.routing_table
+            if self.stock_responder:
+                closest = table.find_node_reply(sender_id, request.target_id, now)
+            else:
+                self.note_contact(sender_id, now)
+                closest = table.closest_contacts(request.target_id)
             return FindNodeResponse(
                 responder_id=self.node_id, contacts=tuple(closest)
             )
+        self.note_contact(sender_id, now)
         if isinstance(request, PingRequest):
             return PongResponse(responder_id=self.node_id)
         if isinstance(request, StoreRequest):
@@ -260,8 +285,9 @@ class KademliaProtocol(OverlayProtocol):
         self.disseminations_performed += 1
         locate = self.lookup(key_id)
         stored = 0
+        request = StoreRequest(key_id=key_id, value=value)
         for node_id in locate.contacted:
-            ok, response = self.rpc(node_id, StoreRequest(key_id=key_id, value=value))
+            ok, response = self.rpc(node_id, request)
             if ok and isinstance(response, StoreResponse) and response.stored:
                 stored += 1
         return locate, stored
@@ -272,8 +298,9 @@ class KademliaProtocol(OverlayProtocol):
         if self.storage.has(key_id):
             return self.storage.get(key_id)
         locate = self.lookup(key_id)
+        request = FindValueRequest(key_id=key_id)
         for node_id in locate.contacted:
-            ok, response = self.rpc(node_id, FindValueRequest(key_id=key_id))
+            ok, response = self.rpc(node_id, request)
             if ok and isinstance(response, FindValueResponse) and response.found:
                 return response.value
         return None

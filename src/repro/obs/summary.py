@@ -158,6 +158,10 @@ def format_summary(snapshot: Dict[str, Any]) -> str:
                 f"{_counter(snapshot, f'{protocol}.lookup.touches')} moves, "
                 f"{_counter(snapshot, f'{protocol}.lookup.add_attempts')} add attempts"
             )
+        direct_hops = _counter(snapshot, f"{protocol}.lookup.direct_hops")
+        envelope_hops = _counter(snapshot, f"{protocol}.lookup.envelope_hops")
+        if direct_hops or envelope_hops:
+            line += f" | hops: {direct_hops} direct, {envelope_hops} in envelopes"
         lines.append(line)
 
     # Pair-flow engine ---------------------------------------------------

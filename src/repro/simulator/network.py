@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Mapping, Optional
 
 from repro.simulator.errors import NodeNotFoundError
 from repro.simulator.node import SimNode
@@ -66,6 +66,17 @@ class Network:
         if node is not None and node.alive:
             return node
         return None
+
+    @property
+    def nodes_by_id(self) -> Mapping[int, SimNode]:
+        """The registry itself, ``id -> node``, dead nodes included; read-only.
+
+        For a caller that resolves one target per simulated round-trip and
+        cannot afford a call per probe: fetch the mapping once, then
+        ``nodes.get(target_id)`` and test ``node.alive`` — what
+        :meth:`get_alive` does.
+        """
+        return self._nodes
 
     def __len__(self) -> int:
         return len(self._nodes)

@@ -2,17 +2,40 @@
 
 The paper's message-loss model (Table 1) specifies the probability that a
 *one-way* message is lost; a request/response round-trip fails when either
-direction is lost.  The transport applies exactly that model:
+direction is lost.
 
-* the request leg is drawn first — if it is lost the target never sees the
-  request and the requester observes a failed round-trip;
-* otherwise the target's protocol handles the request (all of its side
-  effects happen, e.g. it learns about the requester), and the response leg
-  is drawn — if the response is lost the requester still observes a failure
-  even though the target processed the request.
+**The round-trip contract.**  One round-trip from a sender to a target id
+is these steps, in this order; :meth:`Transport.rpc` implements them, and
+so does anything that stands in for it (below):
 
-Requests to dead or unknown nodes always fail, which is how churn manifests
-to the protocol layer.
+1. count the request (``requests_sent``; under observability also the
+   per-request-type count);
+2. resolve the target — dead or unknown: count ``requests_to_dead_nodes``
+   and fail, *without* a draw (this is how churn reaches the protocols);
+3. draw the request leg from ``rng`` (only if ``loss_probability > 0``) —
+   lost: count ``requests_lost`` and fail; the target never sees the
+   request;
+4. find the target's protocol under ``protocol_name`` — none: count
+   ``requests_to_dead_nodes`` and fail;
+5. the target handles the request, with all its side effects (it learns
+   about the sender).  No answer: count ``responses_lost`` and fail,
+   without a draw;
+6. draw the response leg — lost: count ``responses_lost`` and fail, even
+   though the target processed the request;
+7. count ``round_trips_ok`` and deliver the answer.
+
+Every step is observable: the counters are persisted in result documents,
+and the position of the random stream after a round-trip decides every
+later draw of the run, so the order above is part of the golden digests.
+
+**Who may bypass** ``rpc``.  Exactly one caller: the Kademlia lookup's
+direct FIND_NODE hop (:mod:`repro.kademlia.lookup`), which performs steps
+1–7 itself on this object's ``stats``, ``rng``, ``network`` and
+``obs_request_counts`` — and only when ``type(transport).rpc`` is
+:meth:`Transport.rpc`, so a subclass that overrides ``rpc`` still sees
+every round-trip.  ``tests/kademlia/test_lookup_deferred.py`` holds the two
+to the same counters and the same ``rng`` state after every operation.
+Everything else — STORE, PING, FIND_VALUE, Chord, Pastry — calls ``rpc``.
 """
 
 from __future__ import annotations
@@ -109,9 +132,10 @@ class Transport:
         target is dead/unknown, the request leg was lost, the target chose
         not to answer, or the response leg was lost.
 
-        The loss draws replicate :meth:`one_way_lost` inline (drawing from
-        the same stream in the same order), and target resolution is a
-        single dict probe — this method runs once per simulated round-trip.
+        Steps 1–7 of the module docstring's round-trip contract.  The loss
+        draws replicate :meth:`one_way_lost` inline (drawing from the same
+        stream in the same order), and target resolution is a single dict
+        probe — this method runs once per simulated round-trip.
         """
         stats = self.stats
         stats.requests_sent += 1

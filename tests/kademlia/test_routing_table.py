@@ -180,6 +180,55 @@ class TestRefreshContacts:
         assert table.membership_version == version
 
 
+class TestFindNodeReply:
+    """``find_node_reply`` is ``add_contact`` + ``closest_contacts``, state included."""
+
+    @staticmethod
+    def state(table):
+        return (
+            [
+                (bucket.index, [
+                    (c.node_id, c.consecutive_failures, c.last_seen, c.added_at)
+                    for c in bucket.contacts()
+                ])
+                for bucket in table.buckets()
+            ],
+            table.membership_version,
+            table._contacts_cache,  # raw: when it was rebuilt shows in its order
+        )
+
+    # 6-bit ids, k = 2: senders are known, new, rejected by a full bucket, or
+    # the owner itself; moves and failures in between leave the cache stale,
+    # removals leave it missing.
+    STEPS = st.lists(
+        st.tuples(
+            st.sampled_from(["reply", "reply", "add_contact", "record_failure", "remove_contact"]),
+            st.integers(min_value=0, max_value=63),
+            st.integers(min_value=0, max_value=63),
+        ),
+        max_size=60,
+    )
+
+    @settings(max_examples=150, deadline=None)
+    @given(STEPS)
+    def test_matches_the_two_calls_it_stands_for(self, steps):
+        table = make_table(owner=5, k=2, b=6, s=2)
+        oracle = make_table(owner=5, k=2, b=6, s=2)
+        for clock, (operation, node_id, target) in enumerate(steps):
+            time = float(clock)
+            if operation == "reply":
+                oracle.add_contact(node_id, time)
+                expected = oracle.closest_contacts(target)
+                assert table.find_node_reply(node_id, target, time) == expected
+            elif node_id != 5:
+                for twin in (table, oracle):
+                    if operation == "add_contact":
+                        twin.add_contact(node_id, time)
+                    else:
+                        getattr(twin, operation)(node_id)
+            assert self.state(table) == self.state(oracle)
+
+
 class TestRefreshTargets:
     def test_refresh_targets_fall_into_their_buckets(self):
         table = make_table(owner=0b1010, k=4, b=12)
