@@ -13,7 +13,7 @@ from collections import deque
 from typing import Dict, Hashable, List, Optional
 
 from repro.graph.digraph import DiGraph
-from repro.graph.maxflow.residual import ResidualNetwork
+from repro.graph.maxflow.residual import ResidualNetwork, is_twin
 from repro.graph.maxflow.dinic import dinic_on_network
 from repro.graph.transform.even_transform import even_transform
 
@@ -69,7 +69,7 @@ def vertex_disjoint_paths(
     for vertex_index in range(network.n):
         vertex = network.vertex_of(vertex_index)
         for arc in network.adjacency[vertex_index]:
-            if arc % 2 != 0:  # reverse arcs are at odd indices
+            if is_twin(arc):
                 continue
             if network.flow_on_arc(arc) > 0.5:
                 flow_successors.setdefault(vertex, []).append(

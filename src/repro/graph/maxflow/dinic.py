@@ -52,6 +52,48 @@ phase iff its stamp equals the network's generation, its current-arc
 pointer is zeroed when it is labelled, pruning a dead end clears its
 stamp, and the arcs of every augmenting path go to the network's undo log
 so :meth:`ResidualNetwork.reset` restores only those.
+
+**What a vertex is read through.**  Arcs come in pairs — the arc created
+with capacity and its twin, created with 0
+(:func:`~repro.graph.maxflow.residual.is_twin`) — and every adjacency list
+holds the capacity-bearing arcs first, the twins after, ``boundary[v]``
+between them.  The invariant:
+*at a vertex no augmenting path has passed since the last* ``reset()``,
+*every incident arc is at its initial capacity, so every twin is 0.*
+There the forward search and the DFS, which follow ``caps[arc]``, can use
+only the first half of the list, and the backward search, which follows
+``caps[arc ^ 1]``, only the twin half (a twin's partner is the arc
+*entering* the vertex); in the Even network that is 1 of ~17 arcs at an
+incoming copy going forward and 1 of ~17 at an outgoing copy going
+backward, and a flow of value ~14 touches ~100 of 5000 vertices.
+
+* *Who marks.*  Where a path is appended to the undo log, the kernel sets
+  ``_changed[v] = _epoch`` for the source and the head of every path arc —
+  both ends of every arc whose pair it is about to change.
+* *Who unmarks.*  ``reset()`` advances ``_epoch``, in either branch, which
+  invalidates every mark in O(1); a new network starts with none.
+* *Marked, or nobody knows.*  A marked vertex is read through its whole
+  list, with the capacity test, exactly as before.  So is every vertex
+  while the undo log is off (``_touched is None``: Edmonds-Karp or
+  push-relabel ran since the last ``reset()`` and marked nothing) — the
+  kernel then compares marks against epoch 0, which all of them reach.
+  ``full_scans`` counts the whole-list reads of the level-graph search.
+* *Why one list, not two.*  The DFS's current-arc pointer ``iters[u]``
+  must keep meaning the same arc when a path marks ``u`` in the middle of
+  a phase.  With one list an unmarked vertex's scan simply ends at the
+  boundary and, once marked, resumes past it; no pointer is ever
+  translated.  (Within that phase it finds nothing there: a twin gains
+  capacity only from a path arc, which points one level up, so the twin
+  points one level down.  The next phase may need it.)
+* A capacity-bearing arc created with capacity 0 sits in the first half
+  and fails the capacity test like any saturated arc.
+
+The halves keep their arcs in creation order, so an unmarked vertex offers
+the same candidates in the same order as a whole-list read would; only a
+marked vertex can offer them in another order than a list that interleaved
+twins would (twins now come last).  Flow values cannot move; on the pairs
+``tests/runtime/test_kernel_counters.py`` pins, neither do ``phases``,
+``augmentations`` or ``vertices_labelled``.
 """
 
 from __future__ import annotations
@@ -64,37 +106,55 @@ from repro.graph.maxflow.base import (
     register_network_solver,
     register_solver,
 )
-from repro.graph.maxflow.residual import ResidualNetwork
+from repro.graph.maxflow.residual import RESIDUAL_EPS, ResidualNetwork
 
 Vertex = Hashable
 
 
 def _expand_layer(
-    network: ResidualNetwork, frontier: List[int], backward: bool, label: int
+    network: ResidualNetwork,
+    frontier: List[int],
+    backward: bool,
+    label: int,
+    epoch: int,
 ) -> Tuple[List[int], bool]:
     """Stamp the unlabelled residual neighbours of ``frontier`` with ``label``.
 
     The forward search follows arcs leaving the frontier (``caps[arc]``),
-    the backward search arcs entering it (``caps[arc ^ 1]``).  Forward
-    labels are distances from the source (``>= 0``), backward labels are
-    ``-(distance to the sink) - 1`` (``< 0``), which is how a vertex of the
-    other search is recognised.  Returns ``(layer, met)``: the vertices
-    newly labelled, and whether an arc into the other search was seen — in
-    which case expansion stopped there and ``layer`` is incomplete.
+    the backward search arcs entering it (``caps[arc ^ 1]``); at a vertex
+    whose mark is below ``epoch`` each reads only the half of the list
+    that can qualify (module docstring).  Forward labels are distances
+    from the source (``>= 0``), backward labels are ``-(distance to the
+    sink) - 1`` (``< 0``), which is how a vertex of the other search is
+    recognised.  Returns ``(layer, met)``: the vertices newly labelled,
+    and whether an arc into the other search was seen — in which case
+    expansion stopped there and ``layer`` is incomplete.
     """
     heads = network.heads
     caps = network.caps
     adjacency = network.adjacency
+    boundary = network.boundary
+    changed = network._changed
     levels = network._levels
     iters = network._iters
     stamp = network._stamp
     gen = network._gen
+    eps = RESIDUAL_EPS
     flip = int(backward)
     layer: List[int] = []
     append = layer.append
+    met = False
+    full_scans = 0
     for u in frontier:
-        for arc in adjacency[u]:
-            if caps[arc ^ flip] > 1e-12:
+        arcs = adjacency[u]
+        if changed[u] >= epoch:
+            full_scans += 1
+        elif backward:
+            arcs = arcs[boundary[u]:]
+        else:
+            arcs = arcs[:boundary[u]]
+        for arc in arcs:
+            if caps[arc ^ flip] > eps:
                 v = heads[arc]
                 if stamp[v] != gen:
                     stamp[v] = gen
@@ -102,8 +162,12 @@ def _expand_layer(
                     iters[v] = 0
                     append(v)
                 elif (levels[v] < 0) != backward:  # labelled by the other search
-                    return layer, True
-    return layer, False
+                    met = True
+                    break
+        if met:
+            break
+    network.full_scans += full_scans
+    return layer, met
 
 
 @register_network_solver("dinic")
@@ -136,10 +200,17 @@ def dinic_on_network(
     heads = network.heads
     caps = network.caps
     adjacency = network.adjacency
+    boundary = network.boundary
+    changed = network._changed
     levels, iters = network.scratch_buffers()
     stamp = network._stamp
     gen = network._gen
     touched = network._touched
+    # A vertex is read in full iff ``changed[v] >= epoch``: with the log
+    # kept that means "marked since the last reset"; without it nothing
+    # vouches for any vertex, and every mark reaches 0.
+    epoch = network._epoch if touched is not None else 0
+    eps = RESIDUAL_EPS
     total = 0.0
     phases = augmentations = labelled = 0
     cut = False
@@ -159,12 +230,16 @@ def dinic_on_network(
         met = False
         while forward and backward and not met:
             if len(forward) <= len(backward):
-                layer, met = _expand_layer(network, forward, False, forward_depth + 1)
+                layer, met = _expand_layer(
+                    network, forward, False, forward_depth + 1, epoch
+                )
                 if not met:
                     forward = layer
                     forward_depth += 1
             else:
-                layer, met = _expand_layer(network, backward, True, -2 - backward_depth)
+                layer, met = _expand_layer(
+                    network, backward, True, -2 - backward_depth, epoch
+                )
                 if not met:
                     backward = layer
                     backward_depth += 1
@@ -189,11 +264,14 @@ def dinic_on_network(
                 pushed = min(caps[arc] for arc in path)
                 if touched is not None:
                     touched += path
+                    changed[source] = epoch
+                    for arc in path:
+                        changed[heads[arc]] = epoch
                 retreat = 0
                 for position, arc in enumerate(path):
                     caps[arc] -= pushed
                     caps[arc ^ 1] += pushed
-                    if retreat == 0 and caps[arc] <= 1e-12:
+                    if retreat == 0 and caps[arc] <= eps:
                         retreat = position + 1
                 total += pushed
                 augmentations += 1
@@ -205,7 +283,9 @@ def dinic_on_network(
                 u = source if not path else heads[path[-1]]
                 continue
             arcs = adjacency[u]
-            degree = len(arcs)
+            # An unmarked vertex has nothing admissible among its twins;
+            # once a path marks it, the scan resumes past the boundary.
+            degree = len(arcs) if changed[u] >= epoch else boundary[u]
             position = iters[u]
             next_level = levels[u] + 1
             advanced = False
@@ -215,7 +295,7 @@ def dinic_on_network(
                 if (
                     stamp[v] == gen
                     and levels[v] == next_level
-                    and caps[arc] > 1e-12
+                    and caps[arc] > eps
                 ):
                     advanced = True
                     break

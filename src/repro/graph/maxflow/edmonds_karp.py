@@ -17,7 +17,7 @@ from repro.graph.maxflow.base import (
     register_network_solver,
     register_solver,
 )
-from repro.graph.maxflow.residual import ResidualNetwork
+from repro.graph.maxflow.residual import RESIDUAL_EPS, ResidualNetwork
 
 Vertex = Hashable
 _INF = float("inf")
@@ -42,12 +42,13 @@ def _find_augmenting_path(
     heads = network.heads
     caps = network.caps
     adjacency = network.adjacency
+    eps = RESIDUAL_EPS
     while queue:
         u = popleft()
         slack = bottleneck[u]
         for arc in adjacency[u]:
             v = heads[arc]
-            if parent_arc[v] == -1 and caps[arc] > 1e-12:
+            if parent_arc[v] == -1 and caps[arc] > eps:
                 parent_arc[v] = arc
                 capacity = caps[arc]
                 bottleneck[v] = slack if slack < capacity else capacity
@@ -82,7 +83,7 @@ def edmonds_karp_on_network(
     bottleneck = [0.0] * network.n
     while True:
         pushed = _find_augmenting_path(network, source, sink, parent_arc, bottleneck)
-        if pushed <= 1e-12:
+        if pushed <= RESIDUAL_EPS:
             break
         iterations += 1
         # Walk back from the sink applying the bottleneck.

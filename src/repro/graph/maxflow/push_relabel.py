@@ -27,7 +27,7 @@ from repro.graph.maxflow.base import (
     register_network_solver,
     register_solver,
 )
-from repro.graph.maxflow.residual import ResidualNetwork
+from repro.graph.maxflow.residual import RESIDUAL_EPS, ResidualNetwork
 
 Vertex = Hashable
 
@@ -44,6 +44,7 @@ def _global_relabel(
     heads = network.heads
     caps = network.caps
     adjacency = network.adjacency
+    eps = RESIDUAL_EPS
     for v in range(n):
         labels[v] = 2 * n
     labels[sink] = 0
@@ -55,7 +56,7 @@ def _global_relabel(
             # Arc ``arc`` goes v -> u; flow could be pushed u -> v iff the
             # reverse arc (arc ^ 1) has residual capacity.
             u = heads[arc]
-            if caps[arc ^ 1] > 1e-12 and labels[u] > next_label:
+            if caps[arc ^ 1] > eps and labels[u] > next_label:
                 labels[u] = next_label
                 queue.append(u)
     labels[source] = n
@@ -92,6 +93,7 @@ def push_relabel_on_network(
     heads = network.heads
     caps = network.caps
     adjacency = network.adjacency
+    eps = RESIDUAL_EPS
 
     excess: List[float] = [0.0] * n
     labels: List[int] = [0] * n
@@ -106,7 +108,7 @@ def push_relabel_on_network(
 
     def activate(v: int) -> None:
         nonlocal highest
-        if v == source or v == sink or in_bucket[v] or excess[v] <= 1e-12:
+        if v == source or v == sink or in_bucket[v] or excess[v] <= eps:
             return
         label = labels[v]
         if label >= len(buckets):
@@ -119,7 +121,7 @@ def push_relabel_on_network(
     # Saturate all source arcs.
     for arc in adjacency[source]:
         capacity = caps[arc]
-        if capacity <= 1e-12:
+        if capacity <= eps:
             continue
         v = heads[arc]
         caps[arc] -= capacity
@@ -145,18 +147,18 @@ def push_relabel_on_network(
             continue
         v = buckets[highest].pop()
         in_bucket[v] = False
-        if excess[v] <= 1e-12 or v == source or v == sink:
+        if excess[v] <= eps or v == source or v == sink:
             continue
 
         arcs = adjacency[v]
         degree = len(arcs)
-        while excess[v] > 1e-12:
+        while excess[v] > eps:
             if current_arc[v] >= degree:
                 # Relabel v: find the minimum admissible label.
                 old_label = labels[v]
                 min_label = 2 * n
                 for arc in arcs:
-                    if caps[arc] > 1e-12:
+                    if caps[arc] > eps:
                         candidate = labels[heads[arc]] + 1
                         if candidate < min_label:
                             min_label = candidate
@@ -189,7 +191,7 @@ def push_relabel_on_network(
                 continue
 
             arc = arcs[current_arc[v]]
-            if caps[arc] > 1e-12 and labels[v] == labels[heads[arc]] + 1:
+            if caps[arc] > eps and labels[v] == labels[heads[arc]] + 1:
                 # Push.
                 u = heads[arc]
                 delta = min(excess[v], caps[arc])

@@ -25,9 +25,31 @@ from repro.graph.errors import VertexNotFoundError
 
 Vertex = Hashable
 
+#: The residual threshold: an arc can carry flow iff its capacity exceeds
+#: this.  Every solver tests against this one value (hot loops bind it to
+#: a local first).
+RESIDUAL_EPS = 1e-12
+
 #: Names of the per-network kernel counters, in the order
 #: :meth:`ResidualNetwork.kernel_counters` reports them.
-KERNEL_COUNTERS = ("phases", "augmentations", "vertices_labelled", "cutoff_hits")
+KERNEL_COUNTERS = (
+    "phases",
+    "augmentations",
+    "vertices_labelled",
+    "cutoff_hits",
+    "full_scans",
+)
+
+
+def is_twin(arc: int) -> bool:
+    """Whether ``arc`` is the empty twin of an arc created with capacity.
+
+    The arc-pair convention, stated once: arcs are created in pairs, the
+    even index ``a`` is the arc that was given its capacity, the odd index
+    ``a ^ 1`` is its reverse twin, created with capacity 0.  A twin holds
+    capacity only while its partner carries flow.
+    """
+    return arc & 1 == 1
 
 
 @dataclass(frozen=True)
@@ -35,9 +57,11 @@ class CompactNetwork:
     """Flat, picklable snapshot of a :class:`ResidualNetwork`.
 
     Adjacency is stored in CSR form (``offsets`` has ``n + 1`` entries;
-    the arcs leaving vertex ``v`` are ``arcs[offsets[v]:offsets[v + 1]]``)
-    and every field is a typed :mod:`array`, so pickling the snapshot costs
-    one contiguous buffer copy per field instead of a per-element walk.
+    the arcs leaving vertex ``v`` are ``arcs[offsets[v]:offsets[v + 1]]``,
+    the first ``boundary[v]`` of them created with capacity, the rest
+    twins) and every field is a typed :mod:`array`, so pickling the
+    snapshot costs one contiguous buffer copy per field instead of a
+    per-element walk.
     Vertex identity is the dense index itself — callers that need the
     original vertex objects keep their own index mapping (see
     :class:`repro.graph.transform.even_transform.IndexedEvenTransform`).
@@ -48,6 +72,7 @@ class CompactNetwork:
     caps: array
     offsets: array
     arcs: array
+    boundary: array
 
     def thaw(self) -> "ResidualNetwork":
         """Rebuild a mutable :class:`ResidualNetwork` from this snapshot."""
@@ -70,11 +95,17 @@ class ResidualNetwork:
     caps:
         ``caps[a]`` is the residual capacity of arc ``a``.
     adjacency:
-        ``adjacency[v]`` is the list of arc indices leaving ``v``.
-    phases, augmentations, vertices_labelled, cutoff_hits:
+        ``adjacency[v]`` is the list of arc indices leaving ``v``: the
+        arcs created with capacity first (in creation order), their
+        twins — see :func:`is_twin` — after.
+    boundary:
+        ``boundary[v]`` is where the twins start in ``adjacency[v]``.
+    phases, augmentations, vertices_labelled, cutoff_hits, full_scans:
         Running totals of what the Dinic kernel did on this network
         (level graphs built, augmenting paths pushed, vertices given a
-        level, flows ended by their cutoff); see :data:`KERNEL_COUNTERS`.
+        level, flows ended by their cutoff, frontier vertices expanded
+        through their whole arc list instead of one half of it); see
+        :data:`KERNEL_COUNTERS`.
     """
 
     __slots__ = (
@@ -82,6 +113,7 @@ class ResidualNetwork:
         "heads",
         "caps",
         "adjacency",
+        "boundary",
         "_index_of",
         "_vertex_of",
         "_initial_caps",
@@ -90,11 +122,9 @@ class ResidualNetwork:
         "_stamp",
         "_gen",
         "_touched",
-        "phases",
-        "augmentations",
-        "vertices_labelled",
-        "cutoff_hits",
-    )
+        "_changed",
+        "_epoch",
+    ) + KERNEL_COUNTERS
 
     def __init__(self, graph: Optional[DiGraph]) -> None:
         self._levels: Optional[List[int]] = None
@@ -105,11 +135,16 @@ class ResidualNetwork:
         self._gen = 0
         # Undo log: arcs whose pair differs from ``_initial_caps``, or
         # ``None`` when that set is unknown and ``reset`` must copy it all.
-        self._touched: Optional[List[int]] = None
-        self.phases = 0
-        self.augmentations = 0
-        self.vertices_labelled = 0
-        self.cutoff_hits = 0
+        # A new network is at its initial capacities: the log starts empty.
+        self._touched: Optional[List[int]] = []
+        # While the log is kept, ``_changed[v] == _epoch`` for both ends of
+        # every logged arc: at any other vertex every incident arc is at
+        # its initial capacity, twins at 0 (no mark ever equals a later
+        # epoch, and ``reset`` advances it).
+        self._changed: List[int] = []
+        self._epoch = 1
+        for name in KERNEL_COUNTERS:
+            setattr(self, name, 0)
         if graph is None:  # shell for the alternate constructors
             self.n = 0
             self._index_of: Dict[Vertex, int] = {}
@@ -117,18 +152,20 @@ class ResidualNetwork:
             self.heads: List[int] = []
             self.caps: List[float] = []
             self.adjacency: List[List[int]] = []
+            self.boundary: List[int] = []
             self._initial_caps: List[float] = []
             return
         vertices = graph.vertices()
-        self.n = len(vertices)
-        self._index_of = {v: i for i, v in enumerate(vertices)}
+        index_of = {v: i for i, v in enumerate(vertices)}
+        self._index_of = index_of
         self._vertex_of = vertices
-        self.heads = []
-        self.caps = []
-        self.adjacency = [[] for _ in range(self.n)]
-        for source, target, capacity in graph.edges():
-            self._add_arc(self._index_of[source], self._index_of[target], capacity)
-        self._initial_caps = list(self.caps)
+        self._build(
+            len(vertices),
+            [
+                (index_of[source], index_of[target], capacity)
+                for source, target, capacity in graph.edges()
+            ],
+        )
 
     # ------------------------------------------------------------------
     @classmethod
@@ -144,16 +181,13 @@ class ResidualNetwork:
         pair-flow path emits the Even-transformed graph straight as integer
         arcs, so there is no dict-of-dict intermediate to build or walk.
         When ``vertex_of`` is omitted, vertices are their own indices.
+        Triple ``i`` becomes the arc pair ``(2 i, 2 i + 1)``.
         """
         network = cls(None)
-        network.n = n
         labels = list(vertex_of) if vertex_of is not None else list(range(n))
         network._vertex_of = labels
         network._index_of = {v: i for i, v in enumerate(labels)}
-        network.adjacency = [[] for _ in range(n)]
-        for tail, head, capacity in forward_arcs:
-            network._add_arc(tail, head, capacity)
-        network._initial_caps = list(network.caps)
+        network._build(n, forward_arcs)
         return network
 
     @classmethod
@@ -163,7 +197,9 @@ class ResidualNetwork:
         The heads/caps buffers are converted back to plain lists because
         list indexing is measurably faster than ``array`` indexing in the
         solvers' inner loops; the conversion is a one-time O(m) cost per
-        worker process.
+        worker process.  Arc numbering, list order and ``boundary`` are
+        the frozen network's own, so the pair invariant (:func:`is_twin`)
+        and the half-list layout hold here because they held there.
         """
         network = cls(None)
         n = compact.n
@@ -177,7 +213,9 @@ class ResidualNetwork:
         network.adjacency = [
             list(arcs[offsets[v]:offsets[v + 1]]) for v in range(n)
         ]
+        network.boundary = list(compact.boundary)
         network._initial_caps = list(compact.caps)
+        network._changed = [0] * n
         return network
 
     def compact(self) -> CompactNetwork:
@@ -195,17 +233,42 @@ class ResidualNetwork:
             caps=array("d", self._initial_caps),
             offsets=offsets,
             arcs=flat_arcs,
+            boundary=array("q", self.boundary),
         )
 
     # ------------------------------------------------------------------
-    def _add_arc(self, u: int, v: int, capacity: float) -> None:
-        """Add forward arc u->v with ``capacity`` and reverse arc v->u with 0."""
-        self.adjacency[u].append(len(self.heads))
-        self.heads.append(v)
-        self.caps.append(capacity)
-        self.adjacency[v].append(len(self.heads))
-        self.heads.append(u)
-        self.caps.append(0.0)
+    def _build(self, n: int, forward_arcs: Sequence[Tuple[int, int, float]]) -> None:
+        """Create the arc pairs of ``(tail, head, capacity)`` triples.
+
+        Triple ``i`` becomes arc ``2 i`` (tail -> head, ``capacity``) and
+        its twin ``2 i + 1`` (head -> tail, 0): the invariant of
+        :func:`is_twin`.  Two passes lay every adjacency list out as
+        "arcs created with capacity, then twins", each half in creation
+        order, with ``boundary`` between them — what lets the Dinic kernel
+        read half a list at a vertex no flow has changed.
+        """
+        self.n = n
+        heads: List[int] = []
+        caps: List[float] = []
+        adjacency: List[List[int]] = [[] for _ in range(n)]
+        arc = 0
+        for tail, head, capacity in forward_arcs:
+            adjacency[tail].append(arc)
+            heads.append(head)
+            heads.append(tail)
+            caps.append(capacity)
+            caps.append(0.0)
+            arc += 2
+        self.boundary = [len(arcs) for arcs in adjacency]
+        arc = 1
+        for _tail, head, _capacity in forward_arcs:
+            adjacency[head].append(arc)
+            arc += 2
+        self.heads = heads
+        self.caps = caps
+        self.adjacency = adjacency
+        self._initial_caps = list(caps)
+        self._changed = [0] * n
 
     # ------------------------------------------------------------------
     def scratch_buffers(self) -> Tuple[List[int], List[int]]:
@@ -247,10 +310,13 @@ class ResidualNetwork:
         be reused for many source/target pairs, which is exactly the access
         pattern of the global-connectivity computation (one transformed graph,
         many max-flow queries).  Dinic logs the arcs of every augmenting
-        path in ``_touched``, so undoing it costs the flow it pushed, not
-        the size of the graph; a solver that does not keep the log sets it
-        to ``None`` and the next reset copies every capacity.
+        path in ``_touched`` (and marks their end vertices in ``_changed``),
+        so undoing it costs the flow it pushed, not the size of the graph;
+        a solver that does not keep the log sets it to ``None`` and the
+        next reset copies every capacity.  Either way the epoch advances,
+        which unmarks every vertex at once.
         """
+        self._epoch += 1  # every capacity is initial again: no vertex is marked
         touched = self._touched
         if touched is None:
             self.caps[:] = self._initial_caps
@@ -264,7 +330,11 @@ class ResidualNetwork:
         touched.clear()
 
     def flow_on_arc(self, arc: int) -> float:
-        """Return the flow currently routed through forward arc ``arc``."""
+        """Return the flow routed through ``arc``, an arc created with capacity.
+
+        (For a twin — :func:`is_twin` — the difference is minus the flow
+        of its partner.)
+        """
         return self._initial_caps[arc] - self.caps[arc]
 
     def arc_count(self) -> int:
@@ -284,7 +354,7 @@ class ResidualNetwork:
         while stack:
             u = stack.pop()
             for arc in self.adjacency[u]:
-                if self.caps[arc] > 1e-12 and not seen[self.heads[arc]]:
+                if self.caps[arc] > RESIDUAL_EPS and not seen[self.heads[arc]]:
                     seen[self.heads[arc]] = True
                     stack.append(self.heads[arc])
         return [i for i, flag in enumerate(seen) if flag]

@@ -180,7 +180,8 @@ def format_summary(snapshot: Dict[str, Any]) -> str:
         line += (
             f" | kernel: {_counter(snapshot, 'maxflow.phases')} phases, "
             f"{_counter(snapshot, 'maxflow.augmentations')} augmentations, "
-            f"{labelled} vertices labelled, "
+            f"{labelled} vertices labelled "
+            f"({_counter(snapshot, 'maxflow.full_scans')} read whole), "
             f"{_counter(snapshot, 'maxflow.cutoff_hits')} cutoff hits"
         )
     lines.append(line)

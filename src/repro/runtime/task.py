@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from typing import Dict
 
 from repro.experiments.profiles import ScaleProfile, get_profile
@@ -87,7 +88,28 @@ class ExperimentTask:
         overlay protocol is identity-bearing, but Kademlia fingerprints
         keep the pre-protocol-dimension encoding (key omitted) so
         committed cache entries stay valid.
+
+        Computed once per object and shared between calls: read it, do
+        not modify it.
         """
+        return self._fingerprint
+
+    def key(self) -> str:
+        """Content-addressed key: SHA-256 over the canonical fingerprint.
+
+        The fingerprint is serialised with sorted keys and no whitespace, so
+        the key is stable across processes, platforms and Python's per-run
+        hash randomisation.  Computed once per object.
+        """
+        return self._key
+
+    # A cache read asks for the key (the entry's path) and the fingerprint
+    # (the entry's match): two deep ``asdict`` copies, a ``json.dumps`` and
+    # a SHA-256 each time.  The task is frozen, so both are memoised in
+    # the instance ``__dict__`` — not dataclass fields, hence not compared,
+    # not in ``repr``, and absent from a ``dataclasses.replace`` copy.
+    @cached_property
+    def _fingerprint(self) -> Dict:
         scenario = asdict(self.scenario)
         if scenario.get("protocol") == "kademlia":
             del scenario["protocol"]
@@ -100,15 +122,10 @@ class ExperimentTask:
             **self.measurement.fingerprint(),
         }
 
-    def key(self) -> str:
-        """Content-addressed key: SHA-256 over the canonical fingerprint.
-
-        The fingerprint is serialised with sorted keys and no whitespace, so
-        the key is stable across processes, platforms and Python's per-run
-        hash randomisation.
-        """
+    @cached_property
+    def _key(self) -> str:
         canonical = json.dumps(
-            self.fingerprint(), sort_keys=True, separators=(",", ":")
+            self._fingerprint, sort_keys=True, separators=(",", ":")
         )
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 

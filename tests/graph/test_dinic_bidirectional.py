@@ -6,16 +6,29 @@ paths (rings, grids, sparse random graphs of 30-200 vertices) and planted
 cuts in the *middle*, so the two searches really meet several layers in,
 and every value is checked against Edmonds-Karp and push-relabel, which
 share none of the level-graph code.
+
+The last section guards the half-list reads (``dinic.py``, "What a vertex
+is read through"): flows run back to back *without* ``reset()``, so later
+ones search a network the earlier ones changed, and after every flow the
+invariant the skip stands on is asserted directly.
 """
 
 import random
 
 import pytest
 
+from repro.api import synthetic_snapshot
+from repro.core.connectivity_graph import build_connectivity_graph
+from repro.core.vertex_connectivity import sample_non_adjacent_pairs
 from repro.graph.digraph import DiGraph
-from repro.graph.generators import circulant_graph, random_digraph
+from repro.graph.generators import (
+    circulant_graph,
+    random_digraph,
+    random_regular_out_digraph,
+)
 from repro.graph.maxflow import network_flow_function
-from repro.graph.maxflow.residual import ResidualNetwork
+from repro.graph.maxflow.residual import ResidualNetwork, is_twin
+from repro.graph.transform.even_transform import indexed_even_transform
 from repro.runtime.pairflow import PairFlowEngine
 
 dinic = network_flow_function("dinic")
@@ -186,7 +199,7 @@ class TestDegenerateEndpoints:
         network.reset()
         assert dinic(network, network.index_of(4), network.index_of(0), None) == 0.0
         assert network.caps == network._initial_caps
-        assert network.kernel_counters() == (0, 0, 2, 0)
+        assert network.kernel_counters() == (0, 0, 2, 0, 0)
 
 
 # ----------------------------------------------------------------------
@@ -257,3 +270,262 @@ class TestUndoLog:
                 if source in (network.heads[arc], network.heads[arc ^ 1])
             )
             assert value == pytest.approx(net_out)
+
+
+# ----------------------------------------------------------------------
+# Half-list reads: a vertex no path has changed is read through half of
+# its arc list.  Wrong marks show up only on a network that already
+# carries flow, so every scenario interleaves flows with and without
+# reset(), and the oracles start from a copy of the very residual state
+# Dinic starts from.
+# ----------------------------------------------------------------------
+def assert_layout(network):
+    """Capacity-bearing arcs first, twins after, ``boundary`` between."""
+    for v, arcs in enumerate(network.adjacency):
+        split = network.boundary[v]
+        assert not any(is_twin(arc) for arc in arcs[:split]), v
+        assert all(is_twin(arc) for arc in arcs[split:]), v
+        assert all(network.heads[arc ^ 1] == v for arc in arcs), v
+
+
+def assert_unmarked_vertices_are_pristine(network):
+    """Every arc at a vertex without a current mark is at its initial capacity."""
+    assert network._touched is not None
+    caps, initial = network.caps, network._initial_caps
+    for v, arcs in enumerate(network.adjacency):
+        if network._changed[v] == network._epoch:
+            continue
+        for arc in arcs:
+            assert caps[arc] == initial[arc] and caps[arc ^ 1] == initial[arc ^ 1], v
+
+
+def copy_in_state(network, caps):
+    """A fresh network with the same arcs, at residual capacities ``caps``."""
+    copy = network.compact().thaw()
+    copy.caps[:] = caps
+    return copy
+
+
+def residual_cut_capacity(network, caps_before, source):
+    side = set(network.min_cut_reachable(source))
+    return sum(
+        caps_before[arc]
+        for arc in range(network.arc_count())
+        if network.heads[arc ^ 1] in side and network.heads[arc] not in side
+    )
+
+
+def run_interleaved(network, queries, rng, unit=True, oracles=(edmonds_karp, push_relabel)):
+    """Dinic on a shared network against oracles on copies of its state.
+
+    ``queries`` are ``(source, sink)`` index pairs; whether a query is cut
+    off, and whether ``reset()`` precedes it, is drawn from ``rng``.
+    """
+    assert_layout(network)
+    resets = 0
+    for number, (source, sink) in enumerate(queries):
+        if number == 0 or rng.random() < 0.4:
+            network.reset()
+            resets += 1
+            assert network.caps == network._initial_caps
+        assert_unmarked_vertices_are_pristine(network)
+        cutoff = rng.choice((None, None, 1.0, 2.0, 4.0))
+        before = list(network.caps)
+        value = dinic(network, source, sink, cutoff)
+        assert_unmarked_vertices_are_pristine(network)
+        for oracle in oracles:
+            exact = oracle(copy_in_state(network, before), source, sink, None)
+            assert_cutoff_contract(oracle.__name__, value, exact, cutoff, unit)
+        if cutoff is None:
+            assert value == pytest.approx(residual_cut_capacity(network, before, source))
+    assert 0 < resets < len(queries) or len(queries) < 3
+    return network
+
+
+def even_network(graph):
+    transform = indexed_even_transform(graph)
+    return transform, transform.network
+
+
+def even_queries(transform, graph, count, rng):
+    pairs = sample_non_adjacent_pairs(graph, count, rng)
+    return [transform.flow_endpoint_indices(source, target) for source, target in pairs]
+
+
+@pytest.mark.parametrize("unit", (True, False), ids=("unit", "fractional"))
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("seed", range(4))
+def test_interleaved_flows_on_deep_graphs(family, seed, unit):
+    rng = random.Random(f"half-{family}-{seed}")
+    graph = FAMILIES[family](rng)
+    if not unit:
+        graph = with_capacities(graph, rng)
+    network = ResidualNetwork(graph)
+    queries = [tuple(rng.sample(range(network.n), 2)) for _ in range(12)]
+    run_interleaved(network, queries, rng, unit)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_interleaved_flows_on_dense_thirty_vertex_even_networks(seed):
+    # The ``tiny`` profile's shape: most vertices end up on a flow path,
+    # so marked (whole-list) and unmarked reads mix within every search.
+    rng = random.Random(f"dense-{seed}")
+    graph = random_regular_out_digraph(30, 8, rng)
+    transform, network = even_network(graph)
+    run_interleaved(network, even_queries(transform, graph, 25, rng), rng)
+    assert network.full_scans > 0
+
+
+@pytest.mark.parametrize("separators", (2, 4, 6))
+def test_interleaved_flows_across_a_planted_middle_cut(separators):
+    rng = random.Random(f"planted-{separators}")
+    half = 40
+    graph = planted_middle_cut(half, separators, rng)
+    transform, network = even_network(graph)
+    pairs = [(rng.randrange(half), half + rng.randrange(half)) for _ in range(8)]
+    pairs += [(half + rng.randrange(half), rng.randrange(half)) for _ in range(8)]
+    rng.shuffle(pairs)
+    queries = [transform.flow_endpoint_indices(*pair) for pair in pairs]
+    run_interleaved(network, queries, rng)
+
+
+def test_interleaved_flows_on_a_snapshot_sample():
+    snapshot = synthetic_snapshot(2500, contacts_per_node=16, seed=42)
+    graph = build_connectivity_graph(snapshot.routing_tables)
+    rng = random.Random(42)
+    transform, network = even_network(graph)
+    queries = even_queries(transform, graph, 8, rng)
+    # Push-relabel takes seconds per flow at this size; Edmonds-Karp and
+    # min-cut = max-flow are oracle enough here.
+    run_interleaved(network, queries, rng, oracles=(edmonds_karp,))
+    assert network.full_scans * 10 < network.vertices_labelled
+
+
+class TestMarks:
+    """Who marks, who unmarks, and what a network without a log does."""
+
+    def setup_method(self):
+        rng = random.Random(24)
+        self.graph = random_regular_out_digraph(30, 6, rng)
+        self.transform, self.network = even_network(self.graph)
+        self.queries = even_queries(self.transform, self.graph, 10, rng)
+
+    def test_a_new_network_keeps_the_log_and_has_no_marks(self):
+        network = self.network
+        assert network._touched == []
+        assert network._epoch not in network._changed
+        source, sink = self.queries[0]
+        assert dinic(network, source, sink, None) > 0
+        assert_unmarked_vertices_are_pristine(network)
+
+    def test_both_ends_of_every_path_arc_are_marked(self):
+        network = self.network
+        source, sink = self.queries[0]
+        network.reset()
+        value = dinic(network, source, sink, None)
+        marked = {v for v in range(network.n) if network._changed[v] == network._epoch}
+        on_paths = {network.heads[arc] for arc in network._touched}
+        on_paths |= {network.heads[arc ^ 1] for arc in network._touched}
+        assert value > 0 and {source, sink} <= on_paths
+        assert marked == on_paths
+
+    @pytest.mark.parametrize("oracle", (None, edmonds_karp, push_relabel))
+    def test_reset_unmarks_every_vertex_in_either_branch(self, oracle):
+        network = self.network
+        source, sink = self.queries[0]
+        network.reset()
+        dinic(network, source, sink, None)
+        assert network._epoch in network._changed
+        if oracle is not None:  # log off: reset() copies every capacity
+            other_source, other_sink = self.queries[1]
+            oracle(network, other_source, other_sink, None)
+            assert network._touched is None
+        network.reset()
+        assert network._epoch not in network._changed
+        assert network._touched == [] and network.caps == network._initial_caps
+
+    @pytest.mark.parametrize("oracle", (edmonds_karp, push_relabel))
+    def test_without_a_log_every_vertex_is_read_in_full(self, oracle):
+        # The oracle leaves flow on vertices nobody marked; Dinic then runs
+        # on that state without reset() and must see all of it.
+        network = self.network
+        for (source, sink), (next_source, next_sink) in zip(
+            self.queries, self.queries[1:]
+        ):
+            network.reset()
+            oracle(network, source, sink, 2.0)
+            assert network._touched is None
+            before = list(network.caps)
+            labelled, scans = network.vertices_labelled, network.full_scans
+            value = dinic(network, next_source, next_sink, None)
+            exact = edmonds_karp(
+                copy_in_state(network, before), next_source, next_sink, None
+            )
+            assert value == exact
+            assert value == pytest.approx(
+                residual_cut_capacity(network, before, next_source)
+            )
+            # Every expanded frontier vertex counted; only the last layers
+            # of the final phase are labelled without being expanded.
+            assert network.full_scans > scans
+            assert network.full_scans - scans <= network.vertices_labelled - labelled
+            assert network._touched is None
+
+    def reroute_network(self):
+        # Arc order makes every solver push 0-1-3-5 first.  The second
+        # unit enters 3 from 2, finds 3 -> 5 full, and has to send the
+        # first one round by 1-4-5: a path through 3's twin of 1 -> 3,
+        # which only a whole-list read of vertex 3 sees.
+        graph = DiGraph.from_edges(
+            [(0, 1), (1, 3), (3, 5), (0, 2), (2, 3), (1, 4), (4, 5)]
+        )
+        network = ResidualNetwork(graph)
+        return network, network.index_of(0), network.index_of(5)
+
+    def test_a_vertex_marked_mid_flow_is_read_in_full_by_the_next_phase(self):
+        network, source, sink = self.reroute_network()
+        for _ in range(2):
+            network.reset()
+            scans = network.full_scans
+            assert dinic(network, source, sink, None) == 2.0
+            assert network.phases % 2 == 0 and network.full_scans > scans
+            assert_unmarked_vertices_are_pristine(network)
+
+    def test_dinic_continues_an_oracle_flow_through_twins_nobody_marked(self):
+        # (Edmonds-Karp only: a cut-off push-relabel leaves a preflow.)
+        network, source, sink = self.reroute_network()
+        assert edmonds_karp(network, source, sink, 1.0) == 1.0
+        assert network.flow_on_arc(network.adjacency[network.index_of(1)][0]) == 1.0
+        assert network._epoch not in network._changed
+        assert dinic(network, source, sink, None) == 1.0
+
+    def test_zero_capacity_arcs_in_the_first_half_are_harmless(self):
+        graph = DiGraph()
+        for u, v, capacity in [(0, 1, 0.0), (0, 2, 1.0), (2, 1, 1.0), (1, 3, 1.0), (0, 3, 0.0)]:
+            graph.add_edge(u, v, capacity=capacity)
+        for name, solver in SOLVERS:
+            network = ResidualNetwork(graph)
+            assert solver(network, network.index_of(0), network.index_of(3), None) == 1.0, name
+
+
+def test_thawed_network_carries_the_layout_and_matches_serial():
+    rng = random.Random(77)
+    graph = random_regular_out_digraph(60, 5, rng)
+    pairs = sample_non_adjacent_pairs(graph, 30, rng)
+    engine = PairFlowEngine(graph)
+    frozen = engine.transform.compact()
+    assert list(frozen.boundary) == engine.transform.network.boundary
+    thawed = frozen.thaw()
+    assert_layout(thawed)
+    assert thawed.adjacency == engine.transform.network.adjacency
+    assert thawed.boundary == engine.transform.network.boundary
+    serial = engine.evaluate(pairs)
+    pooled = PairFlowEngine(graph, flow_jobs=2, shard_size=8, wave_width=2).evaluate(pairs)
+    assert pooled.values == serial.values
+    cut = [
+        PairFlowEngine(graph, flow_jobs=jobs, shard_size=8, wave_width=2)
+        .evaluate(pairs, use_cutoff=True, initial_minimum=3)
+        .values
+        for jobs in (1, 2)
+    ]
+    assert cut[0] == cut[1]

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from repro.graph.digraph import DiGraph
 from repro.graph.maxflow import max_flow, network_flow_function
 from repro.graph.maxflow.dinic import dinic_on_network
-from repro.graph.maxflow.residual import ResidualNetwork
+from repro.graph.maxflow.residual import ResidualNetwork, is_twin
 from repro.graph.transform.even_transform import indexed_even_transform
 
 ALGORITHMS = ("dinic", "edmonds_karp", "push_relabel")
@@ -151,11 +151,12 @@ def test_flow_conservation(case):
     dinic_on_network(network, network.index_of(source), network.index_of(sink))
     net_flow = [0.0] * network.n
     for vertex_index in range(network.n):
-        for arc in network.adjacency[vertex_index]:
-            if arc % 2 == 0:  # forward arcs only
-                flow = network.flow_on_arc(arc)
-                net_flow[vertex_index] -= flow
-                net_flow[network.heads[arc]] += flow
+        # The arcs created with capacity: the first half of every list.
+        for arc in network.adjacency[vertex_index][:network.boundary[vertex_index]]:
+            assert not is_twin(arc)
+            flow = network.flow_on_arc(arc)
+            net_flow[vertex_index] -= flow
+            net_flow[network.heads[arc]] += flow
     for vertex_index in range(network.n):
         vertex = network.vertex_of(vertex_index)
         if vertex in (source, sink):
