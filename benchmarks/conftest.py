@@ -1,13 +1,13 @@
-"""Shared infrastructure for the benchmark harness.
+"""Shared infrastructure for the paper-reproduction harness.
 
-Every benchmark module regenerates one of the paper's tables or figures.
-Simulations are expensive, so they are dispatched through
-:class:`repro.runtime.Campaign`: an in-process memo plus a persistent
-content-addressed :class:`~repro.runtime.cache.ResultCache` under
-``benchmarks/.result-cache``, so repeated benchmark invocations of the same
-figure reuse finished runs instead of re-simulating them.  The ``benchmark``
-fixture then measures the paper's dominant cost — the connectivity analysis
-of a routing-table snapshot — on the data produced by those simulations.
+Every module here regenerates one of the paper's tables, figures or
+ablations and asserts its qualitative shape.  Simulations are expensive,
+so they are dispatched through :class:`repro.runtime.Campaign`: an
+in-process memo plus a persistent content-addressed
+:class:`~repro.runtime.cache.ResultCache` under ``benchmarks/.result-cache``,
+so repeated invocations of the same figure reuse finished runs instead of
+re-simulating them.  Nothing here is timed; the repository measures its
+speed in ``bench/`` only (``python3 bench/run.py``).
 
 The harness runs on the ``smoke`` profile by default so the full suite
 finishes in minutes; set ``REPRO_BENCH_PROFILE=bench`` to regenerate the
@@ -16,9 +16,10 @@ provenance header).  Other knobs:
 ``REPRO_BENCH_JOBS`` (worker processes), ``REPRO_BENCH_CACHE_DIR``
 (alternative cache location, or ``off`` to disable caching entirely).
 
-Each module writes its reproduced rows/series to
-``benchmarks/output/<artefact>.txt`` so those numbers can be regenerated
-with ``pytest benchmarks/ --benchmark-only``.
+Each module writes its reproduced rows/series to the committed
+``benchmarks/output/<artefact>.txt``.  At the default profile and seed those
+files are byte-stable, so a run leaves the tree clean; a diff there means
+a reproduced number moved.
 """
 
 from __future__ import annotations
@@ -29,16 +30,15 @@ from typing import Dict, Optional
 
 import pytest
 
-from repro import obs
 from repro.experiments.profiles import get_profile
-from repro.experiments.runner import ExperimentResult, ExperimentRunner
+from repro.experiments.runner import ExperimentResult
 from repro.experiments.scenarios import Scenario
 from repro.runtime import Campaign, ExperimentTask, ResultCache, make_executor
 
 #: Root seed of every benchmark simulation (fixed for reproducibility).
-BENCH_SEED = 42
+SEED = 42
 #: Scale profile used by the harness (see module docstring).
-BENCH_PROFILE = os.environ.get("REPRO_BENCH_PROFILE", "smoke")
+PROFILE = os.environ.get("REPRO_BENCH_PROFILE", "smoke")
 #: Directory that receives the reproduced tables/figures as text files.
 OUTPUT_DIR = Path(__file__).parent / "output"
 #: Persistent result cache shared by all benchmark runs.
@@ -60,7 +60,7 @@ class ScenarioCache:
     :class:`ResultCache` shared across sessions.
     """
 
-    def __init__(self, profile_name: str = BENCH_PROFILE, seed: int = BENCH_SEED) -> None:
+    def __init__(self, profile_name: str = PROFILE, seed: int = SEED) -> None:
         self.profile = get_profile(profile_name)
         self.seed = seed
         self.campaign = Campaign(
@@ -90,12 +90,6 @@ class ScenarioCache:
         """
         self.campaign.close()
 
-    def analyzer(self):
-        """A fresh connectivity analyzer configured like the benchmark runs."""
-        return ExperimentRunner(
-            profile=self.profile, seed=self.seed, keep_snapshots=True
-        ).build_analyzer()
-
 
 @pytest.fixture(scope="session")
 def scenario_cache():
@@ -112,27 +106,6 @@ def output_dir() -> Path:
     return OUTPUT_DIR
 
 
-def attach_obs_metrics(document: dict) -> dict:
-    """Attach the live observability snapshot to a BENCH_* document.
-
-    Under ``REPRO_OBS=1`` the benchmark run is instrumented; its counters
-    (events, lookups, cache traffic) describe the run that produced the
-    committed numbers, so they ride along under a top-level ``"metrics"``
-    key.  The perf regression gates strip that key before extraction
-    (``check_regression._strip_metrics``) — instrumented and plain
-    documents gate identically.  A no-op when observability is off.
-    """
-    registry = obs.active()
-    if registry is not None:
-        from repro.obs.summary import METRICS_SCHEMA
-
-        document["metrics"] = {
-            "schema": METRICS_SCHEMA,
-            "metrics": registry.snapshot(),
-        }
-    return document
-
-
 def write_artefact(output_dir: Path, name: str, content: str) -> None:
     """Write a reproduced table/figure to the output directory and echo it.
 
@@ -140,23 +113,7 @@ def write_artefact(output_dir: Path, name: str, content: str) -> None:
     smoke-scale artefacts can never be mistaken for bench-scale ones.
     """
     path = output_dir / name
-    provenance = f"[profile: {BENCH_PROFILE}, seed: {BENCH_SEED}]"
+    provenance = f"[profile: {PROFILE}, seed: {SEED}]"
     path.write_text(f"{provenance}\n{content}\n", encoding="utf-8")
     print(f"\n[reproduced -> {path}]\n{content}")
 
-
-def benchmark_final_snapshot_analysis(benchmark, cache: ScenarioCache, result):
-    """Benchmark the connectivity analysis of a run's final snapshot.
-
-    This is the step the paper spends cluster-hours on; benchmarking it per
-    figure keeps the timing comparable across scenarios while the simulation
-    itself runs only once (in the session cache).
-    """
-    snapshot = result.snapshots[-1]
-    analyzer = cache.analyzer()
-    report = benchmark.pedantic(
-        lambda: analyzer.analyze_snapshot(snapshot.routing_tables),
-        rounds=1,
-        iterations=1,
-    )
-    return report

@@ -13,11 +13,11 @@ This ablation documents that modeling decision by running the same
 Simulation J configuration with the fallback disabled and enabled.
 """
 
-from benchmarks.conftest import benchmark_final_snapshot_analysis, write_artefact
+from benchmarks.conftest import write_artefact
 from repro.experiments.scenarios import get_scenario
 
 
-def test_ablation_bootstrap_recovery(benchmark, scenario_cache, output_dir):
+def test_ablation_bootstrap_recovery(scenario_cache, output_dir):
     base = get_scenario("J").with_overrides(loss="medium", staleness_limit=1)
     with_fallback = scenario_cache.run(base)
     without_fallback = scenario_cache.run(base.with_overrides(bootstrap_reseed=False))
@@ -43,5 +43,3 @@ def test_ablation_bootstrap_recovery(benchmark, scenario_cache, output_dir):
     # stays partitioned and the minimum never recovers.
     assert with_fallback.churn_mean_minimum() > without_fallback.churn_mean_minimum()
     assert without_fallback.churn_mean_minimum() <= base.bucket_size
-
-    benchmark_final_snapshot_analysis(benchmark, scenario_cache, with_fallback)

@@ -30,7 +30,7 @@ CONFIGS = {
 }
 
 
-def test_ablation_connectivity_hardening(benchmark, output_dir):
+def test_ablation_connectivity_hardening(output_dir):
     scenario = get_scenario("F").with_overrides(bucket_size=5)
     results = hardening_study(scenario, CONFIGS, profile="tiny", seed=7)
     rows = hardening_summary(results)
@@ -59,12 +59,3 @@ def test_ablation_connectivity_hardening(benchmark, output_dir):
     )
     # No mechanism loses nodes.
     assert all(row["final_network_size"] > 0 for row in rows)
-
-    # Benchmark the cheapest representative piece: one baseline tiny run.
-    benchmark.pedantic(
-        lambda: hardening_study(
-            scenario, {"baseline": CONFIGS["baseline"]}, profile="tiny", seed=7
-        ),
-        rounds=1,
-        iterations=1,
-    )

@@ -15,7 +15,7 @@ from repro.extensions.evaluation import disjoint_path_study
 PATH_COUNTS = (1, 2, 3, 4)
 
 
-def test_extension_disjoint_path_lookups(benchmark, output_dir):
+def test_extension_disjoint_path_lookups(output_dir):
     rows = disjoint_path_study(
         node_count=300,
         compromised_fraction=0.25,
@@ -43,15 +43,3 @@ def test_extension_disjoint_path_lookups(benchmark, output_dir):
     assert by_d[4].owner_hit_rate >= by_d[1].owner_hit_rate
     # More paths cost more round-trips (the price of the resilience).
     assert by_d[4].mean_queried >= by_d[1].mean_queried
-
-    benchmark.pedantic(
-        lambda: disjoint_path_study(
-            node_count=150,
-            compromised_fraction=0.25,
-            path_counts=(1, 2),
-            lookups=10,
-            seed=17,
-        ),
-        rounds=1,
-        iterations=1,
-    )

@@ -11,7 +11,7 @@ does not help and hurts the small bucket sizes.
 
 import pytest
 
-from benchmarks.conftest import benchmark_final_snapshot_analysis, write_artefact
+from benchmarks.conftest import write_artefact
 from repro.experiments.report import figure10_rows, format_figure10
 from repro.experiments.scenarios import PAPER_BUCKET_SIZES, get_scenario
 
@@ -24,7 +24,7 @@ CURVES = {
 
 @pytest.mark.parametrize("panel, size_class", [("figure10a", "small"), ("figure10b", "large")])
 def test_figure10_request_parallelism(panel, size_class,
-                                      benchmark, scenario_cache, output_dir):
+                                      scenario_cache, output_dir):
     results = {}
     for churn, alpha, base_name in CURVES[size_class]:
         base = get_scenario(base_name)
@@ -57,7 +57,3 @@ def test_figure10_request_parallelism(panel, size_class,
     #    small-k connectivity (paper: "very negative impact ... for the
     #    smaller k values").
     assert by_key[("10/10", 5, 5)] <= by_key[("10/10", 3, 5)] + 1.0
-
-    benchmark_final_snapshot_analysis(
-        benchmark, scenario_cache, results[("10/10", 5, 20)]
-    )

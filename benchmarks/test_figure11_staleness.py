@@ -9,14 +9,14 @@ minimum connectivity is much less affected.
 
 import pytest
 
-from benchmarks.conftest import benchmark_final_snapshot_analysis, write_artefact
+from benchmarks.conftest import write_artefact
 from repro.experiments.report import format_figure
 from repro.experiments.scenarios import PAPER_STALENESS_VALUES, get_scenario
 
 
 @pytest.mark.parametrize("panel, churn", [("figure11a", "1/1"), ("figure11b", "10/10")])
 def test_figure11_staleness_without_loss(panel, churn,
-                                         benchmark, scenario_cache, output_dir):
+                                         scenario_cache, output_dir):
     base = get_scenario("I").with_overrides(churn=churn)
     results = {
         s: scenario_cache.run(base.with_overrides(staleness_limit=s))
@@ -46,5 +46,3 @@ def test_figure11_staleness_without_loss(panel, churn,
     # The minimum connectivity stays in the same ballpark for both limits
     # (the paper notes it is surprisingly unaffected).
     assert abs(mean_min[1] - mean_min[5]) <= max(mean_min[1], mean_min[5]) * 0.6 + 2
-
-    benchmark_final_snapshot_analysis(benchmark, scenario_cache, results[5])

@@ -7,14 +7,14 @@ loss gives more connectivity; with s=5 the effect is strongly damped — the
 connectivity stays near k and rises far more slowly.
 """
 
-from benchmarks.conftest import benchmark_final_snapshot_analysis, write_artefact
+from benchmarks.conftest import write_artefact
 from repro.experiments.report import format_figure
 from repro.experiments.scenarios import get_scenario
 
 LOSS_LEVELS = ("low", "medium", "high")
 
 
-def test_figure12_loss_without_churn(benchmark, scenario_cache, output_dir):
+def test_figure12_loss_without_churn(scenario_cache, output_dir):
     base = get_scenario("J")
     results = {}
     for loss in LOSS_LEVELS:
@@ -54,5 +54,3 @@ def test_figure12_loss_without_churn(benchmark, scenario_cache, output_dir):
     # Without churn the network size stays constant.
     sizes = results[("high", 1)].series.network_size_series()
     assert sizes[-1] == max(sizes)
-
-    benchmark_final_snapshot_analysis(benchmark, scenario_cache, results[("high", 1)])

@@ -5,14 +5,14 @@ from message loss compared to Simulation J (same loss levels, no churn); the
 s=5 damping keeps the connectivity near k.
 """
 
-from benchmarks.conftest import benchmark_final_snapshot_analysis, write_artefact
+from benchmarks.conftest import write_artefact
 from repro.experiments.report import format_figure
 from repro.experiments.scenarios import get_scenario
 
 LOSS_LEVELS = ("low", "medium", "high")
 
 
-def test_figure13_loss_with_churn_1_1(benchmark, scenario_cache, output_dir):
+def test_figure13_loss_with_churn_1_1(scenario_cache, output_dir):
     base = get_scenario("K")
     results = {}
     for loss in LOSS_LEVELS:
@@ -56,5 +56,3 @@ def test_figure13_loss_with_churn_1_1(benchmark, scenario_cache, output_dir):
             damped.phases.stabilization_end
         ).minimum_series()
         assert max(churn_min) <= damped.scenario.bucket_size * 1.6, loss
-
-    benchmark_final_snapshot_analysis(benchmark, scenario_cache, results[("medium", 1)])

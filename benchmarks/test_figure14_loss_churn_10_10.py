@@ -6,14 +6,14 @@ connectivity is reduced — and with the added damping of s=5 the minimum
 connectivity stays below (or around) k throughout the churn phase.
 """
 
-from benchmarks.conftest import benchmark_final_snapshot_analysis, write_artefact
+from benchmarks.conftest import write_artefact
 from repro.experiments.report import format_figure
 from repro.experiments.scenarios import get_scenario
 
 LOSS_LEVELS = ("low", "medium", "high")
 
 
-def test_figure14_loss_with_churn_10_10(benchmark, scenario_cache, output_dir):
+def test_figure14_loss_with_churn_10_10(scenario_cache, output_dir):
     base = get_scenario("L")
     results = {}
     for loss in LOSS_LEVELS:
@@ -50,5 +50,3 @@ def test_figure14_loss_with_churn_10_10(benchmark, scenario_cache, output_dir):
             result.phases.stabilization_end
         ).minimum_series()
         assert max(churn_min) <= result.scenario.bucket_size * 1.6, loss
-
-    benchmark_final_snapshot_analysis(benchmark, scenario_cache, results[("high", 5)])

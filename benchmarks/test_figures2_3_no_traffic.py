@@ -13,7 +13,7 @@ Paper observations reproduced here:
 
 import pytest
 
-from benchmarks.conftest import benchmark_final_snapshot_analysis, write_artefact
+from benchmarks.conftest import write_artefact
 from repro.experiments.report import format_figure
 from repro.experiments.scenarios import PAPER_BUCKET_SIZES, get_scenario
 
@@ -23,7 +23,7 @@ from repro.experiments.scenarios import PAPER_BUCKET_SIZES, get_scenario
     [("figure2", "A", "small"), ("figure3", "B", "large")],
 )
 def test_figures_2_3_no_traffic(figure, scenario_name, size_class,
-                                benchmark, scenario_cache, output_dir):
+                                scenario_cache, output_dir):
     base = get_scenario(scenario_name)
     assert base.size_class == size_class
     results = {
@@ -62,5 +62,3 @@ def test_figures_2_3_no_traffic(figure, scenario_name, size_class,
     churn_series = results[20].series.window(churn_start).minimum_series()
     strict = size_class == "small" and scenario_cache.profile.name == "bench"
     assert max(churn_series) >= stabilized[20] * (1.0 if strict else 0.9)
-
-    benchmark_final_snapshot_analysis(benchmark, scenario_cache, results[20])

@@ -8,7 +8,7 @@ earlier, and amplifies the connectivity increase during the 0/1 churn phase.
 
 import pytest
 
-from benchmarks.conftest import benchmark_final_snapshot_analysis, write_artefact
+from benchmarks.conftest import write_artefact
 from repro.experiments.report import format_figure
 from repro.experiments.scenarios import PAPER_BUCKET_SIZES, get_scenario
 
@@ -18,7 +18,7 @@ from repro.experiments.scenarios import PAPER_BUCKET_SIZES, get_scenario
     [("figure4", "C", "A"), ("figure5", "D", "B")],
 )
 def test_figures_4_5_with_traffic(figure, scenario_name, no_traffic_name,
-                                  benchmark, scenario_cache, output_dir):
+                                  scenario_cache, output_dir):
     base = get_scenario(scenario_name)
     results = {
         k: scenario_cache.run(base.with_overrides(bucket_size=k))
@@ -65,5 +65,3 @@ def test_figures_4_5_with_traffic(figure, scenario_name, no_traffic_name,
     # below bench scale the comparison carries a one-connection tolerance.
     slack = 0 if scenario_cache.profile.name == "bench" else 1
     assert with_traffic_small_k.minimum >= no_traffic_small_k.minimum - slack
-
-    benchmark_final_snapshot_analysis(benchmark, scenario_cache, results[20])

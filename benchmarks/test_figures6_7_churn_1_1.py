@@ -8,7 +8,7 @@ significantly for small ``k`` (down to 0 for k=5 in the large network).
 
 import pytest
 
-from benchmarks.conftest import benchmark_final_snapshot_analysis, write_artefact
+from benchmarks.conftest import write_artefact
 from repro.experiments.report import format_figure
 from repro.experiments.scenarios import PAPER_BUCKET_SIZES, get_scenario
 
@@ -17,7 +17,7 @@ from repro.experiments.scenarios import PAPER_BUCKET_SIZES, get_scenario
     "figure, scenario_name", [("figure6", "E"), ("figure7", "F")]
 )
 def test_figures_6_7_churn_1_1(figure, scenario_name,
-                               benchmark, scenario_cache, output_dir):
+                               scenario_cache, output_dir):
     base = get_scenario(scenario_name)
     results = {
         k: scenario_cache.run(base.with_overrides(bucket_size=k))
@@ -48,5 +48,3 @@ def test_figures_6_7_churn_1_1(figure, scenario_name,
         results[5].series.window(results[5].phases.stabilization_end).minimum_series()
     )
     assert small_k_min < 5
-
-    benchmark_final_snapshot_analysis(benchmark, scenario_cache, results[20])

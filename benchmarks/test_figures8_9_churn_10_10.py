@@ -8,7 +8,7 @@ Table 2 picks the same effect up numerically).
 
 import pytest
 
-from benchmarks.conftest import benchmark_final_snapshot_analysis, write_artefact
+from benchmarks.conftest import write_artefact
 from repro.experiments.report import format_figure
 from repro.experiments.scenarios import PAPER_BUCKET_SIZES, get_scenario
 
@@ -18,7 +18,7 @@ from repro.experiments.scenarios import PAPER_BUCKET_SIZES, get_scenario
     [("figure8", "G", "E"), ("figure9", "H", "F")],
 )
 def test_figures_8_9_churn_10_10(figure, scenario_name, sibling_1_1,
-                                 benchmark, scenario_cache, output_dir):
+                                 scenario_cache, output_dir):
     base = get_scenario(scenario_name)
     results = {
         k: scenario_cache.run(base.with_overrides(bucket_size=k))
@@ -46,5 +46,3 @@ def test_figures_8_9_churn_10_10(figure, scenario_name, sibling_1_1,
         get_scenario(sibling_1_1).with_overrides(bucket_size=20)
     )
     assert means[20] <= sibling.churn_mean_minimum() * 1.15
-
-    benchmark_final_snapshot_analysis(benchmark, scenario_cache, results[20])

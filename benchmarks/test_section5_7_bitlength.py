@@ -7,12 +7,12 @@ regard to connectivity".  This benchmark reruns the small-network variant
 churn-phase connectivity levels agree within a small tolerance.
 """
 
-from benchmarks.conftest import benchmark_final_snapshot_analysis, write_artefact
+from benchmarks.conftest import write_artefact
 from repro.analysis.figures import format_table
 from repro.experiments.scenarios import get_scenario
 
 
-def test_section5_7_bit_length(benchmark, scenario_cache, output_dir):
+def test_section5_7_bit_length(scenario_cache, output_dir):
     base = get_scenario("C").with_overrides(bucket_size=20)
     results = {
         b: scenario_cache.run(base.with_overrides(bit_length=b)) for b in (160, 80)
@@ -43,5 +43,3 @@ def test_section5_7_bit_length(benchmark, scenario_cache, output_dir):
     mean_160 = results[160].churn_mean_minimum()
     mean_80 = results[80].churn_mean_minimum()
     assert abs(mean_160 - mean_80) <= max(3, 0.3 * max(mean_160, mean_80))
-
-    benchmark_final_snapshot_analysis(benchmark, scenario_cache, results[80])

@@ -42,8 +42,8 @@ def _measure_two_way_failure_rate(loss_name: str, trials: int = 3000) -> float:
     return failures / trials
 
 
-def test_table1_message_loss(benchmark, output_dir):
-    rows = benchmark(table1_rows)
+def test_table1_message_loss(output_dir):
+    rows = table1_rows()
 
     # Paper values: one-way 0 / 2.5 / 13.4 / 29.3 %, two-way 0 / 5 / 25 / 50 %.
     by_name = {row["loss"]: row for row in rows}

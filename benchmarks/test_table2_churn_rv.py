@@ -13,14 +13,14 @@ from repro.experiments.report import format_table2, table2_rows
 from repro.experiments.scenarios import PAPER_BUCKET_SIZES, get_scenario
 
 
-def test_table2_churn_relative_variance(benchmark, scenario_cache, output_dir):
+def test_table2_churn_relative_variance(scenario_cache, output_dir):
     results = []
     for scenario_name in ("E", "F", "G", "H"):
         base = get_scenario(scenario_name)
         for k in PAPER_BUCKET_SIZES:
             results.append(scenario_cache.run(base.with_overrides(bucket_size=k)))
 
-    rows = benchmark.pedantic(lambda: table2_rows(results), rounds=1, iterations=1)
+    rows = table2_rows(results)
     content = "Table 2 (reproduced): mean and RV of min connectivity during churn\n" + \
         format_table2(results)
     write_artefact(output_dir, "table2_churn_rv.txt", content)

@@ -12,6 +12,7 @@ from repro.core.estimation import (
     validate_exact_vs_estimate,
 )
 from repro.core.vertex_connectivity import connectivity_statistics
+from repro.experiments.snapshot import synthetic_snapshot
 from repro.graph.digraph import DiGraph
 
 
@@ -161,6 +162,27 @@ class TestSampledEstimates:
             assert report.average_estimate == pytest.approx(2.0)
             widths.append(report.ci_width)
         assert widths[0] > widths[1] > widths[2] > 0.0
+
+    def test_snapshot_estimates_deterministic_bracketed_and_narrowing(self):
+        # The routing-table path on a Kademlia-shaped snapshot: one draw
+        # per seed, the point estimate inside its interval, and more
+        # pairs giving a strictly tighter interval.
+        tables = synthetic_snapshot(1000, contacts_per_node=16, seed=42).routing_tables
+
+        def run(budget):
+            with ConnectivityEstimator(sample_pairs=budget, seed=42) as estimator:
+                return estimator.analyze_snapshot(tables)
+
+        first, second = run(16).as_dict(), run(16).as_dict()
+        first.pop("elapsed_seconds"), second.pop("elapsed_seconds")
+        assert first == second
+        widths = []
+        for budget in (16, 64, 256):
+            report = run(budget)
+            assert report.vertex_count == 1000
+            assert report.ci_low <= report.average_estimate <= report.ci_high
+            widths.append(report.ci_width)
+        assert widths[0] > widths[1] > widths[2]
 
     def test_minimum_bound_dominates_exact_minimum(self):
         graph = random_strongly_connected(20, extra=30, seed=17)

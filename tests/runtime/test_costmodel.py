@@ -4,8 +4,15 @@ import json
 
 import pytest
 
+from repro.experiments.persistence import trajectory_digest
 from repro.experiments.scenarios import get_scenario
-from repro.runtime import ExperimentTask, ResultCache
+from repro.runtime import (
+    SCHEDULE_CHEAPEST,
+    SCHEDULE_FIFO,
+    Campaign,
+    ExperimentTask,
+    ResultCache,
+)
 from repro.runtime.costmodel import (
     COSTS_FILENAME,
     MAX_OBSERVATIONS,
@@ -125,3 +132,29 @@ class TestTaskCostModel:
         assert model.cheapest_first(tasks) == [0, 1, 2]
         # An empty model degrades to pure submission order.
         assert TaskCostModel().cheapest_first(tasks) == [0, 1, 2]
+
+    def test_warmed_sidecar_reverses_most_expensive_first_order(self, tmp_path):
+        # Submitted most expensive first: a large churn + loss run, a small
+        # churn run, a small no-traffic run (observed costs ~10x apart).
+        tasks = [make_task(name, seed=42) for name in ("K", "E", "A")]
+        sidecar = tmp_path / COSTS_FILENAME
+
+        def completion(schedule):
+            order = []
+            campaign = Campaign(
+                progress=lambda event: order.append(event.index),
+                schedule=schedule,
+                cost_model=TaskCostModel(sidecar),
+            )
+            with campaign:
+                results = campaign.run(tasks)
+            return order, [trajectory_digest(result) for result in results]
+
+        fifo_order, fifo_digests = completion(SCHEDULE_FIFO)
+        assert sidecar.exists()  # the FIFO pass warmed the cost model
+        cheapest_order, cheapest_digests = completion(SCHEDULE_CHEAPEST)
+        assert fifo_order == [0, 1, 2]
+        assert cheapest_order == [2, 1, 0]
+        # Scheduling is order only: results come back in submission order,
+        # bit-identical.
+        assert cheapest_digests == fifo_digests

@@ -351,10 +351,13 @@ class TestDistributedCampaigns:
         with pytest.raises(ValueError):
             make_executor(2, backend="carrier-pigeon")
 
-    def test_matches_serial_digests(self):
-        tasks = tiny_tasks()
+    @pytest.mark.parametrize("batch", [1, 2])
+    def test_matches_serial_digests(self, batch):
+        # batch=2 over three tasks puts two tasks in one lease, one frame
+        # and one execute_task_batch call on a worker.
+        tasks = tiny_tasks(bucket_sizes=(3, 5, 8))
         golden = golden_digests(tasks)
-        with Campaign(executor=_loopback_executor(), batch=1) as campaign:
+        with Campaign(executor=_loopback_executor(), batch=batch) as campaign:
             results = campaign.run(tasks)
         assert digests_of(results) == golden
 

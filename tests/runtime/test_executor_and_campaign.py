@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from repro.experiments.persistence import trajectory_digest
 from repro.experiments.replication import replicate_scenario
 from repro.experiments.scenarios import get_scenario
 from repro.experiments.sweep import run_bucket_size_sweep
@@ -89,6 +90,26 @@ class TestExecutors:
         with Campaign(executor=ParallelExecutor(jobs=2)) as campaign:
             results = campaign.run(tasks)
         assert [r.scenario.bucket_size for r in results] == [3, 5, 8]
+
+    @pytest.mark.parametrize(
+        "start_method",
+        [
+            method
+            for method in ("spawn", "fork")
+            if method in multiprocessing.get_all_start_methods()
+        ],
+    )
+    def test_persistent_pool_start_method_is_identity_free(self, start_method):
+        tasks = tiny_tasks(bucket_sizes=(3, 5, 8))
+        reference = [trajectory_digest(r) for r in Campaign().run(tasks)]
+        # batch=2 over three tasks makes one two-task flight per pool.
+        for batch in ("off", 2):
+            with Campaign(
+                executor=ParallelExecutor(jobs=2, start_method=start_method),
+                batch=batch,
+            ) as campaign:
+                results = campaign.run(tasks)
+            assert [trajectory_digest(r) for r in results] == reference
 
     @pytest.mark.parametrize(
         "executor", [SerialExecutor(), ParallelExecutor(jobs=2)]

@@ -170,6 +170,57 @@ class TestEngineMatchesEvaluator:
         assert engine_min == evaluator_min
 
 
+def carved_bottleneck_graph() -> DiGraph:
+    """Symmetric closure of a random regular digraph plus one weak vertex.
+
+    The weak vertex keeps two in- and two out-edges, so the minimum sits
+    below the regular degree: the regime where degree-bound seeding and
+    sharded cutoffs decide which flows run at all.
+    """
+    base = random_regular_out_digraph(200, 5, random.Random(99))
+    graph = DiGraph()
+    for u, v, _ in base.edges():
+        graph.add_edge(u, v)
+        graph.add_edge(v, u)
+    weak = graph.vertices()[0]
+    for target in graph.successors(weak)[2:]:
+        graph.remove_edge(weak, target)
+    for source in graph.predecessors(weak)[2:]:
+        graph.remove_edge(source, weak)
+    return graph
+
+
+class TestCarvedBottleneck:
+    def test_four_paths_agree_on_the_minimum(self):
+        graph = carved_bottleneck_graph()
+        sources = lowest_out_degree_vertices(graph, 16)
+        targets = lowest_in_degree_vertices(graph, 16)
+        bound = min(graph.min_out_degree(), graph.min_in_degree())
+        pairs = [
+            (source, target)
+            for source in sources
+            for target in targets
+            if target != source and not graph.has_edge(source, target)
+        ]
+        per_pair = min(
+            pairwise_vertex_connectivity(graph, s, t) for s, t in pairs
+        )
+        evaluator_min, _ = PairFlowEvaluator(graph).minimum_over(
+            sources, targets, use_cutoff=True, initial_minimum=bound
+        )
+        serial = PairFlowEngine(graph, flow_jobs=1)
+        with PairFlowEngine(graph, flow_jobs=4) as parallel:
+            minimum_passes = [
+                engine.minimum_over(sources, targets, initial_minimum=bound)[0]
+                for engine in (serial, parallel)
+            ]
+            exact_passes = [
+                engine.evaluate(pairs).minimum for engine in (serial, parallel)
+            ]
+        assert per_pair == 2
+        assert [evaluator_min, *minimum_passes, *exact_passes] == [per_pair] * 5
+
+
 class TestShardSemantics:
     def test_shard_stops_locally_at_zero(self):
         graph = DiGraph.from_edges([(1, 2), (2, 1), (3, 4), (4, 3)])
