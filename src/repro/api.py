@@ -21,7 +21,7 @@ Five entry points cover the common workflows:
     estimate mode.
 ``estimate_connectivity``
     Sampled-pair connectivity estimation (average with a deterministic
-    confidence interval, branch-and-bound minimum bound) of a snapshot,
+    confidence interval, upper bound on the minimum) of a snapshot,
     a routing-table mapping, or an already-built connectivity graph —
     the only feasible mode beyond ~10^4 nodes.
 ``open_campaign``
@@ -283,9 +283,9 @@ def estimate_connectivity(
     vertex pairs is evaluated exactly through the batched pair-flow
     engine, the average is reported with a seeded deterministic
     confidence interval at ``ci_level``, and the minimum is bounded by
-    an ascending-degree-bound branch-and-bound pass (see
-    :mod:`repro.core.estimation`).  ``flow_jobs`` is identity-free: any
-    setting returns the same bits.
+    ``min(degree bound, sample minimum)`` without a further flow (see
+    :mod:`repro.core.estimation`; ROADMAP item 1 makes it exact).
+    ``flow_jobs`` is identity-free: any setting returns the same bits.
     """
     measurement = MeasurementSpec(algorithm, "estimate", sample_pairs, ci_level)
     with measurement.analyzer(

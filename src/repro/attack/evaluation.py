@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Sequence
 
 from repro.attack.adversary import Adversary
-from repro.core.vertex_connectivity import connectivity_statistics
+from repro.core.vertex_connectivity import global_vertex_connectivity
 from repro.graph.algorithms.components import strongly_connected_components
 from repro.graph.digraph import DiGraph
 
@@ -147,7 +147,7 @@ def resilience_curve(
     survival probability of 1.0 for every budget strictly below ``kappa(D)``
     regardless of the strategy.
     """
-    kappa = connectivity_statistics(graph, use_cutoff=True, sample_fraction=None).minimum
+    kappa = global_vertex_connectivity(graph)
     rows: List[Dict[str, float]] = []
     for budget in budgets:
         survived = 0

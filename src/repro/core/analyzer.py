@@ -4,9 +4,10 @@ The analyzer packages the paper's measurement pipeline (Sections 4.2–4.4 and
 the sampling reduction of Section 5.2) into one object with a configurable
 cost/exactness trade-off:
 
-* **exact mode** (``source_fraction=None``) — every vertex is a flow source,
-  every non-adjacent vertex a target; used as the oracle in tests and for
-  small graphs.
+* **exact mode** (``source_fraction=None``) — every ordered non-adjacent
+  pair is evaluated (:func:`~repro.core.vertex_connectivity
+  .exhaustive_statistics`) on the same engine, worker pool and counters as
+  the sampled mode; used as the oracle in tests and for small graphs.
 * **sampled mode** (default) — a two-pass scheme per snapshot:
 
   1. *minimum pass*: the strongly-connected-components check settles
@@ -21,7 +22,7 @@ cost/exactness trade-off:
      pairwise connectivity (the figures' "Avg" series).
 
 Both deviations from the paper's single-pass sampling are substitutions for
-the missing compute cluster and are documented in DESIGN.md / EXPERIMENTS.md.
+the missing compute cluster.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from typing import Mapping, Optional, Sequence, Tuple
 from repro.core.connectivity_graph import build_connectivity_graph, disconnected_vertices
 from repro.core.resilience import resilience_of
 from repro.core.vertex_connectivity import (
-    connectivity_statistics,
+    exhaustive_statistics,
     lowest_in_degree_vertices,
     lowest_out_degree_vertices,
     sample_non_adjacent_pairs,
@@ -265,22 +266,23 @@ class ConnectivityAnalyzer(FlowEngineHost):
                 elapsed=elapsed,
             )
 
-        if self.source_fraction is None:
-            stats = connectivity_statistics(graph, algorithm=self.algorithm)
-            elapsed = wallclock.perf_counter() - started
-            return self._report(
-                minimum=stats.minimum, average=stats.average, graph=graph,
-                disconnected=disconnected, strongly_connected=strongly_connected,
-                min_pairs=stats.pairs_evaluated, avg_pairs=stats.pairs_evaluated,
-                exact=True, elapsed=elapsed,
-            )
-
         if graph.is_complete():
             elapsed = wallclock.perf_counter() - started
             return self._report(
                 minimum=n - 1, average=float(n - 1), graph=graph,
                 disconnected=disconnected, strongly_connected=strongly_connected,
                 min_pairs=0, avg_pairs=0, exact=True, elapsed=elapsed,
+            )
+
+        if self.source_fraction is None:
+            with self._make_engine(graph) as engine:
+                stats = exhaustive_statistics(engine)
+            elapsed = wallclock.perf_counter() - started
+            return self._report(
+                minimum=stats.minimum, average=stats.average, graph=graph,
+                disconnected=disconnected, strongly_connected=strongly_connected,
+                min_pairs=stats.pairs_evaluated, avg_pairs=stats.pairs_evaluated,
+                exact=True, elapsed=elapsed,
             )
 
         # One Even-transformed network is built here and reused for every

@@ -27,18 +27,18 @@ homogeneous graphs.  The whole computation is a pure function of
 value, so serial, parallel and distributed runs report identical
 estimates bit for bit.
 
-*Minimum connectivity* — a branch-and-bound **bound**, not an exact
-minimum: candidates are the lowest-out-degree x lowest-in-degree corner
-of the pair grid (the paper's ``c * n`` sampling, Section 5.2),
-evaluated in ascending order of their degree bound
-``min(out_degree(s), in_degree(t))`` with the running minimum as the
-flow cutoff.  Because the order is
-ascending, the first candidate whose bound reaches the running minimum
-prunes *every* remaining candidate.  The reported value is an upper
-bound on ``kappa(D)``; the explicit ``min_is_exact`` flag is True only
-when the bound is provably tight (graph not strongly connected,
-complete graph, bound 0, or the sample exhausted every non-adjacent
-pair).
+*Minimum connectivity* — an upper **bound**, not an exact minimum:
+``min(degree bound, sample minimum)``, where the degree bound is
+``min(min out-degree, min in-degree)`` and the sample minimum is the
+smallest exact ``kappa`` of the average pass.  No flow runs for it.
+``pairs_pruned`` reports the size of the lowest-out-degree x
+lowest-in-degree candidate corner (the paper's ``c * n`` sampling,
+Section 5.2); no candidate's own bound ``min(out_degree(s),
+in_degree(t))`` lies below the global degree bound, so none is
+evaluated.  The explicit ``min_is_exact`` flag is True only when the
+bound is provably tight (graph not strongly connected, complete graph,
+or the sample exhausted every non-adjacent pair).  ROADMAP item 1
+replaces this pass with the exact minimum.
 
 Exact recovery — when the requested budget covers every non-adjacent
 ordered pair, the estimator enumerates them all: the average equals the
@@ -66,6 +66,11 @@ from typing import List, Mapping, Optional, Sequence, Tuple
 from repro.core.analyzer import FlowEngineHost
 from repro.core.connectivity_graph import build_connectivity_graph, disconnected_vertices
 from repro.core.resilience import resilience_of
+from repro.core.vertex_connectivity import (
+    exhaustive_statistics,
+    lowest_in_degree_vertices,
+    lowest_out_degree_vertices,
+)
 from repro.graph.algorithms.components import is_strongly_connected
 from repro.graph.digraph import DiGraph
 from repro.options import ExecutionOptions, MeasurementSpec
@@ -76,10 +81,6 @@ DEFAULT_STRATA = 4
 #: lowest-out-degree sources x lowest-in-degree targets.
 DEFAULT_MIN_FRACTION = 0.02
 DEFAULT_MIN_CANDIDATES = 8
-#: Pairs dispatched per branch-and-bound block of the minimum pass (the
-#: running minimum is re-read between blocks, so a small block prunes
-#: early; within a block the engine's cutoff propagation does the work).
-_MIN_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -89,8 +90,9 @@ class EstimatedConnectivityReport:
     Attributes
     ----------
     minimum_bound / min_is_exact:
-        Branch-and-bound upper bound on ``kappa(D)`` and whether it is
-        provably the exact minimum (see module docstring).
+        Upper bound ``min(degree bound, sample minimum)`` on
+        ``kappa(D)`` and whether it is provably the exact minimum (see
+        module docstring).
     average_estimate / ci_low / ci_high / ci_level:
         Stratified estimate of the mean pairwise connectivity and its
         two-sided confidence interval at ``ci_level``.
@@ -99,10 +101,12 @@ class EstimatedConnectivityReport:
         the average pass (rejection sampling on near-complete strata can
         fall short of the quota).
     pairs_pruned:
-        Minimum-pass candidates skipped because the ascending degree-
-        bound order proved they could not lower the bound further.
+        Size of the minimum pass's candidate corner; none of it is
+        evaluated, because no candidate's degree bound lies below the
+        global one.
     min_pairs_evaluated / avg_pairs_evaluated:
-        Max-flow computations spent on each pass.
+        Max-flow computations spent on each pass (the minimum pass
+        spends none).
     resilience:
         ``max(minimum_bound - 1, 0)`` — an upper bound on the tolerated
         attacker budget (Equation 2), exact iff ``min_is_exact``.
@@ -299,20 +303,13 @@ class ConnectivityEstimator(FlowEngineHost):
         self, graph, engine, disconnected, strongly_connected, started
     ) -> EstimatedConnectivityReport:
         """Exact recovery: the budget covers every non-adjacent pair."""
-        pairs = list(graph.non_adjacent_pairs())
-        outcome = engine.evaluate(pairs, use_cutoff=False)
-        if outcome.pairs_evaluated:
-            average = outcome.average
-            minimum = int(outcome.minimum)
-        else:
-            average, minimum = 0.0, 0
-        if not strongly_connected:
-            minimum = 0
+        stats = exhaustive_statistics(engine)
+        average = stats.average
         return self._finish(
             graph, disconnected, strongly_connected, started,
-            minimum=minimum, min_is_exact=True, average=average,
-            ci=(average, average), sampled=len(pairs), pruned=0,
-            min_pairs=0, avg_pairs=outcome.pairs_evaluated,
+            minimum=stats.minimum, min_is_exact=True, average=average,
+            ci=(average, average), sampled=stats.pairs_evaluated, pruned=0,
+            min_pairs=0, avg_pairs=stats.pairs_evaluated,
         )
 
     def _analyze_sampled(
@@ -331,67 +328,33 @@ class ConnectivityEstimator(FlowEngineHost):
         average, ci = self._stratified_estimate(graph, plan, pair_blocks, values)
         observed_min = min(values) if values else None
 
-        # -- minimum pass: ascending-bound branch-and-bound ------------
-        degree_bound = min(graph.min_out_degree(), graph.min_in_degree())
-        min_pairs = 0
-        pruned = 0
-        min_is_exact = False
+        # -- minimum pass: min(degree bound, sample minimum), no flow --
+        # (see the module docstring for why the corner is never evaluated)
+        min_is_exact = not strongly_connected
         if not strongly_connected:
             minimum = 0
-            min_is_exact = True
+            pruned = 0
         else:
-            from repro.core.vertex_connectivity import (
-                lowest_in_degree_vertices,
-                lowest_out_degree_vertices,
+            count = min(
+                max(self.min_candidates, math.ceil(self.min_fraction * n)), n
             )
-
-            count = max(self.min_candidates, math.ceil(self.min_fraction * n))
-            sources = lowest_out_degree_vertices(graph, min(count, n))
-            targets = lowest_in_degree_vertices(graph, min(count, n))
+            sources = lowest_out_degree_vertices(graph, count)
+            targets = lowest_in_degree_vertices(graph, count)
             has_edge = graph.has_edge
-            out_degree = graph.out_degree
-            in_degree = graph.in_degree
-            candidates = sorted(
-                (
-                    (min(out_degree(source), in_degree(target)), source, target)
-                    for source in sources
-                    for target in targets
-                    if target != source and not has_edge(source, target)
-                ),
-                key=lambda item: item[0],
+            pruned = sum(
+                1
+                for source in sources
+                for target in targets
+                if target != source and not has_edge(source, target)
             )
-            running = degree_bound
+            minimum = min(graph.min_out_degree(), graph.min_in_degree())
             if observed_min is not None:
-                running = min(running, observed_min)
-            index = 0
-            while index < len(candidates) and candidates[index][0] < running:
-                block: List[Tuple] = []
-                while (
-                    index < len(candidates)
-                    and len(block) < _MIN_BLOCK
-                    and candidates[index][0] < running
-                ):
-                    block.append(candidates[index][1:])
-                    index += 1
-                block_outcome = engine.evaluate(
-                    block, use_cutoff=True, initial_minimum=running
-                )
-                min_pairs += block_outcome.pairs_evaluated
-                if (
-                    block_outcome.minimum is not None
-                    and block_outcome.minimum < running
-                ):
-                    running = block_outcome.minimum
-            pruned = len(candidates) - min_pairs
-            minimum = running
-            if minimum == 0:
-                # kappa(D) >= 0 always; an achieved 0 bound is tight.
-                min_is_exact = True
+                minimum = min(minimum, observed_min)
 
         return self._finish(
             graph, disconnected, strongly_connected, started,
             minimum=minimum, min_is_exact=min_is_exact, average=average,
-            ci=ci, sampled=sampled, pruned=pruned, min_pairs=min_pairs,
+            ci=ci, sampled=sampled, pruned=pruned, min_pairs=0,
             avg_pairs=outcome.pairs_evaluated,
         )
 
@@ -612,16 +575,16 @@ def validate_exact_vs_estimate(
     bound must dominate the exhaustive minimum.  ``EXPERIMENTS.md``
     documents running it at paper scale.
     """
-    from repro.core.vertex_connectivity import connectivity_statistics
-
-    stats = connectivity_statistics(graph, algorithm=algorithm)
+    execution = ExecutionOptions(flow_jobs=flow_jobs)
+    with MeasurementSpec(algorithm).analyzer(
+        seed, execution, source_fraction=None
+    ) as analyzer:
+        exact = analyzer.analyze_graph(graph)
     measurement = MeasurementSpec(algorithm, "estimate", sample_pairs, ci_level)
-    with measurement.analyzer(
-        seed, ExecutionOptions(flow_jobs=flow_jobs)
-    ) as estimator:
+    with measurement.analyzer(seed, execution) as estimator:
         estimate = estimator.analyze_graph(graph)
     return EstimateValidation(
-        exact_minimum=stats.minimum,
-        exact_average=stats.average,
+        exact_minimum=exact.minimum,
+        exact_average=exact.average,
         estimate=estimate,
     )

@@ -7,19 +7,20 @@ connectivity ``kappa(D)`` is the minimum of ``kappa(v, w)`` over all ordered
 non-adjacent pairs; a complete graph has ``kappa = n - 1`` by definition.
 
 Computing all ``n (n - 1)`` pairs is expensive — the paper quotes roughly
-250 CPU-hours for one 2500-node graph — so Section 5.2 introduces a
-reduction: only the ``c * n`` vertices with the smallest *out*-degree are
-used as flow sources (the authors verified that ``c = 0.02`` recovered the
-exact minimum on 20 fully analysed graphs).  Both the exact computation and
-that sampling strategy are implemented here.
+250 CPU-hours for one 2500-node graph.  Every batch of pairs here runs on
+:class:`repro.runtime.pairflow.PairFlowEngine`; the paper's ``c * n``
+lowest-degree sampling (Section 5.2) lives in
+:class:`repro.core.analyzer.ConnectivityAnalyzer`, which uses the degree
+helpers below.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Hashable, List, Optional, Sequence, Tuple
+from typing import Hashable, List, Optional, Tuple
 
+from repro.graph.algorithms.components import is_strongly_connected
 from repro.graph.digraph import DiGraph
 from repro.graph.maxflow import network_flow_function as _flow_function
 from repro.graph.transform.even_transform import indexed_even_transform
@@ -31,19 +32,18 @@ Vertex = Hashable
 class ConnectivityStatistics:
     """Connectivity figures computed from one connectivity graph.
 
-    ``minimum`` is the (sampled or exact) graph connectivity ``kappa(D)``;
-    ``average`` is the mean of the pairwise connectivities over the evaluated
-    pairs — the two quantities plotted as "Min" and "Avg" in the paper's
-    figures.
+    ``minimum`` is the graph connectivity ``kappa(D)``; ``average`` is the
+    mean of the pairwise connectivities over every ordered non-adjacent
+    pair — the two quantities plotted as "Min" and "Avg" in the paper's
+    figures.  ``min_pair`` is the first pair, in (source, target) vertex
+    order, whose connectivity is the minimum.
     """
 
     minimum: int
     average: float
     pairs_evaluated: int
-    sources_evaluated: int
     vertex_count: int
     edge_count: int
-    exact: bool
     min_pair: Optional[Tuple[Vertex, Vertex]] = None
 
     def as_dict(self) -> dict:
@@ -52,10 +52,8 @@ class ConnectivityStatistics:
             "minimum": self.minimum,
             "average": self.average,
             "pairs_evaluated": self.pairs_evaluated,
-            "sources_evaluated": self.sources_evaluated,
             "vertex_count": self.vertex_count,
             "edge_count": self.edge_count,
-            "exact": self.exact,
             "min_pair": self.min_pair,
         }
 
@@ -87,254 +85,76 @@ def pairwise_vertex_connectivity(
     return int(round(value))
 
 
-def _sample_sources(
-    graph: DiGraph,
-    sample_fraction: Optional[float],
-    min_sources: int,
-    rng: Optional[random.Random],
-) -> Tuple[List[Vertex], bool]:
-    """Pick flow sources; returns (sources, exact flag).
-
-    ``sample_fraction=None`` (or >= 1) keeps every vertex — the exact
-    computation.  Otherwise the ``ceil(c * n)`` vertices with the smallest
-    out-degree are used, as in the paper; ties are broken deterministically
-    by insertion order unless an ``rng`` is given to shuffle equal-degree
-    groups.
-    """
-    vertices = graph.vertices()
-    n = len(vertices)
-    if sample_fraction is None or sample_fraction >= 1.0 or n == 0:
-        return vertices, True
-    if sample_fraction <= 0.0:
-        raise ValueError(f"sample_fraction must be positive, got {sample_fraction}")
-    count = max(min_sources, int(-(-sample_fraction * n // 1)))  # ceil
-    count = min(count, n)
-    if rng is not None:
-        shuffled = vertices[:]
-        rng.shuffle(shuffled)
-        vertices = shuffled
-    ranked = sorted(vertices, key=graph.out_degree)
-    return ranked[:count], False
-
-
 def connectivity_statistics(
-    graph: DiGraph,
-    algorithm: str = "dinic",
-    sample_fraction: Optional[float] = None,
-    min_sources: int = 2,
-    use_cutoff: bool = False,
-    rng: Optional[random.Random] = None,
+    graph: DiGraph, algorithm: str = "dinic"
 ) -> ConnectivityStatistics:
-    """Compute the minimum and average pairwise vertex connectivity.
+    """Minimum and average ``kappa`` over every ordered non-adjacent pair.
 
-    Parameters
-    ----------
-    graph:
-        The connectivity graph ``D``.
-    algorithm:
-        Max-flow algorithm: ``"dinic"`` (default), ``"push_relabel"`` or
-        ``"edmonds_karp"``.
-    sample_fraction:
-        The paper's ``c``: fraction of vertices used as flow sources,
-        selected by smallest out-degree.  ``None`` means exact (all
-        sources).
-    min_sources:
-        Lower bound on the number of sampled sources (tiny graphs).
-    use_cutoff:
-        When True, each flow computation stops at the current running
-        minimum.  This keeps the *minimum* exact over the evaluated pairs
-        but turns the *average* into a lower bound, so it is off by
-        default; the experiment runner enables it for minimum-only passes.
-    rng:
-        Optional random stream for tie-shuffling of equal-out-degree
-        sources.
-
-    Notes
-    -----
-    Fast paths: an empty or single-vertex graph has connectivity 0;
-    a complete graph has connectivity ``n - 1``; any vertex with in- or
-    out-degree 0 forces connectivity 0 (and average computation still
-    proceeds over the evaluated pairs).
+    ``algorithm`` is the max-flow solver (``"dinic"``, ``"push_relabel"``
+    or ``"edmonds_karp"``).  An empty or single-vertex graph has
+    connectivity 0 and a complete graph ``n - 1``, without a flow; every
+    other graph runs :func:`exhaustive_statistics` on a serial
+    :class:`~repro.runtime.pairflow.PairFlowEngine`.
     """
     n = graph.number_of_vertices()
     m = graph.number_of_edges()
     if n <= 1:
         return ConnectivityStatistics(
-            minimum=0, average=0.0, pairs_evaluated=0, sources_evaluated=0,
-            vertex_count=n, edge_count=m, exact=True,
+            minimum=0, average=0.0, pairs_evaluated=0, vertex_count=n,
+            edge_count=m,
         )
     if graph.is_complete():
         return ConnectivityStatistics(
             minimum=n - 1, average=float(n - 1), pairs_evaluated=0,
-            sources_evaluated=0, vertex_count=n, edge_count=m, exact=True,
+            vertex_count=n, edge_count=m,
         )
+    # Imported lazily: repro.runtime depends on the experiments layer,
+    # which imports this package.
+    from repro.runtime.pairflow import PairFlowEngine
 
-    flow_fn = _flow_function(algorithm)
-    sources, exact = _sample_sources(graph, sample_fraction, min_sources, rng)
-    transform = indexed_even_transform(graph)
-    network = transform.network
-    target_index = transform.target_index
+    return exhaustive_statistics(PairFlowEngine(graph, algorithm=algorithm))
 
+
+def exhaustive_statistics(engine) -> ConnectivityStatistics:
+    """Evaluate every ordered non-adjacent pair of ``engine.graph`` uncut.
+
+    One :meth:`~repro.runtime.pairflow.PairFlowEngine.evaluate` call per
+    source row, so at most ``n - 1`` pairs are held at a time.  Uncut
+    values do not depend on what ran before them, so the minimum, total,
+    count and first minimum pair in (source, target) vertex order are
+    those of one call over all pairs.  ``engine.graph`` must have a
+    non-adjacent pair (at least two vertices, not complete).
+    """
+    graph = engine.graph
+    vertices = graph.vertices()
+    has_edge = graph.has_edge
     minimum: Optional[int] = None
     min_pair: Optional[Tuple[Vertex, Vertex]] = None
-    total = 0.0
+    total = 0
     pairs = 0
-    vertices = graph.vertices()
-
-    for source in sources:
-        source_index = transform.source_index(source)
-        out_degree = graph.out_degree(source)
-        if out_degree == 0:
-            # No outgoing edges: kappa(source, w) = 0 for every non-adjacent w.
-            non_adjacent = n - 1
-            pairs += non_adjacent
-            if non_adjacent > 0 and (minimum is None or minimum > 0):
-                minimum = 0
-                min_pair = (source, next(v for v in vertices if v != source))
-            continue
-        for target in vertices:
-            if target == source or graph.has_edge(source, target):
-                continue
-            cutoff = None
-            if use_cutoff and minimum is not None:
-                if minimum == 0:
-                    # The global minimum cannot go lower; only the average
-                    # would benefit from more work, and with cutoffs enabled
-                    # the caller accepted a lower-bound average.
-                    cutoff = 0.0
-                else:
-                    cutoff = float(minimum)
-            network.reset()
-            value = flow_fn(
-                network,
-                source_index,
-                target_index(target),
-                cutoff=cutoff,
-            )
-            kappa = int(round(value))
-            total += kappa
-            pairs += 1
-            if minimum is None or kappa < minimum:
-                minimum = kappa
-                min_pair = (source, target)
-
-    if pairs == 0:
-        # Every evaluated source was adjacent to every other vertex; fall
-        # back to the degree bound (the graph is "locally complete" around
-        # the sampled sources).
-        minimum = min(graph.out_degree(v) for v in sources) if sources else 0
-        return ConnectivityStatistics(
-            minimum=int(minimum), average=float(minimum), pairs_evaluated=0,
-            sources_evaluated=len(sources), vertex_count=n, edge_count=m,
-            exact=exact,
+    for source in vertices:
+        outcome = engine.evaluate(
+            [
+                (source, target)
+                for target in vertices
+                if target != source and not has_edge(source, target)
+            ]
         )
-
+        if not outcome.pairs_evaluated:
+            continue
+        total += outcome.total
+        pairs += outcome.pairs_evaluated
+        if minimum is None or outcome.minimum < minimum:
+            minimum = outcome.minimum
+            min_pair = outcome.min_pair
     return ConnectivityStatistics(
-        minimum=int(minimum if minimum is not None else 0),
+        minimum=minimum,
         average=total / pairs,
         pairs_evaluated=pairs,
-        sources_evaluated=len(sources),
-        vertex_count=n,
-        edge_count=m,
-        exact=exact,
+        vertex_count=len(vertices),
+        edge_count=graph.number_of_edges(),
         min_pair=min_pair,
     )
-
-
-class PairFlowEvaluator:
-    """Reusable evaluator of ``kappa(v, w)`` queries on one connectivity graph.
-
-    Building Even's transformation and the residual network dominates the
-    setup cost of a single pairwise query, so the evaluator builds both once
-    and then answers any number of pair queries by resetting the residual
-    capacities in place.  The experiment analyzer performs two passes per
-    snapshot with the same evaluator:
-
-    * a *minimum* pass over sources with the smallest out-degree and targets
-      with the smallest in-degree (a two-sided version of the paper's
-      ``c * n`` source sampling), with flow cutoffs at the running minimum;
-    * an *average* pass over uniformly random non-adjacent pairs without
-      cutoffs, so the "Avg" series stays unbiased.
-    """
-
-    def __init__(self, graph: DiGraph, algorithm: str = "dinic") -> None:
-        self.graph = graph
-        self.algorithm = algorithm
-        self._flow_fn = _flow_function(algorithm)
-        self._transform = indexed_even_transform(graph)
-        self._network = self._transform.network
-
-    def kappa(
-        self, source: Vertex, target: Vertex, cutoff: Optional[float] = None
-    ) -> int:
-        """Return ``kappa(source, target)`` (the pair must be non-adjacent)."""
-        if source == target:
-            raise ValueError("source and target must be distinct")
-        if self.graph.has_edge(source, target):
-            raise ValueError("pair is adjacent; vertex connectivity is undefined")
-        self._network.reset()
-        flow_source, flow_target = self._transform.flow_endpoint_indices(
-            source, target
-        )
-        value = self._flow_fn(
-            self._network, flow_source, flow_target, cutoff=cutoff
-        )
-        return int(round(value))
-
-    def minimum_over(
-        self,
-        sources: Sequence[Vertex],
-        targets: Sequence[Vertex],
-        use_cutoff: bool = True,
-        initial_minimum: Optional[int] = None,
-    ) -> Tuple[int, int]:
-        """Minimum ``kappa`` over the non-adjacent pairs of ``sources x targets``.
-
-        Returns ``(minimum, pairs evaluated)``.  ``initial_minimum`` seeds
-        the cutoff (e.g. with the degree bound ``min out-degree``).  If no
-        valid pair exists the degree bound itself is returned.
-        """
-        minimum = initial_minimum
-        pairs = 0
-        for source in sources:
-            if self.graph.out_degree(source) == 0:
-                first_other = next(
-                    (v for v in targets if v != source), None
-                )
-                if first_other is not None:
-                    return 0, pairs + 1
-            for target in targets:
-                if target == source or self.graph.has_edge(source, target):
-                    continue
-                cutoff = float(minimum) if (use_cutoff and minimum is not None) else None
-                value = self.kappa(source, target, cutoff=cutoff)
-                pairs += 1
-                if minimum is None or value < minimum:
-                    minimum = value
-                if minimum == 0:
-                    return 0, pairs
-        if minimum is None:
-            degree_bound = (
-                min(self.graph.out_degree(v) for v in sources) if sources else 0
-            )
-            return degree_bound, pairs
-        return minimum, pairs
-
-    def average_over_random_pairs(
-        self, pair_count: int, rng: random.Random
-    ) -> Tuple[float, int]:
-        """Mean ``kappa`` over up to ``pair_count`` random non-adjacent pairs.
-
-        Returns ``(average, pairs evaluated)``; (0.0, 0) when the graph has
-        no non-adjacent pair (complete graph).
-        """
-        pairs = sample_non_adjacent_pairs(self.graph, pair_count, rng)
-        if not pairs:
-            return 0.0, 0
-        total = 0.0
-        for source, target in pairs:
-            total += self.kappa(source, target)
-        return total / len(pairs), len(pairs)
 
 
 def sample_non_adjacent_pairs(
@@ -382,22 +202,29 @@ def _lowest(vertices: List[Vertex], degrees: List[int], count: int) -> List[Vert
     return [vertices[i] for i in order[:count]]
 
 
-def global_vertex_connectivity(
-    graph: DiGraph,
-    algorithm: str = "dinic",
-    sample_fraction: Optional[float] = None,
-    rng: Optional[random.Random] = None,
-) -> int:
+def global_vertex_connectivity(graph: DiGraph, algorithm: str = "dinic") -> int:
     """Return the graph connectivity ``kappa(D)`` (paper Equation 1).
 
-    This is the minimum-only entry point; it enables flow cutoffs so that
-    each max-flow run stops as soon as it can no longer lower the minimum.
+    The minimum-only entry point.  A graph that is not strongly connected
+    has a pair with no path at all, so it is 0 without a flow.  Otherwise
+    every source row runs with flows cut off at the running minimum,
+    seeded with the degree bound ``min(min out-degree, min in-degree)``:
+    a non-complete digraph never has ``kappa(D)`` above it.
     """
-    stats = connectivity_statistics(
-        graph,
-        algorithm=algorithm,
-        sample_fraction=sample_fraction,
-        use_cutoff=True,
-        rng=rng,
-    )
-    return stats.minimum
+    n = graph.number_of_vertices()
+    if n <= 1:
+        return 0
+    if graph.is_complete():
+        return n - 1
+    if not is_strongly_connected(graph):
+        return 0
+    from repro.runtime.pairflow import PairFlowEngine
+
+    engine = PairFlowEngine(graph, algorithm=algorithm)
+    vertices = graph.vertices()
+    minimum = min(graph.min_out_degree(), graph.min_in_degree())
+    for source in vertices:
+        minimum, _ = engine.minimum_over(
+            [source], vertices, initial_minimum=minimum
+        )
+    return minimum

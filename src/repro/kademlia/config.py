@@ -54,7 +54,7 @@ class KademliaConfig:
         has emptied out or it has never completed a successful outgoing
         round-trip.  Deployed implementations behave this way; without it,
         message loss during the join (Simulations J–L) permanently
-        partitions the simulated network — see DESIGN.md and the
+        partitions the simulated network — see the
         ``test_ablation_bootstrap_recovery`` benchmark.
     """
 

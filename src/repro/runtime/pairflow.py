@@ -416,10 +416,10 @@ class PairFlowEngine:
     ) -> Tuple[int, int]:
         """Minimum ``kappa`` over the non-adjacent pairs of ``sources x targets``.
 
-        Returns ``(minimum, pairs evaluated)`` with cutoffs enabled — the
-        parallel counterpart of
-        :meth:`repro.core.vertex_connectivity.PairFlowEvaluator.minimum_over`.
-        If no valid pair exists, falls back to ``initial_minimum`` (or the
+        Returns ``(minimum, pairs evaluated)`` with cutoffs enabled and
+        the pass stopped at the first 0.  ``initial_minimum`` seeds the
+        cutoff (e.g. with the degree bound) and caps the result.  If no
+        valid pair exists, falls back to ``initial_minimum`` (or the
         sources' degree bound when that is ``None``).
         """
         graph = self.graph

@@ -21,8 +21,7 @@ than as separately scheduled message events.  The paper studies dynamics on
 a minute time-scale, where RPC latencies (milliseconds) are negligible; the
 synchronous abstraction preserves exactly the state the analysis depends on
 (routing-table contents, staleness counters, loss effects) while keeping
-pure-Python simulations tractable.  This substitution is recorded in
-DESIGN.md.
+pure-Python simulations tractable.
 """
 
 from repro.simulator.engine import Simulator

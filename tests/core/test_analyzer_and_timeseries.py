@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import analyze_snapshot, synthetic_snapshot
 from repro.core.analyzer import ConnectivityAnalyzer, ConnectivityReport
 from repro.core.timeseries import ConnectivitySample, ConnectivityTimeSeries
 from repro.graph.digraph import DiGraph
@@ -88,6 +89,33 @@ class TestConnectivityAnalyzer:
         assert data["minimum"] == 3
         assert data["resilience"] == 2
         assert "elapsed_seconds" in data
+
+
+class TestExhaustiveOnTheEngine:
+    """Exact mode's all-pairs pass runs on the analyzer's pair-flow engine."""
+
+    def test_counters_record_every_exhaustive_flow(self, obs_enabled):
+        report = analyze_snapshot(synthetic_snapshot(30, 5, seed=3))
+        assert report.exact
+        evaluated = obs_enabled.counter("pairflow.pairs_evaluated")
+        assert evaluated == report.min_pairs_evaluated > 0
+        assert obs_enabled.counter("maxflow.augmentations") > 0
+
+    def test_flow_jobs_do_not_change_the_exhaustive_report(self):
+        snapshot = synthetic_snapshot(30, 5, seed=3)
+        reports = []
+        for jobs in (1, 2):
+            report = analyze_snapshot(snapshot, flow_jobs=jobs).as_dict()
+            report.pop("elapsed_seconds")
+            reports.append(report)
+        assert reports[0]["exact"] and reports[0]["min_pairs_evaluated"] > 0
+        assert reports[0] == reports[1]
+
+    def test_exhaustive_flows_run_on_the_hosts_pool(self):
+        with ConnectivityAnalyzer(source_fraction=None, flow_jobs=2) as analyzer:
+            report = analyzer.analyze_graph(circulant_graph(10, [1, 2]))
+            assert analyzer._flow_session is not None
+        assert report.minimum == 4
 
 
 class TestConnectivityTimeSeries:

@@ -15,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.analyzer import ConnectivityAnalyzer
 from repro.core.vertex_connectivity import (
-    PairFlowEvaluator,
     lowest_in_degree_vertices,
     lowest_out_degree_vertices,
     pairwise_vertex_connectivity,
@@ -146,28 +145,33 @@ class TestSerialParallelEquivalence:
         assert outcomes[0].pairs_evaluated < len(pairs)
 
 
-class TestEngineMatchesEvaluator:
-    def test_average_pass_matches_evaluator(self):
+class TestEngineMatchesPerPairOracle:
+    def test_average_pass_matches_oracle(self):
         graph = circulant_graph(16, [1, 2, 3])
         pairs = sample_non_adjacent_pairs(graph, 30, random.Random(2))
-        evaluator = PairFlowEvaluator(graph)
-        expected = [evaluator.kappa(v, w) for v, w in pairs]
+        expected = [pairwise_vertex_connectivity(graph, v, w) for v, w in pairs]
         average, evaluated = PairFlowEngine(graph).average_over(pairs)
         assert evaluated == len(pairs)
         assert average == pytest.approx(sum(expected) / len(expected))
 
-    def test_minimum_over_matches_evaluator_minimum(self):
+    def test_minimum_over_matches_oracle_minimum(self):
         graph = random_regular_out_digraph(40, 4, random.Random(17))
         sources = lowest_out_degree_vertices(graph, 6)
         targets = lowest_in_degree_vertices(graph, 6)
         bound = min(graph.min_out_degree(), graph.min_in_degree())
-        evaluator_min, _ = PairFlowEvaluator(graph).minimum_over(
-            sources, targets, use_cutoff=True, initial_minimum=bound
+        oracle_min = min(
+            [bound]
+            + [
+                pairwise_vertex_connectivity(graph, s, t)
+                for s in sources
+                for t in targets
+                if s != t and not graph.has_edge(s, t)
+            ]
         )
         engine_min, _ = PairFlowEngine(graph).minimum_over(
             sources, targets, initial_minimum=bound
         )
-        assert engine_min == evaluator_min
+        assert engine_min == oracle_min
 
 
 def carved_bottleneck_graph() -> DiGraph:
@@ -191,7 +195,7 @@ def carved_bottleneck_graph() -> DiGraph:
 
 
 class TestCarvedBottleneck:
-    def test_four_paths_agree_on_the_minimum(self):
+    def test_four_engine_passes_agree_with_the_oracle(self):
         graph = carved_bottleneck_graph()
         sources = lowest_out_degree_vertices(graph, 16)
         targets = lowest_in_degree_vertices(graph, 16)
@@ -205,9 +209,6 @@ class TestCarvedBottleneck:
         per_pair = min(
             pairwise_vertex_connectivity(graph, s, t) for s, t in pairs
         )
-        evaluator_min, _ = PairFlowEvaluator(graph).minimum_over(
-            sources, targets, use_cutoff=True, initial_minimum=bound
-        )
         serial = PairFlowEngine(graph, flow_jobs=1)
         with PairFlowEngine(graph, flow_jobs=4) as parallel:
             minimum_passes = [
@@ -218,7 +219,7 @@ class TestCarvedBottleneck:
                 engine.evaluate(pairs).minimum for engine in (serial, parallel)
             ]
         assert per_pair == 2
-        assert [evaluator_min, *minimum_passes, *exact_passes] == [per_pair] * 5
+        assert [*minimum_passes, *exact_passes] == [per_pair] * 4
 
 
 class TestShardSemantics:
