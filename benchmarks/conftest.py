@@ -85,8 +85,8 @@ class ScenarioCache:
     def close(self) -> None:
         """Release the campaign's persistent worker session, if any.
 
-        Relevant when ``REPRO_CAMPAIGN_BATCH`` enables batching: the
-        campaign then owns a pinned worker pool for its whole lifetime.
+        Relevant when ``REPRO_BENCH_JOBS`` is above 1: the campaign then
+        owns a pinned worker pool from its first fresh run until here.
         """
         self.campaign.close()
 

@@ -161,8 +161,6 @@ def run_scenario(
     jobs: int = ExecutionOptions.jobs,
     flow_jobs: int = ExecutionOptions.flow_jobs,
     cache_dir: Optional[Union[str, Path]] = None,
-    schedule: str = ExecutionOptions.schedule,
-    batch: Union[None, str, int] = ExecutionOptions.batch,
     backend: str = ExecutionOptions.backend,
     progress=None,
 ) -> ExperimentResult:
@@ -172,17 +170,17 @@ def run_scenario(
     :class:`Scenario`.  ``connectivity`` selects exact or sampled-pair
     estimated per-snapshot measurement (identity-bearing, parameterised
     by ``sample_pairs`` / ``ci_level``).  Everything after ``seed`` is
-    keyword-only; the scheduling/backend knobs (``jobs``, ``flow_jobs``,
-    ``schedule``, ``batch``, ``backend``) are identity-free — any
-    combination returns bit-identical results.  ``cache_dir`` enables
+    keyword-only; the placement knobs (``jobs``, ``flow_jobs``,
+    ``backend``) are identity-free — any combination returns
+    bit-identical results.  ``cache_dir`` enables
     the content-addressed result cache.
     """
     return run_sweep(
         scenario, [{}], profile=profile, seed=seed, algorithm=algorithm,
         connectivity=connectivity, sample_pairs=sample_pairs,
         ci_level=ci_level, keep_snapshots=keep_snapshots, jobs=jobs,
-        flow_jobs=flow_jobs, cache_dir=cache_dir, schedule=schedule,
-        batch=batch, backend=backend, progress=progress,
+        flow_jobs=flow_jobs, cache_dir=cache_dir, backend=backend,
+        progress=progress,
     )[0]
 
 
@@ -200,8 +198,6 @@ def run_sweep(
     jobs: int = ExecutionOptions.jobs,
     flow_jobs: int = ExecutionOptions.flow_jobs,
     cache_dir: Optional[Union[str, Path]] = None,
-    schedule: str = ExecutionOptions.schedule,
-    batch: Union[None, str, int] = ExecutionOptions.batch,
     backend: str = ExecutionOptions.backend,
     progress=None,
 ) -> List[ExperimentResult]:
@@ -225,8 +221,7 @@ def run_sweep(
             algorithm, connectivity, sample_pairs, ci_level
         ),
         execution=ExecutionOptions(
-            jobs=jobs, flow_jobs=flow_jobs, schedule=schedule, batch=batch,
-            backend=backend,
+            jobs=jobs, flow_jobs=flow_jobs, backend=backend,
         ),
         cache=_open_cache(cache_dir),
         progress=progress,
@@ -302,8 +297,6 @@ def open_campaign(
     *,
     jobs: int = ExecutionOptions.jobs,
     cache_dir: Optional[Union[str, Path]] = None,
-    schedule: str = ExecutionOptions.schedule,
-    batch: Union[None, str, int] = ExecutionOptions.batch,
     backend: str = ExecutionOptions.backend,
     retry_policy: Optional[RetryPolicy] = ExecutionOptions.retries,
     progress=None,
@@ -318,7 +311,6 @@ def open_campaign(
             results = campaign.run(tasks)
     """
     execution = ExecutionOptions(
-        jobs=jobs, schedule=schedule, batch=batch, backend=backend,
-        retries=retry_policy,
+        jobs=jobs, backend=backend, retries=retry_policy,
     )
     return execution.campaign(cache=_open_cache(cache_dir), progress=progress)

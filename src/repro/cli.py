@@ -52,13 +52,11 @@ an in-process pool or a fleet of TCP workers), ``--flow-jobs N``
 (process-pool execution of the per-snapshot pair-flow batches *inside*
 a task), ``--cache-dir DIR`` (content-addressed result reuse across
 invocations), ``--shared-cache HOST:PORT`` (a remote ``cache serve``
-tier behind the local directory), ``--schedule {fifo,cheapest}``
-(dispatch pending tasks in submission order or cheapest-first by the
-``_costs.json`` cost model beside the cache); all combinations
-produce bit-identical output — scheduling and placement knobs change
-only *when and where* work runs, never what it computes.  Progress and
-cache statistics go to stderr so stdout stays identical regardless of
-parallelism, backend, schedule or cache state.
+tier behind the local directory); all combinations produce
+bit-identical output — placement knobs change only *when and where*
+work runs, never what it computes.  Progress and cache statistics go to
+stderr so stdout stays identical regardless of parallelism, backend or
+cache state.
 """
 
 from __future__ import annotations
@@ -90,7 +88,7 @@ from repro.overlay import overlay_names
 from repro.analysis.figures import render_series_table
 from repro.runtime import faults
 from repro.runtime.cache import ResultCache
-from repro.runtime.campaign import resolve_batch, sweep_tasks
+from repro.runtime.campaign import sweep_tasks
 from repro.runtime.distributed import (
     RemoteCacheTier,
     parse_address,
@@ -99,20 +97,6 @@ from repro.runtime.distributed import (
 )
 from repro.runtime.executor import EXECUTOR_BACKENDS
 from repro.runtime.resilience import RetryPolicy
-
-
-def _batch_value(text: str):
-    """argparse type for ``--batch``: ``auto``, ``off``, or an int >= 1.
-
-    One grammar for the knob: validation delegates to
-    :func:`repro.runtime.campaign.resolve_batch`.  An off-meaning value
-    resolves to ``1`` (not ``None``), so it selects one task per flight
-    even when the ``REPRO_CAMPAIGN_BATCH`` environment default is set.
-    """
-    try:
-        return resolve_batch(text)
-    except ValueError as error:
-        raise argparse.ArgumentTypeError(str(error))
 
 
 def _positive_int(text: str) -> int:
@@ -228,29 +212,6 @@ def _add_common_run_options(parser: argparse.ArgumentParser) -> None:
         ),
     )
     parser.add_argument(
-        "--schedule", default=ExecutionOptions.schedule,
-        choices=["fifo", "cheapest"],
-        help=(
-            "dispatch order of uncached tasks: submission order (fifo, "
-            "default) or ascending estimated cost from the _costs.json "
-            "sidecar beside --cache-dir (cheapest; order-only — results "
-            "are bit-identical either way)"
-        ),
-    )
-    parser.add_argument(
-        "--batch", type=_batch_value, default=ExecutionOptions.batch,
-        metavar="{auto,N,off}",
-        help=(
-            "tasks per worker call (flight) on the campaign's one "
-            "persistent pool: 'auto' packs near-equal-cost batches "
-            "(sized by the _costs.json cost model, a few per --jobs "
-            "worker), an integer packs fixed-size chunks, 'off' sends "
-            "one task per flight; defaults to $REPRO_CAMPAIGN_BATCH, off "
-            "otherwise (same self-healing and bit-identical output "
-            "for every value)"
-        ),
-    )
-    parser.add_argument(
         "--faults", default=None, metavar="SPEC",
         help=(
             "deterministic fault injection for the run (sets REPRO_FAULTS; "
@@ -264,7 +225,7 @@ def _add_common_run_options(parser: argparse.ArgumentParser) -> None:
         help=(
             "max executions of a failing task before it is reported as a "
             "poison task (default: 3; 1 disables retries); retry/backoff "
-            "knobs are identity-free like the schedule"
+            "knobs are identity-free like --jobs"
         ),
     )
     parser.add_argument(
@@ -344,8 +305,6 @@ def _execution(args: argparse.Namespace) -> ExecutionOptions:
     return ExecutionOptions(
         jobs=args.jobs,
         flow_jobs=args.flow_jobs,
-        schedule=args.schedule,
-        batch=args.batch,
         backend=args.backend,
         retries=(
             None if args.retries is None
@@ -391,20 +350,6 @@ def _make_progress(args: argparse.Namespace):
     if not args.progress:
         return None
     return lambda event: print(event.describe(), file=sys.stderr)
-
-
-def _warn_schedule_without_cache(args: argparse.Namespace) -> None:
-    # The cost model lives beside the result cache; without --cache-dir
-    # there is nothing to estimate from and cheapest-first degrades to
-    # submission order.  Results are identical either way, but the user
-    # should know the flag had no effect.
-    if args.schedule == "cheapest" and not args.cache_dir:
-        print(
-            "warning: --schedule cheapest needs --cache-dir (the "
-            "_costs.json cost model lives beside the result cache); "
-            "dispatching in submission order",
-            file=sys.stderr,
-        )
 
 
 def _report_cache_stats(cache: Optional[ResultCache]) -> None:
@@ -518,7 +463,6 @@ def _measurement(args: argparse.Namespace) -> MeasurementSpec:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     scenario = _apply_overrides(get_scenario(_scenario_name(args)), args)
-    _warn_schedule_without_cache(args)
     enabled_here = _obs_setup(args)
     cache = _make_cache(args)
     try:
@@ -547,7 +491,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_sweep_k(args: argparse.Namespace) -> int:
     scenario = _apply_overrides(get_scenario(_scenario_name(args)), args)
-    _warn_schedule_without_cache(args)
     enabled_here = _obs_setup(args)
     cache = _make_cache(args)
     try:
@@ -571,7 +514,6 @@ def _cmd_table1(_args: argparse.Namespace) -> int:
 
 
 def _cmd_table2(args: argparse.Namespace) -> int:
-    _warn_schedule_without_cache(args)
     enabled_here = _obs_setup(args)
     cache = _make_cache(args)
     # One batch across all four scenarios so --jobs parallelises the whole
@@ -612,7 +554,6 @@ def _cmd_obs_summary(args: argparse.Namespace) -> int:
     uninstrumented run and still populate ``--cache-dir`` normally.
     """
     scenario = _apply_overrides(get_scenario(_scenario_name(args)), args)
-    _warn_schedule_without_cache(args)
     was_enabled = obs.enabled()
     obs.enable()
     if args.trace_out:
@@ -908,7 +849,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace-out", default=None, metavar="FILE",
         help=(
             "also write a span-per-line JSONL trace of the run "
-            "(task/batch/shard/snapshot records with parent ids) to FILE"
+            "(task/shard/snapshot records with parent ids) to FILE"
         ),
     )
     obs_summary_parser.set_defaults(func=_cmd_obs_summary)

@@ -37,7 +37,9 @@ Section 5.2); no candidate's own bound ``min(out_degree(s),
 in_degree(t))`` lies below the global degree bound, so none is
 evaluated.  The explicit ``min_is_exact`` flag is True only when the
 bound is provably tight (graph not strongly connected, complete graph,
-or the sample exhausted every non-adjacent pair).  ROADMAP item 1
+a strongly connected graph whose bound is 1 — strong connectivity
+alone proves ``kappa >= 1`` — or the sample exhausted every
+non-adjacent pair).  ROADMAP item 1
 replaces this pass with the exact minimum.
 
 Exact recovery — when the requested budget covers every non-adjacent
@@ -330,7 +332,6 @@ class ConnectivityEstimator(FlowEngineHost):
 
         # -- minimum pass: min(degree bound, sample minimum), no flow --
         # (see the module docstring for why the corner is never evaluated)
-        min_is_exact = not strongly_connected
         if not strongly_connected:
             minimum = 0
             pruned = 0
@@ -350,6 +351,9 @@ class ConnectivityEstimator(FlowEngineHost):
             minimum = min(graph.min_out_degree(), graph.min_in_degree())
             if observed_min is not None:
                 minimum = min(minimum, observed_min)
+        # Strong connectivity alone proves kappa >= 1, so a bound of 1 is
+        # tight without a flow.
+        min_is_exact = not strongly_connected or minimum == 1
 
         return self._finish(
             graph, disconnected, strongly_connected, started,

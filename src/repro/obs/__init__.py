@@ -20,7 +20,7 @@ rules govern everything in this package:
 :func:`enable` also exports ``REPRO_OBS=1`` into the environment so
 spawned worker processes observe their half of a parallel campaign.
 
-Span-style tracing (JSONL, one record per task/batch/shard/snapshot)
+Span-style tracing (JSONL, one record per task/shard/snapshot)
 lives in :mod:`repro.obs.tracing` and is enabled independently through
 ``REPRO_OBS_TRACE=<path>``.
 """

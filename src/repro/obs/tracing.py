@@ -1,6 +1,6 @@
 """Lightweight span-style tracing with JSONL export.
 
-One record per traced unit of work — campaign, task, batch, experiment
+One record per traced unit of work — campaign, task, experiment
 run, snapshot, pair-flow evaluation, shard — appended as a single JSON
 line to the file named by ``REPRO_OBS_TRACE`` (or
 :func:`configure_tracer`).  Records carry span/parent ids so a trace can
@@ -141,7 +141,7 @@ class Tracer:
         return Span(self, name, self.current_span_id(), attrs)
 
     def point(self, name: str, **attrs: Any) -> None:
-        """Write a zero-duration record (one task / batch / shard / snapshot)."""
+        """Write a zero-duration record (one task / shard / snapshot)."""
         self._write(
             {
                 "name": name,

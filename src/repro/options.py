@@ -30,7 +30,7 @@ the leaves themselves — can import it without a cycle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional, Union
+from typing import TYPE_CHECKING, Dict, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.runtime.cache import ResultCache
@@ -49,13 +49,6 @@ class ExecutionOptions:
     flow_jobs:
         Worker processes of the per-snapshot pair-flow engine *inside* a
         task or a snapshot analysis.
-    schedule:
-        ``"fifo"`` dispatches pending tasks in submission order,
-        ``"cheapest"`` by ascending estimated cost (cost model beside the
-        result cache).
-    batch:
-        Tasks per worker call: ``"auto"``, a positive integer, ``"off"``;
-        ``None`` defers to ``REPRO_CAMPAIGN_BATCH``, one task otherwise.
     backend:
         Executor family for ``jobs`` workers: ``"local"`` pool or
         ``"distributed"`` loopback TCP fleet.
@@ -67,8 +60,6 @@ class ExecutionOptions:
 
     jobs: int = 1
     flow_jobs: int = 1
-    schedule: str = "fifo"
-    batch: Union[None, str, int] = None
     backend: str = "local"
     retries: Optional["RetryPolicy"] = None
 
@@ -88,8 +79,6 @@ class ExecutionOptions:
             executor=make_executor(self.jobs, backend=self.backend),
             cache=cache,
             progress=progress,
-            schedule=self.schedule,
-            batch=self.batch,
             retry_policy=self.retries,
         )
 

@@ -12,18 +12,18 @@ execution harness:
   process-pool backed :class:`ParallelExecutor`, which produce bit-identical
   results because every task carries its own random universe; both
   hand the campaign a persistent-worker :class:`TaskSession` (one
-  long-lived pool running a batch of one or more tasks per worker
-  call, warm across a campaign);
+  long-lived pool, warm across a campaign, taking a list of tasks per
+  worker call — the campaign sends one);
 * :mod:`repro.runtime.cache` — :class:`ResultCache`, an on-disk
   content-addressed store of :class:`ExperimentResult` documents with
   hit/miss statistics and an eviction API;
 * :mod:`repro.runtime.campaign` — :class:`Campaign`, the driver that
   expresses sweeps and replications as task batches and streams progress
   (with per-task results) while dispatching them through executor and
-  cache, in submission order or cheapest-first;
+  cache in submission order;
 * :mod:`repro.runtime.costmodel` — the persistent cost models behind
-  cost-aware scheduling: :class:`TaskCostModel` (wall-clock by coarse
-  task shape, ``_costs.json`` sidecar beside the result cache);
+  straggler hedging: :class:`TaskCostModel` (wall-clock by coarse task
+  shape, ``_costs.json`` sidecar beside the result cache);
 * :mod:`repro.runtime.faults` — the deterministic fault-injection harness
   (``REPRO_FAULTS``): seeded nth-occurrence/probability matchers that
   crash workers, raise task errors, stall batches, corrupt cache bytes
@@ -47,15 +47,7 @@ through this package; the distributed backend is exactly the "new
 """
 
 from repro.runtime.cache import CacheInfo, CacheStats, ResultCache, VerifyReport
-from repro.runtime.campaign import (
-    BATCH_AUTO,
-    BATCH_ENV_VAR,
-    SCHEDULE_CHEAPEST,
-    SCHEDULE_FIFO,
-    Campaign,
-    TaskProgress,
-    resolve_batch,
-)
+from repro.runtime.campaign import Campaign, TaskProgress
 from repro.runtime.costmodel import (
     CostModel,
     TaskCostModel,
@@ -104,8 +96,6 @@ from repro.runtime.resilience import (
 from repro.runtime.task import ExperimentTask, derive_seed
 
 __all__ = [
-    "BATCH_AUTO",
-    "BATCH_ENV_VAR",
     "CacheInfo",
     "CacheStats",
     "Campaign",
@@ -133,8 +123,6 @@ __all__ = [
     "RemoteTaskError",
     "ResultCache",
     "RetryPolicy",
-    "SCHEDULE_CHEAPEST",
-    "SCHEDULE_FIFO",
     "SerialExecutor",
     "ShutdownGuard",
     "TaskCostModel",
@@ -149,7 +137,6 @@ __all__ = [
     "is_retryable",
     "make_executor",
     "parse_address",
-    "resolve_batch",
     "run_worker",
     "serve_cache",
     "task_shape_key",

@@ -6,11 +6,10 @@ optional :class:`~repro.runtime.cache.ResultCache` and runs batches of
 
 1. every task is first looked up in the cache — hits are reported
    immediately and skip all simulation work;
-2. the remaining tasks are dispatched through the executor — in submission
-   order (``schedule="fifo"``) or cheapest-first by the persistent cost
-   model (``schedule="cheapest"``) — and each result is written back to
-   the cache (and its wall-clock folded into the cost model) the moment
-   it completes;
+2. the remaining tasks are dispatched through the executor in submission
+   order, and each result is written back to the cache (and its
+   wall-clock folded into the cost model that sets straggler deadlines)
+   the moment it completes;
 3. a progress callback receives one :class:`TaskProgress` event per task,
    in completion order and *carrying the task's result*, so long
    campaigns can stream per-task figures incrementally instead of
@@ -18,22 +17,16 @@ optional :class:`~repro.runtime.cache.ResultCache` and runs batches of
 
 Every pending task is dispatched through one **persistent task session**
 (:class:`repro.runtime.executor.TaskSession`): one long-lived worker pool
-survives across every ``run()`` call of the campaign, and tasks go out
-as *flights* — one task per flight by default, near-equal-cost batches
-under ``batch="auto"`` (sized by the cost model to a few batches per
-worker) or fixed-size chunks under ``batch=N``.  Every flight is healed
-by the same driver (retry, bisection, respawn, hedging, graceful
-shutdown — see :meth:`Campaign._dispatch`).  Progress events fire once
-per task and carry the task's result; they surface as each *flight*
-completes.
+survives across every ``run()`` call of the campaign, and each task goes
+out as its own *flight* (a one-task worker call).  Every flight is healed
+by the same driver (retry, respawn, hedging, graceful shutdown — see
+:meth:`Campaign._dispatch`).
 
-Scheduling is **order-only** by construction: tasks are independent (each
+Dispatch is **order-only** by construction: tasks are independent (each
 carries its own seed-derived random universe) and ``run`` returns results
-in submission order regardless of dispatch order or batch geometry, so
-the schedule and the batching can change when a figure appears but never
-a single bit of it.  Like every field of
-:class:`~repro.options.ExecutionOptions`, the ``batch`` knob never enters
-a task fingerprint.
+in submission order regardless of completion order, so worker count,
+healing and hedging can change when a figure appears but never a single
+bit of it.
 
 The module also provides the batch builders (:func:`sweep_tasks`,
 :func:`replication_tasks`) used by ``repro.experiments.sweep`` and
@@ -43,7 +36,6 @@ The module also provides the batch builders (:func:`sweep_tasks`,
 from __future__ import annotations
 
 import logging
-import os
 from collections import deque
 from concurrent.futures import (
     FIRST_COMPLETED,
@@ -64,7 +56,6 @@ from typing import (
     Sequence,
     Set,
     Tuple,
-    Union,
 )
 
 from repro import obs
@@ -94,23 +85,6 @@ CACHE_HIT = "hit"
 COMPLETED = "completed"
 FAILED = "failed"
 
-#: Dispatch schedules.
-SCHEDULE_FIFO = "fifo"
-SCHEDULE_CHEAPEST = "cheapest"
-SCHEDULES = (SCHEDULE_FIFO, SCHEDULE_CHEAPEST)
-
-#: Batch mode that packs pending tasks into near-equal-cost worker batches.
-BATCH_AUTO = "auto"
-
-#: Batches per worker under ``batch="auto"``.  One huge batch per worker
-#: would maximise amortisation but defer the first progress event (and
-#: with it cheapest-first figure streaming) to ~1/workers of the whole
-#: campaign; per-batch dispatch overhead is a single pickled submission,
-#: so oversubscribing keeps ~all of the throughput win while events keep
-#: streaming every few tasks and a mis-estimated straggler batch can be
-#: overtaken by idle workers.
-BATCH_AUTO_OVERSUBSCRIBE = 4
-
 #: Flights kept in flight per executor worker; the rest of the queue is
 #: submitted as flights settle.  Two keeps one flight queued behind each
 #: running one (no worker idles while the driver records a result), yet
@@ -119,49 +93,6 @@ BATCH_AUTO_OVERSUBSCRIBE = 4
 #: the flights actually handed to the pool.
 FLIGHTS_PER_WORKER = 2
 
-#: Environment default of the campaign ``batch`` knob (same values as the
-#: ``--batch`` CLI option: ``auto`` or a positive integer; empty/``off``/
-#: ``none``/``0`` mean one task per flight).  CI re-runs the determinism
-#: digest suite with ``REPRO_CAMPAIGN_BATCH=auto`` to gate the knob's
-#: order-invariance.
-BATCH_ENV_VAR = "REPRO_CAMPAIGN_BATCH"
-
-
-#: Batch value that explicitly selects one task per flight, overriding
-#: the environment default — callers that must measure or guarantee
-#: per-task dispatch pass this instead of ``None``.
-BATCH_OFF = "off"
-
-
-def resolve_batch(batch: Union[None, str, int]) -> Union[str, int]:
-    """Normalise a ``batch`` knob value (``None`` consults the environment).
-
-    Returns :data:`BATCH_AUTO` or a positive flight size — ``1``, one
-    task per flight, when the knob is off or unset; raises
-    :class:`ValueError` on anything else.  The explicit strings
-    ``"off"``/``"none"`` (and :data:`BATCH_OFF`) select flights of one
-    even when :data:`BATCH_ENV_VAR` is set — only ``None`` defers to the
-    environment.
-    """
-    if batch is None:
-        batch = os.environ.get(BATCH_ENV_VAR, "").strip() or BATCH_OFF
-    if isinstance(batch, str):
-        lowered = batch.lower()
-        if lowered in (BATCH_OFF, "none", "0"):
-            return 1
-        if lowered == BATCH_AUTO:
-            return BATCH_AUTO
-        try:
-            batch = int(batch)
-        except ValueError:
-            raise ValueError(
-                f"batch must be 'auto', 'off' or a positive integer, "
-                f"got {batch!r}"
-            )
-    if batch < 1:
-        raise ValueError(f"batch must be >= 1, got {batch}")
-    return batch
-
 
 @dataclass(frozen=True)
 class TaskProgress:
@@ -169,8 +100,7 @@ class TaskProgress:
 
     ``result`` is the task's :class:`ExperimentResult` (cached or fresh),
     so a progress callback can render the task's figure the moment it
-    completes — with cheapest-first scheduling that is what turns the
-    schedule into a shorter time-to-first-figure.
+    completes.
 
     ``metrics`` is a small live-observability dict (completed /
     cache_hits / tasks_total / elapsed_seconds / tasks_per_sec), attached
@@ -203,20 +133,26 @@ ProgressCallback = Callable[[TaskProgress], None]
 
 
 class _Flight:
-    """One dispatched batch (plus its optional hedge twin) in flight.
+    """One dispatched task (plus its optional hedge twin) in flight.
 
     A flight is the unit of failure handling: when its last outstanding
-    future fails, the surviving (unrecorded) tasks are re-dispatched —
-    bisected when the failure is not attributable to a single task.
+    future fails and the task is still unrecorded, the task is charged an
+    attempt and re-queued or recorded as failed.
     """
 
-    __slots__ = ("pairs", "futures", "deadline", "hedged")
+    __slots__ = ("index", "task", "futures", "deadline", "hedged")
 
-    def __init__(self, pairs: List[Tuple[int, ExperimentTask]]) -> None:
-        self.pairs = list(pairs)
+    def __init__(self, index: int, task: ExperimentTask) -> None:
+        self.index = index
+        self.task = task
         self.futures: Set[Future] = set()
         self.deadline: Optional[float] = None
         self.hedged = False
+
+    @property
+    def pairs(self) -> List[Tuple[int, ExperimentTask]]:
+        """The flight as the one-element batch a task session takes."""
+        return [(self.index, self.task)]
 
 
 class Campaign:
@@ -224,43 +160,34 @@ class Campaign:
 
     Parameters
     ----------
-    executor / cache / progress:
-        As before (see module docstring).
-    schedule:
-        ``"fifo"`` (default) dispatches pending tasks in submission
-        order; ``"cheapest"`` orders them by ascending estimated cost
-        from the cost model.  Purely an ordering knob — results are
-        returned in submission order and are bit-identical either way.
+    executor:
+        Where uncached tasks run; defaults to in-process
+        :class:`~repro.runtime.executor.SerialExecutor`.  The campaign
+        owns one persistent task session on it from the first dispatched
+        task until :meth:`close` (or use the campaign as a context
+        manager).
+    cache:
+        Optional :class:`~repro.runtime.cache.ResultCache`: hits skip
+        all simulation work, fresh results are written back as they
+        complete.
+    progress:
+        Optional callback receiving one :class:`TaskProgress` per task,
+        in completion order.
     cost_model:
-        Explicit :class:`~repro.runtime.costmodel.TaskCostModel`.  When
-        omitted and a cache is configured, the model persisted in the
-        cache's ``_costs.json`` sidecar is used; observations are folded
-        in under every schedule (a FIFO campaign warms the model for a
-        later cheapest-first one).  Without cache or model, cheapest-first
-        degrades to submission order.
-    batch:
-        Tasks per flight (worker submission).  ``None`` (default)
-        consults the :data:`REPRO_CAMPAIGN_BATCH <BATCH_ENV_VAR>`
-        environment variable and otherwise dispatches one task per
-        flight.  ``"auto"`` packs pending tasks into near-equal-cost
-        batches (a few per executor worker, LPT over the cost model's
-        estimates); an integer packs fixed-size chunks of that many
-        tasks.  Identity-free like every scheduling knob: results stay
-        in submission order, bit-identical for every value.  Whatever
-        the value, the campaign owns its worker pool from the first
-        dispatched task until :meth:`close` (or use the campaign as a
-        context manager).
+        Explicit :class:`~repro.runtime.costmodel.TaskCostModel`, the
+        predictor of each flight's straggler deadline.  When omitted and
+        a cache is configured, the model persisted in the cache's
+        ``_costs.json`` sidecar is used; every fresh task's wall-clock is
+        folded in.  Without cache or model, no flight is ever hedged.
     retry_policy:
         :class:`~repro.runtime.resilience.RetryPolicy` governing the
         campaign's self-healing: bounded per-task retry attempts with
-        seeded backoff, flight bisection to isolate poison tasks,
-        bounded session respawns (then degradation to in-process serial
-        execution) and cost-model-predicted straggler hedging.  Defaults
-        to ``RetryPolicy()``; pass
+        seeded backoff, bounded session respawns (then degradation to
+        in-process serial execution) and cost-model-predicted straggler
+        hedging.  Defaults to ``RetryPolicy()``; pass
         :data:`~repro.runtime.resilience.FAIL_FAST` for
-        first-error-propagates behaviour.  Identity-free like the
-        schedule: healing changes when and where a task runs, never a
-        bit of its result.
+        first-error-propagates behaviour.  Identity-free: healing changes
+        when and where a task runs, never a bit of its result.
     """
 
     def __init__(
@@ -268,20 +195,12 @@ class Campaign:
         executor: Optional[Executor] = None,
         cache: Optional[ResultCache] = None,
         progress: Optional[ProgressCallback] = None,
-        schedule: str = SCHEDULE_FIFO,
         cost_model: Optional[TaskCostModel] = None,
-        batch: Union[None, str, int] = None,
         retry_policy: Optional[RetryPolicy] = None,
     ) -> None:
-        if schedule not in SCHEDULES:
-            raise ValueError(
-                f"unknown schedule {schedule!r}; expected one of {SCHEDULES}"
-            )
         self.executor = executor or SerialExecutor()
         self.cache = cache
         self.progress = progress
-        self.schedule = schedule
-        self.batch = resolve_batch(batch)
         self.retry_policy = (
             retry_policy if retry_policy is not None else default_retry_policy()
         )
@@ -341,7 +260,7 @@ class Campaign:
         tasks = list(tasks)
         try:
             with tracing.span(
-                "campaign.run", tasks=len(tasks), schedule=self.schedule
+                "campaign.run", tasks=len(tasks)
             ), ShutdownGuard() as guard:
                 self._guard = guard
                 try:
@@ -388,8 +307,6 @@ class Campaign:
                 pending_indices.append(index)
 
         if pending_indices:
-            dispatch_order = self._dispatch_order(tasks, pending_indices)
-
             def _record(index: int, result: ExperimentResult) -> None:
                 nonlocal completed, fresh_wall
                 task = tasks[index]
@@ -419,7 +336,7 @@ class Campaign:
 
             try:
                 failure_records = self._dispatch(
-                    tasks, dispatch_order, _record, _record_failure
+                    tasks, pending_indices, _record, _record_failure
                 )
             finally:
                 # Persist whatever was observed even when a task or the
@@ -475,35 +392,29 @@ class Campaign:
     def _dispatch(
         self,
         tasks: Sequence[ExperimentTask],
-        dispatch_order: List[int],
+        pending: List[int],
         record: Callable[[int, ExperimentResult], None],
         record_failure: Callable[[int], None],
     ) -> List[TaskFailureRecord]:
         """Resilient dispatch through the persistent task session.
 
-        Packed batches go out as independent *flights*, at most
-        :data:`FLIGHTS_PER_WORKER` per worker at a time; each failure is
-        healed according to the retry policy instead of aborting the
-        run:
+        Each pending task goes out, in submission order, as its own
+        *flight*, at most :data:`FLIGHTS_PER_WORKER` per worker at a
+        time; each failure is healed according to the retry policy
+        instead of aborting the run:
 
-        * a failed multi-task flight is **bisected** — the survivors are
-          re-dispatched as two halves, isolating a poison task in
-          O(log n) rounds without ever attributing blame to the wrong
-          task;
-        * a failed singleton flight charges that task one attempt;
-          retryable errors back off (seeded, bounded) and re-queue,
-          everything else — or an exhausted budget — records a
-          structured :class:`TaskFailureRecord` and the campaign moves
-          on;
+        * a failed flight charges its task one attempt; retryable errors
+          back off (seeded, bounded) and re-queue, everything else — or
+          an exhausted budget — records a structured
+          :class:`TaskFailureRecord` and the campaign moves on;
         * a submit onto a broken pool **respawns** the session up to
           ``max_respawns`` times, then degrades to in-process serial
           execution (safe for injected crash faults, which only ever
           fire in worker processes);
         * a flight outliving its cost-model-predicted deadline is
-          **hedged**: its unfinished tasks are speculatively
-          re-dispatched and the first result wins (tasks are
-          deterministic, cache puts idempotent — duplicates are
-          dropped on arrival);
+          **hedged**: its task is speculatively re-dispatched and the
+          first result wins (tasks are deterministic, cache puts
+          idempotent — duplicates are dropped on arrival);
         * a pending shutdown signal stops dispatch, drains what is
           already running (recording its results), closes the session
           and raises :class:`CampaignInterrupted`.
@@ -517,22 +428,19 @@ class Campaign:
         registry = self._obs
         workers = max(1, getattr(self.executor, "worker_count", 1))
         window = FLIGHTS_PER_WORKER * workers
-        batches = self._pack_batches(tasks, dispatch_order, workers)
         if self._task_session is None:
             self._task_session = self.executor.open_task_session()
             if registry is not None:
                 registry.inc("campaign.sessions_opened")
         if registry is not None:
-            registry.inc("campaign.batches_dispatched", len(batches))
-            for batch in batches:
-                registry.observe("campaign.batch_size", len(batch))
+            registry.inc("campaign.batches_dispatched", len(pending))
 
         recorded: Set[int] = set()
         failures: Dict[int, TaskFailureRecord] = {}
         attempts: Dict[int, int] = {}
         inflight: Dict[Future, _Flight] = {}
-        queue = deque(batches)
-        requeued: List[List[Tuple[int, ExperimentTask]]] = []
+        queue = deque(pending)
+        requeued: List[int] = []
         break_slots = 0
         respawns = 0
         degraded = False
@@ -562,8 +470,8 @@ class Campaign:
                     registry.inc("campaign.degraded_serial")
                 self._task_session = SerialExecutor().open_task_session()
 
-        def submit_flight(pairs: List[Tuple[int, ExperimentTask]]) -> None:
-            flight = _Flight(pairs)
+        def submit_flight(index: int) -> None:
+            flight = _Flight(index, tasks[index])
             while True:
                 try:
                     future = self._task_session.submit_batch(flight.pairs)
@@ -582,9 +490,10 @@ class Campaign:
                 and self.cost_model is not None
                 and workers > 1
             ):
-                predicted = self.cost_model.estimate_batch_seconds(
-                    [task for _, task in flight.pairs]
-                )
+                # ``None`` for an unseen task shape: a deadline
+                # extrapolated from nothing would hedge every flight of a
+                # cold model (or none), so such flights get no deadline.
+                predicted = self.cost_model.estimate_task(flight.task)
                 if predicted is not None:
                     flight.deadline = perf_counter() + max(
                         policy.min_straggler_seconds,
@@ -593,16 +502,10 @@ class Campaign:
             flight.futures.add(future)
             inflight[future] = flight
 
-        def survivors_of(flight: _Flight) -> List[Tuple[int, ExperimentTask]]:
-            return [
-                (index, task)
-                for index, task in flight.pairs
-                if index not in recorded and index not in failures
-            ]
+        def settled(flight: _Flight) -> bool:
+            return flight.index in recorded or flight.index in failures
 
-        def requeue(
-            survivors: List[Tuple[int, ExperimentTask]], error: BaseException
-        ) -> None:
+        def requeue(index: int, error: BaseException) -> None:
             nonlocal break_slots
             if isinstance(error, BrokenExecutor):
                 # A dying worker fails every dispatched flight at once,
@@ -611,22 +514,10 @@ class Campaign:
                 # broken flights.  The rest were merely queued and go
                 # back uncharged.
                 if break_slots == 0:
-                    requeued.append(survivors)
+                    requeued.append(index)
                     return
                 break_slots -= 1
-            if len(survivors) > 1:
-                # Not attributable to one task: bisect and re-queue both
-                # halves; repeated failures isolate the poison task in
-                # O(log n) rounds.  Innocent survivors re-run — wasted
-                # work, never wrong results (tasks are deterministic and
-                # cache puts idempotent).
-                if registry is not None:
-                    registry.inc("campaign.bisections")
-                middle = len(survivors) // 2
-                requeued.append(survivors[:middle])
-                requeued.append(survivors[middle:])
-                return
-            index, task = survivors[0]
+            task = tasks[index]
             attempts[index] = attempts.get(index, 0) + 1
             if is_retryable(error) and attempts[index] < policy.max_attempts:
                 delay = policy.backoff_delay(attempts[index], key=task.key())
@@ -644,7 +535,7 @@ class Campaign:
                 )
                 if delay > 0:
                     sleep(delay)
-                requeued.append(survivors)
+                requeued.append(index)
             else:
                 failures[index] = TaskFailureRecord.from_error(
                     index, task.key(), task.label(), attempts[index], error
@@ -665,7 +556,7 @@ class Campaign:
                 return
             flight.futures.discard(future)
             try:
-                batch_results = future.result()
+                flight_results = future.result()
             except CancelledError:
                 return
             except Exception as error:
@@ -675,31 +566,26 @@ class Campaign:
                     # The first flight error propagates unhealed (the
                     # outer handler closes the session).
                     raise
-                survivors = survivors_of(flight)
-                if not survivors:
+                if settled(flight) or flight.futures:
+                    # Either the task already has its outcome, or a hedge
+                    # twin is still out and may yet deliver it; the
+                    # twin's own completion (or failure) settles the
+                    # flight.
                     return
-                if flight.futures:
-                    # A hedge twin of this flight is still out; it may
-                    # yet deliver the results.  Its own completion (or
-                    # failure) settles the flight.
-                    return
-                requeue(survivors, error)
+                requeue(flight.index, error)
                 return
-            fresh = 0
-            for index, result in batch_results:
+            for index, result in flight_results:
                 if index in recorded or index in failures:
                     continue  # duplicate delivery from a hedged flight
                 recorded.add(index)
-                fresh += 1
                 record(index, result)
-            tracing.point("batch", tasks=fresh)
             for sibling in list(flight.futures):
                 sibling.cancel()
 
         def settle_done() -> None:
             # In submission order: a pool break fails every dispatched
-            # flight at once, and the survivors go back to the front of
-            # the queue oldest first — the flights most likely charged an
+            # flight at once, and the tasks go back to the front of the
+            # queue oldest first — the tasks most likely charged an
             # attempt before are the first onto the fresh pool.
             nonlocal break_slots
             break_slots = workers
@@ -720,19 +606,18 @@ class Campaign:
                 ):
                     continue
                 flight.hedged = True
-                survivors = survivors_of(flight)
-                if not survivors:
+                if settled(flight):
                     continue
                 try:
-                    twin = self._task_session.submit_batch(survivors)
+                    twin = self._task_session.submit_batch(flight.pairs)
                 except (BrokenExecutor, ConnectionError):
                     continue  # the flight's own failure path heals the pool
                 if registry is not None:
                     registry.inc("campaign.hedges")
                 logger.warning(
-                    "batch of %d task(s) exceeded its straggler deadline; "
-                    "hedging with a duplicate dispatch (first result wins)",
-                    len(survivors),
+                    "task %s exceeded its straggler deadline; hedging "
+                    "with a duplicate dispatch (first result wins)",
+                    flight.task.label(),
                 )
                 flight.futures.add(twin)
                 inflight[twin] = flight
@@ -756,7 +641,7 @@ class Campaign:
                     )
                     self.close()
                     raise CampaignInterrupted(
-                        signal_name, len(recorded), len(dispatch_order)
+                        signal_name, len(recorded), len(pending)
                     )
                 while (
                     queue
@@ -809,65 +694,6 @@ class Campaign:
             # the next run() opens a real worker pool again.
             self.close()
         return [failures[index] for index in sorted(failures)]
-
-    def _pack_batches(
-        self,
-        tasks: Sequence[ExperimentTask],
-        dispatch_order: List[int],
-        workers: int,
-    ) -> List[List[Tuple[int, ExperimentTask]]]:
-        """Group the dispatch-ordered submission indices into task batches.
-
-        ``batch=N`` chunks consecutive dispatch-order runs of ``N``.
-        ``batch="auto"`` packs near-equal-cost batches (LPT over
-        cost-model estimates), :data:`BATCH_AUTO_OVERSUBSCRIBE` per
-        executor worker, so no worker idles behind a straggler and
-        progress keeps streaming every few tasks; with a single worker —
-        in-process execution — the pool has nothing to amortise against,
-        so auto keeps per-task batches and with them the legacy per-task
-        progress timing.
-        """
-        if self.batch == BATCH_AUTO:
-            if workers == 1:
-                groups = [[index] for index in dispatch_order]
-            else:
-                target = workers * BATCH_AUTO_OVERSUBSCRIBE
-                if self.cost_model is not None:
-                    packed = self.cost_model.pack_batches(
-                        [tasks[index] for index in dispatch_order], target
-                    )
-                    groups = [
-                        [dispatch_order[position] for position in group]
-                        for group in packed
-                    ]
-                else:
-                    # No cost model to estimate from: deal dispatch order
-                    # round-robin, which equalises batch *counts*.
-                    groups = [
-                        list(dispatch_order[start::target])
-                        for start in range(target)
-                        if dispatch_order[start::target]
-                    ]
-        else:
-            size = int(self.batch)
-            groups = [
-                dispatch_order[start:start + size]
-                for start in range(0, len(dispatch_order), size)
-            ]
-        return [[(index, tasks[index]) for index in group] for group in groups]
-
-    # ------------------------------------------------------------------
-    def _dispatch_order(
-        self, tasks: Sequence[ExperimentTask], pending_indices: List[int]
-    ) -> List[int]:
-        """Order the pending submission indices according to the schedule."""
-        if self.schedule != SCHEDULE_CHEAPEST or self.cost_model is None:
-            return pending_indices
-        pending_tasks = [tasks[index] for index in pending_indices]
-        return [
-            pending_indices[position]
-            for position in self.cost_model.cheapest_first(pending_tasks)
-        ]
 
     def _emit(
         self,

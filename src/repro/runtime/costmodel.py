@@ -1,11 +1,11 @@
-"""Persistent cost models for cost-aware scheduling.
+"""Persistent cost models: the straggler-hedge predictor of a campaign.
 
 The paper's evaluation grid mixes tasks whose wall-clock costs differ by
 orders of magnitude (a 16-node no-churn run finishes in well under a
-second; a large 10/10-churn run takes minutes).  Dispatching such a batch
-in submission order means the first figure appears only after whichever
-task happens to be first — often the most expensive one.  This module
-supplies the *cost side* of the scheduler:
+second; a large 10/10-churn run takes minutes).  A worker that hangs on
+one task should be noticed after a few times that task's usual cost, not
+after a fixed timeout that is either far too short for the large runs or
+far too long for the small ones.  This module supplies that expectation:
 
 * :class:`CostModel` — a keyed running mean of observed costs with an
   optional JSON sidecar, so observations survive across processes;
@@ -15,11 +15,10 @@ supplies the *cost side* of the scheduler:
   sidecar beside the result cache (the ``_`` prefix keeps it out of the
   cache's entry namespace, like ``_meta.json``).
 
-Cost models are **scheduling hints only**.  They order and group work;
-they never enter a task fingerprint, a cache key, or any recorded
-statistic, so a missing, stale or corrupt sidecar can change how long a
-campaign takes but never what it computes (the order-invariance guarantee
-asserted by the determinism digest suite).
+Cost models are **hints only**.  They set the deadline after which a
+flight is hedged; they never enter a task fingerprint, a cache key, or
+any recorded statistic, so a missing, stale or corrupt sidecar can
+change how long a campaign takes but never what it computes.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, Optional, Union
 
 from repro.runtime.task import ExperimentTask
 
@@ -55,8 +54,8 @@ class CostModel:
     path:
         JSON sidecar location.  ``None`` keeps the model in-memory only.
         Loading is best-effort: a missing or corrupt sidecar yields an
-        empty model (scheduling degrades to submission order, results are
-        unaffected).
+        empty model (no flight is hedged until shapes are observed again;
+        results are unaffected).
     """
 
     def __init__(self, path: Optional[PathLike] = None) -> None:
@@ -81,7 +80,7 @@ class CostModel:
             self._entries = loaded
         except (OSError, ValueError, KeyError, TypeError, AttributeError):
             # Missing or malformed sidecar: start empty.  The model is a
-            # scheduling hint, never a correctness dependency.
+            # hedging hint, never a correctness dependency.
             self._entries = {}
 
     def save(self) -> None:
@@ -141,7 +140,7 @@ def task_shape_key(task: ExperimentTask) -> str:
     simulation length, traffic fixes the event rate, the algorithm fixes
     the per-flow cost).  Seeds and swept protocol parameters (``k``,
     ``alpha``, ``s``, loss) fold into one bucket, which is what lets a
-    fresh sweep be ordered by costs observed on *previous* sweeps.
+    fresh sweep's deadlines come from costs observed on *previous* sweeps.
     """
     scenario = task.scenario
     return "/".join(
@@ -160,8 +159,8 @@ class TaskCostModel(CostModel):
     """Cost model over :class:`ExperimentTask` shapes.
 
     The campaign driver observes ``result.wall_seconds`` after every
-    executed (non-cached) task and orders pending batches cheapest-first
-    when ``schedule="cheapest"`` is selected.
+    executed (non-cached) task and derives each flight's straggler
+    deadline from :meth:`estimate_task`.
     """
 
     @classmethod
@@ -185,81 +184,3 @@ class TaskCostModel(CostModel):
     def estimate_task(self, task: ExperimentTask) -> Optional[float]:
         """Estimated wall-clock of ``task``, or ``None`` for unseen shapes."""
         return self.estimate(task_shape_key(task))
-
-    def estimate_batch_seconds(
-        self, tasks: Sequence[ExperimentTask]
-    ) -> Optional[float]:
-        """Predicted wall-clock of running ``tasks`` back to back.
-
-        The campaign's straggler detection derives each dispatched
-        batch's soft deadline from this.  ``None`` when *any* shape is
-        unseen: a deadline extrapolated from nothing would hedge every
-        batch of a cold model (or none), so unknown batches simply get
-        no deadline.
-        """
-        total = 0.0
-        for task in tasks:
-            estimate = self.estimate_task(task)
-            if estimate is None:
-                return None
-            total += estimate
-        return total
-
-    def cheapest_first(self, tasks: Sequence[ExperimentTask]) -> List[int]:
-        """Return a permutation of ``range(len(tasks))``, cheapest first.
-
-        Tasks with a known estimate run in ascending estimated cost;
-        unseen shapes keep submission order *after* the known ones (they
-        are a gamble — a known-cheap task streams a figure sooner).  Ties
-        break on the submission index, so the permutation is a pure
-        function of (tasks, model state) and therefore deterministic.
-        """
-
-        def sort_key(index: int):
-            estimate = self.estimate_task(tasks[index])
-            if estimate is None:
-                return (1, 0.0, index)
-            return (0, estimate, index)
-
-        return sorted(range(len(tasks)), key=sort_key)
-
-    def pack_batches(
-        self, tasks: Sequence[ExperimentTask], batch_count: int
-    ) -> List[List[int]]:
-        """Pack task positions into ``batch_count`` near-equal-cost batches.
-
-        Greedy LPT (longest-processing-time-first): tasks are placed in
-        descending estimated cost onto the currently lightest batch, so
-        one expensive task cannot straggle behind a batch that also holds
-        half the cheap ones while other workers idle.  Unseen task shapes
-        are costed at the median known estimate (1.0 when the model is
-        empty — packing then degrades to an even round-robin split).
-
-        Returns groups of positions into ``tasks``; every group is sorted
-        ascending and groups are ordered by their first position, so the
-        packing is a pure function of (tasks, model state) — like
-        :meth:`cheapest_first`, a scheduling hint that can never reorder
-        recorded results.  Empty groups (more batches than tasks) are
-        dropped.
-        """
-        if batch_count < 1:
-            raise ValueError(f"batch_count must be >= 1, got {batch_count}")
-        count = min(batch_count, len(tasks))
-        if count <= 1:
-            return [list(range(len(tasks)))] if tasks else []
-        estimates = [self.estimate_task(task) for task in tasks]
-        known = sorted(e for e in estimates if e is not None)
-        fallback = known[len(known) // 2] if known else 1.0
-        costs = [fallback if e is None else e for e in estimates]
-        placement = sorted(
-            range(len(tasks)), key=lambda pos: (-costs[pos], pos)
-        )
-        loads = [0.0] * count
-        groups: List[List[int]] = [[] for _ in range(count)]
-        for pos in placement:
-            lightest = min(range(count), key=lambda b: (loads[b], b))
-            groups[lightest].append(pos)
-            loads[lightest] += costs[pos]
-        packed = sorted((sorted(group) for group in groups if group),
-                        key=lambda group: group[0])
-        return packed

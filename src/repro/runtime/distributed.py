@@ -26,7 +26,7 @@ Robustness model (every layer assumes the one below it lies):
 * **Retry ladder** — every transport failure surfaces as a retryable
   error (:class:`ConnectionError` / ``TimeoutError`` / errors with
   ``retryable=True``), healed by :class:`Campaign`'s existing
-  retry/bisect/hedge machinery with no distributed special-casing.
+  retry/hedge machinery with no distributed special-casing.
 * **Degrade ladder** — a worker process that dies is respawned within
   a bounded budget; once the budget is exhausted and the fleet is gone
   the coordinator breaks (pending work fails with ``BrokenExecutor``)
@@ -124,9 +124,9 @@ class FrameProtocolError(FrameError):
 class WorkerLostError(ConnectionError):
     """A batch exhausted its lease-reassignment budget.
 
-    Retryable: the campaign charges an attempt and re-dispatches (after
-    bisection, if the batch had survivors), which is the correct
-    escalation when every worker that leased the batch died.
+    Retryable: the campaign charges an attempt and re-dispatches, which
+    is the correct escalation when every worker that leased the batch
+    died.
     """
 
     retryable = True
@@ -441,8 +441,7 @@ class Coordinator:
             return
         self._inc("distributed.leases_reassigned")
         if call.assignments >= self._max_assignments:
-            # Escalate to the campaign: retryable, charged an attempt,
-            # bisected if the batch had more than one task.
+            # Escalate to the campaign: retryable, charged an attempt.
             call.future.set_exception(
                 WorkerLostError(
                     f"batch lost after {call.assignments} lease "

@@ -228,7 +228,7 @@ class Executor:
 
     #: Number of concurrent worker processes this executor dispatches to
     #: (1 for in-process execution).  The campaign sizes its in-flight
-    #: window and its ``batch="auto"`` packing by it.
+    #: window by it.
     worker_count: int = 1
 
     def open_task_session(self) -> TaskSession:

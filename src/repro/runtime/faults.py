@@ -1,6 +1,6 @@
 """Deterministic fault injection for the experiment runtime.
 
-The resilience layer (retry/backoff, batch bisection, session respawn,
+The resilience layer (retry/backoff, session respawn, hedging,
 cache quarantine — see :mod:`repro.runtime.resilience` and the campaign
 driver) must be provable without flaky tests.  This module provides the
 harness: a :class:`FaultPlan` parsed from the ``REPRO_FAULTS`` environment

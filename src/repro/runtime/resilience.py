@@ -16,7 +16,7 @@ its one dispatch loop:
     that raised ``ValueError`` would raise it again.
 :class:`TaskFailureRecord` / :class:`CampaignTaskFailure`
     The structured form of a *poison task*: a task that keeps failing
-    after batch bisection isolated it.  The campaign completes every
+    in its own flight until its attempt budget runs out.  The campaign completes every
     other task, then raises :class:`CampaignTaskFailure` carrying the
     records and the partial results — "run() returned" still means
     "every result is valid".
@@ -46,9 +46,9 @@ from repro.experiments.runner import ExperimentResult
 
 logger = logging.getLogger(__name__)
 
-#: Environment override for the *default* per-task attempt budget
-#: (mirrors ``REPRO_CAMPAIGN_BATCH``): consulted only when a campaign is
-#: constructed without an explicit :class:`RetryPolicy`.  CI's chaos leg
+#: Environment override for the *default* per-task attempt budget:
+#: consulted only when a campaign is constructed without an explicit
+#: :class:`RetryPolicy`.  CI's chaos leg
 #: uses it to run the determinism digest suite under an aggressive
 #: ``REPRO_FAULTS`` crash profile with a budget that cannot be exhausted
 #: by attempts charged to innocent in-flight tasks.  Identity-free like
@@ -69,8 +69,7 @@ class RetryPolicy:
     Parameters
     ----------
     max_attempts:
-        Executions of a single (bisected-down-to-singleton) task before
-        it is poisoned.  ``1`` disables retries.
+        Executions of a single task before it is poisoned.  ``1`` disables retries.
     max_respawns:
         Worker-pool respawns per ``run()`` after the pool broke (a worker
         died); once exhausted the campaign degrades to in-process serial
@@ -127,7 +126,7 @@ class RetryPolicy:
         """Whether every healing mechanism is disabled.
 
         Under a fail-fast policy the first flight error propagates out
-        of ``run()`` unhealed — no retry, no bisection, no respawn, no
+        of ``run()`` unhealed — no retry, no respawn, no hedge, no
         serial degradation.  The degradation guarantee matters for
         callers whose *task code* can kill its process (the healing loop
         would otherwise eventually re-run such a task in the driver

@@ -5,6 +5,7 @@ the per-edge build it replaced is kept below as the oracle, compared on
 vertex order, row order and predecessor order.
 """
 
+import gc
 import random
 import sys
 
@@ -228,6 +229,11 @@ def python_calls_before_first_flow(tables) -> int:
         if event == "call":
             calls += 1
 
+    # Finalizers run by a garbage-collection pass in between are not
+    # calls of this path: collect first and hold the collector off.
+    gc.collect()
+    collecting = gc.isenabled()
+    gc.disable()
     sys.setprofile(count)
     try:
         graph = build_connectivity_graph(tables)
@@ -239,6 +245,8 @@ def python_calls_before_first_flow(tables) -> int:
         PairFlowEngine(graph)
     finally:
         sys.setprofile(None)
+        if collecting:
+            gc.enable()
     return calls
 
 

@@ -11,7 +11,10 @@ from repro.core.estimation import (
     EstimatedConnectivityReport,
     validate_exact_vs_estimate,
 )
-from repro.core.vertex_connectivity import connectivity_statistics
+from repro.core.vertex_connectivity import (
+    connectivity_statistics,
+    global_vertex_connectivity,
+)
 from repro.experiments.snapshot import synthetic_snapshot
 from repro.graph.digraph import DiGraph
 
@@ -111,6 +114,91 @@ class TestDegenerateGraphs:
         assert report.minimum_bound == 0
         assert report.min_is_exact
         assert not report.strongly_connected
+
+
+def directed_cycle(n: int) -> DiGraph:
+    """C_n, one direction: strongly connected with every degree 1."""
+    graph = DiGraph()
+    graph.add_vertices(range(n))
+    for i in range(n):
+        graph.add_edge(i, (i + 1) % n)
+    return graph
+
+
+def dense_but_one_in_arc(n: int) -> DiGraph:
+    """Complete on 0..n-2; vertex n-1 reaches all of them but is reached from 0 only."""
+    graph = DiGraph()
+    graph.add_vertices(range(n))
+    for i in range(n - 1):
+        for j in range(n - 1):
+            if i != j:
+                graph.add_edge(i, j)
+        graph.add_edge(n - 1, i)
+    graph.add_edge(0, n - 1)
+    return graph
+
+
+def bidirected_path(n: int) -> DiGraph:
+    """P_n with both edge directions: strongly connected, ends of degree 1."""
+    graph = DiGraph()
+    graph.add_vertices(range(n))
+    for i in range(n - 1):
+        graph.add_edge(i, i + 1)
+        graph.add_edge(i + 1, i)
+    return graph
+
+
+def figure_eight(n: int) -> DiGraph:
+    """Two directed cycles through vertex 0, which is a cut vertex."""
+    graph = DiGraph()
+    graph.add_vertices(range(n))
+    half = n // 2
+    for loop in (range(1, half), range(half, n)):
+        ring = [0, *loop]
+        for a, b in zip(ring, ring[1:] + ring[:1]):
+            graph.add_edge(a, b)
+    return graph
+
+
+def circulant(n: int, offsets) -> DiGraph:
+    """Every vertex i has arcs to i + d (mod n) for each offset d."""
+    graph = DiGraph()
+    graph.add_vertices(range(n))
+    for i in range(n):
+        for d in offsets:
+            graph.add_edge(i, (i + d) % n)
+    return graph
+
+
+class TestSampledMinimumExactness:
+    """Strong connectivity proves kappa >= 1, so a bound of 1 is exact."""
+
+    @pytest.mark.parametrize(
+        "graph",
+        [directed_cycle(12), dense_but_one_in_arc(12), bidirected_path(12),
+         figure_eight(12)],
+        ids=["directed-cycle", "one-in-arc-vertex", "bidirected-path",
+             "figure-eight"],
+    )
+    def test_strongly_connected_bound_of_one_is_exact(self, graph):
+        total = 12 * 11 - graph.number_of_edges()
+        estimator = ConnectivityEstimator(sample_pairs=4, seed=3)
+        assert estimator.sample_pairs < total  # the sampled pass, not exhaustive
+        report = estimator.analyze_graph(graph)
+        assert report.strongly_connected
+        assert report.minimum_bound == 1 == global_vertex_connectivity(graph)
+        assert report.min_is_exact
+
+    @pytest.mark.parametrize(
+        "graph, bound",
+        [(bidirectional_cycle(16), 2), (circulant(16, (1, 2, -1, -2)), 4)],
+        ids=["bidirectional-cycle", "circulant"],
+    )
+    def test_bound_above_one_from_a_short_sample_stays_inexact(self, graph, bound):
+        report = ConnectivityEstimator(sample_pairs=4, seed=3).analyze_graph(graph)
+        assert report.pairs_sampled == 4
+        assert report.minimum_bound == bound
+        assert not report.min_is_exact
 
 
 class TestExactRecovery:

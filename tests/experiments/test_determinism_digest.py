@@ -116,50 +116,15 @@ class TestOverlayTrajectoryDigests:
         assert all(s.protocol == "chord" for s in result.snapshots)
 
 
-class TestSchedulingOrderInvariance:
-    """--schedule cheapest and --batch may change only *when* a task
-    runs, never its digest — gated on every push by CI."""
+class TestPoolOrderInvariance:
+    """Tasks on a 2-worker pool complete out of submission order; that may
+    change only *when* a task runs, never its digest — gated on every
+    push by CI, with observability on and under injected worker crashes."""
 
-    def test_cheapest_campaign_reproduces_golden_digests(self, tmp_path):
-        from repro.runtime import (
-            SCHEDULE_CHEAPEST,
-            Campaign,
-            ExperimentTask,
-            ResultCache,
-            TaskCostModel,
-        )
-
-        tasks = [
-            ExperimentTask.create(
-                scenario=get_scenario(scenario), profile=profile, seed=SEED,
-                keep_snapshots=True,
-            )
-            for profile, scenario in (("tiny", "E"), ("tiny", "A"))
-        ]
-        # Prime the model so "cheapest" really reorders: the expensive
-        # task (E, submitted first) must be dispatched after A.
-        model = TaskCostModel()
-        model.observe_task(tasks[0], 60.0)
-        model.observe_task(tasks[1], 1.0)
-        events = []
-        campaign = Campaign(
-            cache=ResultCache(tmp_path / "cache"),
-            progress=events.append,
-            schedule=SCHEDULE_CHEAPEST,
-            cost_model=model,
-        )
-        results = campaign.run(tasks)
-        assert [event.index for event in events] == [1, 0]  # reordered
-        assert trajectory_digest(results[0]) == GOLDEN_DIGESTS[("tiny", "E")]
-        assert trajectory_digest(results[1]) == GOLDEN_DIGESTS[("tiny", "A")]
-
-    def test_batched_worker_pool_reproduces_golden_digests(self, tmp_path):
-        # Real batching, not the serial degenerate case: a 2-worker pool
-        # with multi-task batches must reproduce the golden digests bit
-        # for bit.  This is what makes the CI batching gate non-vacuous —
-        # a bug in batch packing, index mapping or worker-side result
-        # keying lands here, not only in the executor-vs-executor
-        # comparisons of the runtime suite.
+    def test_worker_pool_reproduces_golden_digests(self):
+        # A real pool, not the serial degenerate case: a bug in index
+        # mapping or worker-side result keying lands here, not only in
+        # the executor-vs-executor comparisons of the runtime suite.
         from repro.runtime import Campaign, ExperimentTask, ParallelExecutor
 
         tasks = [
@@ -169,22 +134,19 @@ class TestSchedulingOrderInvariance:
             )
             for scenario in ("E", "A", "K")
         ]
-        with Campaign(
-            executor=ParallelExecutor(jobs=2), batch=2
-        ) as campaign:
+        with Campaign(executor=ParallelExecutor(jobs=2)) as campaign:
             results = campaign.run(tasks)
         for result, scenario in zip(results, ("E", "A", "K")):
             assert (
                 trajectory_digest(result) == GOLDEN_DIGESTS[("tiny", scenario)]
-            ), f"batched pool diverged on tiny {scenario}"
+            ), f"worker pool diverged on tiny {scenario}"
 
 
 #: Committed sample of the benchmark harness's result cache: the three
 #: smallest entries of ``benchmarks/.result-cache`` (which itself is
 #: local-only/gitignored), copied here so the byte-level gate runs on
 #: every fresh checkout — CI included.  Written by the *pre-batching*
-#: implementation; recomputed below through the batched campaign
-#: backend.  Re-baseline these files together with the golden digests
+#: implementation; recomputed below through the campaign.  Re-baseline these files together with the golden digests
 #: and the local result caches, never alone.
 SAMPLED_ENTRIES_DIR = Path(__file__).parent / "data" / "sampled-cache-entries"
 
@@ -209,10 +171,10 @@ def _normalised_entry(document: dict) -> str:
 
 
 class TestSampledCacheEntries:
-    """Recompute committed cache entries through the batched backend.
+    """Recompute committed cache entries through the campaign.
 
-    ``--batch auto`` (like every scheduling knob) must reproduce the
-    persisted result documents byte-for-byte, wall-clock excluded.  The
+    The campaign must reproduce the persisted result documents
+    byte-for-byte, wall-clock excluded.  The
     committed sample holds the three smallest entries of the benchmark
     result cache — deterministic and the cheapest to re-simulate.
     """
@@ -238,7 +200,7 @@ class TestSampledCacheEntries:
             assert task.key() == committed["key"]  # fingerprint round-trips
 
             cache = ResultCache(tmp_path / "cache")
-            with Campaign(cache=cache, batch="auto") as campaign:
+            with Campaign(cache=cache) as campaign:
                 campaign.run_one(task)
             fresh_path = tmp_path / "cache" / entry_path.name
             fresh = json.loads(fresh_path.read_text(encoding="utf-8"))

@@ -12,6 +12,7 @@ objects.  The hop counters say which kind each hop was, and a
 ``sys.setprofile`` count pins what a direct one costs.
 """
 
+import gc
 import random
 import sys
 
@@ -204,7 +205,7 @@ def calls_beneath_the_lookup(transport_class, seeds, monkeypatch):
 
     Counts the ``call`` events of ``sys.setprofile`` — Python-level
     functions only, C functions report ``c_call`` — whose stack passes
-    through ``_find_node_deferred``.
+    through ``_find_node_deferred``, with the garbage collector off.
     """
     config = KademliaConfig(bit_length=16, bucket_size=8, alpha=3, staleness_limit=1)
     network = Network()
@@ -241,11 +242,19 @@ def calls_beneath_the_lookup(transport_class, seeds, monkeypatch):
                 return
             caller = caller.f_back
 
+    # A garbage-collection pass inside the lookup would run finalizers of
+    # whatever earlier code left in reference cycles, and count their
+    # calls too; collect first and hold the collector off meanwhile.
+    gc.collect()
+    collecting = gc.isenabled()
+    gc.disable()
     sys.setprofile(profiler)
     try:
         result = protocols[1].lookup(1)
     finally:
         sys.setprofile(None)
+        if collecting:
+            gc.enable()
     assert sorted(result.contacted) == sorted(seeds) and result.rounds == 1
     return calls, len(built)
 

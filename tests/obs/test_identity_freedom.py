@@ -13,6 +13,8 @@ import copy
 import json
 from pathlib import Path
 
+import pytest
+
 from repro import obs
 from repro.experiments.persistence import trajectory_digest
 from repro.experiments.profiles import ScaleProfile
@@ -72,11 +74,11 @@ class TestDigestsWithObsEnabled:
         assert "metric" not in fingerprint
 
 
-class TestBatchedCampaignWithObsEnabled:
+class TestParallelCampaignWithObsEnabled:
     def test_sampled_entry_recomputes_byte_identically(
         self, obs_enabled, tmp_path
     ):
-        """A 2-worker batched, fully instrumented campaign reproduces a
+        """A 2-worker, fully instrumented campaign reproduces a
         committed cache entry byte for byte (wall-clock excluded), while
         progress events carry live metrics and the campaign registry
         accumulates the workers' per-run snapshots."""
@@ -108,7 +110,6 @@ class TestBatchedCampaignWithObsEnabled:
             executor=ParallelExecutor(jobs=2),
             cache=cache,
             progress=events.append,
-            batch=2,
         ) as campaign:
             result = campaign.run_one(task)
 
@@ -122,10 +123,41 @@ class TestBatchedCampaignWithObsEnabled:
         assert result.obs_metrics["counters"]["sim.events"] > 0
         assert obs_enabled.counter("sim.events") > 0
         assert obs_enabled.counter("campaign.tasks_completed") == 1
-        assert obs_enabled.counter("campaign.batches_dispatched") >= 1
+        assert obs_enabled.counter("campaign.batches_dispatched") == 1
         # Progress events carry the live metrics dict only while obs is on.
         assert events and all(event.metrics is not None for event in events)
         assert events[-1].metrics["completed"] == 1
+
+    @pytest.mark.parametrize("cached", [0, 1, 3])
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_every_uncached_task_is_its_own_flight(
+        self, obs_enabled, tmp_path, jobs, cached
+    ):
+        """One dispatch path: the N uncached healthy tasks of a campaign
+        go out as N one-task flights, and nothing is ever split."""
+        from repro.runtime import (
+            Campaign, ExperimentTask, ResultCache, make_executor,
+        )
+
+        tasks = [
+            ExperimentTask.create(
+                scenario=get_scenario("E").with_overrides(bucket_size=k),
+                profile="tiny",
+                seed=SEED,
+            )
+            for k in (3, 5, 8)
+        ]
+        cache = ResultCache(tmp_path / "cache")
+        Campaign(cache=cache).run(tasks[:cached])
+        obs_enabled.clear()
+        with Campaign(executor=make_executor(jobs), cache=cache) as campaign:
+            campaign.run(tasks)
+        uncached = len(tasks) - cached
+        assert obs_enabled.counter("campaign.tasks_completed") == len(tasks)
+        assert obs_enabled.counter("campaign.cache_hits") == cached
+        assert obs_enabled.counter("campaign.batches_dispatched") == uncached
+        assert obs_enabled.counter("campaign.bisections") == 0
+        assert obs_enabled.histogram("campaign.batch_size") is None
 
     def test_progress_metrics_absent_when_obs_off(self, tmp_path):
         from repro.runtime import Campaign, ExperimentTask, ResultCache

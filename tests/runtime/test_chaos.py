@@ -70,9 +70,7 @@ class TestFaultedCampaignsConverge:
         golden = golden_digests(tasks)
         _activate(monkeypatch, "task-error@1,3")
         cache = ResultCache(tmp_path / "cache")
-        with Campaign(
-            cache=cache, batch=2, retry_policy=CHAOS_POLICY
-        ) as campaign:
+        with Campaign(cache=cache, retry_policy=CHAOS_POLICY) as campaign:
             results = campaign.run(tasks)
         assert digests_of(results) == golden
         assert cache.verify().clean
@@ -80,7 +78,7 @@ class TestFaultedCampaignsConverge:
     def test_worker_crashes_and_corruption_heal_to_golden_digests(
         self, monkeypatch, tmp_path
     ):
-        """The acceptance scenario: 2-worker batched campaign under a
+        """The acceptance scenario: 2-worker campaign under a
         worker-crash + cache-corruption profile, byte-identical to the
         fault-free golden run."""
         tasks = tiny_tasks()
@@ -93,7 +91,6 @@ class TestFaultedCampaignsConverge:
         with Campaign(
             executor=ParallelExecutor(jobs=2),
             cache=ResultCache(cache_dir),
-            batch="auto",
             retry_policy=CHAOS_POLICY,
         ) as campaign:
             chaos_results = campaign.run(tasks)
@@ -105,9 +102,7 @@ class TestFaultedCampaignsConverge:
         monkeypatch.delenv(faults.ENV_VAR)
         faults.reset()
         cache = ResultCache(cache_dir)
-        with Campaign(
-            cache=cache, batch=2, retry_policy=CHAOS_POLICY
-        ) as campaign:
+        with Campaign(cache=cache, retry_policy=CHAOS_POLICY) as campaign:
             warm_results = campaign.run(tasks)
         assert digests_of(warm_results) == golden
         assert cache.stats.corrupt_entries == 1
@@ -137,13 +132,11 @@ class TestFaultedCampaignsConverge:
         tasks = tiny_tasks(bucket_sizes=(3, 5))
         golden = golden_digests(tasks)
         cache = ResultCache(tmp_path / "cache")
-        with Campaign(cache=cache, batch=2) as campaign:
+        with Campaign(cache=cache) as campaign:
             campaign.run(tasks)  # warm the cache cleanly
 
         _activate(monkeypatch, "corrupt-read@1")
-        with Campaign(
-            cache=cache, batch=2, retry_policy=CHAOS_POLICY
-        ) as campaign:
+        with Campaign(cache=cache, retry_policy=CHAOS_POLICY) as campaign:
             results = campaign.run(tasks)
         assert digests_of(results) == golden
         assert cache.stats.corrupt_entries == 1
@@ -154,17 +147,16 @@ class TestFaultedCampaignsConverge:
         golden = golden_digests(tasks)
         _activate(monkeypatch, "stall@1=0.05")
         with Campaign(
-            cache=ResultCache(tmp_path / "cache"), batch=2,
-            retry_policy=CHAOS_POLICY,
+            cache=ResultCache(tmp_path / "cache"), retry_policy=CHAOS_POLICY,
         ) as campaign:
             results = campaign.run(tasks)
         assert digests_of(results) == golden
 
 
 class TestGracefulShutdown:
-    @pytest.mark.parametrize("batch", [None, 1, 2, "auto"])
+    @pytest.mark.parametrize("flushed", [1, 2, 3])
     def test_sigint_mid_campaign_flushes_then_resumes_warm(
-        self, tmp_path, batch
+        self, tmp_path, flushed
     ):
         tasks = tiny_tasks()
         golden = golden_digests(tasks)
@@ -172,21 +164,18 @@ class TestGracefulShutdown:
         cache = ResultCache(cache_dir)
         events = []
 
-        def interrupt_after_first(event):
+        def interrupt_after(event):
             events.append(event)
-            if len(events) == 1:
+            if len(events) == flushed:
                 os.kill(os.getpid(), signal.SIGINT)
 
         with pytest.raises(CampaignInterrupted) as exc_info:
-            with Campaign(
-                cache=cache, batch=batch, progress=interrupt_after_first
-            ) as campaign:
+            with Campaign(cache=cache, progress=interrupt_after) as campaign:
                 campaign.run(tasks)
         interruption = exc_info.value
         assert interruption.signal_name == "SIGINT"
-        # The first flight completed and was flushed; the second was
-        # never dispatched (serial "auto" keeps one task per flight).
-        flushed = 2 if batch == 2 else 1
+        # Every one-task flight that completed before the signal was
+        # flushed; the next one was never dispatched.
         assert interruption.completed == flushed
         assert interruption.total == len(tasks)
 
@@ -204,7 +193,7 @@ class TestGracefulShutdown:
         rerun_cache = ResultCache(cache_dir)
         rerun_events = []
         with Campaign(
-            cache=rerun_cache, batch=batch, progress=rerun_events.append
+            cache=rerun_cache, progress=rerun_events.append
         ) as campaign:
             results = campaign.run(tasks)
         assert digests_of(results) == golden
@@ -222,7 +211,7 @@ class TestGracefulShutdown:
         def interrupt_first(event):
             os.kill(os.getpid(), signal.SIGINT)
 
-        campaign = Campaign(cache=cache, batch=1, progress=interrupt_first)
+        campaign = Campaign(cache=cache, progress=interrupt_first)
         with pytest.raises(CampaignInterrupted):
             campaign.run(tasks)
         campaign.progress = None

@@ -57,70 +57,6 @@ class TestSweepAcceptance:
         assert "entries:         0" in info_out
 
 
-class TestScheduleAcceptance:
-    def test_cheapest_output_identical_to_fifo(self, capsys, tmp_path):
-        cache_dir = str(tmp_path / "cache")
-        fifo_out, _ = run_cli(
-            capsys, SWEEP_ARGV + ["--cache-dir", cache_dir, "--schedule", "fifo"]
-        )
-        # The first run warmed the _costs.json sidecar; re-running with
-        # cost-aware scheduling must change stdout by not a single byte
-        # (here everything is even a cache hit — and a cold cache in a
-        # fresh directory gives the same stdout too).
-        cheap_out, cheap_err = run_cli(
-            capsys,
-            SWEEP_ARGV + ["--cache-dir", cache_dir, "--schedule", "cheapest"],
-        )
-        assert cheap_out == fifo_out
-        assert "2 hits, 0 misses" in cheap_err
-        fresh_dir = str(tmp_path / "fresh")
-        fresh_out, _ = run_cli(
-            capsys,
-            SWEEP_ARGV + ["--cache-dir", fresh_dir, "--schedule", "cheapest"],
-        )
-        assert fresh_out == fifo_out
-        assert (tmp_path / "cache" / "_costs.json").exists()
-
-    def test_batched_output_identical_to_per_task(self, capsys):
-        per_task_out, _ = run_cli(capsys, SWEEP_ARGV + ["--jobs", "2"])
-        for batch in ("auto", "2"):
-            batched_out, _ = run_cli(
-                capsys, SWEEP_ARGV + ["--jobs", "2", "--batch", batch]
-            )
-            assert batched_out == per_task_out
-
-    def test_batch_off_overrides_environment(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_CAMPAIGN_BATCH", "auto")
-        env_out, _ = run_cli(capsys, SWEEP_ARGV + ["--jobs", "2"])
-        off_out, _ = run_cli(
-            capsys, SWEEP_ARGV + ["--jobs", "2", "--batch", "off"]
-        )
-        assert off_out == env_out  # identity-free either way
-
-    def test_invalid_batch_rejected(self, capsys):
-        for value in ("-1", "several"):
-            with pytest.raises(SystemExit) as excinfo:
-                main(SWEEP_ARGV + ["--batch", value])
-            assert excinfo.value.code == 2
-            err = capsys.readouterr().err
-            assert "Traceback" not in err
-
-    def test_rejects_unknown_schedule(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(SWEEP_ARGV + ["--schedule", "fastest"])
-        assert excinfo.value.code == 2
-
-    def test_cheapest_without_cache_dir_warns(self, capsys):
-        # No cost model without a cache: the flag silently doing nothing
-        # would let users believe they measured cheapest-first scheduling.
-        _, err = run_cli(capsys, SWEEP_ARGV + ["--schedule", "cheapest"])
-        assert "--schedule cheapest needs --cache-dir" in err
-
-    def test_fifo_without_cache_dir_does_not_warn(self, capsys):
-        _, err = run_cli(capsys, SWEEP_ARGV)
-        assert "needs --cache-dir" not in err
-
-
 class TestWorkerCountValidation:
     @pytest.mark.parametrize("flag", ["--jobs", "--flow-jobs"])
     @pytest.mark.parametrize("value", ["0", "-2"])
@@ -137,6 +73,39 @@ class TestWorkerCountValidation:
             main(["run", "E", "--profile", "tiny", "--jobs", "many"])
         assert excinfo.value.code == 2
         assert "expected an integer" in capsys.readouterr().err
+
+
+class TestNoDispatchKnobs:
+    """Tasks go out in submission order, one per flight: no flag or
+    environment variable picks another shape or order."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--batch", "auto"],
+            ["--batch", "4"],
+            ["--batch", "off"],
+            ["--schedule", "cheapest"],
+            ["--schedule", "fifo"],
+        ],
+        ids=lambda argv: "=".join(argv),
+    )
+    def test_removed_flags_are_unrecognised(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(SWEEP_ARGV + argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["auto", "2"])
+    def test_batch_environment_variable_has_no_effect(
+        self, capsys, monkeypatch, value
+    ):
+        monkeypatch.delenv("REPRO_CAMPAIGN_BATCH", raising=False)
+        default_out, _ = run_cli(capsys, SWEEP_ARGV + ["--jobs", "2"])
+        monkeypatch.setenv("REPRO_CAMPAIGN_BATCH", value)
+        set_out, set_err = run_cli(capsys, SWEEP_ARGV + ["--jobs", "2"])
+        assert set_out == default_out
+        assert "REPRO_CAMPAIGN_BATCH" not in set_err
 
 
 class TestCachePruneMessages:
@@ -210,11 +179,11 @@ class TestFaultInjectionCli:
         # Satellite acceptance: injected task errors are healed by the
         # default retry policy, so --faults changes nothing on stdout.
         cache_dir = str(tmp_path / "cache")
-        clean_out, _ = run_cli(capsys, SWEEP_ARGV + ["--batch", "2"])
+        clean_out, _ = run_cli(capsys, SWEEP_ARGV)
         faulted_out, _ = run_cli(
             capsys,
             SWEEP_ARGV + [
-                "--batch", "2", "--cache-dir", cache_dir,
+                "--cache-dir", cache_dir,
                 "--faults", "task-error@1", "--retries", "4",
             ],
         )
@@ -225,10 +194,7 @@ class TestFaultInjectionCli:
 
         from repro.runtime import faults
 
-        run_cli(
-            capsys,
-            SWEEP_ARGV + ["--batch", "2", "--faults", "task-error@1"],
-        )
+        run_cli(capsys, SWEEP_ARGV + ["--faults", "task-error@1"])
         assert faults.ENV_VAR not in _os.environ
 
     def test_invalid_faults_spec_is_an_argument_error(self, capsys):

@@ -1,18 +1,11 @@
-"""Tests for the persistent cost models behind cost-aware scheduling."""
+"""Tests for the persistent cost models behind straggler hedging."""
 
 import json
 
 import pytest
 
-from repro.experiments.persistence import trajectory_digest
 from repro.experiments.scenarios import get_scenario
-from repro.runtime import (
-    SCHEDULE_CHEAPEST,
-    SCHEDULE_FIFO,
-    Campaign,
-    ExperimentTask,
-    ResultCache,
-)
+from repro.runtime import ExperimentTask, ResultCache
 from repro.runtime.costmodel import (
     COSTS_FILENAME,
     MAX_OBSERVATIONS,
@@ -111,50 +104,3 @@ class TestTaskCostModel:
         assert cache.info().entries == 0  # never mistaken for an entry
         assert cache.clear() == 0
         assert sidecar.exists()  # clear() leaves the sidecar alone
-
-    def test_cheapest_first_orders_known_then_unknown(self):
-        model = TaskCostModel()
-        cheap = make_task("A")     # small, 0/1 churn
-        medium = make_task("E")    # small, 1/1 churn
-        expensive = make_task("K")  # large
-        model.observe_task(cheap, 0.1)
-        model.observe_task(medium, 1.0)
-        model.observe_task(expensive, 10.0)
-        unknown = make_task("G")  # never observed
-        tasks = [expensive, unknown, medium, cheap]
-        order = model.cheapest_first(tasks)
-        assert [tasks[i] for i in order] == [cheap, medium, expensive, unknown]
-
-    def test_cheapest_first_is_stable_for_ties(self):
-        model = TaskCostModel()
-        tasks = [make_task("E", seed=s) for s in (1, 2, 3)]  # one shape
-        model.observe_task(tasks[0], 1.0)
-        assert model.cheapest_first(tasks) == [0, 1, 2]
-        # An empty model degrades to pure submission order.
-        assert TaskCostModel().cheapest_first(tasks) == [0, 1, 2]
-
-    def test_warmed_sidecar_reverses_most_expensive_first_order(self, tmp_path):
-        # Submitted most expensive first: a large churn + loss run, a small
-        # churn run, a small no-traffic run (observed costs ~10x apart).
-        tasks = [make_task(name, seed=42) for name in ("K", "E", "A")]
-        sidecar = tmp_path / COSTS_FILENAME
-
-        def completion(schedule):
-            order = []
-            campaign = Campaign(
-                progress=lambda event: order.append(event.index),
-                schedule=schedule,
-                cost_model=TaskCostModel(sidecar),
-            )
-            with campaign:
-                results = campaign.run(tasks)
-            return order, [trajectory_digest(result) for result in results]
-
-        fifo_order, fifo_digests = completion(SCHEDULE_FIFO)
-        assert sidecar.exists()  # the FIFO pass warmed the cost model
-        cheapest_order, cheapest_digests = completion(SCHEDULE_CHEAPEST)
-        assert fifo_order == [0, 1, 2]
-        assert cheapest_order == [2, 1, 0]
-        # Scheduling is order only: results come back in submission order,
-        # bit-identical.
-        assert cheapest_digests == fifo_digests

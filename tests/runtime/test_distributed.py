@@ -351,15 +351,28 @@ class TestDistributedCampaigns:
         with pytest.raises(ValueError):
             make_executor(2, backend="carrier-pigeon")
 
-    @pytest.mark.parametrize("batch", [1, 2])
-    def test_matches_serial_digests(self, batch):
-        # batch=2 over three tasks puts two tasks in one lease, one frame
-        # and one execute_task_batch call on a worker.
+    def test_matches_serial_digests(self):
         tasks = tiny_tasks(bucket_sizes=(3, 5, 8))
         golden = golden_digests(tasks)
-        with Campaign(executor=_loopback_executor(), batch=batch) as campaign:
+        with Campaign(executor=_loopback_executor()) as campaign:
             results = campaign.run(tasks)
         assert digests_of(results) == golden
+
+    @pytest.mark.parametrize("bucket_sizes", [(3,), (3, 5), (3, 5, 8)])
+    def test_multi_task_lease_settles_in_one_frame(self, bucket_sizes):
+        # The session speaks lists of pairs: every task of the list goes
+        # out in one lease, one frame and one execute_task_batch call.
+        tasks = tiny_tasks(bucket_sizes=bucket_sizes)
+        golden = golden_digests(tasks)
+        session = _loopback_executor().open_task_session()
+        try:
+            pairs = session.submit_batch(list(enumerate(tasks))).result(
+                timeout=120
+            )
+        finally:
+            session.close()
+        assert [index for index, _ in pairs] == list(range(len(tasks)))
+        assert digests_of([result for _, result in pairs]) == golden
 
     def test_network_chaos_heals_to_golden_digests(self, monkeypatch, tmp_path):
         """The acceptance scenario: a 2-worker loopback campaign under
@@ -374,7 +387,7 @@ class TestDistributedCampaigns:
         cache = ResultCache(tmp_path / "cache")
         with Campaign(
             executor=_loopback_executor(),
-            cache=cache, batch=1, retry_policy=CHAOS_POLICY,
+            cache=cache, retry_policy=CHAOS_POLICY,
         ) as campaign:
             results = campaign.run(tasks)
         assert digests_of(results) == golden
@@ -389,8 +402,7 @@ class TestDistributedCampaigns:
         cache_dir = tmp_path / "cache"
         campaign = Campaign(
             executor=_loopback_executor(),
-            cache=ResultCache(cache_dir), batch=1,
-            retry_policy=CHAOS_POLICY,
+            cache=ResultCache(cache_dir), retry_policy=CHAOS_POLICY,
         )
         killed = []
 
@@ -411,7 +423,7 @@ class TestDistributedCampaigns:
         # Every task landed durably; a warm rerun is pure cache hits.
         rerun_cache = ResultCache(cache_dir)
         assert rerun_cache.info().entries == len(tasks)
-        with Campaign(cache=rerun_cache, batch=1) as warm:
+        with Campaign(cache=rerun_cache) as warm:
             warm_results = warm.run(tasks)
         assert digests_of(warm_results) == golden
         assert rerun_cache.stats.hits == len(tasks)
@@ -426,7 +438,7 @@ class TestDistributedCampaigns:
             spawn_workers=False, worker_wait_timeout=0.5,
         )
         with Campaign(
-            executor=executor, batch=1, retry_policy=CHAOS_POLICY
+            executor=executor, retry_policy=CHAOS_POLICY
         ) as campaign:
             results = campaign.run(tasks)
         assert digests_of(results) == golden

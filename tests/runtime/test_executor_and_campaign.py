@@ -2,6 +2,7 @@
 
 import multiprocessing
 import os
+from concurrent.futures import BrokenExecutor
 
 import pytest
 
@@ -9,10 +10,9 @@ from repro.experiments.persistence import trajectory_digest
 from repro.experiments.replication import replicate_scenario
 from repro.experiments.scenarios import get_scenario
 from repro.experiments.sweep import run_bucket_size_sweep
-from repro.options import ExecutionOptions, MeasurementSpec
+from repro.options import ExecutionOptions
 from repro.runtime import (
     FAIL_FAST,
-    SCHEDULE_CHEAPEST,
     Campaign,
     CampaignTaskFailure,
     Executor,
@@ -23,7 +23,6 @@ from repro.runtime import (
     SerialExecutor,
     TaskCostModel,
     make_executor,
-    resolve_batch,
 )
 
 
@@ -102,14 +101,11 @@ class TestExecutors:
     def test_persistent_pool_start_method_is_identity_free(self, start_method):
         tasks = tiny_tasks(bucket_sizes=(3, 5, 8))
         reference = [trajectory_digest(r) for r in Campaign().run(tasks)]
-        # batch=2 over three tasks makes one two-task flight per pool.
-        for batch in ("off", 2):
-            with Campaign(
-                executor=ParallelExecutor(jobs=2, start_method=start_method),
-                batch=batch,
-            ) as campaign:
-                results = campaign.run(tasks)
-            assert [trajectory_digest(r) for r in results] == reference
+        with Campaign(
+            executor=ParallelExecutor(jobs=2, start_method=start_method),
+        ) as campaign:
+            results = campaign.run(tasks)
+        assert [trajectory_digest(r) for r in results] == reference
 
     @pytest.mark.parametrize(
         "executor", [SerialExecutor(), ParallelExecutor(jobs=2)]
@@ -122,15 +118,18 @@ class TestExecutors:
                 session.submit_batch([(index, task)])
                 for index, task in enumerate(tasks)
             ]
+            # The session contract is a list of pairs (distributed
+            # workers speak it too), not only the campaign's one-task list.
+            futures.append(session.submit_batch(list(enumerate(tasks))))
             settled = [future.result() for future in futures]
         finally:
             session.close()
         assert [[index for index, _ in pairs] for pairs in settled] == [
-            [0], [1],
+            [0], [1], [0, 1],
         ]
-        assert series_of(
-            [result for pairs in settled for _, result in pairs]
-        ) == series_of(Campaign().run(tasks))
+        reference = series_of(Campaign().run(tasks))
+        assert series_of([pairs[0][1] for pairs in settled[:2]]) == reference
+        assert series_of([result for _, result in settled[2]]) == reference
 
 
 def _failing_shard(_item):
@@ -246,6 +245,29 @@ class TestCampaign:
         fresh = Campaign().run(tasks)
         assert series_of(results) == series_of(fresh)
 
+    def test_cost_model_sidecar_warms_across_campaigns(self, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
+        tasks = tiny_tasks(bucket_sizes=(3, 5))
+        Campaign(cache=cache).run(tasks)  # the run observes costs
+        model = TaskCostModel.for_cache(cache)
+        assert model.estimate_task(tasks[0]) is not None
+
+    @pytest.mark.parametrize("expensive_first", [True, False])
+    def test_known_costs_never_reorder_dispatch(self, expensive_first):
+        # The cost model only sets straggler deadlines: whichever way
+        # round the known costs lie, tasks run in submission order.
+        expensive = ExperimentTask.create(
+            scenario=get_scenario("K"), profile="tiny", seed=11
+        )
+        cheap = tiny_tasks(bucket_sizes=(3,))[0]
+        model = TaskCostModel()
+        model.observe_task(expensive, 30.0)
+        model.observe_task(cheap, 0.5)
+        tasks = [expensive, cheap] if expensive_first else [cheap, expensive]
+        events = []
+        Campaign(progress=events.append, cost_model=model).run(tasks)
+        assert [event.index for event in events] == [0, 1]
+
 
 class TestProgressAccounting:
     """Campaign._emit bookkeeping under mixed batches and failing callbacks."""
@@ -319,51 +341,6 @@ class TestProgressAccounting:
         assert cache.contains(tasks[0]) and cache.contains(tasks[1])
 
 
-class TestCheapestSchedule:
-    def test_dispatch_order_is_cheapest_first_but_results_are_not(self, tmp_path):
-        base = get_scenario("E")
-        expensive = ExperimentTask.create(
-            scenario=get_scenario("K"), profile="tiny", seed=11
-        )
-        cheap = ExperimentTask.create(
-            scenario=base.with_overrides(bucket_size=3), profile="tiny", seed=11
-        )
-        model = TaskCostModel()
-        model.observe_task(expensive, 30.0)
-        model.observe_task(cheap, 0.5)
-
-        events = []
-        campaign = Campaign(
-            progress=events.append,
-            schedule=SCHEDULE_CHEAPEST,
-            cost_model=model,
-        )
-        results = campaign.run([expensive, cheap])  # expensive submitted first
-        # The cheap task ran (and streamed) first ...
-        assert [event.index for event in events] == [1, 0]
-        # ... but results stay in submission order, bit-identical to FIFO.
-        assert [r.scenario.name for r in results] == ["K", "E[bucket_size=3]"]
-        fifo = Campaign().run([expensive, cheap])
-        assert series_of(results) == series_of(fifo)
-
-    def test_unknown_schedule_rejected(self):
-        with pytest.raises(ValueError, match="unknown schedule"):
-            Campaign(schedule="fastest")
-
-    def test_cost_model_sidecar_warms_across_campaigns(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        tasks = tiny_tasks(bucket_sizes=(3, 5))
-        Campaign(cache=cache).run(tasks)  # FIFO run observes costs
-        model = TaskCostModel.for_cache(cache)
-        assert model.estimate_task(tasks[0]) is not None
-
-    def test_cheapest_without_model_degrades_to_fifo(self):
-        events = []
-        tasks = tiny_tasks()
-        Campaign(progress=events.append, schedule=SCHEDULE_CHEAPEST).run(tasks)
-        assert [event.index for event in events] == list(range(len(tasks)))
-
-
 class _ExplodingTask(ExperimentTask):
     """A task whose run kills its worker process outright (no exception)."""
 
@@ -377,94 +354,10 @@ def _exploding_task():
     )
 
 
-class TestBatchPacking:
-    def test_resolve_batch_values(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CAMPAIGN_BATCH", raising=False)
-        assert resolve_batch(None) == 1
-        assert Campaign().batch == 1
-        assert resolve_batch("auto") == "auto"
-        assert resolve_batch("AUTO") == "auto"
-        assert resolve_batch(3) == 3
-        assert resolve_batch("3") == 3
-        with pytest.raises(ValueError):
-            resolve_batch(0)
-        with pytest.raises(ValueError):
-            resolve_batch("several")
-        monkeypatch.setenv("REPRO_CAMPAIGN_BATCH", "auto")
-        assert resolve_batch(None) == "auto"
-        assert Campaign().batch == "auto"
-        # Explicit "off" (or its aliases) wins over the environment
-        # default: one task per flight.
-        assert resolve_batch("off") == 1
-        assert resolve_batch("none") == 1
-        assert resolve_batch("0") == 1
-        assert Campaign(batch="off").batch == 1
-        monkeypatch.setenv("REPRO_CAMPAIGN_BATCH", "off")
-        assert resolve_batch(None) == 1
-        monkeypatch.setenv("REPRO_CAMPAIGN_BATCH", "2")
-        assert resolve_batch(None) == 2
+class TestParallelCampaign:
+    """One persistent pool per campaign; every task is its own flight."""
 
-    def test_pack_batches_balances_known_costs(self):
-        # Four distinct task *shapes* (the cost model's granularity):
-        # different algorithms / scenarios so each carries its own cost.
-        base = get_scenario("E")
-        tasks = [
-            ExperimentTask.create(
-                scenario=base, profile="tiny", seed=11,
-                measurement=MeasurementSpec(algorithm=algorithm),
-            )
-            for algorithm in ("dinic", "edmonds_karp", "push_relabel")
-        ] + [
-            ExperimentTask.create(
-                scenario=get_scenario("A"), profile="tiny", seed=11
-            )
-        ]
-        model = TaskCostModel()
-        # Costs 10, 1, 1, 8: LPT over two batches must pair the expensive
-        # tasks with cheap ones instead of chunking [10+1, 1+8].
-        for task, cost in zip(tasks, (10.0, 1.0, 1.0, 8.0)):
-            model.observe_task(task, cost)
-        groups = model.pack_batches(tasks, 2)
-        assert sorted(position for group in groups for position in group) == [
-            0, 1, 2, 3,
-        ]
-        loads = [
-            sum((10.0, 1.0, 1.0, 8.0)[position] for position in group)
-            for group in groups
-        ]
-        assert max(loads) == 10.0  # the 10-cost task sits alone
-        # Deterministic: same inputs, same packing.
-        assert model.pack_batches(tasks, 2) == groups
-
-    def test_pack_batches_without_observations_round_robins(self):
-        tasks = tiny_tasks(bucket_sizes=(3, 5, 8, 10))
-        groups = TaskCostModel().pack_batches(tasks, 2)
-        assert groups == [[0, 2], [1, 3]]
-
-    def test_pack_batches_rejects_bad_count_and_drops_empties(self):
-        tasks = tiny_tasks(bucket_sizes=(3,))
-        model = TaskCostModel()
-        with pytest.raises(ValueError):
-            model.pack_batches(tasks, 0)
-        assert model.pack_batches(tasks, 4) == [[0]]
-        assert model.pack_batches([], 4) == []
-
-
-class TestBatchedCampaign:
-    """--batch is identity-free: grouping changes, results never do."""
-
-    def test_batched_matches_per_task_dispatch(self, tmp_path):
-        tasks = tiny_tasks(bucket_sizes=(3, 5, 8, 10))
-        reference = Campaign().run(tasks)
-        for batch in ("auto", 3):
-            with Campaign(
-                executor=ParallelExecutor(jobs=2), batch=batch
-            ) as campaign:
-                results = campaign.run(tasks)
-            assert series_of(results) == series_of(reference)
-            assert [r.scenario.bucket_size for r in results] == [3, 5, 8, 10]
-
-    def test_batched_progress_reports_every_task_with_result(self, tmp_path):
+    def test_parallel_progress_reports_every_task_with_result(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         tasks = tiny_tasks(bucket_sizes=(3, 5, 8))
         events = []
@@ -472,7 +365,6 @@ class TestBatchedCampaign:
             executor=ParallelExecutor(jobs=2),
             cache=cache,
             progress=events.append,
-            batch=2,
         ) as campaign:
             results = campaign.run(tasks)
         assert sorted(event.index for event in events) == [0, 1, 2]
@@ -480,7 +372,7 @@ class TestBatchedCampaign:
         for event in events:
             assert event.status == "completed"
             assert event.result is results[event.index]
-        # Mixed hit/run re-run: hits stream first, the rest comes batched.
+        # Mixed hit/run re-run: hits stream first, then the fresh task.
         cache_for_rerun = ResultCache(tmp_path / "cache")
         more = tiny_tasks(bucket_sizes=(3, 5, 8, 10))
         events.clear()
@@ -488,7 +380,6 @@ class TestBatchedCampaign:
             executor=ParallelExecutor(jobs=2),
             cache=cache_for_rerun,
             progress=events.append,
-            batch="auto",
         ) as campaign:
             rerun = campaign.run(more)
         assert [event.status for event in events] == [
@@ -498,9 +389,7 @@ class TestBatchedCampaign:
 
     def test_session_persists_across_runs(self):
         tasks = tiny_tasks(bucket_sizes=(3, 5, 8, 10))
-        with Campaign(
-            executor=ParallelExecutor(jobs=1), batch=2
-        ) as campaign:
+        with Campaign(executor=ParallelExecutor(jobs=1)) as campaign:
             campaign.run(tasks[:2])
             session = campaign._task_session
             assert session is not None
@@ -513,23 +402,15 @@ class TestBatchedCampaign:
         assert second["pid"] == first["pid"]
         assert second["tasks_executed"] >= first["tasks_executed"] + 2
 
-    def test_serial_auto_batching_keeps_per_task_streaming(self):
-        events = []
-        tasks = tiny_tasks(bucket_sizes=(3, 5, 8))
-        with Campaign(progress=events.append, batch="auto") as campaign:
-            results = campaign.run(tasks)
-        assert [event.index for event in events] == [0, 1, 2]
-        assert series_of(results) == series_of(Campaign().run(tasks))
 
-
-class TestBatchedPoolLifecycle:
-    """A worker dying mid-batch must not lose finished work or leak pools."""
+class TestPoolLifecycle:
+    """A worker dying mid-run must not lose finished work or leak pools."""
 
     @staticmethod
     def _live_children():
         return {p.pid for p in multiprocessing.active_children() if p.is_alive()}
 
-    def test_dead_worker_fails_batch_but_keeps_completed_tasks_cached(
+    def test_dead_worker_fails_run_but_keeps_completed_tasks_cached(
         self, tmp_path
     ):
         from concurrent.futures.process import BrokenProcessPool
@@ -543,20 +424,19 @@ class TestBatchedPoolLifecycle:
             executor=ParallelExecutor(jobs=1),
             cache=cache,
             progress=events.append,
-            batch=2,
             # Fail-fast: a task that kills its own process must propagate,
             # not be healed into in-process (driver-killing) re-execution.
             retry_policy=FAIL_FAST,
         )
-        # Batches (dispatch order, size 2): [good0, good1] then
-        # [exploding, good2].  The single worker finishes the first batch
-        # before the second kills it.
+        # One-task flights in submission order: the single worker
+        # finishes good0 and good1 before the exploding task kills it,
+        # and good2, queued behind it, fails with the pool.
         with pytest.raises(BrokenProcessPool):
             campaign.run(tasks)
-        # The completed batch streamed and was cached before the death...
+        # The completed tasks streamed and were cached before the death...
         assert [event.index for event in events] == [0, 1]
         assert cache.contains(good[0]) and cache.contains(good[1])
-        # ... the dead batch's tasks were not half-reported or cached ...
+        # ... the tasks on the dead pool were not reported or cached ...
         assert not cache.contains(tasks[2])
         assert not cache.contains(good[2])
         # ... and the broken session was unwound, leaking no processes.
@@ -573,7 +453,7 @@ class TestBatchedPoolLifecycle:
         assert series_of(results) == series_of(Campaign().run(good))
         assert self._live_children() <= before
 
-    def test_failing_callback_unwinds_batched_session(self, tmp_path):
+    def test_failing_callback_unwinds_session(self, tmp_path):
         before = self._live_children()
         tasks = tiny_tasks(bucket_sizes=(3, 5))
 
@@ -581,7 +461,7 @@ class TestBatchedPoolLifecycle:
             raise RuntimeError("observer failed")
 
         campaign = Campaign(
-            executor=ParallelExecutor(jobs=2), progress=explode, batch=2
+            executor=ParallelExecutor(jobs=2), progress=explode
         )
         with pytest.raises(RuntimeError, match="observer failed"):
             campaign.run(tasks)
@@ -589,7 +469,7 @@ class TestBatchedPoolLifecycle:
         assert self._live_children() <= before
 
     def test_overlapping_sessions_restore_pythonpath_last_close(self):
-        # Persistent sessions can overlap in one process (two batched
+        # Persistent sessions can overlap in one process (two open
         # campaigns); the PYTHONPATH export is reference-counted, so
         # closing the first must NOT strip the path from under the still-
         # open second, and closing the last restores the true original.
@@ -620,44 +500,61 @@ def _poison_task():
     )
 
 
-@pytest.mark.parametrize("batch", [None, 1, 2, "auto"])
-class TestSelfHealingCampaign:
-    """Every flight geometry — the default construction included — heals."""
+def _wrapped_connection_error():
+    """A framework error raised ``from`` a dropped connection."""
+    error = RuntimeError("transport framework error")
+    error.__cause__ = ConnectionError("link dropped")
+    return error
 
-    def test_poison_task_is_isolated_not_fatal(self, tmp_path, batch):
+
+class TestSelfHealingCampaign:
+    """The one dispatch path heals poison, flaky and broken-pool failures."""
+
+    @pytest.mark.parametrize("poison_at", [0, 2, 3])
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_poison_task_is_isolated_not_fatal(self, tmp_path, jobs, poison_at):
         cache = ResultCache(tmp_path / "cache")
         good = tiny_tasks(bucket_sizes=(3, 5, 8))
-        tasks = good[:2] + [_poison_task()] + good[2:]
+        tasks = good[:poison_at] + [_poison_task()] + good[poison_at:]
+        healthy = [index for index in range(len(tasks)) if index != poison_at]
         events = []
         with Campaign(
-            cache=cache, progress=events.append, batch=batch
+            executor=make_executor(jobs), cache=cache, progress=events.append
         ) as campaign:
             with pytest.raises(CampaignTaskFailure) as exc_info:
                 campaign.run(tasks)
         failure = exc_info.value
         # Exactly the poison task is reported, with a structured record.
-        assert [record.index for record in failure.failures] == [2]
+        assert [record.index for record in failure.failures] == [poison_at]
         record = failure.failures[0]
         assert record.error_type == "ValueError"
         assert record.attempts == 1  # non-retryable: no budget burned
         assert not record.retryable
-        assert record.key == tasks[2].key()
+        assert record.key == tasks[poison_at].key()
         # Every healthy task completed, was cached and carried results.
         for index, task in enumerate(tasks):
-            if index == 2:
+            if index == poison_at:
                 assert failure.results[index] is None
                 assert not cache.contains(task)
             else:
                 assert failure.results[index] is not None
                 assert cache.contains(task)
         statuses = {event.index: event.status for event in events}
-        assert statuses[2] == "failed"
-        assert all(
-            statuses[index] == "completed" for index in (0, 1, 3)
-        )
+        assert statuses[poison_at] == "failed"
+        assert all(statuses[index] == "completed" for index in healthy)
 
-    def test_retryable_failures_heal_transparently(self, tmp_path, batch):
-        # An error marked retryable that stops recurring: the campaign
+    @pytest.mark.parametrize(
+        "transient",
+        [
+            lambda: TimeoutError("transient"),
+            lambda: ConnectionResetError("peer went away"),
+            lambda: BrokenExecutor("a worker died"),
+            _wrapped_connection_error,
+        ],
+        ids=["timeout", "connection-reset", "broken-pool", "wrapped-cause"],
+    )
+    def test_retryable_failures_heal_transparently(self, tmp_path, transient):
+        # An error classed retryable that stops recurring: the campaign
         # retries and the run succeeds with no exception at all.
         attempts = {"count": 0}
 
@@ -670,7 +567,7 @@ class TestSelfHealingCampaign:
                 future.set_running_or_notify_cancel()
                 attempts["count"] += 1
                 if attempts["count"] == 1:
-                    future.set_exception(TimeoutError("transient"))
+                    future.set_exception(transient())
                 else:
                     future.set_result(
                         [(index, task.run()) for index, task in pairs]
@@ -682,7 +579,6 @@ class TestSelfHealingCampaign:
 
         tasks = tiny_tasks(bucket_sizes=(3,))
         campaign = Campaign(
-            batch=batch,
             retry_policy=RetryPolicy(base_delay=0.0, jitter=0.0),
         )
         campaign._task_session = _FlakySession()
@@ -691,12 +587,11 @@ class TestSelfHealingCampaign:
         assert len(results) == 1 and results[0] is not None
         assert attempts["count"] == 2  # failed once, healed on retry
 
-    def test_respawn_ladder_degrades_to_serial(self, tmp_path, batch):
+    @pytest.mark.parametrize("max_respawns", [0, 1, 2])
+    def test_respawn_ladder_degrades_to_serial(self, tmp_path, max_respawns):
         # A pool that breaks on every submit: the campaign respawns up to
         # the budget, then degrades to in-process serial execution and
         # still completes the run.
-        from concurrent.futures import BrokenExecutor
-
         opened = {"count": 0}
 
         class _BrokenSession:
@@ -712,15 +607,16 @@ class TestSelfHealingCampaign:
                 return _BrokenSession()
 
         tasks = tiny_tasks(bucket_sizes=(3, 5))
-        policy = RetryPolicy(max_respawns=2, base_delay=0.0, jitter=0.0)
+        policy = RetryPolicy(
+            max_respawns=max_respawns, base_delay=0.0, jitter=0.0
+        )
         with Campaign(
-            executor=_BrokenExecutorBackend(), batch=batch,
-            retry_policy=policy,
+            executor=_BrokenExecutorBackend(), retry_policy=policy,
         ) as campaign:
             results = campaign.run(tasks)
         assert all(result is not None for result in results)
-        # First open + two respawns, then the serial fallback finished it.
-        assert opened["count"] == 3
+        # First open + every respawn, then the serial fallback finished it.
+        assert opened["count"] == 1 + max_respawns
         # The degraded session was dropped so a later run starts fresh.
         assert campaign._task_session is None
 

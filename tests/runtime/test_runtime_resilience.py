@@ -4,9 +4,9 @@ Two families, both hypothesis-driven:
 
 * :class:`RetryPolicy` backoff — deterministic under a fixed seed,
   monotone non-decreasing in the attempt number, capped at ``max_delay``;
-* batch bisection — for *any* batch geometry and poison position, the
-  campaign driver isolates exactly the poison task (everything else
-  completes and is recorded exactly once).
+* poison isolation — for *any* poison position, the campaign driver
+  fails exactly the poison task in its own one-task flight (everything
+  else completes and is recorded exactly once).
 """
 
 import logging
@@ -198,7 +198,7 @@ class TestRetryClassification:
 
 
 # ----------------------------------------------------------------------
-# Batch-bisection poison isolation
+# Poison isolation
 # ----------------------------------------------------------------------
 class _StubTask:
     """Minimal stand-in for ExperimentTask inside the dispatch driver."""
@@ -214,7 +214,7 @@ class _StubTask:
 
 
 class _ScriptedSession:
-    """A task session whose batches fail whenever they contain the poison."""
+    """A task session whose flights fail whenever they carry the poison."""
 
     def __init__(self, poison, error_factory):
         self.poison = poison
@@ -236,9 +236,9 @@ class _ScriptedSession:
         pass
 
 
-def _drive(tasks_count, poison, batch_size, error_factory, policy):
+def _drive(tasks_count, poison, error_factory, policy):
     tasks = [_StubTask(i) for i in range(tasks_count)]
-    campaign = Campaign(batch=batch_size, retry_policy=policy)
+    campaign = Campaign(retry_policy=policy)
     session = _ScriptedSession(poison, error_factory)
     campaign._task_session = session
     recorded, failed = {}, []
@@ -251,18 +251,19 @@ def _drive(tasks_count, poison, batch_size, error_factory, policy):
     return recorded, failed, failures, session
 
 
-class TestBisectionIsolation:
+class TestPoisonIsolation:
     @settings(max_examples=120, deadline=None)
     @given(data=st.data())
     def test_exactly_the_poison_task_fails(self, data):
         count = data.draw(st.integers(min_value=1, max_value=12))
         poison = data.draw(st.integers(min_value=0, max_value=count - 1))
-        batch_size = data.draw(st.integers(min_value=1, max_value=12))
-        recorded, failed, failures, _ = _drive(
-            count, poison, batch_size,
+        recorded, failed, failures, session = _drive(
+            count, poison,
             lambda: RuntimeError("poison"),  # non-retryable: one attempt
             RetryPolicy(base_delay=0.0, jitter=0.0),
         )
+        # One task per flight, in submission order, nothing re-run.
+        assert session.dispatched == [[index] for index in range(count)]
         assert [record.index for record in failures] == [poison]
         assert failed == [poison]
         assert set(recorded) == set(range(count)) - {poison}
@@ -275,10 +276,9 @@ class TestBisectionIsolation:
     def test_retryable_poison_exhausts_the_attempt_budget(self, data):
         count = data.draw(st.integers(min_value=1, max_value=8))
         poison = data.draw(st.integers(min_value=0, max_value=count - 1))
-        batch_size = data.draw(st.integers(min_value=1, max_value=8))
         max_attempts = data.draw(st.integers(min_value=1, max_value=4))
         recorded, failed, failures, session = _drive(
-            count, poison, batch_size,
+            count, poison,
             lambda: TimeoutError("still poisoned"),
             RetryPolicy(
                 max_attempts=max_attempts, base_delay=0.0, jitter=0.0
@@ -287,15 +287,15 @@ class TestBisectionIsolation:
         assert [record.index for record in failures] == [poison]
         assert failures[0].attempts == max_attempts
         assert set(recorded) == set(range(count)) - {poison}
-        # Every singleton dispatch of the poison task is one attempt.
-        singleton_poison = [
-            batch for batch in session.dispatched if batch == [poison]
-        ]
-        assert len(singleton_poison) == max_attempts
+        # Every dispatch of the poison task is one attempt; every healthy
+        # task is dispatched once.
+        assert all(len(flight) == 1 for flight in session.dispatched)
+        assert session.dispatched.count([poison]) == max_attempts
+        assert len(session.dispatched) == count - 1 + max_attempts
 
     def test_healthy_run_returns_no_failures(self):
         recorded, failed, failures, _ = _drive(
-            6, poison=-1, batch_size=2,
+            6, poison=-1,
             error_factory=lambda: AssertionError("never raised"),
             policy=RetryPolicy(),
         )
@@ -338,7 +338,6 @@ class TestPoolBreakAttribution:
         try:
             campaign = Campaign(
                 executor=ParallelExecutor(jobs=2),
-                batch=1,
                 retry_policy=RetryPolicy(base_delay=0.0, jitter=0.0),
             )
         finally:
@@ -391,18 +390,17 @@ class _FlatCostModel:
     def __init__(self, seconds):
         self.seconds = seconds
 
-    def estimate_batch_seconds(self, tasks):
-        return self.seconds * len(tasks)
+    def estimate_task(self, task):
+        return self.seconds
 
 
 def _drive_timed(durations, predicted):
-    """Singleton flights on two workers under a warm cost model."""
+    """One-task flights on two workers under a warm cost model."""
     obs.disable()
     registry = obs.enable()
     try:
         campaign = Campaign(
             executor=ParallelExecutor(jobs=2),
-            batch=1,
             cost_model=_FlatCostModel(predicted),
             retry_policy=RetryPolicy(
                 min_straggler_seconds=0.0, straggler_factor=6.0
@@ -502,7 +500,7 @@ class TestShutdownGuard:
 
         def body():
             recorded, failed, failures, _ = _drive(
-                4, poison=-1, batch_size=2,
+                4, poison=-1,
                 error_factory=lambda: AssertionError("never raised"),
                 policy=RetryPolicy(),
             )

@@ -33,8 +33,6 @@ SOURCE_ROOT = Path(__file__).resolve().parent.parent / "src" / "repro"
 OTHER_EXECUTION = {
     "jobs": 4,
     "flow_jobs": 2,
-    "schedule": "cheapest",
-    "batch": "auto",
     "backend": "distributed",
     "retries": RetryPolicy(max_attempts=7),
 }
@@ -51,6 +49,19 @@ def make_task(measurement=MeasurementSpec(), execution=ExecutionOptions()):
         get_scenario("E").with_overrides(bucket_size=5), "tiny", 7,
         measurement=measurement, execution=execution,
     )
+
+
+class TestNoDispatchKnobs:
+    """Dispatch has one shape and one order: no option picks another."""
+
+    def test_execution_options_are_the_four_remaining_knobs(self):
+        names = [f.name for f in fields(ExecutionOptions)]
+        assert names == ["jobs", "flow_jobs", "backend", "retries"]
+
+    @pytest.mark.parametrize("name, value", [("schedule", "cheapest"), ("batch", "auto")])
+    def test_removed_dispatch_fields_are_rejected(self, name, value):
+        with pytest.raises(TypeError):
+            ExecutionOptions(**{name: value})
 
 
 class TestIdentityIsStructural:
