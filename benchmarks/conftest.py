@@ -2,7 +2,7 @@
 
 Every module here regenerates one of the paper's tables, figures or
 ablations and asserts its qualitative shape.  Simulations are expensive,
-so they are dispatched through :class:`repro.runtime.Campaign`: an
+so they are dispatched through :class:`repro.runtime.campaign.Campaign`: an
 in-process memo plus a persistent content-addressed
 :class:`~repro.runtime.cache.ResultCache` under ``benchmarks/.result-cache``,
 so repeated invocations of the same figure reuse finished runs instead of
@@ -33,7 +33,10 @@ import pytest
 from repro.experiments.profiles import get_profile
 from repro.experiments.runner import ExperimentResult
 from repro.experiments.scenarios import Scenario
-from repro.runtime import Campaign, ExperimentTask, ResultCache, make_executor
+from repro.runtime.cache import ResultCache
+from repro.runtime.campaign import Campaign
+from repro.runtime.executor import make_executor
+from repro.runtime.task import ExperimentTask
 
 #: Root seed of every benchmark simulation (fixed for reproducibility).
 SEED = 42

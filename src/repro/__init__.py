@@ -48,35 +48,10 @@ from scratch in pure Python:
     ``run_sweep``, ``analyze_snapshot``, ``estimate_connectivity``,
     ``open_campaign`` plus curated re-exports — rather than from the
     internal modules above, whose layout may change between releases.
+
+The ``__init__`` of this package and of each subpackage above
+re-exports nothing, so importing a package loads none of its modules and
+a process loads only what it names; :mod:`repro.api` is the one facade.
 """
 
-from repro.core.analyzer import ConnectivityAnalyzer, ConnectivityReport
-from repro.core.resilience import ResilienceModel, required_bucket_size, resilience_of
-from repro.core.vertex_connectivity import (
-    global_vertex_connectivity,
-    pairwise_vertex_connectivity,
-)
-from repro.graph.digraph import DiGraph
-from repro.kademlia.config import KademliaConfig
-from repro.experiments.scenarios import Scenario, ScenarioRegistry, get_scenario
-from repro.experiments.runner import ExperimentRunner, ExperimentResult
-
 __version__ = "1.0.0"
-
-__all__ = [
-    "ConnectivityAnalyzer",
-    "ConnectivityReport",
-    "DiGraph",
-    "ExperimentResult",
-    "ExperimentRunner",
-    "KademliaConfig",
-    "ResilienceModel",
-    "Scenario",
-    "ScenarioRegistry",
-    "get_scenario",
-    "global_vertex_connectivity",
-    "pairwise_vertex_connectivity",
-    "required_bucket_size",
-    "resilience_of",
-    "__version__",
-]

@@ -1,22 +1,1 @@
 """Statistics and reporting helpers for the evaluation."""
-
-from repro.analysis.statistics import (
-    mean,
-    population_variance,
-    relative_variance,
-    sample_variance,
-    standard_deviation,
-    summarize,
-)
-from repro.analysis.figures import render_series_table, render_ascii_chart
-
-__all__ = [
-    "mean",
-    "population_variance",
-    "relative_variance",
-    "render_ascii_chart",
-    "render_series_table",
-    "sample_variance",
-    "standard_deviation",
-    "summarize",
-]

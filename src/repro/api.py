@@ -31,19 +31,23 @@ Five entry points cover the common workflows:
 The curated re-exports below (scenarios, profiles, result/report types,
 analysis helpers, simulation primitives) are part of the same stability
 contract; import them from here rather than their defining modules.
+
+``import repro.api`` loads the snapshot-analysis path only (snapshot
+I/O, connectivity graph, analyzer, estimator, pair-flow engine, graph
+and max-flow, options, obs), so ``analyze_snapshot`` and
+``estimate_connectivity`` import nothing when called.  The simulator,
+Kademlia, churn, the campaign/cache runtime and the extension studies
+load the first time one of their names is read from this module.
 """
 
 from __future__ import annotations
 
+from importlib import import_module
 from pathlib import Path
-from typing import Iterable, List, Mapping, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, List, Mapping, Optional, Sequence, Union
 
-# -- curated re-exports (stable surface) -------------------------------
+# -- the snapshot-analysis path: loaded by ``import repro.api`` ---------
 from repro.analysis.figures import format_table
-from repro.experiments.report import format_figure, format_summaries
-from repro.churn.churn_model import get_churn_scenario
-from repro.churn.loss import get_loss_model
-from repro.churn.traffic import TrafficModel
 from repro.core.analyzer import ConnectivityAnalyzer, ConnectivityReport
 from repro.core.estimation import (
     ConnectivityEstimator,
@@ -52,32 +56,66 @@ from repro.core.estimation import (
     validate_exact_vs_estimate,
 )
 from repro.core.resilience import ResilienceModel, resilience_of
-from repro.experiments.profiles import PROFILES, ScaleProfile, get_profile
-from repro.experiments.runner import ExperimentResult, ExperimentRunner
-from repro.experiments.scenarios import SCENARIOS, Scenario, get_scenario
-from repro.experiments.simulation import OverlaySimulation
+from repro.experiments.report import format_figure, format_summaries
 from repro.experiments.snapshot import RoutingTableSnapshot, synthetic_snapshot
-from repro.experiments import sweep as _sweep
-from repro.experiments.sweep import (
-    run_alpha_sweep,
-    run_bucket_size_sweep,
-    run_loss_sweep,
-    run_staleness_sweep,
-)
-from repro.extensions.evaluation import (
-    disjoint_path_study,
-    hardening_study,
-    hardening_summary,
-)
-from repro.extensions.hardening import HardeningConfig
 from repro.graph.algorithms.paths import vertex_disjoint_paths
 from repro.graph.digraph import DiGraph
-from repro.kademlia.config import KademliaConfig
 from repro.options import ExecutionOptions, MeasurementSpec
-from repro.runtime.cache import ResultCache
-from repro.runtime.campaign import Campaign
-from repro.runtime.resilience import RetryPolicy
-from repro.simulator.random_source import RandomSource
+
+if TYPE_CHECKING:  # the names ``__getattr__`` loads, for static tools
+    from repro.churn.churn_model import get_churn_scenario
+    from repro.churn.loss import get_loss_model
+    from repro.churn.traffic import TrafficModel
+    from repro.experiments.profiles import PROFILES, ScaleProfile, get_profile
+    from repro.experiments.runner import ExperimentResult, ExperimentRunner
+    from repro.experiments.scenarios import SCENARIOS, Scenario, get_scenario
+    from repro.experiments.simulation import OverlaySimulation
+    from repro.experiments.sweep import (
+        run_alpha_sweep,
+        run_bucket_size_sweep,
+        run_loss_sweep,
+        run_staleness_sweep,
+    )
+    from repro.extensions.evaluation import (
+        disjoint_path_study,
+        hardening_study,
+        hardening_summary,
+    )
+    from repro.extensions.hardening import HardeningConfig
+    from repro.kademlia.config import KademliaConfig
+    from repro.runtime.cache import ResultCache
+    from repro.runtime.campaign import Campaign
+    from repro.runtime.resilience import RetryPolicy
+    from repro.simulator.random_source import RandomSource
+
+# -- everything else: loaded the first time it is named ------------------
+_LAZY = {
+    "get_churn_scenario": "repro.churn.churn_model",
+    "get_loss_model": "repro.churn.loss",
+    "TrafficModel": "repro.churn.traffic",
+    "PROFILES": "repro.experiments.profiles",
+    "ScaleProfile": "repro.experiments.profiles",
+    "get_profile": "repro.experiments.profiles",
+    "ExperimentResult": "repro.experiments.runner",
+    "ExperimentRunner": "repro.experiments.runner",
+    "SCENARIOS": "repro.experiments.scenarios",
+    "Scenario": "repro.experiments.scenarios",
+    "get_scenario": "repro.experiments.scenarios",
+    "OverlaySimulation": "repro.experiments.simulation",
+    "run_alpha_sweep": "repro.experiments.sweep",
+    "run_bucket_size_sweep": "repro.experiments.sweep",
+    "run_loss_sweep": "repro.experiments.sweep",
+    "run_staleness_sweep": "repro.experiments.sweep",
+    "disjoint_path_study": "repro.extensions.evaluation",
+    "hardening_study": "repro.extensions.evaluation",
+    "hardening_summary": "repro.extensions.evaluation",
+    "HardeningConfig": "repro.extensions.hardening",
+    "KademliaConfig": "repro.kademlia.config",
+    "ResultCache": "repro.runtime.cache",
+    "Campaign": "repro.runtime.campaign",
+    "RetryPolicy": "repro.runtime.resilience",
+    "RandomSource": "repro.simulator.random_source",
+}
 
 __all__ = [
     # entry points
@@ -140,11 +178,27 @@ __all__ = [
 ]
 
 
+def __getattr__(name: str):
+    """Load a name of ``__all__`` that is off the snapshot-analysis path."""
+    try:
+        module = _LAZY[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}"
+        ) from None
+    value = globals()[name] = getattr(import_module(module), name)
+    return value
+
+
 def _resolve_scenario(scenario: Union[Scenario, str]) -> Scenario:
+    from repro.experiments.scenarios import get_scenario
+
     return get_scenario(scenario) if isinstance(scenario, str) else scenario
 
 
 def _open_cache(cache_dir: Optional[Union[str, Path]]) -> Optional[ResultCache]:
+    from repro.runtime.cache import ResultCache
+
     return ResultCache(cache_dir) if cache_dir is not None else None
 
 
@@ -212,7 +266,9 @@ def run_sweep(
     ``execution=ExecutionOptions(...)``).  Knob semantics match
     :func:`run_scenario`.
     """
-    return _sweep.run_sweep(
+    from repro.experiments import sweep
+
+    return sweep.run_sweep(
         _resolve_scenario(scenario),
         overrides,
         profile=profile,

@@ -4,24 +4,3 @@ These correspond to the "dimensions" of the paper's evaluation
 (Section 5.3): network churn, network traffic and message loss, plus the
 random bootstrap procedure used during the setup phase.
 """
-
-from repro.churn.bootstrap import BootstrapSchedule, RandomBootstrapPolicy
-from repro.churn.churn_model import (
-    CHURN_SCENARIOS,
-    ChurnScenario,
-    get_churn_scenario,
-)
-from repro.churn.loss import LOSS_SCENARIOS, MessageLossModel, get_loss_model
-from repro.churn.traffic import TrafficModel
-
-__all__ = [
-    "BootstrapSchedule",
-    "CHURN_SCENARIOS",
-    "ChurnScenario",
-    "LOSS_SCENARIOS",
-    "MessageLossModel",
-    "RandomBootstrapPolicy",
-    "TrafficModel",
-    "get_churn_scenario",
-    "get_loss_model",
-]

@@ -89,12 +89,6 @@ from repro.analysis.figures import render_series_table
 from repro.runtime import faults
 from repro.runtime.cache import ResultCache
 from repro.runtime.campaign import sweep_tasks
-from repro.runtime.distributed import (
-    RemoteCacheTier,
-    parse_address,
-    run_worker,
-    serve_cache,
-)
 from repro.runtime.executor import EXECUTOR_BACKENDS
 from repro.runtime.resilience import RetryPolicy
 
@@ -290,6 +284,8 @@ def _make_cache(args: argparse.Namespace) -> Optional[ResultCache]:
         return None
     remote = None
     if shared:
+        from repro.runtime.distributed import RemoteCacheTier, parse_address
+
         try:
             host, port = parse_address(shared)
         except ValueError as error:
@@ -672,6 +668,8 @@ def _cmd_cache_prune(args: argparse.Namespace) -> int:
 
 
 def _cmd_cache_serve(args: argparse.Namespace) -> int:
+    from repro.runtime.distributed import serve_cache
+
     try:
         serve_cache(
             args.cache_dir,
@@ -693,6 +691,8 @@ def _cmd_cache_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_worker(args: argparse.Namespace) -> int:
+    from repro.runtime.distributed import parse_address, run_worker
+
     try:
         host, port = parse_address(args.connect)
     except ValueError as error:

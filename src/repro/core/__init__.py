@@ -24,52 +24,3 @@ the sampled-pair estimation mode for deployment-scale graphs
 deterministic confidence interval, and the bound ``min(degree bound,
 sample minimum)`` on the minimum.
 """
-
-from repro.core.analyzer import (
-    ConnectivityAnalyzer,
-    ConnectivityReport,
-    FlowEngineHost,
-)
-from repro.core.estimation import (
-    ConnectivityEstimator,
-    EstimatedConnectivityReport,
-    EstimateValidation,
-    validate_exact_vs_estimate,
-)
-from repro.core.connectivity_graph import (
-    build_connectivity_graph,
-    connectivity_graph_from_protocols,
-)
-from repro.core.resilience import (
-    ResilienceModel,
-    required_bucket_size,
-    required_connectivity,
-    resilience_of,
-)
-from repro.core.timeseries import ConnectivitySample, ConnectivityTimeSeries
-from repro.core.vertex_connectivity import (
-    ConnectivityStatistics,
-    global_vertex_connectivity,
-    pairwise_vertex_connectivity,
-)
-
-__all__ = [
-    "ConnectivityAnalyzer",
-    "ConnectivityEstimator",
-    "ConnectivityReport",
-    "ConnectivitySample",
-    "ConnectivityStatistics",
-    "ConnectivityTimeSeries",
-    "EstimateValidation",
-    "EstimatedConnectivityReport",
-    "FlowEngineHost",
-    "ResilienceModel",
-    "validate_exact_vs_estimate",
-    "build_connectivity_graph",
-    "connectivity_graph_from_protocols",
-    "global_vertex_connectivity",
-    "pairwise_vertex_connectivity",
-    "required_bucket_size",
-    "required_connectivity",
-    "resilience_of",
-]

@@ -43,6 +43,8 @@ from repro.core.vertex_connectivity import (
 )
 from repro.graph.algorithms.components import is_strongly_connected
 from repro.graph.digraph import DiGraph
+from repro.runtime.executor import make_executor
+from repro.runtime.pairflow import PairFlowEngine
 
 
 @dataclass(frozen=True)
@@ -162,8 +164,6 @@ class FlowEngineHost:
         if self.flow_jobs <= 1:
             return None
         if self._flow_session is None:
-            from repro.runtime.executor import make_executor
-
             self._flow_session = make_executor(self.flow_jobs).open_session()
         return self._flow_session
 
@@ -180,14 +180,7 @@ class FlowEngineHost:
         self.close()
 
     def _make_engine(self, graph: DiGraph):
-        """Build the pair-flow engine for one connectivity graph.
-
-        Imported lazily: ``repro.runtime`` depends on the experiments
-        layer, which imports this module — resolving the engine at call
-        time keeps the package import graph acyclic.
-        """
-        from repro.runtime.pairflow import PairFlowEngine
-
+        """Build the pair-flow engine for one connectivity graph."""
         return PairFlowEngine(
             graph,
             algorithm=self.algorithm,

@@ -62,7 +62,7 @@ def build_connectivity_graph(
 def connectivity_graph_from_protocols(protocols: Iterable) -> DiGraph:
     """Build the connectivity graph directly from live protocol objects.
 
-    ``protocols`` is an iterable of :class:`repro.kademlia.KademliaProtocol`
+    ``protocols`` is an iterable of :class:`repro.kademlia.protocol.KademliaProtocol`
     instances (one per alive node); this is the convenience entry point used
     by the examples when no snapshot file is involved.
     """

@@ -24,6 +24,7 @@ from repro.graph.algorithms.components import is_strongly_connected
 from repro.graph.digraph import DiGraph
 from repro.graph.maxflow import network_flow_function as _flow_function
 from repro.graph.transform.even_transform import indexed_even_transform
+from repro.runtime.pairflow import PairFlowEngine
 
 Vertex = Hashable
 
@@ -108,10 +109,6 @@ def connectivity_statistics(
             minimum=n - 1, average=float(n - 1), pairs_evaluated=0,
             vertex_count=n, edge_count=m,
         )
-    # Imported lazily: repro.runtime depends on the experiments layer,
-    # which imports this package.
-    from repro.runtime.pairflow import PairFlowEngine
-
     return exhaustive_statistics(PairFlowEngine(graph, algorithm=algorithm))
 
 
@@ -218,8 +215,6 @@ def global_vertex_connectivity(graph: DiGraph, algorithm: str = "dinic") -> int:
         return n - 1
     if not is_strongly_connected(graph):
         return 0
-    from repro.runtime.pairflow import PairFlowEngine
-
     engine = PairFlowEngine(graph, algorithm=algorithm)
     vertices = graph.vertices()
     minimum = min(graph.min_out_degree(), graph.min_in_degree())

@@ -16,28 +16,3 @@
 * :mod:`repro.experiments.sweep` — parameter sweeps (bucket size k, alpha,
   staleness, loss).
 """
-
-from repro.experiments.phases import PhaseSchedule
-from repro.experiments.profiles import PROFILES, ScaleProfile, get_profile
-from repro.experiments.runner import ExperimentResult, ExperimentRunner
-from repro.experiments.scenarios import SCENARIOS, Scenario, ScenarioRegistry, get_scenario
-from repro.experiments.snapshot import RoutingTableSnapshot
-from repro.experiments.simulation import OverlaySimulation
-from repro.experiments.sweep import run_bucket_size_sweep, run_scenario
-
-__all__ = [
-    "ExperimentResult",
-    "ExperimentRunner",
-    "OverlaySimulation",
-    "PROFILES",
-    "PhaseSchedule",
-    "RoutingTableSnapshot",
-    "SCENARIOS",
-    "ScaleProfile",
-    "Scenario",
-    "ScenarioRegistry",
-    "get_profile",
-    "get_scenario",
-    "run_bucket_size_sweep",
-    "run_scenario",
-]

@@ -8,11 +8,13 @@ sit next to the timing output.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Tuple
 
 from repro.analysis.figures import format_table, render_series_table
 from repro.churn.loss import LOSS_SCENARIOS
-from repro.experiments.runner import ExperimentResult
+
+if TYPE_CHECKING:
+    from repro.experiments.runner import ExperimentResult
 
 
 # ----------------------------------------------------------------------

@@ -13,35 +13,3 @@ solver HIPR.  This subpackage replaces both with pure-Python code:
 * :mod:`repro.graph.algorithms` — BFS/DFS, connected components, strongly
   connected components and degree statistics.
 """
-
-from repro.graph.digraph import DiGraph
-from repro.graph.errors import GraphError, NegativeCapacityError, VertexNotFoundError
-from repro.graph.maxflow import (
-    MaxFlowResult,
-    dinic_max_flow,
-    edmonds_karp_max_flow,
-    max_flow,
-    push_relabel_max_flow,
-)
-from repro.graph.transform.even_transform import (
-    EvenTransform,
-    IndexedEvenTransform,
-    even_transform,
-    indexed_even_transform,
-)
-
-__all__ = [
-    "DiGraph",
-    "EvenTransform",
-    "GraphError",
-    "IndexedEvenTransform",
-    "MaxFlowResult",
-    "NegativeCapacityError",
-    "VertexNotFoundError",
-    "dinic_max_flow",
-    "edmonds_karp_max_flow",
-    "even_transform",
-    "indexed_even_transform",
-    "max_flow",
-    "push_relabel_max_flow",
-]

@@ -13,52 +13,3 @@ The protocol plugs into the :mod:`repro.simulator` substrate: RPCs travel
 through :class:`repro.simulator.transport.Transport`, which applies the
 message-loss model and resolves dead nodes.
 """
-
-from repro.kademlia.config import KademliaConfig
-from repro.kademlia.contact import Contact
-from repro.kademlia.kbucket import KBucket
-from repro.kademlia.messages import (
-    FindNodeRequest,
-    FindNodeResponse,
-    FindValueRequest,
-    FindValueResponse,
-    PingRequest,
-    PongResponse,
-    StoreRequest,
-    StoreResponse,
-)
-from repro.kademlia.node_id import (
-    bucket_index,
-    generate_node_id,
-    id_from_key,
-    random_id_in_bucket,
-    xor_distance,
-)
-from repro.kademlia.protocol import KademliaProtocol
-from repro.kademlia.routing_table import RoutingTable
-from repro.kademlia.lookup import LookupResult, iterative_find_node
-from repro.kademlia.storage import DataStore
-
-__all__ = [
-    "Contact",
-    "DataStore",
-    "FindNodeRequest",
-    "FindNodeResponse",
-    "FindValueRequest",
-    "FindValueResponse",
-    "KBucket",
-    "KademliaConfig",
-    "KademliaProtocol",
-    "LookupResult",
-    "PingRequest",
-    "PongResponse",
-    "RoutingTable",
-    "StoreRequest",
-    "StoreResponse",
-    "bucket_index",
-    "generate_node_id",
-    "id_from_key",
-    "iterative_find_node",
-    "random_id_in_bucket",
-    "xor_distance",
-]

@@ -17,14 +17,15 @@ behind one registry:
 the scenario's protocol dimensions (``bucket_size`` maps onto each
 protocol's redundancy analogue: Chord's successor count, Pastry's leaf
 set size) and supplies the protocol factory the simulation instantiates
-per node.  The Kademlia classes are imported lazily —
-:mod:`repro.kademlia.protocol` itself imports :mod:`repro.overlay.base`,
-so an eager import here would be circular.
+per node.  Every protocol's classes are imported lazily, so a Kademlia
+run never loads Chord or Pastry (and :mod:`repro.kademlia.protocol`
+imports :mod:`repro.overlay.base`: an eager import would be circular).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from importlib import import_module
 from typing import Any, Callable, Dict, List
 
 from repro.overlay.base import (
@@ -32,17 +33,11 @@ from repro.overlay.base import (
     OverlayProtocol,
     RoutedOverlayProtocol,
 )
-from repro.overlay.chord import ChordConfig, ChordProtocol
-from repro.overlay.pastry import PastryConfig, PastryProtocol
 
 __all__ = [
-    "ChordConfig",
-    "ChordProtocol",
     "LookupResult",
     "OverlayDescriptor",
     "OverlayProtocol",
-    "PastryConfig",
-    "PastryProtocol",
     "RoutedOverlayProtocol",
     "get_overlay",
     "overlay_names",
@@ -57,9 +52,8 @@ class OverlayDescriptor:
     protocol's own configuration type (every builder accepts the same
     keyword set; Kademlia-only knobs such as ``refresh_all_buckets`` are
     ignored by the others).  ``factory_resolver`` returns the
-    ``(node_id, config) -> protocol`` callable — resolved lazily so the
-    Kademlia descriptor does not import :mod:`repro.kademlia` at module
-    load.
+    ``(node_id, config) -> protocol`` callable — resolved lazily so no
+    descriptor imports its protocol's modules at module load.
     """
 
     name: str
@@ -108,13 +102,9 @@ def _kademlia_config(**kwargs: Any) -> Any:
     )
 
 
-def _kademlia_factory() -> Callable[[int, Any], OverlayProtocol]:
-    from repro.kademlia.protocol import KademliaProtocol
+def _chord_config(**kwargs: Any) -> Any:
+    from repro.overlay.chord import ChordConfig
 
-    return KademliaProtocol
-
-
-def _chord_config(**kwargs: Any) -> ChordConfig:
     return ChordConfig(
         bit_length=kwargs["bit_length"],
         successor_count=kwargs["bucket_size"],
@@ -125,7 +115,9 @@ def _chord_config(**kwargs: Any) -> ChordConfig:
     )
 
 
-def _pastry_config(**kwargs: Any) -> PastryConfig:
+def _pastry_config(**kwargs: Any) -> Any:
+    from repro.overlay.pastry import PastryConfig
+
     return PastryConfig(
         bit_length=kwargs["bit_length"],
         leaf_set_size=kwargs["bucket_size"],
@@ -141,19 +133,19 @@ _OVERLAYS: Dict[str, OverlayDescriptor] = {
         name="kademlia",
         description="Kademlia: k-buckets over the XOR metric (the paper's protocol)",
         config_builder=_kademlia_config,
-        factory_resolver=_kademlia_factory,
+        factory_resolver=lambda: import_module("repro.kademlia.protocol").KademliaProtocol,
     ),
     "chord": OverlayDescriptor(
         name="chord",
         description="Chord: successor lists + finger tables on a clockwise ring",
         config_builder=_chord_config,
-        factory_resolver=lambda: ChordProtocol,
+        factory_resolver=lambda: import_module("repro.overlay.chord").ChordProtocol,
     ),
     "pastry": OverlayDescriptor(
         name="pastry",
         description="Pastry: leaf sets + prefix routing rows",
         config_builder=_pastry_config,
-        factory_resolver=lambda: PastryProtocol,
+        factory_resolver=lambda: import_module("repro.overlay.pastry").PastryProtocol,
     ),
 }
 

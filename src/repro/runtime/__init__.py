@@ -44,100 +44,10 @@ Every higher layer (``repro.experiments.sweep``, ``repro.experiments
 .replication``, the CLI and the benchmark harness) dispatches its runs
 through this package; the distributed backend is exactly the "new
 :class:`Executor`" that contract promised.
+
+The package re-exports nothing: import each name from its defining
+module above (external callers use :mod:`repro.api`).  The snapshot
+analysis needs only :mod:`~repro.runtime.pairflow` and
+:mod:`~repro.runtime.executor`, and loads neither the campaign, the cache
+nor the TCP backend.
 """
-
-from repro.runtime.cache import CacheInfo, CacheStats, ResultCache, VerifyReport
-from repro.runtime.campaign import Campaign, TaskProgress
-from repro.runtime.costmodel import (
-    CostModel,
-    TaskCostModel,
-    task_shape_key,
-)
-from repro.runtime.distributed import (
-    Coordinator,
-    DistributedExecutor,
-    FrameChecksumError,
-    FrameError,
-    RemoteCacheTier,
-    RemoteTaskError,
-    WorkerLostError,
-    parse_address,
-    run_worker,
-    serve_cache,
-)
-from repro.runtime.executor import (
-    EXECUTOR_BACKENDS,
-    ExecutionSession,
-    Executor,
-    ParallelExecutor,
-    SerialExecutor,
-    TaskSession,
-    execute_task_batch,
-    make_executor,
-)
-from repro.runtime.faults import (
-    FaultPlan,
-    FaultSpecError,
-    InjectedConnectionError,
-    InjectedTaskError,
-)
-from repro.runtime.pairflow import PairFlowEngine, PairFlowOutcome
-from repro.runtime.resilience import (
-    FAIL_FAST,
-    RETRIES_ENV_VAR,
-    CampaignInterrupted,
-    CampaignTaskFailure,
-    RetryPolicy,
-    ShutdownGuard,
-    TaskFailureRecord,
-    default_retry_policy,
-    is_retryable,
-)
-from repro.runtime.task import ExperimentTask, derive_seed
-
-__all__ = [
-    "CacheInfo",
-    "CacheStats",
-    "Campaign",
-    "CampaignInterrupted",
-    "CampaignTaskFailure",
-    "Coordinator",
-    "CostModel",
-    "DistributedExecutor",
-    "EXECUTOR_BACKENDS",
-    "ExecutionSession",
-    "Executor",
-    "ExperimentTask",
-    "FAIL_FAST",
-    "FaultPlan",
-    "FaultSpecError",
-    "FrameChecksumError",
-    "FrameError",
-    "InjectedConnectionError",
-    "InjectedTaskError",
-    "PairFlowEngine",
-    "PairFlowOutcome",
-    "ParallelExecutor",
-    "RETRIES_ENV_VAR",
-    "RemoteCacheTier",
-    "RemoteTaskError",
-    "ResultCache",
-    "RetryPolicy",
-    "SerialExecutor",
-    "ShutdownGuard",
-    "TaskCostModel",
-    "TaskFailureRecord",
-    "TaskProgress",
-    "TaskSession",
-    "VerifyReport",
-    "WorkerLostError",
-    "default_retry_policy",
-    "derive_seed",
-    "execute_task_batch",
-    "is_retryable",
-    "make_executor",
-    "parse_address",
-    "run_worker",
-    "serve_cache",
-    "task_shape_key",
-]

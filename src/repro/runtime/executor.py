@@ -29,22 +29,24 @@ for every packing.
 from __future__ import annotations
 
 import logging
-import multiprocessing
 import os
 import threading
 from abc import ABC, abstractmethod
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import Future
 from contextlib import ExitStack, contextmanager
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.experiments.runner import ExperimentResult
-from repro.runtime.task import ExperimentTask, execute_task
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
+
+    from repro.experiments.runner import ExperimentResult
+    from repro.runtime.task import ExperimentTask
 
 logger = logging.getLogger("repro.runtime.executor")
 
 #: One batch of (submission index, task) pairs, run by a single worker call.
-IndexedBatch = Sequence[Tuple[int, ExperimentTask]]
+IndexedBatch = Sequence[Tuple[int, "ExperimentTask"]]
 
 
 class ExecutionSession(ABC):
@@ -169,6 +171,10 @@ def execute_task_batch(
     task goes through :func:`~repro.runtime.task.execute_task`, the one
     fault-injection site.
     """
+    # The task layer imports the simulator; the pair-flow engine, which
+    # imports this module, must not.
+    from repro.runtime.task import execute_task
+
     results = []
     for index, task in indexed_tasks:
         _WORKER_COUNTERS["tasks_executed"] += 1
@@ -293,6 +299,11 @@ class ParallelExecutor(Executor):
             raise ValueError(f"jobs must be >= 1, got {resolved}")
         self.jobs = resolved
         self.start_method = start_method
+        # The process-pool machinery (and the ``socket`` module it pulls
+        # in) loads with the first parallel executor, not with the
+        # pair-flow engine that imports this module.
+        import multiprocessing
+
         self._mp_context = (
             multiprocessing.get_context(start_method)
             if start_method is not None
@@ -315,6 +326,8 @@ class ParallelExecutor(Executor):
         pool construction itself fails, the stack unwinds immediately so
         no environment mutation (or half-built pool) outlives the error.
         """
+        from concurrent.futures import ProcessPoolExecutor
+
         stack = ExitStack()
         try:
             stack.enter_context(_exported_package_path())

@@ -65,7 +65,6 @@ cached and compared interchangeably with fault-free ones.
 from __future__ import annotations
 
 import hashlib
-import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field
@@ -314,6 +313,8 @@ def in_worker_process() -> bool:
     children, so the ``repro worker`` entrypoint marks them with
     ``REPRO_WORKER=1`` instead.
     """
+    import multiprocessing
+
     if multiprocessing.parent_process() is not None:
         return True
     return os.environ.get(WORKER_ENV_VAR, "") == "1"

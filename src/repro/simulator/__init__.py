@@ -23,24 +23,3 @@ synchronous abstraction preserves exactly the state the analysis depends on
 (routing-table contents, staleness counters, loss effects) while keeping
 pure-Python simulations tractable.
 """
-
-from repro.simulator.engine import Simulator
-from repro.simulator.events import Event
-from repro.simulator.network import Network
-from repro.simulator.node import SimNode
-from repro.simulator.protocol import Protocol
-from repro.simulator.random_source import RandomSource
-from repro.simulator.transport import Transport, TransportStats
-from repro.simulator.control import PeriodicControl
-
-__all__ = [
-    "Event",
-    "Network",
-    "PeriodicControl",
-    "Protocol",
-    "RandomSource",
-    "SimNode",
-    "Simulator",
-    "Transport",
-    "TransportStats",
-]

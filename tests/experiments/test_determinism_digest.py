@@ -125,7 +125,9 @@ class TestPoolOrderInvariance:
         # A real pool, not the serial degenerate case: a bug in index
         # mapping or worker-side result keying lands here, not only in
         # the executor-vs-executor comparisons of the runtime suite.
-        from repro.runtime import Campaign, ExperimentTask, ParallelExecutor
+        from repro.runtime.campaign import Campaign
+        from repro.runtime.executor import ParallelExecutor
+        from repro.runtime.task import ExperimentTask
 
         tasks = [
             ExperimentTask.create(
@@ -180,7 +182,9 @@ class TestSampledCacheEntries:
     """
 
     def test_sampled_entries_recompute_byte_identically(self, tmp_path):
-        from repro.runtime import Campaign, ExperimentTask, ResultCache
+        from repro.runtime.cache import ResultCache
+        from repro.runtime.campaign import Campaign
+        from repro.runtime.task import ExperimentTask
         from repro.experiments.profiles import ScaleProfile
         from repro.experiments.scenarios import Scenario
 

@@ -64,7 +64,7 @@ class TestDigestsWithObsEnabled:
         assert trajectory_digest(result) == GOLDEN_TINY_A
 
     def test_fingerprint_carries_no_obs_key(self, obs_enabled):
-        from repro.runtime import ExperimentTask
+        from repro.runtime.task import ExperimentTask
 
         task = ExperimentTask.create(
             scenario=get_scenario("E"), profile="tiny", seed=SEED
@@ -82,12 +82,10 @@ class TestParallelCampaignWithObsEnabled:
         committed cache entry byte for byte (wall-clock excluded), while
         progress events carry live metrics and the campaign registry
         accumulates the workers' per-run snapshots."""
-        from repro.runtime import (
-            Campaign,
-            ExperimentTask,
-            ParallelExecutor,
-            ResultCache,
-        )
+        from repro.runtime.cache import ResultCache
+        from repro.runtime.campaign import Campaign
+        from repro.runtime.executor import ParallelExecutor
+        from repro.runtime.task import ExperimentTask
 
         entry_path = min(
             SAMPLED_ENTRIES_DIR.glob("*.json"),
@@ -135,9 +133,10 @@ class TestParallelCampaignWithObsEnabled:
     ):
         """One dispatch path: the N uncached healthy tasks of a campaign
         go out as N one-task flights, and nothing is ever split."""
-        from repro.runtime import (
-            Campaign, ExperimentTask, ResultCache, make_executor,
-        )
+        from repro.runtime.cache import ResultCache
+        from repro.runtime.campaign import Campaign
+        from repro.runtime.executor import make_executor
+        from repro.runtime.task import ExperimentTask
 
         tasks = [
             ExperimentTask.create(
@@ -160,7 +159,9 @@ class TestParallelCampaignWithObsEnabled:
         assert obs_enabled.histogram("campaign.batch_size") is None
 
     def test_progress_metrics_absent_when_obs_off(self, tmp_path):
-        from repro.runtime import Campaign, ExperimentTask, ResultCache
+        from repro.runtime.cache import ResultCache
+        from repro.runtime.campaign import Campaign
+        from repro.runtime.task import ExperimentTask
 
         obs.disable()
         task = ExperimentTask.create(

@@ -27,7 +27,7 @@ from repro.kademlia.protocol import KademliaProtocol
 from repro.overlay import overlay_names
 from repro.overlay.chord import ChordProtocol
 from repro.overlay.pastry import PastryProtocol
-from repro.runtime import ExperimentTask
+from repro.runtime.task import ExperimentTask
 
 PROTOCOL_CLASSES = {
     "kademlia": KademliaProtocol,

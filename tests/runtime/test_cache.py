@@ -9,9 +9,10 @@ import time
 import pytest
 
 from repro.experiments.scenarios import get_scenario
-from repro.runtime import Campaign, ExperimentTask, ResultCache
-from repro.runtime.cache import CHECKSUM_FIELD, QUARANTINE_DIRNAME
+from repro.runtime.cache import CHECKSUM_FIELD, QUARANTINE_DIRNAME, ResultCache
+from repro.runtime.campaign import Campaign
 from repro.runtime.executor import Executor
+from repro.runtime.task import ExperimentTask
 
 
 class ExplodingExecutor(Executor):

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.experiments.scenarios import get_scenario
-from repro.runtime import ExperimentTask, ResultCache
+from repro.runtime.cache import ResultCache
 from repro.runtime.costmodel import (
     COSTS_FILENAME,
     MAX_OBSERVATIONS,
@@ -13,6 +13,7 @@ from repro.runtime.costmodel import (
     TaskCostModel,
     task_shape_key,
 )
+from repro.runtime.task import ExperimentTask
 
 
 def make_task(scenario="E", profile="tiny", seed=1, **overrides):

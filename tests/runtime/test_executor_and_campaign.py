@@ -11,19 +11,12 @@ from repro.experiments.replication import replicate_scenario
 from repro.experiments.scenarios import get_scenario
 from repro.experiments.sweep import run_bucket_size_sweep
 from repro.options import ExecutionOptions
-from repro.runtime import (
-    FAIL_FAST,
-    Campaign,
-    CampaignTaskFailure,
-    Executor,
-    ExperimentTask,
-    ParallelExecutor,
-    ResultCache,
-    RetryPolicy,
-    SerialExecutor,
-    TaskCostModel,
-    make_executor,
-)
+from repro.runtime.cache import ResultCache
+from repro.runtime.campaign import Campaign
+from repro.runtime.costmodel import TaskCostModel
+from repro.runtime.executor import Executor, ParallelExecutor, SerialExecutor, make_executor
+from repro.runtime.resilience import FAIL_FAST, CampaignTaskFailure, RetryPolicy
+from repro.runtime.task import ExperimentTask
 
 
 def tiny_tasks(seeds=(11,), bucket_sizes=(3, 5)):

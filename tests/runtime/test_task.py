@@ -12,7 +12,7 @@ from repro.experiments.persistence import trajectory_digest
 from repro.experiments.profiles import get_profile
 from repro.experiments.scenarios import Scenario, get_scenario
 from repro.options import MeasurementSpec
-from repro.runtime import ExperimentTask, derive_seed
+from repro.runtime.task import ExperimentTask, derive_seed
 from repro.runtime.campaign import replication_seeds
 
 
@@ -57,7 +57,7 @@ class TestTaskKey:
         task = make_task()
         script = (
             "from repro.experiments.scenarios import get_scenario\n"
-            "from repro.runtime import ExperimentTask\n"
+            "from repro.runtime.task import ExperimentTask\n"
             "task = ExperimentTask.create(\n"
             "    scenario=get_scenario('E').with_overrides(bucket_size=5),\n"
             "    profile='tiny', seed=7)\n"

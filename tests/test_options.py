@@ -23,7 +23,7 @@ import pytest
 
 from repro.experiments.scenarios import get_scenario
 from repro.options import ExecutionOptions, MeasurementSpec
-from repro.runtime import RetryPolicy
+from repro.runtime.resilience import RetryPolicy
 from repro.runtime.task import ExperimentTask
 
 SOURCE_ROOT = Path(__file__).resolve().parent.parent / "src" / "repro"
