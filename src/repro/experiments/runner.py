@@ -285,6 +285,11 @@ class ExperimentRunner:
         pair-flow engines built below record into a per-run registry
         whose snapshot is attached as ``result.obs_metrics`` — cleanly
         per-task even when a warm worker runs many tasks in one process.
+
+        The simulation is torn down (:meth:`OverlaySimulation.close`) before
+        this returns or raises, so a finished run leaves no reference
+        cycles behind: a serial campaign or a warm worker holds one run's
+        simulation at a time, not every run's until a full collection.
         """
         with obs.run_scope() as registry, tracing.span(
             "experiment.run",
@@ -299,63 +304,66 @@ class ExperimentRunner:
     ) -> ExperimentResult:
         profile = self.profile
         simulation = self.build_simulation(scenario, hardening=hardening)
-        phases = self.phase_schedule(scenario)
-        analyzer = self.build_analyzer()
-        size = profile.network_size(scenario.size_class)
+        try:
+            phases = self.phase_schedule(scenario)
+            analyzer = self.build_analyzer()
+            size = profile.network_size(scenario.size_class)
 
-        series = ConnectivityTimeSeries(label=scenario.label())
-        stored_snapshots: List[RoutingTableSnapshot] = []
+            series = ConnectivityTimeSeries(label=scenario.label())
+            stored_snapshots: List[RoutingTableSnapshot] = []
 
-        def _on_snapshot(snapshot: RoutingTableSnapshot) -> None:
-            # The simulation maintains the connectivity graph incrementally
-            # (rows rebuilt only for tables whose membership changed since
-            # the previous snapshot); the graph is content-identical to
-            # build_connectivity_graph(snapshot.routing_tables) and is
-            # consumed synchronously, before the simulation advances.
-            tracing.point(
-                "snapshot", vt=snapshot.time, network_size=snapshot.network_size
-            )
-            report = analyzer.analyze_graph(simulation.connectivity_graph())
-            series.append(
-                ConnectivitySample(
-                    time=snapshot.time,
-                    network_size=snapshot.network_size,
-                    report=report,
+            def _on_snapshot(snapshot: RoutingTableSnapshot) -> None:
+                # The simulation maintains the connectivity graph incrementally
+                # (rows rebuilt only for tables whose membership changed since
+                # the previous snapshot); the graph is content-identical to
+                # build_connectivity_graph(snapshot.routing_tables) and is
+                # consumed synchronously, before the simulation advances.
+                tracing.point(
+                    "snapshot", vt=snapshot.time, network_size=snapshot.network_size
                 )
+                report = analyzer.analyze_graph(simulation.connectivity_graph())
+                series.append(
+                    ConnectivitySample(
+                        time=snapshot.time,
+                        network_size=snapshot.network_size,
+                        report=report,
+                    )
+                )
+                if self.keep_snapshots:
+                    stored_snapshots.append(snapshot)
+
+            simulation.schedule_setup(size, profile.setup_minutes)
+            simulation.schedule_traffic(1.0, phases.simulation_end)
+            simulation.schedule_churn(phases.stabilization_end, phases.simulation_end)
+            simulation.schedule_snapshots(
+                phases.snapshot_times(profile.snapshot_interval_minutes), _on_snapshot
             )
-            if self.keep_snapshots:
-                stored_snapshots.append(snapshot)
 
-        simulation.schedule_setup(size, profile.setup_minutes)
-        simulation.schedule_traffic(1.0, phases.simulation_end)
-        simulation.schedule_churn(phases.stabilization_end, phases.simulation_end)
-        simulation.schedule_snapshots(
-            phases.snapshot_times(profile.snapshot_interval_minutes), _on_snapshot
-        )
+            started = wallclock.perf_counter()
+            # The analyzer holds the shared flow-worker pool (flow_jobs > 1)
+            # open across all snapshots of the run; release it at the end.
+            with analyzer:
+                simulation.run_until(phases.simulation_end)
+            wall = wallclock.perf_counter() - started
 
-        started = wallclock.perf_counter()
-        # The analyzer holds the shared flow-worker pool (flow_jobs > 1)
-        # open across all snapshots of the run; release it at the end.
-        with analyzer:
-            simulation.run_until(phases.simulation_end)
-        wall = wallclock.perf_counter() - started
-
-        result = ExperimentResult(
-            scenario=scenario,
-            profile_name=profile.name,
-            phases=phases,
-            series=series,
-            transport_stats=simulation.transport.stats,
-            seed=self.seed,
-            joins=simulation.joins,
-            leaves=simulation.leaves,
-            wall_seconds=wall,
-            snapshots=stored_snapshots,
-        )
-        if registry is not None:
-            _record_run_metrics(registry, simulation, wall)
-            result.obs_metrics = registry.snapshot()
-        return result
+            result = ExperimentResult(
+                scenario=scenario,
+                profile_name=profile.name,
+                phases=phases,
+                series=series,
+                transport_stats=simulation.transport.stats,
+                seed=self.seed,
+                joins=simulation.joins,
+                leaves=simulation.leaves,
+                wall_seconds=wall,
+                snapshots=stored_snapshots,
+            )
+            if registry is not None:
+                _record_run_metrics(registry, simulation, wall)
+                result.obs_metrics = registry.snapshot()
+            return result
+        finally:
+            simulation.close()
 
     def run_many(self, scenarios: List[Scenario]) -> List[ExperimentResult]:
         """Run several scenarios sequentially."""

@@ -15,6 +15,11 @@ churn, traffic and loss models onto the discrete-event engine:
   refresh, paper: every 60 minutes; Chord's stabilisation; Pastry's row
   repair), scheduled relative to its own join time;
 * *snapshots* capture all alive nodes' routing tables at fixed intervals.
+
+A simulation holds only what can still act.  A node that leaves is closed
+at once (:meth:`~repro.simulator.protocol.Protocol.close` empties its
+routing state and store) and stays in the registry as an address that
+fails; :meth:`OverlaySimulation.close` tears a finished run down.
 """
 
 from __future__ import annotations
@@ -47,6 +52,12 @@ class OverlaySimulation:
     protocol name defaults to the factory's ``protocol_name`` attribute —
     plain-function factories (the hardening extensions wrap
     ``KademliaProtocol`` in closures) fall back to Kademlia.
+
+    A departed node's protocol is closed right after its ``on_leave``; its
+    maintenance timers keep firing, as no-ops, until the run ends.  Call
+    :meth:`close` once the run is over: the pending events, the nodes and
+    the protocols refer to one another, and only the teardown lets them go
+    without a garbage-collector pass.
     """
 
     def __init__(
@@ -138,6 +149,7 @@ class OverlaySimulation:
         protocol = victim.protocols.get(self.protocol_name)
         if protocol is not None:
             protocol.on_leave(self.simulator.now)
+            protocol.close()
         self.leaves += 1
         return victim.node_id
 
@@ -294,3 +306,20 @@ class OverlaySimulation:
     def run_until(self, end_time: float) -> None:
         """Advance the simulation to ``end_time``."""
         self.simulator.run_until(end_time)
+
+    def close(self) -> None:
+        """Tear the finished simulation down; it cannot run again.
+
+        Drops the pending events (their callbacks refer back to this
+        object), closes every protocol and empties the node registry (node,
+        protocol, transport and registry refer to one another).  The
+        counters — events processed, transport statistics, joins and
+        leaves — stay readable.
+        """
+        self.simulator.clear_pending()
+        protocol_name = self.protocol_name
+        for node in self.network:
+            protocol = node.protocols.get(protocol_name)
+            if protocol is not None:
+                protocol.close()
+        self.network.clear()

@@ -108,6 +108,13 @@ class SupplementalLinksProtocol(KademliaProtocol):
     # ------------------------------------------------------------------
     # Protocol overrides
     # ------------------------------------------------------------------
+    def close(self) -> None:
+        """Empty the overflow list along with the table and the store."""
+        super().close()
+        self._supplemental.clear()
+        self._supplemental_failures.clear()
+        self._supplemental_version += 1
+
     def rpc(self, target_id: int, request):
         """Round-trip bookkeeping for bucket *and* supplemental contacts."""
         ok, response = super().rpc(target_id, request)

@@ -182,6 +182,11 @@ class KademliaProtocol(OverlayProtocol):
             return True
         return False
 
+    def close(self) -> None:
+        """The node left for good: empty its routing table and data store."""
+        self.routing_table.clear()
+        self.storage.clear()
+
     # ------------------------------------------------------------------
     # Server side: handling incoming RPCs
     # ------------------------------------------------------------------

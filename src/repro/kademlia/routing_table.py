@@ -166,6 +166,22 @@ class RoutingTable:
         self.membership_version += 1
         return True
 
+    def clear(self) -> None:
+        """Remove every contact: buckets, flat index and contact cache.
+
+        Each bucket's contact dict is emptied in place, not just dropped:
+        a member's ``bucket_contacts`` points back at the dict holding it,
+        so a dropped bucket would leave that cycle for the garbage
+        collector.
+        """
+        if self._contact_index:
+            self.membership_version += 1
+        for bucket in self._buckets.values():
+            bucket._contacts.clear()
+        self._buckets.clear()
+        self._contact_index.clear()
+        self._contacts_cache = None
+
     def record_failure(self, node_id: int) -> bool:
         """Record a failed round-trip; True if the contact was dropped as stale."""
         contact = self._contact_index.get(node_id)

@@ -39,5 +39,10 @@ class DataStore:
         """Return the simulated time at which ``key_id`` was stored."""
         return self._stored_at.get(key_id)
 
+    def clear(self) -> None:
+        """Drop every stored value."""
+        self._items.clear()
+        self._stored_at.clear()
+
     def __len__(self) -> int:
         return len(self._items)

@@ -7,7 +7,9 @@ small protocol surface that this module makes explicit:
 
 * **lifecycle** — :meth:`OverlayProtocol.join` /
   :meth:`~repro.simulator.protocol.Protocol.on_join` /
-  :meth:`~repro.simulator.protocol.Protocol.on_leave`;
+  :meth:`~repro.simulator.protocol.Protocol.on_leave` /
+  :meth:`~repro.simulator.protocol.Protocol.close` (the node will never
+  act again: drop its routing state and stored data);
 * **routing-state capture** — :meth:`OverlayProtocol.routing_table_snapshot`
   returns the node's snapshot row (``node_id -> [contact_ids]``) and
   :meth:`OverlayProtocol.snapshot_version` stamps its membership so the
@@ -193,6 +195,7 @@ class RoutedOverlayProtocol(OverlayProtocol):
       :class:`RouteResponse` payload);
     * :meth:`_learn_contact` / :meth:`_forget_contact` — state insertion
       and eviction, returning whether the snapshot membership changed;
+    * :meth:`close` — extended to empty that routing state;
     * :attr:`replication` — the lookup/dissemination replica count (the
       protocol's ``k`` analogue).
 
@@ -300,6 +303,15 @@ class RoutedOverlayProtocol(OverlayProtocol):
             self.reseeds_performed += 1
             return True
         return False
+
+    def close(self) -> None:
+        """The node left for good: drop failure streaks and storage.
+
+        Subclasses extend it to empty their own routing state.
+        """
+        self._failure_streaks.clear()
+        self.storage.clear()
+        self._membership_version += 1
 
     # ------------------------------------------------------------------
     # Server side

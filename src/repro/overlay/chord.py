@@ -155,6 +155,11 @@ class ChordProtocol(RoutedOverlayProtocol):
             return True
         return False
 
+    def close(self) -> None:
+        """The node left for good: also empty the ring."""
+        super().close()
+        self._ring.clear()
+
     def _prune(self) -> int:
         """Drop members holding no role; returns how many were dropped.
 

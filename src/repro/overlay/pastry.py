@@ -206,6 +206,13 @@ class PastryProtocol(RoutedOverlayProtocol):
                 changed = True
         return changed
 
+    def close(self) -> None:
+        """The node left for good: also empty the leaf sets and rows."""
+        super().close()
+        self._leaf_right.clear()
+        self._leaf_left.clear()
+        self._rows.clear()
+
     # ------------------------------------------------------------------
     # Seam
     # ------------------------------------------------------------------

@@ -203,8 +203,16 @@ class Simulator:
             executed += 1
         self._events_processed += executed
 
+    def clear_pending(self) -> None:
+        """Drop all pending events; the clock and counters stay as they are.
+
+        The queued callbacks hold whatever they were scheduled with, so a
+        finished run drops them to let its objects go.
+        """
+        self._queue.clear()
+
     def reset(self, start_time: float = 0.0) -> None:
         """Drop all pending events and rewind the clock."""
-        self._queue.clear()
+        self.clear_pending()
         self._now = float(start_time)
         self._events_processed = 0

@@ -14,7 +14,10 @@ class Network:
 
     Nodes are kept after they die (``alive=False``) so that routing-table
     entries pointing at them can be resolved — and fail — the same way a
-    request to a crashed host would fail in a real deployment.
+    request to a crashed host would fail in a real deployment.  A dead
+    node stays addressable, but its protocol is closed
+    (:meth:`~repro.simulator.protocol.Protocol.close`): nothing may act on
+    it, and the transport never hands it a request.
     """
 
     def __init__(self) -> None:
@@ -38,6 +41,10 @@ class Network:
         if node_id not in self._nodes:
             raise NodeNotFoundError(node_id)
         del self._nodes[node_id]
+
+    def clear(self) -> None:
+        """Forget every node (the teardown of a finished simulation)."""
+        self._nodes.clear()
 
     # ------------------------------------------------------------------
     def get(self, node_id: int) -> SimNode:

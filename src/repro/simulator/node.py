@@ -23,7 +23,7 @@ class SimNode:
     alive:
         False once the node has left (or been removed by churn); dead nodes
         remain addressable so in-flight references to them fail the way a
-        crashed host would.
+        crashed host would, but their protocols are closed.
     """
 
     __slots__ = ("node_id", "joined_at", "alive", "left_at", "protocols")
