@@ -10,8 +10,8 @@ Five entry points cover the common workflows:
 
 ``run_scenario`` / ``run_sweep``
     Run one scenario, or a sweep of parameter overrides, through the
-    cached/parallel experiment runtime.  All scheduling and backend
-    knobs are keyword-only; their names and defaults are the fields of
+    cached/parallel experiment runtime.  All scheduling knobs are
+    keyword-only; their names and defaults are the fields of
     :class:`MeasurementSpec` (what is measured — identity-bearing) and
     :class:`ExecutionOptions` (when and where it runs — identity-free),
     the two values the named sweeps and every internal layer take whole.
@@ -215,7 +215,6 @@ def run_scenario(
     jobs: int = ExecutionOptions.jobs,
     flow_jobs: int = ExecutionOptions.flow_jobs,
     cache_dir: Optional[Union[str, Path]] = None,
-    backend: str = ExecutionOptions.backend,
     progress=None,
 ) -> ExperimentResult:
     """Run one scenario end-to-end and return its result.
@@ -224,17 +223,15 @@ def run_scenario(
     :class:`Scenario`.  ``connectivity`` selects exact or sampled-pair
     estimated per-snapshot measurement (identity-bearing, parameterised
     by ``sample_pairs`` / ``ci_level``).  Everything after ``seed`` is
-    keyword-only; the placement knobs (``jobs``, ``flow_jobs``,
-    ``backend``) are identity-free — any combination returns
-    bit-identical results.  ``cache_dir`` enables
-    the content-addressed result cache.
+    keyword-only; the placement knobs (``jobs``, ``flow_jobs``) are
+    identity-free — any combination returns bit-identical results.
+    ``cache_dir`` enables the content-addressed result cache.
     """
     return run_sweep(
         scenario, [{}], profile=profile, seed=seed, algorithm=algorithm,
         connectivity=connectivity, sample_pairs=sample_pairs,
         ci_level=ci_level, keep_snapshots=keep_snapshots, jobs=jobs,
-        flow_jobs=flow_jobs, cache_dir=cache_dir, backend=backend,
-        progress=progress,
+        flow_jobs=flow_jobs, cache_dir=cache_dir, progress=progress,
     )[0]
 
 
@@ -252,7 +249,6 @@ def run_sweep(
     jobs: int = ExecutionOptions.jobs,
     flow_jobs: int = ExecutionOptions.flow_jobs,
     cache_dir: Optional[Union[str, Path]] = None,
-    backend: str = ExecutionOptions.backend,
     progress=None,
 ) -> List[ExperimentResult]:
     """Run one variant of ``scenario`` per override mapping.
@@ -276,9 +272,7 @@ def run_sweep(
         measurement=MeasurementSpec(
             algorithm, connectivity, sample_pairs, ci_level
         ),
-        execution=ExecutionOptions(
-            jobs=jobs, flow_jobs=flow_jobs, backend=backend,
-        ),
+        execution=ExecutionOptions(jobs=jobs, flow_jobs=flow_jobs),
         cache=_open_cache(cache_dir),
         progress=progress,
         keep_snapshots=keep_snapshots,
@@ -353,7 +347,6 @@ def open_campaign(
     *,
     jobs: int = ExecutionOptions.jobs,
     cache_dir: Optional[Union[str, Path]] = None,
-    backend: str = ExecutionOptions.backend,
     retry_policy: Optional[RetryPolicy] = ExecutionOptions.retries,
     progress=None,
 ) -> Campaign:
@@ -366,7 +359,5 @@ def open_campaign(
         with open_campaign(jobs=4, cache_dir=".cache") as campaign:
             results = campaign.run(tasks)
     """
-    execution = ExecutionOptions(
-        jobs=jobs, backend=backend, retries=retry_policy,
-    )
+    execution = ExecutionOptions(jobs=jobs, retries=retry_policy)
     return execution.campaign(cache=_open_cache(cache_dir), progress=progress)

@@ -25,17 +25,7 @@ Subcommands:
     Inspect (``cache info``), integrity-check (``cache verify`` —
     sha256 payload checksums, corrupt entries quarantined), empty
     (``cache clear``) or size-cap (``cache prune --max-bytes N``, LRU
-    order) a result cache directory used by the run/sweep commands;
-    ``cache serve`` exposes a directory as a shared cache tier over TCP
-    for ``--shared-cache`` clients (every served entry is checksum
-    verified, corrupt entries quarantined server-side).
-
-``worker``
-    Join a distributed campaign: connect to a coordinator started by
-    ``--backend distributed`` (or an embedding program) and execute
-    leased task batches until told to shut down.  This is the
-    entrypoint the coordinator spawns for loopback fleets; run it by
-    hand on other machines to scale a campaign out.
+    order) a result cache directory used by the run/sweep commands.
 
 ``obs``
     Observability: ``obs summary`` runs one scenario with
@@ -47,16 +37,13 @@ Subcommands:
     bit-identical with it on or off.
 
 Simulation commands accept ``--jobs N`` (process-pool execution across
-experiment tasks), ``--backend {local,distributed}`` (same campaign on
-an in-process pool or a fleet of TCP workers), ``--flow-jobs N``
-(process-pool execution of the per-snapshot pair-flow batches *inside*
-a task), ``--cache-dir DIR`` (content-addressed result reuse across
-invocations), ``--shared-cache HOST:PORT`` (a remote ``cache serve``
-tier behind the local directory); all combinations produce
-bit-identical output — placement knobs change only *when and where*
-work runs, never what it computes.  Progress and cache statistics go to
-stderr so stdout stays identical regardless of parallelism, backend or
-cache state.
+experiment tasks), ``--flow-jobs N`` (process-pool execution of the
+per-snapshot pair-flow batches *inside* a task) and ``--cache-dir DIR``
+(content-addressed result reuse across invocations); all combinations
+produce bit-identical output — placement knobs change only *when and
+where* work runs, never what it computes.  Progress and cache
+statistics go to stderr so stdout stays identical regardless of
+parallelism or cache state.
 """
 
 from __future__ import annotations
@@ -89,7 +76,6 @@ from repro.analysis.figures import render_series_table
 from repro.runtime import faults
 from repro.runtime.cache import ResultCache
 from repro.runtime.campaign import sweep_tasks
-from repro.runtime.executor import EXECUTOR_BACKENDS
 from repro.runtime.resilience import RetryPolicy
 
 
@@ -180,30 +166,10 @@ def _add_common_run_options(parser: argparse.ArgumentParser) -> None:
         "--jobs", type=_positive_int, default=ExecutionOptions.jobs,
         help="number of worker processes (1 = run in-process; default: 1)",
     )
-    parser.add_argument(
-        "--backend", default=ExecutionOptions.backend,
-        choices=list(EXECUTOR_BACKENDS),
-        help=(
-            "executor family for --jobs workers: 'local' (in-process "
-            "pool, default) or 'distributed' (spawn a loopback TCP "
-            "worker fleet with lease-based dispatch and heartbeat "
-            "liveness; identity-free — results are bit-identical to "
-            "the local backend)"
-        ),
-    )
     _add_measurement_options(parser)
     parser.add_argument(
         "--cache-dir", default=None,
         help="directory of the content-addressed result cache (default: off)",
-    )
-    parser.add_argument(
-        "--shared-cache", default=None, metavar="HOST:PORT",
-        help=(
-            "address of a 'repro-kademlia cache serve' tier used as a "
-            "second cache level behind --cache-dir (remote hits are "
-            "sha256 verified and re-written locally; remote outages "
-            "degrade silently to local-only); requires --cache-dir"
-        ),
     )
     parser.add_argument(
         "--faults", default=None, metavar="SPEC",
@@ -267,33 +233,7 @@ def _scenario_name(args: argparse.Namespace) -> str:
 
 
 def _make_cache(args: argparse.Namespace) -> Optional[ResultCache]:
-    shared = getattr(args, "shared_cache", None)
-    if not args.cache_dir:
-        if shared:
-            # The local directory is the L1 in front of the shared tier
-            # (and the only place verified remote hits can be re-read
-            # from); a remote-only cache would silently re-verify every
-            # hit over the network, so insist on the pairing.
-            print(
-                "error: --shared-cache needs --cache-dir (the local "
-                "directory is the first cache level in front of the "
-                "shared tier)",
-                file=sys.stderr,
-            )
-            raise SystemExit(2)
-        return None
-    remote = None
-    if shared:
-        from repro.runtime.distributed import RemoteCacheTier, parse_address
-
-        try:
-            host, port = parse_address(shared)
-        except ValueError as error:
-            print(f"error: invalid --shared-cache address: {error}",
-                  file=sys.stderr)
-            raise SystemExit(2)
-        remote = RemoteCacheTier(host, port)
-    return ResultCache(args.cache_dir, remote=remote)
+    return ResultCache(args.cache_dir) if args.cache_dir else None
 
 
 def _execution(args: argparse.Namespace) -> ExecutionOptions:
@@ -301,7 +241,6 @@ def _execution(args: argparse.Namespace) -> ExecutionOptions:
     return ExecutionOptions(
         jobs=args.jobs,
         flow_jobs=args.flow_jobs,
-        backend=args.backend,
         retries=(
             None if args.retries is None
             else RetryPolicy(max_attempts=args.retries)
@@ -667,50 +606,6 @@ def _cmd_cache_prune(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_cache_serve(args: argparse.Namespace) -> int:
-    from repro.runtime.distributed import serve_cache
-
-    try:
-        serve_cache(
-            args.cache_dir,
-            args.host,
-            args.port,
-            shard_depth=args.shard_depth,
-            ready=lambda address: print(
-                f"[cache] serving {args.cache_dir} on "
-                f"{address[0]}:{address[1]}",
-                file=sys.stderr,
-            ),
-        )
-    except KeyboardInterrupt:
-        print("[cache] interrupted; shutting down", file=sys.stderr)
-    except OSError as error:
-        print(f"error: cannot serve cache: {error}", file=sys.stderr)
-        raise SystemExit(2)
-    return 0
-
-
-def _cmd_worker(args: argparse.Namespace) -> int:
-    from repro.runtime.distributed import parse_address, run_worker
-
-    try:
-        host, port = parse_address(args.connect)
-    except ValueError as error:
-        print(f"error: invalid --connect address: {error}", file=sys.stderr)
-        raise SystemExit(2)
-    try:
-        return run_worker(
-            host,
-            port,
-            heartbeat_interval=args.heartbeat_interval,
-            reconnect_attempts=args.reconnect_attempts,
-            idle_timeout=args.idle_timeout,
-        )
-    except KeyboardInterrupt:
-        print("[worker] interrupted; shutting down", file=sys.stderr)
-        return 0
-
-
 def _cmd_analyze_snapshot(args: argparse.Namespace) -> int:
     measurement = _measurement(args)
     estimate_mode = measurement.connectivity == "estimate"
@@ -907,70 +802,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     cache_prune_parser.set_defaults(func=_cmd_cache_prune)
-
-    cache_serve_parser = cache_subparsers.add_parser(
-        "serve",
-        help=(
-            "serve a cache directory as a shared tier over TCP for "
-            "--shared-cache clients (blocking; checksum-verified reads "
-            "and writes, concurrent-writer safe)"
-        ),
-    )
-    cache_serve_parser.add_argument(
-        "--cache-dir", required=True, help="result cache directory to serve"
-    )
-    cache_serve_parser.add_argument(
-        "--host", default="127.0.0.1",
-        help="interface to bind (default: 127.0.0.1)",
-    )
-    cache_serve_parser.add_argument(
-        "--port", type=int, default=0,
-        help="port to bind (default: 0 = pick an ephemeral port)",
-    )
-    cache_serve_parser.add_argument(
-        "--shard-depth", type=int, default=0, choices=range(0, 9),
-        metavar="N",
-        help=(
-            "spread entries over 16^N fingerprint-prefix subdirectories "
-            "(0-8, default: 0 = flat layout; existing flat entries stay "
-            "readable)"
-        ),
-    )
-    cache_serve_parser.set_defaults(func=_cmd_cache_serve)
-
-    worker_parser = subparsers.add_parser(
-        "worker",
-        help=(
-            "join a distributed campaign: execute leased task batches "
-            "from a --backend distributed coordinator"
-        ),
-    )
-    worker_parser.add_argument(
-        "--connect", required=True, metavar="HOST:PORT",
-        help="coordinator address to connect to",
-    )
-    worker_parser.add_argument(
-        "--heartbeat-interval", type=float, default=None, metavar="SECONDS",
-        help=(
-            "liveness heartbeat period (default: the interval the "
-            "coordinator advertises in its welcome frame)"
-        ),
-    )
-    worker_parser.add_argument(
-        "--reconnect-attempts", type=_positive_int, default=8, metavar="N",
-        help=(
-            "consecutive failed connection attempts before giving up "
-            "(reset after any successful session; default: 8)"
-        ),
-    )
-    worker_parser.add_argument(
-        "--idle-timeout", type=float, default=300.0, metavar="SECONDS",
-        help=(
-            "exit if the coordinator link stays silent this long "
-            "(default: 300)"
-        ),
-    )
-    worker_parser.set_defaults(func=_cmd_worker)
 
     return parser
 

@@ -15,7 +15,7 @@ budget proportional to its number of non-adjacent ordered pairs (the
 exact per-stratum population size, computable in O(n)), and every
 sampled pair is evaluated *exactly* through the batched
 :class:`~repro.runtime.pairflow.PairFlowEngine` — so ``--flow-jobs``
-and the distributed backend apply unchanged.  The
+applies unchanged.  The
 stratified mean is reported with a confidence interval built from the
 per-stratum sample variance plus one pseudo-observation at the
 conservative range variance (Popoviciu's ``B^2/4`` for values bounded
@@ -24,8 +24,8 @@ samples from reporting a dishonest zero-width interval and makes the
 width a smooth, strictly shrinking function of the budget on
 homogeneous graphs.  The whole computation is a pure function of
 ``(graph, seed, budget)``: the rng stream never depends on a flow
-value, so serial, parallel and distributed runs report identical
-estimates bit for bit.
+value, so serial and parallel runs report identical estimates bit for
+bit.
 
 *Minimum connectivity* — an upper **bound**, not an exact minimum:
 ``min(degree bound, sample minimum)``, where the degree bound is

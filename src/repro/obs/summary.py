@@ -68,30 +68,14 @@ def format_summary(snapshot: Dict[str, Any]) -> str:
         f"batches: {batches} over {sessions} sessions"
     )
 
-    # Runtime: distributed backend -------------------------------------
-    connected = _counter(snapshot, "distributed.workers_connected")
-    lost = _counter(snapshot, "distributed.workers_lost")
-    respawns = _counter(snapshot, "distributed.worker_respawns")
-    assigned = _counter(snapshot, "distributed.leases_assigned")
-    reassigned = _counter(snapshot, "distributed.leases_reassigned")
-    duplicates = _counter(snapshot, "distributed.duplicate_results")
-    lines.append(
-        f"distrib    workers: {connected} connected, {lost} lost, "
-        f"{respawns} respawned | leases: {assigned} assigned, "
-        f"{reassigned} reassigned | duplicate results: {duplicates}"
-    )
-
     # Runtime: result cache --------------------------------------------
     cache_hits = _value(snapshot, "cache.hits") or 0.0
     cache_misses = _value(snapshot, "cache.misses") or 0.0
     bytes_served = _value(snapshot, "cache.bytes_served") or 0.0
-    remote_hits = _value(snapshot, "cache.remote_hits") or 0.0
-    remote_puts = _value(snapshot, "cache.remote_puts") or 0.0
     lines.append(
         f"cache      hit rate: {_ratio(cache_hits, cache_hits + cache_misses):.0%} "
         f"({int(cache_hits)} hits / {int(cache_misses)} misses) | "
-        f"bytes served: {int(bytes_served)} | "
-        f"remote: {int(remote_hits)} hits, {int(remote_puts)} puts"
+        f"bytes served: {int(bytes_served)}"
     )
 
     # Simulator ---------------------------------------------------------

@@ -49,9 +49,6 @@ class ExecutionOptions:
     flow_jobs:
         Worker processes of the per-snapshot pair-flow engine *inside* a
         task or a snapshot analysis.
-    backend:
-        Executor family for ``jobs`` workers: ``"local"`` pool or
-        ``"distributed"`` loopback TCP fleet.
     retries:
         :class:`~repro.runtime.resilience.RetryPolicy` of the campaign's
         self-healing; ``None`` selects the default policy
@@ -60,7 +57,6 @@ class ExecutionOptions:
 
     jobs: int = 1
     flow_jobs: int = 1
-    backend: str = "local"
     retries: Optional["RetryPolicy"] = None
 
     def campaign(
@@ -76,7 +72,7 @@ class ExecutionOptions:
         from repro.runtime.executor import make_executor
 
         return Campaign(
-            executor=make_executor(self.jobs, backend=self.backend),
+            executor=make_executor(self.jobs),
             cache=cache,
             progress=progress,
             retry_policy=self.retries,

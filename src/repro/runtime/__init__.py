@@ -12,8 +12,8 @@ execution harness:
   process-pool backed :class:`ParallelExecutor`, which produce bit-identical
   results because every task carries its own random universe; both
   hand the campaign a persistent-worker :class:`TaskSession` (one
-  long-lived pool, warm across a campaign, taking a list of tasks per
-  worker call — the campaign sends one);
+  long-lived pool, warm across a campaign, running one task per worker
+  call);
 * :mod:`repro.runtime.cache` — :class:`ResultCache`, an on-disk
   content-addressed store of :class:`ExperimentResult` documents with
   hit/miss statistics and an eviction API;
@@ -26,15 +26,9 @@ execution harness:
   shape, ``_costs.json`` sidecar beside the result cache);
 * :mod:`repro.runtime.faults` — the deterministic fault-injection harness
   (``REPRO_FAULTS``): seeded nth-occurrence/probability matchers that
-  crash workers, raise task errors, stall batches, corrupt cache bytes
-  and mangle network frames (drops, corruption, delays, partitions),
-  for chaos-testing the layers below without touching any result;
-* :mod:`repro.runtime.distributed` — the TCP work-queue backend:
-  :class:`DistributedExecutor` (coordinator with lease-based dispatch,
-  heartbeat liveness, bounded worker respawn, local degrade), the
-  ``repro worker`` loop, and the shared cache tier
-  (:class:`RemoteCacheTier` / ``repro cache serve``) layered over the
-  same checksummed frame codec;
+  crash workers, raise task errors, stall tasks and corrupt cache
+  bytes, for chaos-testing the layers below without touching any
+  result;
 * :mod:`repro.runtime.resilience` — the self-healing primitives the
   campaign composes around the executor: :class:`RetryPolicy` (bounded
   seeded backoff, respawn budget, straggler hedging), poison-task
@@ -42,12 +36,11 @@ execution harness:
 
 Every higher layer (``repro.experiments.sweep``, ``repro.experiments
 .replication``, the CLI and the benchmark harness) dispatches its runs
-through this package; the distributed backend is exactly the "new
-:class:`Executor`" that contract promised.
+through this package.
 
 The package re-exports nothing: import each name from its defining
 module above (external callers use :mod:`repro.api`).  The snapshot
 analysis needs only :mod:`~repro.runtime.pairflow` and
-:mod:`~repro.runtime.executor`, and loads neither the campaign, the cache
-nor the TCP backend.
+:mod:`~repro.runtime.executor`, and loads neither the campaign nor the
+cache.
 """

@@ -31,20 +31,13 @@ crashing, and the corrupt bytes stay available for post-mortems.
 :meth:`ResultCache.verify`.  Entries predating the checksum field are
 accepted as legacy (structure-checked only).
 
-Shared tier: a cache constructed with ``remote=`` (any object with
-``get_raw``/``put_raw``, e.g. :class:`repro.runtime.distributed.
-RemoteCacheTier`) uses its own directory as the L1 and the remote as a
-second tier — local misses consult the remote, verified hits are
-re-checksummed and filled into the L1 atomically, and every local store
-is pushed best-effort.  A corrupt or unreachable remote can never fail
-a lookup: the worst case is a recompute.  ``shard_depth`` spreads
-entries over ``key[:depth]/`` subdirectories so a shared directory
-written by a whole fleet does not collapse into one giant flat dir;
-reads fall back to the flat layout, so enabling sharding on an existing
-directory is safe.  Concurrent writers need no lock in either layout:
-the key is a content hash (two writers of one key write identical
-bytes) and the atomic tmp-file + ``rename`` publish means readers see
-either nothing or a complete entry.
+Layout: ``shard_depth`` spreads entries over ``key[:depth]/``
+subdirectories so a directory holding many entries does not collapse
+into one giant flat dir; reads fall back to the other layouts, so
+enabling sharding on an existing directory is safe.  Concurrent writers
+need no lock in either layout: the key is a content hash (two writers of
+one key write identical bytes) and the atomic tmp-file + ``rename``
+publish means readers see either nothing or a complete entry.
 """
 
 from __future__ import annotations
@@ -99,12 +92,7 @@ logger = logging.getLogger("repro.runtime.cache")
 
 
 def _verify_entry_bytes(raw: bytes) -> str:
-    """Classify raw entry bytes: ``"ok"`` / ``"legacy"`` / ``"corrupt"``.
-
-    The shared verification core of :meth:`ResultCache._verify_entry`
-    (local scans) and the shared-tier raw path (remote reads and
-    writes), so every tier applies byte-identical acceptance rules.
-    """
+    """Classify raw entry bytes: ``"ok"`` / ``"legacy"`` / ``"corrupt"``."""
     try:
         document = json.loads(raw)
     except ValueError:
@@ -151,9 +139,6 @@ class CacheStats:
     stores_dropped: int = 0
     bytes_served: int = 0
     corrupt_entries: int = 0
-    remote_hits: int = 0
-    remote_misses: int = 0
-    remote_puts: int = 0
 
     @property
     def lookups(self) -> int:
@@ -239,10 +224,6 @@ class ResultCache:
         (``0`` keeps the flat layout).  Reads fall back to the flat
         path, so raising the depth on a populated directory never loses
         entries.  Purely a placement knob — never part of a fingerprint.
-    remote:
-        Optional shared-tier client (``get_raw``/``put_raw``) consulted
-        on local misses and pushed to on stores; see the module
-        docstring.
     """
 
     def __init__(
@@ -251,7 +232,6 @@ class ResultCache:
         max_bytes: Optional[int] = None,
         *,
         shard_depth: int = 0,
-        remote: Optional[object] = None,
     ) -> None:
         if max_bytes is not None and max_bytes < 0:
             raise ValueError(f"max_bytes must be >= 0, got {max_bytes}")
@@ -262,7 +242,6 @@ class ResultCache:
         self.directory = Path(directory)
         self.max_bytes = max_bytes
         self.shard_depth = shard_depth
-        self.remote = remote
         self.stats = CacheStats()
         # Snapshot of the stats already flushed to the ``_meta.json``
         # sidecar; sync_persistent_stats() persists only the delta since
@@ -386,40 +365,29 @@ class ResultCache:
         truncated JSON, incompatible fingerprint format — counts as a
         miss and is quarantined (see :meth:`_quarantine`) so the caller
         re-runs and overwrites it while the bad bytes stay inspectable.
-
-        With a shared tier attached, a local miss (including a
-        quarantined-corrupt local entry) consults the remote; remote
-        bytes are verified with exactly the same checks and, when valid,
-        filled into the local L1 atomically.  Remote failures of any
-        kind degrade to a plain miss.
         """
         path = self._existing_entry_path(task.key())
         faults.maybe_corrupt_file(path)
-        raw: Optional[bytes] = None
         try:
             raw = path.read_bytes()
         except FileNotFoundError:
-            pass
-        if raw is not None:
-            result = self._decode_entry(raw, task)
-            if result is not None:
-                self.stats.hits += 1
-                self.stats.bytes_served += len(raw)
-                try:
-                    os.utime(path)  # refresh LRU recency
-                except OSError:  # pragma: no cover - entry raced away
-                    pass
-                return result
+            self.stats.misses += 1
+            return None
+        result = self._decode_entry(raw, task)
+        if result is None:
             # Any malformed document shape (non-object JSON, wrong field
             # types, truncated entries, checksum mismatches) is treated
-            # the same way: quarantine and fall through to the remote
-            # tier (or a recompute).
+            # the same way: quarantine and recompute.
             self._quarantine(path)
-        result = self._get_remote(task)
-        if result is not None:
-            return result
-        self.stats.misses += 1
-        return None
+            self.stats.misses += 1
+            return None
+        self.stats.hits += 1
+        self.stats.bytes_served += len(raw)
+        try:
+            os.utime(path)  # refresh LRU recency
+        except OSError:  # pragma: no cover - entry raced away
+            pass
+        return result
 
     def _decode_entry(
         self, raw: bytes, task: ExperimentTask
@@ -438,47 +406,6 @@ class ResultCache:
         except (ValueError, KeyError, TypeError, AttributeError,
                 json.JSONDecodeError):
             return None
-
-    def _get_remote(self, task: ExperimentTask) -> Optional[ExperimentResult]:
-        """Consult the shared tier after a local miss (never raises)."""
-        if self.remote is None:
-            return None
-        key = task.key()
-        try:
-            raw = self.remote.get_raw(key)
-        except Exception:  # noqa: BLE001 — a broken tier must not fail a get
-            logger.warning("shared cache tier lookup failed", exc_info=True)
-            raw = None
-        if raw is None:
-            self.stats.remote_misses += 1
-            return None
-        result = self._decode_entry(raw, task)
-        if result is None:
-            # The serving side quarantines on read; count the corruption
-            # here too so a poisoned tier is visible from the client.
-            self.stats.corrupt_entries += 1
-            self.stats.remote_misses += 1
-            logger.warning(
-                "shared cache tier served a corrupt entry for %s", key[:12]
-            )
-            return None
-        self.stats.remote_hits += 1
-        self.stats.hits += 1
-        self.stats.bytes_served += len(raw)
-        self._fill_local(key, raw)
-        return result
-
-    def _fill_local(self, key: str, raw: bytes) -> None:
-        """Atomically install verified remote bytes as the L1 entry."""
-        try:
-            self.directory.mkdir(parents=True, exist_ok=True)
-            path = self._entry_path(key)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp_path = path.with_suffix(f".{os.getpid()}.tmp")
-            tmp_path.write_bytes(raw)
-            tmp_path.replace(path)
-        except OSError:  # pragma: no cover - L1 fill is best-effort
-            logger.warning("failed to fill local cache from shared tier")
 
     def put(self, task: ExperimentTask, result: ExperimentResult) -> Path:
         """Store ``result`` under the content hash of ``task``.
@@ -529,90 +456,9 @@ class ResultCache:
                 return path
         tmp_path.replace(path)
         self.stats.stores += 1
-        if self.remote is not None:
-            # Best-effort push to the shared tier: the serving side
-            # re-verifies the checksum before its own atomic write, so a
-            # payload corrupted in flight (or by a corrupt-write fault
-            # above) can never poison the tier.
-            try:
-                if self.remote.put_raw(task.key(), payload):
-                    self.stats.remote_puts += 1
-            except Exception:  # noqa: BLE001 — a broken tier must not fail a put
-                logger.warning("shared cache tier push failed", exc_info=True)
         if self.max_bytes is not None:
             self.prune()
         return path
-
-    # ------------------------------------------------------------------
-    # Raw-bytes access — the serving side of the shared tier (and the
-    # client's transport payloads).  Always checksum-verified: a remote
-    # peer is never served (or allowed to store) bytes that do not
-    # verify, so corruption cannot propagate between tiers.
-    # ------------------------------------------------------------------
-    def get_raw(self, key: str) -> Optional[bytes]:
-        """Return verified raw entry bytes for ``key``, or ``None``.
-
-        Corrupt entries are quarantined exactly like a local ``get``
-        would; legacy (pre-checksum) entries are *not* served — a shared
-        tier only ever hands out bytes it can prove.
-        """
-        path = self._existing_entry_path(key)
-        faults.maybe_corrupt_file(path)
-        try:
-            raw = path.read_bytes()
-        except FileNotFoundError:
-            return None
-        status = _verify_entry_bytes(raw)
-        if status == "corrupt":
-            self._quarantine(path)
-            return None
-        if status == "legacy":
-            return None
-        self.stats.bytes_served += len(raw)
-        try:
-            os.utime(path)  # refresh LRU recency
-        except OSError:  # pragma: no cover - entry raced away
-            pass
-        return raw
-
-    def put_raw(self, key: str, raw: bytes) -> bool:
-        """Verify and store raw entry bytes under ``key`` (atomic).
-
-        Rejects payloads that fail the checksum or whose embedded key
-        does not match ``key`` (a peer cannot overwrite entry A with a
-        valid entry B).  Concurrent writers of one key are safe without
-        a lock: identical content by construction, atomic rename either
-        way.
-        """
-        status = _verify_entry_bytes(raw)
-        if status != "ok":
-            self.stats.corrupt_entries += 1
-            self._bump_persistent_counter("corrupt_entries", 1)
-            logger.warning(
-                "rejected %s shared-tier store for %s", status, key[:12]
-            )
-            return False
-        try:
-            document = json.loads(raw)
-        except ValueError:  # pragma: no cover - verified above
-            return False
-        if document.get("key") != key:
-            logger.warning(
-                "rejected shared-tier store whose payload key %r does not "
-                "match the requested key %r",
-                str(document.get("key"))[:12], key[:12],
-            )
-            return False
-        self.directory.mkdir(parents=True, exist_ok=True)
-        path = self._entry_path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp_path = path.with_suffix(f".{os.getpid()}.tmp")
-        tmp_path.write_bytes(raw)
-        tmp_path.replace(path)
-        self.stats.stores += 1
-        if self.max_bytes is not None:
-            self.prune()
-        return True
 
     # ------------------------------------------------------------------
     def _quarantine(self, path: Path) -> Optional[Path]:

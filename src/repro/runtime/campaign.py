@@ -55,7 +55,6 @@ from typing import (
     Optional,
     Sequence,
     Set,
-    Tuple,
 )
 
 from repro import obs
@@ -148,11 +147,6 @@ class _Flight:
         self.futures: Set[Future] = set()
         self.deadline: Optional[float] = None
         self.hedged = False
-
-    @property
-    def pairs(self) -> List[Tuple[int, ExperimentTask]]:
-        """The flight as the one-element batch a task session takes."""
-        return [(self.index, self.task)]
 
 
 class Campaign:
@@ -379,10 +373,6 @@ class Campaign:
             registry.set_gauge("cache.evictions", stats.evictions)
             registry.set_gauge("cache.bytes_served", stats.bytes_served)
             registry.set_gauge("cache.hit_rate", stats.hit_rate)
-            if stats.remote_hits or stats.remote_misses or stats.remote_puts:
-                registry.set_gauge("cache.remote_hits", stats.remote_hits)
-                registry.set_gauge("cache.remote_misses", stats.remote_misses)
-                registry.set_gauge("cache.remote_puts", stats.remote_puts)
 
     def run_one(self, task: ExperimentTask) -> ExperimentResult:
         """Run a single task (through cache and executor)."""
@@ -474,13 +464,9 @@ class Campaign:
             flight = _Flight(index, tasks[index])
             while True:
                 try:
-                    future = self._task_session.submit_batch(flight.pairs)
+                    future = self._task_session.submit(flight.task)
                     break
-                except (BrokenExecutor, ConnectionError):
-                    # ConnectionError covers remote backends whose submit
-                    # path touches a transport (the distributed executor
-                    # raises BrokenExecutor itself, but the contract is
-                    # "any retryable submit failure heals via respawn").
+                except BrokenExecutor:
                     if policy.fail_fast:
                         raise
                     respawn_session()
@@ -556,7 +542,7 @@ class Campaign:
                 return
             flight.futures.discard(future)
             try:
-                flight_results = future.result()
+                result = future.result()
             except CancelledError:
                 return
             except Exception as error:
@@ -574,11 +560,10 @@ class Campaign:
                     return
                 requeue(flight.index, error)
                 return
-            for index, result in flight_results:
-                if index in recorded or index in failures:
-                    continue  # duplicate delivery from a hedged flight
-                recorded.add(index)
-                record(index, result)
+            if settled(flight):
+                return  # duplicate delivery from a hedged flight
+            recorded.add(flight.index)
+            record(flight.index, result)
             for sibling in list(flight.futures):
                 sibling.cancel()
 
@@ -609,8 +594,8 @@ class Campaign:
                 if settled(flight):
                     continue
                 try:
-                    twin = self._task_session.submit_batch(flight.pairs)
-                except (BrokenExecutor, ConnectionError):
+                    twin = self._task_session.submit(flight.task)
+                except BrokenExecutor:
                     continue  # the flight's own failure path heals the pool
                 if registry is not None:
                     registry.inc("campaign.hedges")

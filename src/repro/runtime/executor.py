@@ -15,15 +15,12 @@ shard dispatched through :meth:`ExecutionSession.map`.
 
 On top of it sits the *task session*
 (:meth:`Executor.open_task_session` → :class:`TaskSession`), the one way
-experiment tasks reach a worker: a long-lived pool that accepts
-**batches** of one or more tasks per worker call
-(:func:`execute_task_batch`), each submitted as a future the campaign
-driver tracks.  Workers stay warm across the tasks of a session:
-imported modules stay imported and bytecode stays specialised — the
-dominant per-task overhead under the ``spawn`` start method, paid once
-per session instead of once per task.  Batch geometry is a pure
-scheduling knob: results are keyed by submission index and bit-identical
-for every packing.
+experiment tasks reach a worker: a long-lived pool that runs one task
+per worker call (:func:`execute_session_task`), each submitted as a
+future the campaign driver tracks.  Workers stay warm across the tasks
+of a session: imported modules stay imported and bytecode stays
+specialised — the dominant per-task overhead under the ``spawn`` start
+method, paid once per session instead of once per task.
 """
 
 from __future__ import annotations
@@ -44,9 +41,6 @@ if TYPE_CHECKING:
     from repro.runtime.task import ExperimentTask
 
 logger = logging.getLogger("repro.runtime.executor")
-
-#: One batch of (submission index, task) pairs, run by a single worker call.
-IndexedBatch = Sequence[Tuple[int, "ExperimentTask"]]
 
 
 class ExecutionSession(ABC):
@@ -154,32 +148,25 @@ class _PoolSession(ExecutionSession):
 # Worker entry point
 # ----------------------------------------------------------------------
 #: Per-process throughput counter (one per worker process; also one in
-#: the parent process when a serial session runs batches in-process).
+#: the parent process when a serial session runs tasks in-process).
 #: Diagnostics only — the warmth a persistent worker keeps is the process
 #: itself (interpreter start-up, imports, specialised bytecode); Python-
 #: level caching of runner objects was measured to save nothing on top.
 _WORKER_COUNTERS = {"tasks_executed": 0}
 
 
-def execute_task_batch(
-    indexed_tasks: IndexedBatch,
-) -> List[Tuple[int, ExperimentResult]]:
-    """Worker entry point: run a batch of (index, task) pairs in order.
+def execute_session_task(task: ExperimentTask) -> ExperimentResult:
+    """Worker entry point: run one task of a task session.
 
-    Returns ``(index, result)`` pairs so the parent can map results back
-    to submission order regardless of how batches were packed.  Every
-    task goes through :func:`~repro.runtime.task.execute_task`, the one
-    fault-injection site.
+    The task goes through :func:`~repro.runtime.task.execute_task`, the
+    one fault-injection site.
     """
     # The task layer imports the simulator; the pair-flow engine, which
     # imports this module, must not.
     from repro.runtime.task import execute_task
 
-    results = []
-    for index, task in indexed_tasks:
-        _WORKER_COUNTERS["tasks_executed"] += 1
-        results.append((index, execute_task(task)))
-    return results
+    _WORKER_COUNTERS["tasks_executed"] += 1
+    return execute_task(task)
 
 
 def _worker_counters_snapshot(_item: Any = None) -> Dict[str, int]:
@@ -188,37 +175,34 @@ def _worker_counters_snapshot(_item: Any = None) -> Dict[str, int]:
 
 
 class TaskSession:
-    """A long-lived dispatcher of experiment-task batches.
+    """A long-lived dispatcher of experiment tasks.
 
     Wraps one caller-owned :class:`ExecutionSession` (a pinned worker
-    pool, or the current process for serial executors) and runs whole
-    batches per worker call through :func:`execute_task_batch`.  The
-    session — and with it every warm worker — survives across
-    :meth:`submit_batch` calls until :meth:`close`, which is what turns a
-    grid of small simulations from "one pool per task" into "one pool
-    per campaign".
+    pool, or the current process for serial executors) and runs one task
+    per worker call through :func:`execute_session_task`.  The session —
+    and with it every warm worker — survives across :meth:`submit` calls
+    until :meth:`close`, which is what turns a grid of small simulations
+    from "one pool per task" into "one pool per campaign".
 
-    Failure containment: batches are independent worker calls, so a task
-    that raises (or a worker that dies) fails its own batch's future and
-    no other.  A dead worker breaks the underlying process pool —
-    callers must close this session and open a fresh one; tasks of
-    unfinished batches simply re-run there (or are served from the cache
-    next time).
+    Failure containment: tasks are independent worker calls, so a task
+    that raises (or a worker that dies) fails its own future and no
+    other.  A dead worker breaks the underlying process pool — callers
+    must close this session and open a fresh one; unfinished tasks
+    simply re-run there (or are served from the cache next time).
     """
 
     def __init__(self, session: ExecutionSession) -> None:
         self._session = session
 
-    def submit_batch(self, batch: IndexedBatch) -> Future:
-        """Submit one batch and return the future of its (index, result) pairs.
+    def submit(self, task: ExperimentTask) -> Future:
+        """Submit one task and return the future of its result.
 
         The caller owns completion handling, which is what lets the
-        campaign driver track per-batch completion, impose straggler
-        deadlines and re-dispatch survivors of a failed batch.  On a
-        serial session the batch executes inline and the returned future
-        is already settled.
+        campaign driver track per-task completion, impose straggler
+        deadlines and re-dispatch failed tasks.  On a serial session the
+        task executes inline and the returned future is already settled.
         """
-        return self._session.submit(execute_task_batch, list(batch))
+        return self._session.submit(execute_session_task, task)
 
     def warm_state_snapshots(self, probes: int = 1) -> List[Dict[str, int]]:
         """Sample per-worker throughput counters (diagnostics/tests)."""
@@ -240,9 +224,9 @@ class Executor:
     def open_task_session(self) -> TaskSession:
         """Open a caller-owned :class:`TaskSession` over a persistent pool.
 
-        The serial default runs batches in the current process; parallel
+        The serial default runs tasks in the current process; parallel
         executors pin one process pool whose workers stay warm across
-        every batch of the session.  The caller must ``close()`` it.
+        every task of the session.  The caller must ``close()`` it.
         """
         return TaskSession(self.open_session())
 
@@ -345,40 +329,16 @@ class ParallelExecutor(Executor):
         return _PoolSession(pool, owned=stack)
 
 
-#: Executor backends selectable by ``make_executor`` / ``--backend``.
-EXECUTOR_BACKENDS = ("local", "distributed")
+def make_executor(jobs: Optional[int] = None) -> Executor:
+    """Return the executor matching a ``--jobs`` value.
 
-
-def make_executor(
-    jobs: Optional[int] = None, backend: str = "local"
-) -> Executor:
-    """Return the executor matching ``--jobs`` / ``--backend`` values.
-
-    With the default ``local`` backend, ``None`` or ``1`` selects
-    :class:`SerialExecutor`; anything larger a :class:`ParallelExecutor`
-    with that many workers.  Zero and negative values are rejected —
-    historically they silently degraded to serial execution, which
-    masked misconfigured callers.
-
-    ``backend="distributed"`` returns a
-    :class:`~repro.runtime.distributed.DistributedExecutor` spawning
-    ``jobs`` loopback ``repro worker`` subprocesses (default 2 — a
-    distributed fleet of one defeats the point).  Like every placement
-    knob it is identity-free: results are byte-identical across
-    backends, which the chaos suite asserts under injected faults.
+    ``None`` or ``1`` selects :class:`SerialExecutor`; anything larger a
+    :class:`ParallelExecutor` with that many workers.  Zero and negative
+    values are rejected — historically they silently degraded to serial
+    execution, which masked misconfigured callers.
     """
     if jobs is not None and jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if backend not in EXECUTOR_BACKENDS:
-        raise ValueError(
-            f"unknown executor backend {backend!r}; "
-            f"expected one of {EXECUTOR_BACKENDS}"
-        )
-    if backend == "distributed":
-        # Imported lazily: distributed.py imports this module.
-        from repro.runtime.distributed import DistributedExecutor
-
-        return DistributedExecutor(workers=jobs if jobs is not None else 2)
     if jobs is None or jobs == 1:
         return SerialExecutor()
     return ParallelExecutor(jobs=jobs)
@@ -409,7 +369,7 @@ def _exported_package_path():
     environment while any pool is alive and restored when the last one
     closes (later, unrelated subprocesses must not inherit the modified
     import path).  Reference-counted so overlapping sessions — e.g. two
-    batched campaigns, or a campaign pool plus a pair-flow pool — compose.
+    campaigns, or a campaign pool plus a pair-flow pool — compose.
     """
     global _EXPORT_DEPTH, _EXPORT_ORIGINAL
     package_root = str(Path(__file__).resolve().parent.parent.parent)

@@ -14,7 +14,7 @@ Sites and kinds
 ``task-error``
     Raise :class:`InjectedTaskError` instead of running a task.
 ``worker-crash``
-    Hard-kill the executing process with ``os._exit`` mid-batch —
+    Hard-kill the executing process with ``os._exit`` mid-task —
     *worker processes only* (a plan can never take down the campaign
     driver itself; in-process execution ignores crash faults).
 ``stall``
@@ -25,19 +25,6 @@ Sites and kinds
 ``corrupt-write``
     Flip a byte of the serialised payload after its checksum was
     computed, so the entry lands corrupt on disk.
-``conn-drop``
-    Raise :class:`InjectedConnectionError` at the distributed frame
-    layer, modelling a connection reset mid-send.
-``frame-corrupt``
-    Flip a byte of an outgoing frame payload *after* its checksum was
-    computed, so the receiver detects the mismatch and drops the link.
-``delay``
-    Sleep before sending a frame (``=seconds``, default 0.05) — models
-    a slow link and provokes heartbeat/lease machinery.
-``partition``
-    Sleep (``=seconds``, default 1.0) and then drop the connection —
-    long enough for the coordinator's lease to expire and the batch to
-    be reassigned, exercising first-result-wins dedupe.
 
 Spec grammar
 ------------
@@ -74,31 +61,18 @@ from typing import Dict, FrozenSet, Optional, Tuple, Union
 #: Environment variable holding the fault spec (exported to workers).
 ENV_VAR = "REPRO_FAULTS"
 
-#: Set to ``"1"`` in distributed worker processes (spawned via the
-#: ``repro worker`` CLI rather than multiprocessing) so crash faults can
-#: recognise them — see :func:`in_worker_process`.
-WORKER_ENV_VAR = "REPRO_WORKER"
-
 #: Fault kinds (also the clause names of the spec grammar).
 KIND_TASK_ERROR = "task-error"
 KIND_WORKER_CRASH = "worker-crash"
 KIND_STALL = "stall"
 KIND_CORRUPT_READ = "corrupt-read"
 KIND_CORRUPT_WRITE = "corrupt-write"
-KIND_CONN_DROP = "conn-drop"
-KIND_FRAME_CORRUPT = "frame-corrupt"
-KIND_DELAY = "delay"
-KIND_PARTITION = "partition"
 KINDS = (
     KIND_TASK_ERROR,
     KIND_WORKER_CRASH,
     KIND_STALL,
     KIND_CORRUPT_READ,
     KIND_CORRUPT_WRITE,
-    KIND_CONN_DROP,
-    KIND_FRAME_CORRUPT,
-    KIND_DELAY,
-    KIND_PARTITION,
 )
 
 #: Exit status of an injected worker crash (distinguishable from real
@@ -107,14 +81,6 @@ CRASH_EXIT_CODE = 73
 
 #: Sleep applied by a ``stall`` clause with no ``=seconds`` parameter.
 DEFAULT_STALL_SECONDS = 0.5
-
-#: Sleep applied by a ``delay`` clause with no ``=seconds`` parameter.
-DEFAULT_DELAY_SECONDS = 0.05
-
-#: Sleep applied by a ``partition`` clause with no ``=seconds``
-#: parameter — the default is deliberately longer than the test-profile
-#: lease timeouts so a partition reliably triggers reassignment.
-DEFAULT_PARTITION_SECONDS = 1.0
 
 
 class FaultError(RuntimeError):
@@ -130,18 +96,6 @@ class FaultError(RuntimeError):
 
 class InjectedTaskError(FaultError):
     """Raised in place of running a task when a ``task-error`` fault fires."""
-
-
-class InjectedConnectionError(ConnectionError):
-    """Raised at the frame layer by ``conn-drop`` / ``partition`` faults.
-
-    Subclasses :class:`ConnectionError` so the distributed transport and
-    the campaign's retry classification treat it exactly like a real
-    connection reset — no special-casing of injected failures anywhere
-    downstream.
-    """
-
-    retryable = True
 
 
 class FaultSpecError(ValueError):
@@ -307,17 +261,10 @@ def reset() -> None:
 
 
 def in_worker_process() -> bool:
-    """Whether this process is a worker (multiprocessing or distributed).
-
-    Distributed workers are plain subprocesses, not multiprocessing
-    children, so the ``repro worker`` entrypoint marks them with
-    ``REPRO_WORKER=1`` instead.
-    """
+    """Whether this process is a multiprocessing worker."""
     import multiprocessing
 
-    if multiprocessing.parent_process() is not None:
-        return True
-    return os.environ.get(WORKER_ENV_VAR, "") == "1"
+    return multiprocessing.parent_process() is not None
 
 
 def maybe_inject_task_fault(label: str = "") -> None:
@@ -361,33 +308,6 @@ def maybe_corrupt_bytes(kind: str, data: bytes) -> bytes:
     if plan is None or plan.check(kind) is None:
         return data
     return corrupt_payload(data)
-
-
-def maybe_inject_frame_fault(payload: bytes) -> bytes:
-    """Fire any network faults due at a frame send; return the payload.
-
-    Called by the distributed frame codec once per *data* frame sent
-    (heartbeats are exempt so occurrence numbering does not depend on
-    wall-clock heartbeat cadence).  ``delay`` sleeps, ``partition``
-    sleeps then drops, ``conn-drop`` drops immediately, and
-    ``frame-corrupt`` flips a payload byte after the checksum was
-    computed so the *receiver* detects the mismatch.
-    """
-    plan = active_plan()
-    if plan is None:
-        return payload
-    rule = plan.check(KIND_DELAY)
-    if rule is not None:
-        time.sleep(rule.param if rule.param is not None else DEFAULT_DELAY_SECONDS)
-    rule = plan.check(KIND_PARTITION)
-    if rule is not None:
-        time.sleep(
-            rule.param if rule.param is not None else DEFAULT_PARTITION_SECONDS
-        )
-        raise InjectedConnectionError("injected network partition")
-    if plan.check(KIND_CONN_DROP) is not None:
-        raise InjectedConnectionError("injected connection drop")
-    return maybe_corrupt_bytes(KIND_FRAME_CORRUPT, payload)
 
 
 def maybe_corrupt_file(path: Union[str, Path]) -> None:

@@ -81,10 +81,10 @@ class RetryPolicy:
         ``jitter <= 1`` the schedule is monotone non-decreasing (the
         doubling dominates the jitter band) and capped at ``max_delay``.
     straggler_factor / min_straggler_seconds / hedge:
-        A dispatched batch whose runtime exceeds
+        A dispatched task whose runtime exceeds
         ``max(min_straggler_seconds, straggler_factor * predicted)`` —
-        prediction from the cost model — is *hedged*: its unfinished
-        tasks are speculatively re-dispatched and the first result wins.
+        prediction from the cost model — is *hedged*: it is
+        speculatively re-dispatched and the first result wins.
         Safe because tasks are deterministic and cache puts idempotent.
     """
 
@@ -178,9 +178,8 @@ def default_retry_policy() -> RetryPolicy:
 def is_retryable(error: BaseException) -> bool:
     """Whether re-running the failed work could plausibly succeed.
 
-    Broken pools (a worker died), OS errors (including every
-    ``ConnectionError`` the distributed transport raises), and timeouts
-    are infrastructure failures; injected faults carry
+    Broken pools (a worker died), OS errors (``ConnectionError``
+    included) and timeouts are infrastructure failures; injected faults carry
     ``retryable = True`` themselves.  Everything else — ordinary
     exceptions raised *by* a deterministic task — would simply recur, so
     it fails fast into a poison record instead of burning the retry

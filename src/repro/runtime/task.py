@@ -145,12 +145,11 @@ class ExperimentTask:
 def execute_task(task: ExperimentTask) -> ExperimentResult:
     """Module-level task entry point (picklable for process pools).
 
-    Every task of every flight — in-process, pool worker or distributed
-    worker — runs through here
-    (via :func:`~repro.runtime.executor.execute_task_batch`), which makes
-    this the one injection site for the deterministic fault harness
-    (:mod:`repro.runtime.faults`); a no-op when ``REPRO_FAULTS`` is
-    unset.
+    Every task of every flight — in-process or in a pool worker — runs
+    through here (via :func:`~repro.runtime.executor.execute_session_task`),
+    which makes this the one injection site for the deterministic fault
+    harness (:mod:`repro.runtime.faults`); a no-op when ``REPRO_FAULTS``
+    is unset.
     """
     from repro.runtime import faults
 

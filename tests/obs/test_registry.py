@@ -238,6 +238,12 @@ class TestSummary:
         assert "FindNodeRequest=100" in text
         assert "mean lookup virtual-time latency: 3.00 RTT" in text
         assert "prune rate: 20%" in text
+        # Only what a local run records: no TCP-fleet line, no shared tier.
+        lines = text.splitlines()
+        assert not [line for line in lines if line.startswith("distrib")]
+        cache_line = next(line for line in lines if line.startswith("cache "))
+        assert "bytes served: 2048" in cache_line
+        assert "remote:" not in cache_line
 
     def test_format_summary_handles_empty_snapshot(self):
         text = format_summary({})

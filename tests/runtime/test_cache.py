@@ -410,7 +410,7 @@ class TestStaleTmpSweep:
 
 
 # ----------------------------------------------------------------------
-# Sharded layout (shared-tier placement knob)
+# Sharded layout (placement knob)
 # ----------------------------------------------------------------------
 class TestSharding:
     def test_shard_depth_validation(self, tmp_path):
@@ -453,53 +453,62 @@ class TestSharding:
 
 
 # ----------------------------------------------------------------------
-# Raw-bytes access (the serving side of the shared tier)
+# Cross-depth reads: ``get`` verifies an entry wherever it was placed
 # ----------------------------------------------------------------------
-class TestRawAccess:
-    def test_raw_round_trip_across_layouts(self, task, result, tmp_path):
-        source = ResultCache(tmp_path / "source")
-        source.put(task, result)
-        raw = source.get_raw(task.key())
-        assert raw is not None
-        assert source.stats.bytes_served == len(raw)
+DEPTH_PAIRS = [
+    (write, read)
+    for write in (0, 1, 2)
+    for read in (0, 1, 2)
+    if write != read
+]
 
-        mirror = ResultCache(tmp_path / "mirror", shard_depth=1)
-        assert mirror.put_raw(task.key(), raw)
-        assert mirror.get(task) is not None
 
-    def test_put_raw_rejects_damage_and_key_mismatch(
-        self, task, result, tmp_path
+class TestCrossDepthReads:
+    @pytest.mark.parametrize(
+        "write_depth, read_depth", DEPTH_PAIRS,
+        ids=[f"write{w}-read{r}" for w, r in DEPTH_PAIRS],
+    )
+    def test_entry_hits_from_another_depth(
+        self, task, result, tmp_path, write_depth, read_depth
     ):
-        source = ResultCache(tmp_path / "source")
-        source.put(task, result)
-        raw = source.get_raw(task.key())
+        directory = tmp_path / "cache"
+        path = ResultCache(directory, shard_depth=write_depth).put(task, result)
+        reader = ResultCache(directory, shard_depth=read_depth)
+        restored = reader.get(task)
+        assert restored is not None
+        assert restored.series.minimum_series() == result.series.minimum_series()
+        assert reader.stats.hits == 1
+        assert reader.stats.bytes_served == path.stat().st_size
+        # A read never moves the entry to the reader's own layout.
+        assert path.exists() and reader.info().entries == 1
 
-        sink = ResultCache(tmp_path / "sink")
-        corrupted = bytearray(raw)
-        corrupted[len(corrupted) // 2] ^= 0x01
-        assert not sink.put_raw(task.key(), bytes(corrupted))
-        assert sink.stats.corrupt_entries == 1
-        # A valid entry stored under the wrong key must not overwrite it.
-        assert not sink.put_raw("0" * 64, raw)
-        assert sink.info().entries == 0
-
-    def test_get_raw_never_serves_corrupt_or_legacy(
-        self, task, result, tmp_path
+    @pytest.mark.parametrize("write_depth", [0, 1, 2])
+    def test_corrupt_entry_is_never_served_from_another_depth(
+        self, task, result, tmp_path, write_depth
     ):
-        cache = ResultCache(tmp_path / "cache")
-        path = cache.put(task, result)
+        directory = tmp_path / "cache"
+        path = ResultCache(directory, shard_depth=write_depth).put(task, result)
+        path.write_text("{torn", encoding="utf-8")
+        reader = ResultCache(directory, shard_depth=(write_depth + 1) % 3)
+        assert reader.get(task) is None
+        assert not path.exists()
+        assert (directory / QUARANTINE_DIRNAME / path.name).exists()
+        assert reader.stats.corrupt_entries == 1
+        assert reader.stats.bytes_served == 0
+
+    @pytest.mark.parametrize("write_depth", [0, 1, 2])
+    def test_legacy_entry_hits_from_another_depth(
+        self, task, result, tmp_path, write_depth
+    ):
+        directory = tmp_path / "cache"
+        path = ResultCache(directory, shard_depth=write_depth).put(task, result)
         document = json.loads(path.read_text(encoding="utf-8"))
         document.pop(CHECKSUM_FIELD)
         path.write_text(json.dumps(document), encoding="utf-8")
-        # Legacy entries hit locally (backward compatibility) but are
-        # never handed to remote peers, who cannot re-verify them.
-        assert cache.get(task) is not None
-        assert cache.get_raw(task.key()) is None
-
-        path.write_text("{torn", encoding="utf-8")
-        assert cache.get_raw(task.key()) is None
-        assert not path.exists()  # quarantined
-        assert cache.stats.corrupt_entries == 1
+        reader = ResultCache(directory, shard_depth=(write_depth + 1) % 3)
+        assert reader.get(task) is not None
+        assert reader.stats.corrupt_entries == 0
+        assert path.exists()
 
 
 # ----------------------------------------------------------------------

@@ -7,6 +7,7 @@ any simulation work.
 """
 
 import json
+import os
 
 import pytest
 
@@ -204,6 +205,22 @@ class TestFaultInjectionCli:
         err = capsys.readouterr().err
         assert "invalid --faults spec" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "spec", ["conn-drop@1", "frame-corrupt@1", "delay@1", "partition@1"]
+    )
+    def test_retired_network_fault_kinds_are_argument_errors(
+        self, capsys, spec
+    ):
+        from repro.runtime import faults
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(SWEEP_ARGV + ["--faults", spec])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"unknown fault kind {spec.split('@')[0]!r}" in err
+        assert "Traceback" not in err
+        assert faults.ENV_VAR not in os.environ
 
     def test_invalid_retries_rejected(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

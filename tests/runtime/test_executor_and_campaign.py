@@ -103,26 +103,70 @@ class TestExecutors:
     @pytest.mark.parametrize(
         "executor", [SerialExecutor(), ParallelExecutor(jobs=2)]
     )
-    def test_submit_batch_settles_with_indexed_results(self, executor):
+    def test_submit_settles_with_the_task_result(self, executor):
         tasks = tiny_tasks()
         session = executor.open_task_session()
         try:
-            futures = [
-                session.submit_batch([(index, task)])
-                for index, task in enumerate(tasks)
-            ]
-            # The session contract is a list of pairs (distributed
-            # workers speak it too), not only the campaign's one-task list.
-            futures.append(session.submit_batch(list(enumerate(tasks))))
+            # One task per call, the same task twice: each future carries
+            # its own task's result, whatever order they settle in.
+            futures = [session.submit(task) for task in tasks + tasks[:1]]
             settled = [future.result() for future in futures]
         finally:
             session.close()
-        assert [[index for index, _ in pairs] for pairs in settled] == [
-            [0], [1], [0, 1],
-        ]
         reference = series_of(Campaign().run(tasks))
-        assert series_of([pairs[0][1] for pairs in settled[:2]]) == reference
-        assert series_of([result for _, result in settled[2]]) == reference
+        assert series_of(settled) == reference + reference[:1]
+
+    @pytest.mark.parametrize(
+        "executor", [SerialExecutor(), ParallelExecutor(jobs=2)]
+    )
+    def test_task_error_reaches_its_future_only(self, executor):
+        good = tiny_tasks()[0]
+        session = executor.open_task_session()
+        try:
+            failed = session.submit(_poison_task())
+            error = failed.exception()
+            # The session survives a raising task: the next call runs.
+            after = session.submit(good).result()
+        finally:
+            session.close()
+        assert isinstance(error, ValueError)
+        assert "deterministically bad task" in str(error)
+        assert series_of([after]) == series_of(Campaign().run([good]))
+
+    @pytest.mark.parametrize(
+        "executor", [SerialExecutor(), ParallelExecutor(jobs=1)]
+    )
+    def test_each_submit_is_one_worker_call(self, executor):
+        tasks = tiny_tasks(bucket_sizes=(3, 5, 8))
+        session = executor.open_task_session()
+        try:
+            before = session.warm_state_snapshots()[0]
+            for task in tasks:
+                session.submit(task).result()
+            after = session.warm_state_snapshots()[0]
+        finally:
+            session.close()
+        assert after["pid"] == before["pid"]
+        assert after["tasks_executed"] == before["tasks_executed"] + len(tasks)
+
+    def test_dead_worker_fails_queued_and_later_submits(self):
+        from concurrent.futures.process import BrokenProcessPool
+
+        before = {
+            p.pid for p in multiprocessing.active_children() if p.is_alive()
+        }
+        session = ParallelExecutor(jobs=1).open_task_session()
+        try:
+            doomed = session.submit(_exploding_task())
+            queued = session.submit(tiny_tasks()[0])
+            assert isinstance(doomed.exception(), BrokenProcessPool)
+            assert isinstance(queued.exception(), BrokenProcessPool)
+            with pytest.raises(BrokenExecutor):
+                session.submit(tiny_tasks()[0])
+        finally:
+            session.close()
+        live = {p.pid for p in multiprocessing.active_children() if p.is_alive()}
+        assert live <= before
 
 
 def _failing_shard(_item):
@@ -228,6 +272,26 @@ class TestCampaign:
             obs.disable()
         assert registry.counter("campaign.cache_hits") == len(tasks)
         assert registry.counter("campaign.sessions_opened") == 0
+
+    def test_run_records_only_local_cache_gauges(self, tmp_path):
+        from repro import obs
+
+        cache = ResultCache(tmp_path / "cache")
+        tasks = tiny_tasks()
+        obs.disable()
+        registry = obs.enable()
+        try:
+            Campaign(cache=cache).run(tasks)
+            Campaign(cache=cache).run(tasks)
+        finally:
+            obs.disable()
+        gauges = registry.snapshot()["gauges"]
+        cache_gauges = {name for name in gauges if name.startswith("cache.")}
+        assert cache_gauges == {
+            "cache.hits", "cache.misses", "cache.stores", "cache.evictions",
+            "cache.bytes_served", "cache.hit_rate",
+        }
+        assert registry.gauge("cache.hits") == len(tasks)
 
     def test_partial_cache_mixes_hits_and_runs(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
@@ -552,19 +616,16 @@ class TestSelfHealingCampaign:
         attempts = {"count": 0}
 
         class _FlakySession:
-            def submit_batch(self, batch):
+            def submit(self, task):
                 from concurrent.futures import Future
 
-                pairs = list(batch)
                 future = Future()
                 future.set_running_or_notify_cancel()
                 attempts["count"] += 1
                 if attempts["count"] == 1:
                     future.set_exception(transient())
                 else:
-                    future.set_result(
-                        [(index, task.run()) for index, task in pairs]
-                    )
+                    future.set_result(task.run())
                 return future
 
             def close(self):
@@ -588,7 +649,7 @@ class TestSelfHealingCampaign:
         opened = {"count": 0}
 
         class _BrokenSession:
-            def submit_batch(self, batch):
+            def submit(self, task):
                 raise BrokenExecutor("pool is broken")
 
             def close(self):

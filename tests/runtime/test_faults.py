@@ -1,12 +1,12 @@
 """Fault-injection harness tests: DSL, determinism, identity-freedom."""
 
 import json
-import time
 
 import pytest
 
 from repro.experiments.scenarios import get_scenario
 from repro.runtime import faults
+from repro.runtime.executor import ParallelExecutor
 from repro.runtime.faults import (
     DEFAULT_STALL_SECONDS,
     ENV_VAR,
@@ -44,6 +44,23 @@ class TestSpecParsing:
         assert plan.rules["corrupt-write"].probability == 0.1
         assert plan.seed == 7
 
+    def test_kinds_are_the_five_local_ones(self):
+        assert faults.KINDS == (
+            "task-error", "worker-crash", "stall", "corrupt-read",
+            "corrupt-write",
+        )
+
+    @pytest.mark.parametrize("kind", faults.KINDS)
+    def test_every_kind_parses(self, kind):
+        plan = FaultPlan.parse(f"{kind}@1,3=0.5")
+        rule = plan.rules[kind]
+        assert rule.kind == kind
+        assert rule.occurrences == frozenset({1, 3})
+        assert rule.param == 0.5
+        assert [plan.check(kind) is not None for _ in range(3)] == [
+            True, False, True,
+        ]
+
     def test_whitespace_and_empty_clauses_tolerated(self):
         plan = FaultPlan.parse(" task-error@1 ; ; ")
         assert set(plan.rules) == {"task-error"}
@@ -60,6 +77,12 @@ class TestSpecParsing:
             "stall@1=-1",  # negative parameter
             "task-error@1;task-error@2",  # duplicate clause
             "seed=x",  # bad seed
+            # Retired network kinds: a stale spec fails instead of
+            # silently injecting nothing.
+            "conn-drop@1",
+            "frame-corrupt@1",
+            "delay@1",
+            "partition@1",
         ],
     )
     def test_invalid_specs_raise(self, spec):
@@ -174,6 +197,22 @@ class TestInjectionSites:
             faults.maybe_inject_task_fault("t")
 
 
+def _in_worker(_item):
+    return faults.in_worker_process()
+
+
+class TestWorkerDetection:
+    def test_driver_is_not_a_worker(self):
+        assert not faults.in_worker_process()
+
+    def test_pool_worker_is_a_worker(self):
+        session = ParallelExecutor(jobs=1).open_session()
+        try:
+            assert session.map(_in_worker, [0, 1]) == [True, True]
+        finally:
+            session.close()
+
+
 class TestIdentityFreedom:
     def test_faults_env_never_enters_task_fingerprints(self, monkeypatch):
         task = ExperimentTask.create(
@@ -187,59 +226,3 @@ class TestIdentityFreedom:
         assert task.fingerprint() == baseline_fingerprint
         serialised = json.dumps(task.fingerprint())
         assert "fault" not in serialised and "retry" not in serialised
-
-
-class TestNetworkFaultKinds:
-    def test_network_kinds_parse(self):
-        plan = FaultPlan.parse(
-            "conn-drop@2;frame-corrupt@1;delay@3=0.01;partition@p0.5;seed=3"
-        )
-        assert set(plan.rules) == {
-            "conn-drop", "frame-corrupt", "delay", "partition",
-        }
-        assert plan.rules["delay"].param == 0.01
-        assert plan.rules["partition"].probability == 0.5
-
-    def test_conn_drop_raises_retryable_connection_error(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "conn-drop@2")
-        faults.reset()
-        payload = b"frame payload"
-        assert faults.maybe_inject_frame_fault(payload) == payload
-        with pytest.raises(faults.InjectedConnectionError) as excinfo:
-            faults.maybe_inject_frame_fault(payload)
-        assert isinstance(excinfo.value, ConnectionError)
-        assert excinfo.value.retryable
-        # The occurrence was consumed: later frames pass untouched.
-        assert faults.maybe_inject_frame_fault(payload) == payload
-
-    def test_frame_corrupt_flips_one_payload_byte(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "frame-corrupt@1")
-        faults.reset()
-        payload = b"frame payload"
-        mangled = faults.maybe_inject_frame_fault(payload)
-        assert mangled != payload
-        assert len(mangled) == len(payload)
-        assert faults.maybe_inject_frame_fault(payload) == payload
-
-    def test_delay_sleeps_param_seconds(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "delay@1=0.05")
-        faults.reset()
-        started = time.monotonic()
-        assert faults.maybe_inject_frame_fault(b"x") == b"x"
-        assert time.monotonic() - started >= 0.05
-
-    def test_partition_sleeps_then_drops(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "partition@1=0.05")
-        faults.reset()
-        started = time.monotonic()
-        with pytest.raises(faults.InjectedConnectionError):
-            faults.maybe_inject_frame_fault(b"x")
-        assert time.monotonic() - started >= 0.05
-
-    def test_worker_env_marks_worker_process(self, monkeypatch):
-        monkeypatch.delenv(faults.WORKER_ENV_VAR, raising=False)
-        assert not faults.in_worker_process()
-        monkeypatch.setenv(faults.WORKER_ENV_VAR, "1")
-        assert faults.in_worker_process()
-        monkeypatch.setenv(faults.WORKER_ENV_VAR, "0")
-        assert not faults.in_worker_process()

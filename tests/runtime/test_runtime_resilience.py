@@ -123,8 +123,8 @@ class TestRetryClassification:
         assert not is_retryable(RuntimeError("task bug"))
 
     def test_wrapped_transport_errors_stay_retryable(self):
-        # A remote backend wrapping a ConnectionError in its own
-        # dispatch error must still be healed, not reported as poison.
+        # A ConnectionError wrapped in a framework's own dispatch error
+        # must still be healed, not reported as poison.
         try:
             try:
                 raise ConnectionResetError("link lost")
@@ -221,15 +221,14 @@ class _ScriptedSession:
         self.error_factory = error_factory
         self.dispatched = []
 
-    def submit_batch(self, batch):
-        pairs = list(batch)
-        self.dispatched.append([index for index, _ in pairs])
+    def submit(self, task):
+        self.dispatched.append(task.index)
         future = Future()
         future.set_running_or_notify_cancel()
-        if any(index == self.poison for index, _ in pairs):
+        if task.index == self.poison:
             future.set_exception(self.error_factory())
         else:
-            future.set_result([(index, f"result-{index}") for index, _ in pairs])
+            future.set_result(f"result-{task.index}")
         return future
 
     def close(self):
@@ -263,7 +262,7 @@ class TestPoisonIsolation:
             RetryPolicy(base_delay=0.0, jitter=0.0),
         )
         # One task per flight, in submission order, nothing re-run.
-        assert session.dispatched == [[index] for index in range(count)]
+        assert session.dispatched == list(range(count))
         assert [record.index for record in failures] == [poison]
         assert failed == [poison]
         assert set(recorded) == set(range(count)) - {poison}
@@ -289,8 +288,7 @@ class TestPoisonIsolation:
         assert set(recorded) == set(range(count)) - {poison}
         # Every dispatch of the poison task is one attempt; every healthy
         # task is dispatched once.
-        assert all(len(flight) == 1 for flight in session.dispatched)
-        assert session.dispatched.count([poison]) == max_attempts
+        assert session.dispatched.count(poison) == max_attempts
         assert len(session.dispatched) == count - 1 + max_attempts
 
     def test_healthy_run_returns_no_failures(self):
@@ -312,13 +310,12 @@ class _PoolBreakSession:
         self.held = []
         self.broke = False
 
-    def submit_batch(self, batch):
-        pairs = list(batch)
-        self.dispatched.append([index for index, _ in pairs])
+    def submit(self, task):
+        self.dispatched.append(task.index)
         future = Future()
         future.set_running_or_notify_cancel()
         if self.broke:
-            future.set_result([(index, f"result-{index}") for index, _ in pairs])
+            future.set_result(f"result-{task.index}")
             return future
         self.held.append(future)
         if len(self.held) == 4:
@@ -356,7 +353,7 @@ class TestPoolBreakAttribution:
         # Flights 0 and 1 were on the two workers; 2 and 3 were queued.
         assert registry.counter("campaign.retries") == 2
         # Survivors return to the front of the queue, oldest first.
-        assert session.dispatched == [[i] for i in (0, 1, 2, 3, 0, 1, 2, 3, 4, 5)]
+        assert session.dispatched == [0, 1, 2, 3, 0, 1, 2, 3, 4, 5]
 
 
 # ----------------------------------------------------------------------
@@ -370,15 +367,13 @@ class _TimedSession:
         self.dispatched = []
         self._pool = ThreadPoolExecutor(max_workers=2)
 
-    def _run(self, pairs):
-        for index, _ in pairs:
-            time.sleep(self.durations[index])
-        return [(index, f"result-{index}") for index, _ in pairs]
+    def _run(self, index):
+        time.sleep(self.durations[index])
+        return f"result-{index}"
 
-    def submit_batch(self, batch):
-        pairs = list(batch)
-        self.dispatched.append([index for index, _ in pairs])
-        return self._pool.submit(self._run, pairs)
+    def submit(self, task):
+        self.dispatched.append(task.index)
+        return self._pool.submit(self._run, task.index)
 
     def close(self):
         self._pool.shutdown(wait=True)
@@ -433,7 +428,7 @@ class TestStragglerHedging:
         # deadline if that were stamped with the whole queue ahead of it.
         hedges, session = _drive_timed([0.1] * 24, predicted=0.1)
         assert hedges == 0
-        assert sorted(session.dispatched) == [[i] for i in range(24)]
+        assert sorted(session.dispatched) == list(range(24))
 
     def test_real_straggler_is_hedged(self):
         # One task runs 10x its prediction: it outlives its deadline and
@@ -442,7 +437,7 @@ class TestStragglerHedging:
         durations[1] = 1.0
         hedges, session = _drive_timed(durations, predicted=0.1)
         assert hedges == 1
-        assert session.dispatched.count([1]) == 2
+        assert session.dispatched.count(1) == 2
 
 
 # ----------------------------------------------------------------------

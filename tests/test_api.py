@@ -121,6 +121,18 @@ class TestEntryPoints:
         finally:
             campaign.close()
 
+    def test_retired_backend_keywords_are_rejected(self, tmp_path):
+        from repro.runtime.executor import make_executor
+
+        with pytest.raises(TypeError):
+            api.open_campaign(backend="local")
+        with pytest.raises(TypeError):
+            api.run_scenario("A", profile="tiny", backend="local")
+        with pytest.raises(TypeError):
+            make_executor(2, backend="local")
+        with pytest.raises(TypeError):
+            api.ResultCache(tmp_path / "cache", remote=None)
+
     def test_validate_exact_vs_estimate_via_facade(self, snapshot):
         from repro.core.connectivity_graph import build_connectivity_graph
 

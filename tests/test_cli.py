@@ -51,6 +51,21 @@ class TestParser:
         assert args.cache_command == "info"
         assert args.cache_dir == "/tmp/c"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["worker", "--connect", "127.0.0.1:9"],
+            ["cache", "serve", "--cache-dir", "/tmp/c"],
+            ["run", "E", "--backend", "local"],
+            ["run", "E", "--cache-dir", "/tmp/c", "--shared-cache", "h:9"],
+        ],
+        ids=["worker", "cache-serve", "backend", "shared-cache"],
+    )
+    def test_retired_commands_and_flags_are_argument_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+
     def test_overrides_parsed(self):
         args = build_parser().parse_args(
             ["run", "E", "--bucket-size", "5", "--alpha", "5", "--loss", "high",

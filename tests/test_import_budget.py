@@ -1,8 +1,8 @@
 """Import budget: a process loads what it runs, and a timed call imports nothing.
 
 ``import repro.api`` loads the snapshot-analysis path only; the simulator,
-Kademlia, the campaign/cache runtime, the TCP backend, the extension
-studies and Chord/Pastry load the first time a caller names them.  Every
+Kademlia, the campaign/cache runtime, the extension studies and
+Chord/Pastry load the first time a caller names them.  Every
 check runs in a fresh interpreter, because this test process has long
 since imported everything, and counts modules rather than seconds, so it
 does not depend on the speed of the host.
@@ -12,6 +12,7 @@ first call of an entry point imports no ``repro`` module, because the
 import its caller already made loaded everything the call runs.
 """
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -30,7 +31,6 @@ OFF_THE_ANALYSIS_PATH = (
     "repro.simulator",
     "repro.runtime.campaign",
     "repro.runtime.cache",
-    "repro.runtime.distributed",
     "repro.extensions",
     "repro.overlay.chord",
     "repro.overlay.pastry",
@@ -126,9 +126,14 @@ class TestWhatAnImportLoads:
         loaded = run_fresh(LOADED_BY.format(statement="import repro.api"))
         assert off_path(loaded, OFF_THE_ANALYSIS_PATH) == []
 
-    def test_cli_leaves_the_tcp_backend_unloaded(self):
+    def test_cli_leaves_the_pool_machinery_and_socket_unloaded(self):
         loaded = run_fresh(LOADED_BY.format(statement="import repro.cli"))
-        assert off_path(loaded, ("repro.runtime.distributed", "socket")) == []
+        assert off_path(
+            loaded, ("multiprocessing", "concurrent.futures.process", "socket")
+        ) == []
+
+    def test_there_is_no_tcp_backend_to_load(self):
+        assert importlib.util.find_spec("repro.runtime.distributed") is None
 
     def test_every_api_name_resolves_to_its_defining_object(self):
         script = """

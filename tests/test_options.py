@@ -33,7 +33,6 @@ SOURCE_ROOT = Path(__file__).resolve().parent.parent / "src" / "repro"
 OTHER_EXECUTION = {
     "jobs": 4,
     "flow_jobs": 2,
-    "backend": "distributed",
     "retries": RetryPolicy(max_attempts=7),
 }
 OTHER_MEASUREMENT = {
@@ -54,11 +53,14 @@ def make_task(measurement=MeasurementSpec(), execution=ExecutionOptions()):
 class TestNoDispatchKnobs:
     """Dispatch has one shape and one order: no option picks another."""
 
-    def test_execution_options_are_the_four_remaining_knobs(self):
+    def test_execution_options_are_the_three_remaining_knobs(self):
         names = [f.name for f in fields(ExecutionOptions)]
-        assert names == ["jobs", "flow_jobs", "backend", "retries"]
+        assert names == ["jobs", "flow_jobs", "retries"]
 
-    @pytest.mark.parametrize("name, value", [("schedule", "cheapest"), ("batch", "auto")])
+    @pytest.mark.parametrize(
+        "name, value",
+        [("schedule", "cheapest"), ("batch", "auto"), ("backend", "local")],
+    )
     def test_removed_dispatch_fields_are_rejected(self, name, value):
         with pytest.raises(TypeError):
             ExecutionOptions(**{name: value})
