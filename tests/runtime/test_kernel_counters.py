@@ -47,20 +47,22 @@ def test_two_small_balls_not_the_whole_graph():
 
 def test_same_level_graphs_with_few_whole_list_reads():
     # phases / augmentations / vertices_labelled are what the kernel counted
-    # on these 32 pairs when it read every arc of every vertex: the half
-    # lists skip arcs that cannot qualify, in the same relative order, so
-    # level graphs and augmenting paths are the same ones.  Only a vertex
-    # on an earlier path of the same flow is read whole.
+    # on these 32 pairs when it read every arc of every vertex: the reads
+    # of an unmarked vertex skip arcs that cannot qualify, in the same
+    # relative order, so level graphs and augmenting paths are the same
+    # ones.  Only a vertex on an earlier path of the same flow is read
+    # whole, and how many are is pinned too: a change to how a vertex is
+    # read must leave all five counters where they are.
     graph, pairs = snapshot_graph_and_pairs()
     engine = PairFlowEngine(graph)
     network = engine.transform.network
     engine.evaluate(pairs)
-    assert network.kernel_counters()[:4] == (93, 465, 60731, 0)
+    assert network.kernel_counters() == (93, 465, 60731, 0, 218)
     assert 0 < network.full_scans * 10 < network.vertices_labelled
     cut_engine = PairFlowEngine(graph)
     cut_engine.evaluate(pairs, use_cutoff=True, initial_minimum=4)
     cut_network = cut_engine.transform.network
-    assert cut_network.kernel_counters()[:4] == (56, 128, 22062, 32)
+    assert cut_network.kernel_counters() == (56, 128, 22062, 32, 49)
     assert 0 < cut_network.full_scans * 10 < cut_network.vertices_labelled
 
 
