@@ -60,12 +60,20 @@ holds the capacity-bearing arcs first, the twins after, ``boundary[v]``
 between them.  The invariant:
 *at a vertex no augmenting path has passed since the last* ``reset()``,
 *every incident arc is at its initial capacity, so every twin is 0.*
-There the forward search and the DFS, which follow ``caps[arc]``, can use
-only the first half of the list, and the backward search, which follows
-``caps[arc ^ 1]``, only the twin half (a twin's partner is the arc
-*entering* the vertex); in the Even network that is 1 of ~17 arcs at an
-incoming copy going forward and 1 of ~17 at an outgoing copy going
-backward, and a flow of value ~14 touches ~100 of 5000 vertices.
+There the forward search and the DFS, which follow ``caps[arc]``, can
+qualify only arcs of the first half that were created with capacity, and
+the backward search, which follows ``caps[arc ^ 1]``, only twins whose
+partner (the arc *entering* the vertex) was; in the Even network that is
+1 of ~17 arcs at an incoming copy going forward and 1 of ~17 at an
+outgoing copy going backward, and a flow of value ~14 touches ~100 of
+5000 vertices.  The network restates those two halves, once, as
+per-vertex tuples of the vertices they lead to
+(:meth:`~repro.graph.maxflow.residual.ResidualNetwork.head_tuples`):
+``out_heads[v]`` holds ``heads[a]`` for each arc ``a`` of the first half,
+``in_tails[v]`` ``heads[t]`` for each twin ``t`` of the second, in list
+order, so an untouched vertex is read with no slice, no capacity test and
+no ``heads`` lookup — the searches iterate a tuple, the DFS indexes it at
+``iters[u]`` and fetches the arc only when it advances.
 
 * *Who marks.*  Where a path is appended to the undo log, the kernel sets
   ``_changed[v] = _epoch`` for the source and the head of every path arc —
@@ -73,27 +81,37 @@ backward, and a flow of value ~14 touches ~100 of 5000 vertices.
 * *Who unmarks.*  ``reset()`` advances ``_epoch``, in either branch, which
   invalidates every mark in O(1); a new network starts with none.
 * *Marked, or nobody knows.*  A marked vertex is read through its whole
-  list, with the capacity test, exactly as before.  So is every vertex
-  while the undo log is off (``_touched is None``: Edmonds-Karp or
-  push-relabel ran since the last ``reset()`` and marked nothing) — the
-  kernel then compares marks against epoch 0, which all of them reach.
-  ``full_scans`` counts the whole-list reads of the level-graph search.
-* *Why one list, not two.*  The DFS's current-arc pointer ``iters[u]``
-  must keep meaning the same arc when a path marks ``u`` in the middle of
-  a phase.  With one list an unmarked vertex's scan simply ends at the
-  boundary and, once marked, resumes past it; no pointer is ever
+  arc list, with the capacity test — the oracle the tuple read must
+  match.  So is every vertex while the undo log is off (``_touched is
+  None``: Edmonds-Karp or push-relabel ran since the last ``reset()`` and
+  marked nothing) — the kernel then compares marks against epoch 0, which
+  all of them reach.  ``full_scans`` counts the whole-list reads of the
+  level-graph search.
+* *Inert pairs.*  A pair created with capacity 0 never qualifies while
+  untouched, so it sits in both tuples as the vertex itself: already
+  stamped by the search expanding it (never "met"), and never one level
+  above itself (never admissible).  It keeps its position, which is what
+  the next point needs.
+* *Why positions, not a second list.*  The DFS's current-arc pointer
+  ``iters[u]`` must keep meaning the same arc when a path marks ``u`` in
+  the middle of a phase.  ``out_heads[u][i]`` is the head of
+  ``adjacency[u][i]``, so an untouched vertex's scan ends at the boundary
+  and, once marked, resumes past it on the whole list; no pointer is ever
   translated.  (Within that phase it finds nothing there: a twin gains
   capacity only from a path arc, which points one level up, so the twin
   points one level down.  The next phase may need it.)
-* A capacity-bearing arc created with capacity 0 sits in the first half
-  and fails the capacity test like any saturated arc.
+* *Why initial capacities.*  The tuples describe the state a vertex
+  returns to at ``reset()``, so they are built from ``_initial_caps`` —
+  also when the first Dinic call follows another solver's flow — and
+  nothing changes initial capacities afterwards.
 
-The halves keep their arcs in creation order, so an unmarked vertex offers
-the same candidates in the same order as a whole-list read would; only a
-marked vertex can offer them in another order than a list that interleaved
-twins would (twins now come last).  Flow values cannot move; on the pairs
-``tests/runtime/test_kernel_counters.py`` pins, neither do ``phases``,
-``augmentations`` or ``vertices_labelled``.
+The halves keep their arcs in creation order, so an untouched vertex
+offers the same candidates in the same order as a whole-list read would;
+only a marked vertex can offer them in another order than a list that
+interleaved twins would (twins now come last).  Flow values cannot move;
+on the pairs ``tests/runtime/test_kernel_counters.py`` pins, neither do
+``phases``, ``augmentations``, ``vertices_labelled``, ``cutoff_hits`` or
+``full_scans``.
 """
 
 from __future__ import annotations
@@ -121,19 +139,24 @@ def _expand_layer(
     """Stamp the unlabelled residual neighbours of ``frontier`` with ``label``.
 
     The forward search follows arcs leaving the frontier (``caps[arc]``),
-    the backward search arcs entering it (``caps[arc ^ 1]``); at a vertex
-    whose mark is below ``epoch`` each reads only the half of the list
-    that can qualify (module docstring).  Forward labels are distances
-    from the source (``>= 0``), backward labels are ``-(distance to the
-    sink) - 1`` (``< 0``), which is how a vertex of the other search is
-    recognised.  Returns ``(layer, met)``: the vertices newly labelled,
-    and whether an arc into the other search was seen — in which case
-    expansion stopped there and ``layer`` is incomplete.
+    the backward search arcs entering it (``caps[arc ^ 1]``).  A vertex
+    whose mark is below ``epoch`` is read through its head tuple
+    (``out_heads`` forward, ``in_tails`` backward): the heads that can
+    qualify there, in arc order, and the vertex itself for an inert pair,
+    which changes nothing.  A marked vertex is read through its whole arc
+    list with the capacity test; on an untouched vertex that would yield
+    the same heads in the same order (module docstring).  Forward labels
+    are distances from the source (``>= 0``), backward labels are
+    ``-(distance to the sink) - 1`` (``< 0``), which is how a vertex of
+    the other search is recognised.  Returns ``(layer, met)``: the
+    vertices newly labelled, and whether an arc into the other search
+    was seen — in which case expansion stopped there and ``layer`` is
+    incomplete.
     """
     heads = network.heads
     caps = network.caps
     adjacency = network.adjacency
-    boundary = network.boundary
+    untouched = network.in_tails if backward else network.out_heads
     changed = network._changed
     levels = network._levels
     iters = network._iters
@@ -146,24 +169,20 @@ def _expand_layer(
     met = False
     full_scans = 0
     for u in frontier:
-        arcs = adjacency[u]
         if changed[u] >= epoch:
             full_scans += 1
-        elif backward:
-            arcs = arcs[boundary[u]:]
+            ends = [heads[arc] for arc in adjacency[u] if caps[arc ^ flip] > eps]
         else:
-            arcs = arcs[:boundary[u]]
-        for arc in arcs:
-            if caps[arc ^ flip] > eps:
-                v = heads[arc]
-                if stamp[v] != gen:
-                    stamp[v] = gen
-                    levels[v] = label
-                    iters[v] = 0
-                    append(v)
-                elif (levels[v] < 0) != backward:  # labelled by the other search
-                    met = True
-                    break
+            ends = untouched[u]
+        for v in ends:
+            if stamp[v] != gen:
+                stamp[v] = gen
+                levels[v] = label
+                iters[v] = 0
+                append(v)
+            elif (levels[v] < 0) != backward:  # labelled by the other search
+                met = True
+                break
         if met:
             break
     network.full_scans += full_scans
@@ -200,9 +219,9 @@ def dinic_on_network(
     heads = network.heads
     caps = network.caps
     adjacency = network.adjacency
-    boundary = network.boundary
     changed = network._changed
     levels, iters = network.scratch_buffers()
+    out_heads, _ = network.head_tuples()
     stamp = network._stamp
     gen = network._gen
     touched = network._touched
@@ -262,6 +281,10 @@ def dinic_on_network(
         while True:
             if u == sink:
                 pushed = min(caps[arc] for arc in path)
+                if pushed <= eps:
+                    # A read that offered a saturated arc; pushing 0
+                    # would repeat the same path forever.
+                    raise RuntimeError("Dinic: an augmenting path has no residual capacity")
                 if touched is not None:
                     touched += path
                     changed[source] = epoch
@@ -282,28 +305,31 @@ def dinic_on_network(
                 del path[max(retreat - 1, 0):]
                 u = source if not path else heads[path[-1]]
                 continue
-            arcs = adjacency[u]
-            # An unmarked vertex has nothing admissible among its twins;
-            # once a path marks it, the scan resumes past the boundary.
-            degree = len(arcs) if changed[u] >= epoch else boundary[u]
             position = iters[u]
             next_level = levels[u] + 1
-            advanced = False
-            while position < degree:
-                arc = arcs[position]
-                v = heads[arc]
-                if (
-                    stamp[v] == gen
-                    and levels[v] == next_level
-                    and caps[arc] > eps
-                ):
-                    advanced = True
-                    break
-                position += 1
+            if changed[u] >= epoch:
+                arcs = adjacency[u]
+                degree = len(arcs)
+                while position < degree:
+                    arc = arcs[position]
+                    v = heads[arc]
+                    if stamp[v] == gen and levels[v] == next_level and caps[arc] > eps:
+                        break
+                    position += 1
+            else:
+                # Untouched: every arc of the first half is at its initial
+                # capacity, which the tuple encodes; no twin qualifies.
+                ends = out_heads[u]
+                degree = len(ends)
+                while position < degree:
+                    v = ends[position]
+                    if stamp[v] == gen and levels[v] == next_level:
+                        break
+                    position += 1
             iters[u] = position
-            if advanced:
-                path.append(arcs[position])
-                u = heads[arcs[position]]
+            if position < degree:
+                path.append(adjacency[u][position])
+                u = v
             elif u == source:
                 if augmentations == pushed_before:
                     # Would loop forever: the same level graph comes back.

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import accumulate, chain, compress, count
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.graph.digraph import DiGraph
@@ -108,11 +108,25 @@ class ResidualNetwork:
         twins — see :func:`is_twin` — after.
     boundary:
         ``boundary[v]`` is where the twins start in ``adjacency[v]``.
+    out_heads, in_tails:
+        Per-vertex tuples aligned position for position with the two
+        halves of ``adjacency[v]``: ``out_heads[v][i]`` is the head of the
+        ``i``-th capacity-bearing arc leaving ``v``, ``in_tails[v][i]``
+        the head of the ``i``-th twin (the tail of the arc entering ``v``
+        that it mirrors).  A pair created with capacity 0 (inert) is
+        written as ``v`` itself.  They derive from the *initial*
+        capacities, so they describe every vertex no flow has changed
+        since the last :meth:`reset`; they are ``None`` until the first
+        Dinic call builds them (:meth:`head_tuples`).  Nothing changes
+        initial capacities after construction; a change that did — e.g.
+        switching on the arcs of the super vertices X and Y of Even's
+        κ(D) test — must rebuild the tuples of both ends of every such
+        arc.
     phases, augmentations, vertices_labelled, cutoff_hits, full_scans:
         Running totals of what the Dinic kernel did on this network
         (level graphs built, augmenting paths pushed, vertices given a
         level, flows ended by their cutoff, frontier vertices expanded
-        through their whole arc list instead of one half of it); see
+        through their whole arc list instead of their head tuple); see
         :data:`KERNEL_COUNTERS`.
     """
 
@@ -122,6 +136,8 @@ class ResidualNetwork:
         "caps",
         "adjacency",
         "boundary",
+        "out_heads",
+        "in_tails",
         "_index_of",
         "_vertex_of",
         "_initial_caps",
@@ -137,6 +153,8 @@ class ResidualNetwork:
     def __init__(self, graph: Optional[DiGraph]) -> None:
         self._levels: Optional[List[int]] = None
         self._iters: Optional[List[int]] = None
+        self.out_heads: Optional[List[Tuple[int, ...]]] = None
+        self.in_tails: Optional[List[Tuple[int, ...]]] = None
         # Dinic's level-graph membership: v is in the current phase iff
         # ``_stamp[v] == _gen`` (no stamp ever equals the initial 0).
         self._stamp: Optional[List[int]] = None
@@ -224,7 +242,9 @@ class ResidualNetwork:
         solvers' inner loops; the conversion is a one-time O(m) cost per
         worker process.  Arc numbering, list order and ``boundary`` are
         the frozen network's own, so the pair invariant (:func:`is_twin`)
-        and the half-list layout hold here because they held there.
+        and the two-half layout hold here because they held there.  The
+        head tuples are not shipped: the thawed network builds its own on
+        its first Dinic call.
         """
         network = cls(None)
         n = compact.n
@@ -267,7 +287,8 @@ class ResidualNetwork:
         invariant of :func:`is_twin`.  Two passes lay every adjacency list
         out as "arcs created with capacity, then twins", each half in
         creation order, with ``boundary`` between them — what lets the
-        Dinic kernel read half a list at a vertex no flow has changed.
+        Dinic kernel read a vertex no flow has changed through a tuple of
+        one half (:meth:`head_tuples`).
         ``heads`` and ``caps`` are filled by slice assignment; the passes
         are one list append per arc.
         """
@@ -300,6 +321,7 @@ class ResidualNetwork:
         self.boundary = boundary
         self._initial_caps = list(caps)
         self._changed = [0] * self.n
+        self.out_heads = self.in_tails = None
 
     # ------------------------------------------------------------------
     def scratch_buffers(self) -> Tuple[List[int], List[int]]:
@@ -318,6 +340,33 @@ class ResidualNetwork:
             self._iters = [0] * self.n
             self._stamp = [0] * self.n
         return self._levels, self._iters  # type: ignore[return-value]
+
+    def head_tuples(self) -> Tuple[List[Tuple[int, ...]], List[Tuple[int, ...]]]:
+        """Return ``(out_heads, in_tails)``, building them on the first call.
+
+        Built from ``_initial_caps``, never from ``caps``: the first Dinic
+        call may follow another solver's flow without a :meth:`reset`,
+        and the tuples must describe the capacities a vertex returns to,
+        not the ones it holds.  Built lazily, like :meth:`scratch_buffers`,
+        so a network no Dinic call reads never holds them, a thawed worker
+        network builds its own and :meth:`compact` ships nothing new —
+        and, in the Even transform, only after its arc columns are freed.
+        """
+        if self.out_heads is None:
+            ends = self.heads
+            initial = self._initial_caps
+            inert = list(compress(count(0, 2), map(RESIDUAL_EPS.__ge__, initial[0::2])))
+            if inert:
+                # Swapping an inert pair's heads writes each end as the
+                # vertex itself, in either tuple.
+                ends = list(ends)
+                for arc in inert:
+                    ends[arc], ends[arc ^ 1] = ends[arc ^ 1], ends[arc]
+            end = ends.__getitem__
+            adjacency, boundary = self.adjacency, self.boundary
+            self.out_heads = [tuple(map(end, arcs[:b])) for arcs, b in zip(adjacency, boundary)]
+            self.in_tails = [tuple(map(end, arcs[b:])) for arcs, b in zip(adjacency, boundary)]
+        return self.out_heads, self.in_tails  # type: ignore[return-value]
 
     def kernel_counters(self) -> Tuple[int, ...]:
         """Return the running totals named by :data:`KERNEL_COUNTERS`."""

@@ -55,6 +55,7 @@ from typing import (
     Optional,
     Sequence,
     Set,
+    Tuple,
 )
 
 from repro import obs
@@ -397,6 +398,12 @@ class Campaign:
           back off (seeded, bounded) and re-queue, everything else — or
           an exhausted budget — records a structured
           :class:`TaskFailureRecord` and the campaign moves on;
+        * a pool break is charged only to a flight that must have caused
+          it: the one flight that was on a worker.  When several were,
+          the pool cannot say whose worker died, so none is charged;
+          they become *suspects*, go back to the front of the queue, and
+          run one flight at a time until each has completed or broken a
+          pool on its own;
         * a submit onto a broken pool **respawns** the session up to
           ``max_respawns`` times, then degrades to in-process serial
           execution (safe for injected crash faults, which only ever
@@ -431,7 +438,9 @@ class Campaign:
         inflight: Dict[Future, _Flight] = {}
         queue = deque(pending)
         requeued: List[int] = []
-        break_slots = 0
+        # Flights a pool break failed, oldest first, with its error.
+        broken: List[Tuple[int, BaseException]] = []
+        suspects: Set[int] = set()
         respawns = 0
         degraded = False
         draining = False
@@ -492,17 +501,7 @@ class Campaign:
             return flight.index in recorded or flight.index in failures
 
         def requeue(index: int, error: BaseException) -> None:
-            nonlocal break_slots
-            if isinstance(error, BrokenExecutor):
-                # A dying worker fails every dispatched flight at once,
-                # but only a flight on a worker can have killed it: the
-                # pool is FIFO, so those are the oldest ``workers``
-                # broken flights.  The rest were merely queued and go
-                # back uncharged.
-                if break_slots == 0:
-                    requeued.append(index)
-                    return
-                break_slots -= 1
+            suspects.discard(index)
             task = tasks[index]
             attempts[index] = attempts.get(index, 0) + 1
             if is_retryable(error) and attempts[index] < policy.max_attempts:
@@ -558,24 +557,49 @@ class Campaign:
                     # twin's own completion (or failure) settles the
                     # flight.
                     return
-                requeue(flight.index, error)
+                if isinstance(error, BrokenExecutor):
+                    broken.append((flight.index, error))
+                else:
+                    requeue(flight.index, error)
                 return
             if settled(flight):
                 return  # duplicate delivery from a hedged flight
+            suspects.discard(flight.index)
             recorded.add(flight.index)
             record(flight.index, result)
             for sibling in list(flight.futures):
                 sibling.cancel()
 
+        def charge_break() -> None:
+            # A dying worker fails every dispatched flight at once with
+            # the same error: the pool records no task per process, so
+            # which worker died — and so whose flight killed it — is not
+            # known.  Only a flight on a worker can have done it, and the
+            # pool is FIFO, so those are the oldest ``workers`` broken
+            # flights; the rest were merely queued.
+            on_workers = [index for index, _ in broken[:workers]]
+            if len(on_workers) == 1:
+                requeue(*broken[0])
+            else:
+                logger.warning(
+                    "worker pool broke with %d flights on workers; running "
+                    "them one at a time to find the one that breaks it",
+                    len(on_workers),
+                )
+                suspects.update(on_workers)
+                requeued.extend(on_workers)
+            requeued.extend(index for index, _ in broken[workers:])
+            broken.clear()
+
         def settle_done() -> None:
             # In submission order: a pool break fails every dispatched
             # flight at once, and the tasks go back to the front of the
-            # queue oldest first — the tasks most likely charged an
-            # attempt before are the first onto the fresh pool.
-            nonlocal break_slots
-            break_slots = workers
+            # queue oldest first — suspects of a break are the first
+            # onto the fresh pool, one at a time.
             for future in [f for f in inflight if f.done()]:
                 handle_done(future)
+            if broken:
+                charge_break()
             queue.extendleft(reversed(requeued))
             requeued.clear()
 
@@ -630,7 +654,7 @@ class Campaign:
                     )
                 while (
                     queue
-                    and len(inflight) < window
+                    and len(inflight) < (1 if suspects else window)
                     and self._shutdown_requested() is None
                 ):
                     submit_flight(queue.popleft())

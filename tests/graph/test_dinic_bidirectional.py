@@ -7,10 +7,12 @@ cuts in the *middle*, so the two searches really meet several layers in,
 and every value is checked against Edmonds-Karp and push-relabel, which
 share none of the level-graph code.
 
-The last section guards the half-list reads (``dinic.py``, "What a vertex
-is read through"): flows run back to back *without* ``reset()``, so later
-ones search a network the earlier ones changed, and after every flow the
-invariant the skip stands on is asserted directly.
+The last sections guard how a vertex is read (``dinic.py``, "What a
+vertex is read through"): flows run back to back *without* ``reset()``,
+so later ones search a network the earlier ones changed, and after every
+flow the invariant the head tuples stand on is asserted directly; every
+layer and every flow is also compared with the whole-list read of the
+same residual state.
 """
 
 import random
@@ -26,8 +28,14 @@ from repro.graph.generators import (
     random_digraph,
     random_regular_out_digraph,
 )
+from repro.graph.maxflow import dinic as dinic_module
 from repro.graph.maxflow import network_flow_function
-from repro.graph.maxflow.residual import ResidualNetwork, is_twin
+from repro.graph.maxflow.residual import (
+    KERNEL_COUNTERS,
+    RESIDUAL_EPS,
+    ResidualNetwork,
+    is_twin,
+)
 from repro.graph.transform.even_transform import indexed_even_transform
 from repro.runtime.pairflow import PairFlowEngine
 
@@ -273,11 +281,11 @@ class TestUndoLog:
 
 
 # ----------------------------------------------------------------------
-# Half-list reads: a vertex no path has changed is read through half of
-# its arc list.  Wrong marks show up only on a network that already
-# carries flow, so every scenario interleaves flows with and without
-# reset(), and the oracles start from a copy of the very residual state
-# Dinic starts from.
+# Head-tuple reads: a vertex no path has changed is read through the
+# tuple of one half of its arc list.  Wrong marks show up only on a
+# network that already carries flow, so every scenario interleaves flows
+# with and without reset(), and the oracles start from a copy of the very
+# residual state Dinic starts from.
 # ----------------------------------------------------------------------
 def assert_layout(network):
     """Capacity-bearing arcs first, twins after, ``boundary`` between."""
@@ -499,6 +507,17 @@ class TestMarks:
         assert network._epoch not in network._changed
         assert dinic(network, source, sink, None) == 1.0
 
+    def test_tuples_built_after_an_oracle_flow_describe_initial_capacities(self):
+        # The first Dinic call builds the tuples; here it follows an
+        # Edmonds-Karp flow without reset(), so ``caps`` is not initial.
+        network = self.network
+        assert network.out_heads is None and network.in_tails is None
+        edmonds_karp(network, *self.queries[0], None)
+        dinic(network, *self.queries[1], None)
+        assert network.caps != network._initial_caps
+        assert_head_tuples(network)
+        run_interleaved(network, self.queries[2:], random.Random(5))
+
     def test_zero_capacity_arcs_in_the_first_half_are_harmless(self):
         graph = DiGraph()
         for u, v, capacity in [(0, 1, 0.0), (0, 2, 1.0), (2, 1, 1.0), (1, 3, 1.0), (0, 3, 0.0)]:
@@ -508,7 +527,7 @@ class TestMarks:
             assert solver(network, network.index_of(0), network.index_of(3), None) == 1.0, name
 
 
-def test_thawed_network_carries_the_layout_and_matches_serial():
+def test_thawed_network_carries_the_layout_and_matches_serial(obs_enabled):
     rng = random.Random(77)
     graph = random_regular_out_digraph(60, 5, rng)
     pairs = sample_non_adjacent_pairs(graph, 30, rng)
@@ -519,13 +538,205 @@ def test_thawed_network_carries_the_layout_and_matches_serial():
     assert_layout(thawed)
     assert thawed.adjacency == engine.transform.network.adjacency
     assert thawed.boundary == engine.transform.network.boundary
-    serial = engine.evaluate(pairs)
-    pooled = PairFlowEngine(graph, flow_jobs=2, shard_size=8, wave_width=2).evaluate(pairs)
-    assert pooled.values == serial.values
-    cut = [
-        PairFlowEngine(graph, flow_jobs=jobs, shard_size=8, wave_width=2)
-        .evaluate(pairs, use_cutoff=True, initial_minimum=3)
-        .values
-        for jobs in (1, 2)
-    ]
-    assert cut[0] == cut[1]
+    # A thawed network builds its own tuples, on its first Dinic call.
+    assert thawed.out_heads is None
+    assert thawed.head_tuples() == engine.transform.network.head_tuples()
+    assert_head_tuples(thawed)
+    runs = {}
+    for jobs in (1, 2):
+        for cut in (False, True):
+            obs_enabled.clear()
+            outcome = PairFlowEngine(graph, flow_jobs=jobs, shard_size=8, wave_width=2).evaluate(
+                pairs, use_cutoff=cut, initial_minimum=3
+            )
+            counters = {
+                name: obs_enabled.counter(f"maxflow.{name}") for name in KERNEL_COUNTERS
+            }
+            runs[jobs, cut] = (outcome.values, counters)
+    for cut in (False, True):
+        assert runs[2, cut] == runs[1, cut]
+        assert runs[1, cut][1]["phases"] > 0
+    assert runs[1, False][0] == engine.evaluate(pairs).values
+
+
+# ----------------------------------------------------------------------
+# Head tuples against the whole-list read.  A network whose every vertex
+# is marked is read whole, with the capacity test, everywhere; on the
+# same residual state the kernel must grow the same layers in the same
+# order, meet at the same arc and push the same paths — so the residual
+# capacities after the flow match arc for arc.
+# ----------------------------------------------------------------------
+def assert_head_tuples(network):
+    """The tuples restate each half of each list at its initial capacities."""
+    out_heads, in_tails = network.head_tuples()
+    heads, initial = network.heads, network._initial_caps
+    for v, arcs in enumerate(network.adjacency):
+        split = network.boundary[v]
+        assert out_heads[v] == tuple(
+            heads[arc] if initial[arc] > RESIDUAL_EPS else v for arc in arcs[:split]
+        ), v
+        assert in_tails[v] == tuple(
+            heads[twin] if initial[twin ^ 1] > RESIDUAL_EPS else v for twin in arcs[split:]
+        ), v
+
+
+def whole_list_layer(network, frontier, backward, label):
+    """``_expand_layer`` by whole-list reads, on copies of stamps and levels."""
+    stamp, levels = list(network._stamp), list(network._levels)
+    gen, flip = network._gen, int(backward)
+    layer = []
+    for u in frontier:
+        for arc in network.adjacency[u]:
+            if network.caps[arc ^ flip] > RESIDUAL_EPS:
+                v = network.heads[arc]
+                if stamp[v] != gen:
+                    stamp[v], levels[v] = gen, label
+                    layer.append(v)
+                elif (levels[v] < 0) != backward:
+                    return layer, True
+    return layer, False
+
+
+@pytest.fixture
+def checked_layers(monkeypatch):
+    """Compare every layer the kernel grows with the whole-list read."""
+    checked = []
+    expand_layer = dinic_module._expand_layer
+
+    def compared(network, frontier, backward, label, epoch):
+        expected = whole_list_layer(network, frontier, backward, label)
+        grown = expand_layer(network, frontier, backward, label, epoch)
+        assert grown == expected
+        checked.append(grown)
+        return grown
+
+    monkeypatch.setattr(dinic_module, "_expand_layer", compared)
+    return checked
+
+
+def read_whole_everywhere(network):
+    """A copy of ``network``'s residual state on which every vertex is marked."""
+    twin = copy_in_state(network, network.caps)
+    twin._changed[:] = [twin._epoch] * twin.n
+    return twin
+
+
+def run_against_whole_list_reads(network, queries, rng):
+    """Dinic on a shared network, each flow also run on a read-whole twin."""
+    for number, (source, sink) in enumerate(queries):
+        if number == 0 or rng.random() < 0.4:
+            network.reset()
+        cutoff = rng.choice((None, None, 1.0, 2.0, 4.0))
+        twin = read_whole_everywhere(network)
+        before = network.kernel_counters()
+        value = dinic(network, source, sink, cutoff)
+        assert dinic(twin, source, sink, cutoff) == value
+        assert twin.caps == network.caps
+        moved = [after - was for was, after in zip(before, network.kernel_counters())]
+        # phases, augmentations, vertices_labelled, cutoff_hits
+        assert tuple(moved[:4]) == twin.kernel_counters()[:4]
+    assert_head_tuples(network)
+
+
+def with_inert_pairs(graph, rng):
+    """``graph`` with about a fifth of its arcs given capacity 0."""
+    inert = DiGraph()
+    inert.add_vertices(graph.vertices())
+    for u, v, capacity in graph.edges():
+        inert.add_edge(u, v, capacity=0.0 if rng.random() < 0.2 else capacity)
+    return inert
+
+
+@pytest.mark.parametrize("unit", (True, False), ids=("unit", "fractional"))
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("seed", range(3))
+def test_tuple_reads_match_whole_list_reads_on_deep_graphs(
+    family, seed, unit, checked_layers
+):
+    rng = random.Random(f"tuples-{family}-{seed}")
+    graph = FAMILIES[family](rng)
+    if not unit:
+        graph = with_capacities(graph, rng)
+    network = ResidualNetwork(graph)
+    queries = [tuple(rng.sample(range(network.n), 2)) for _ in range(12)]
+    run_against_whole_list_reads(network, queries, rng)
+    assert checked_layers
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_tuple_reads_match_whole_list_reads_on_even_networks(seed, checked_layers):
+    rng = random.Random(f"tuples-even-{seed}")
+    graph = random_regular_out_digraph(rng.choice((30, 60)), rng.choice((5, 8)), rng)
+    transform, network = even_network(graph)
+    run_against_whole_list_reads(network, even_queries(transform, graph, 20, rng), rng)
+    assert network.full_scans > 0 and checked_layers
+
+
+@pytest.mark.parametrize("separators", (2, 4))
+def test_tuple_reads_match_whole_list_reads_across_a_planted_cut(separators, checked_layers):
+    rng = random.Random(f"tuples-planted-{separators}")
+    half = 40
+    transform, network = even_network(planted_middle_cut(half, separators, rng))
+    pairs = [(rng.randrange(half), half + rng.randrange(half)) for _ in range(6)]
+    pairs += [(half + rng.randrange(half), rng.randrange(half)) for _ in range(6)]
+    run_against_whole_list_reads(
+        network, [transform.flow_endpoint_indices(*pair) for pair in pairs], rng
+    )
+    assert checked_layers
+
+
+@pytest.mark.parametrize("unit", (True, False), ids=("unit", "fractional"))
+@pytest.mark.parametrize("seed", range(6))
+def test_tuple_reads_match_whole_list_reads_with_inert_pairs(seed, unit, checked_layers):
+    # Inert pairs sit in both tuples as the vertex itself; flows through
+    # their neighbours mark vertices mid-phase, where the scan must resume
+    # at the same list position it reached through the tuple.
+    rng = random.Random(f"tuples-inert-{seed}")
+    graph = FAMILIES[rng.choice(sorted(FAMILIES))](rng)
+    if not unit:
+        graph = with_capacities(graph, rng)
+    network = ResidualNetwork(with_inert_pairs(graph, rng))
+    assert any(capacity == 0.0 for capacity in network._initial_caps[0::2])
+    queries = [tuple(rng.sample(range(network.n), 2)) for _ in range(12)]
+    run_against_whole_list_reads(network, queries, rng)
+    run_interleaved(network, queries, rng, unit)
+    assert checked_layers
+
+
+class CountingTuples(list):
+    """A per-vertex tuple list that counts the reads made through it."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return list.__getitem__(self, index)
+
+
+def test_untouched_vertices_are_read_through_their_tuples():
+    # The guard that fails if the tuple path silently stops being taken:
+    # the level-graph search (both directions) and the blocking-flow scan
+    # must each read mostly through the tuples, and the flows must not move.
+    rng = random.Random(31)
+    graph = random_regular_out_digraph(300, 12, rng)
+    transform, network = even_network(graph)
+    queries = even_queries(transform, graph, 24, rng)
+    plain = []
+    for source, sink in queries:
+        network.reset()
+        plain.append(dinic(network, source, sink, None))
+    scans, labelled = network.full_scans, network.vertices_labelled
+    out_heads, in_tails = (CountingTuples(tuples) for tuples in network.head_tuples())
+    network.out_heads, network.in_tails = out_heads, in_tails
+    counted = []
+    for source, sink in queries:
+        network.reset()
+        counted.append(dinic(network, source, sink, None))
+    assert counted == plain
+    assert network.vertices_labelled == 2 * labelled
+    assert network.full_scans == 2 * scans
+    # Forward searches and blocking-flow scans read ``out_heads``,
+    # backward searches ``in_tails``; whole-list reads stay the exception.
+    # The counts repeat exactly, so they are pinned: a kernel that stops
+    # taking either tuple path in any of the three places reads fewer.
+    assert (out_heads.reads, in_tails.reads, scans) == (8574, 814, 123)

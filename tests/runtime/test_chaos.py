@@ -116,9 +116,9 @@ class TestFaultedCampaignsConverge:
         """Nothing set but the executor — default flights of one, default
         ``RetryPolicy()`` — and every worker crashing on its 2nd task:
         ``run`` returns (no task failed permanently) the golden digests.
-        Costs ascend by >= 25 % per task, so the task left running when a
-        pool breaks wins the race on the next pool instead of being
-        charged a third attempt by scheduling noise."""
+        A break with both workers busy charges neither flight, so the
+        task left running beside the crashing one is never charged for
+        it, however the workers of the next pool race."""
         tasks = tiny_tasks(bucket_sizes=(3, 5, 8, 12, 16, 24))
         golden = golden_digests(tasks)
         _activate(monkeypatch, "worker-crash@2")

@@ -303,11 +303,15 @@ class TestPoisonIsolation:
 
 class _PoolBreakSession:
     """Holds its first four flights, then fails them all at once — what a
-    dying worker does to everything a 2-worker pool had been handed."""
+    dying worker does to everything a 2-worker pool had been handed.
+    Later flights settle a moment after they are submitted, and each
+    submit records how many of them were still out."""
 
     def __init__(self):
         self.dispatched = []
+        self.out_at_submit = []
         self.held = []
+        self.later = []
         self.broke = False
 
     def submit(self, task):
@@ -315,7 +319,10 @@ class _PoolBreakSession:
         future = Future()
         future.set_running_or_notify_cancel()
         if self.broke:
-            future.set_result(f"result-{task.index}")
+            self.out_at_submit.append(sum(not f.done() for f in self.later))
+            self.later.append(future)
+            timer = threading.Timer(0.05, future.set_result, [f"result-{task.index}"])
+            timer.start()
             return future
         self.held.append(future)
         if len(self.held) == 4:
@@ -328,8 +335,79 @@ class _PoolBreakSession:
         pass
 
 
+class _CrashingPool:
+    """A 2-worker pool on threads: running the poison task kills the pool.
+
+    Like a process pool whose worker died, every flight not yet settled
+    fails with :class:`BrokenExecutor` — the one on the other worker
+    included — and every later submit raises it.
+    """
+
+    def __init__(self, poison, dispatched):
+        self.poison = poison
+        self.dispatched = dispatched
+        self.broken = False
+        self.futures = []
+        self.lock = threading.Lock()
+        self.threads = ThreadPoolExecutor(max_workers=2)
+
+    def submit(self, task):
+        if self.broken:
+            raise BrokenExecutor("the pool is broken")
+        self.dispatched.append(task.index)
+        future = Future()
+        future.set_running_or_notify_cancel()
+        self.futures.append(future)
+        self.threads.submit(self._run, task.index, future)
+        return future
+
+    def _run(self, index, future):
+        time.sleep(0.01)
+        with self.lock:
+            if future.done():
+                return
+            if index != self.poison:
+                future.set_result(f"result-{index}")
+                return
+            self.broken = True
+            for pending in self.futures:
+                if not pending.done():
+                    pending.set_exception(BrokenExecutor("a worker died"))
+
+    def close(self):
+        self.threads.shutdown(wait=True)
+
+
+class _CrashingExecutor:
+    worker_count = 2
+
+    def __init__(self, poison):
+        self.poison = poison
+        self.dispatched = []
+        self.pools = 0
+
+    def open_task_session(self):
+        self.pools += 1
+        return _CrashingPool(self.poison, self.dispatched)
+
+
+def _dispatch_stubs(campaign, session, count):
+    campaign._task_session = session
+    recorded, failed = {}, []
+    try:
+        failures = campaign._dispatch(
+            [_StubTask(i) for i in range(count)],
+            list(range(count)),
+            lambda index, result: recorded.__setitem__(index, result),
+            failed.append,
+        )
+    finally:
+        campaign.close()
+    return recorded, failed, failures
+
+
 class TestPoolBreakAttribution:
-    def test_only_running_flights_are_charged_and_oldest_go_first(self):
+    def test_a_break_with_two_flights_on_workers_charges_neither(self):
         obs.disable()
         registry = obs.enable()
         try:
@@ -340,20 +418,41 @@ class TestPoolBreakAttribution:
         finally:
             obs.disable()
         session = _PoolBreakSession()
-        campaign._task_session = session
-        recorded = {}
-        failures = campaign._dispatch(
-            [_StubTask(i) for i in range(6)],
-            list(range(6)),
-            lambda index, result: recorded.__setitem__(index, result),
-            lambda index: None,
-        )
-        campaign._task_session = None
+        recorded, _, failures = _dispatch_stubs(campaign, session, 6)
         assert failures == [] and set(recorded) == set(range(6))
-        # Flights 0 and 1 were on the two workers; 2 and 3 were queued.
-        assert registry.counter("campaign.retries") == 2
-        # Survivors return to the front of the queue, oldest first.
+        # Flights 0 and 1 were on the two workers, 2 and 3 queued: the
+        # pool cannot say which of 0 and 1 killed it, so nobody is charged.
+        assert registry.counter("campaign.retries") == 0
+        # Everything returns to the front of the queue, oldest first.
         assert session.dispatched == [0, 1, 2, 3, 0, 1, 2, 3, 4, 5]
+        # The two suspects each run alone; then the window opens again.
+        assert session.out_at_submit[:2] == [0, 0]
+        assert max(session.out_at_submit[2:]) > 0
+
+    @pytest.mark.parametrize("poison", range(6))
+    def test_only_the_task_that_kills_the_pool_is_charged(self, poison):
+        obs.disable()
+        registry = obs.enable()
+        executor = _CrashingExecutor(poison)
+        try:
+            campaign = Campaign(
+                executor=executor,
+                retry_policy=RetryPolicy(
+                    max_attempts=3, max_respawns=20, base_delay=0.0, jitter=0.0,
+                    hedge=False,
+                ),
+            )
+        finally:
+            obs.disable()
+        recorded, failed, failures = _dispatch_stubs(
+            campaign, executor.open_task_session(), 6
+        )
+        assert failed == [poison]
+        assert [record.index for record in failures] == [poison]
+        assert failures[0].attempts == 3
+        assert set(recorded) == set(range(6)) - {poison}
+        # Two retries, both the poison's: no innocent flight was charged.
+        assert registry.counter("campaign.retries") == 2
 
 
 # ----------------------------------------------------------------------
