@@ -300,9 +300,14 @@ def analyze_snapshot(
     :class:`EstimatedConnectivityReport`.  Both satisfy the shared
     report protocol (``min_connectivity`` / ``avg_connectivity`` /
     ``is_exact`` / ``confidence_interval``).
+
+    A snapshot loaded from a path is dropped once its connectivity graph
+    is built: nothing in the analysis reads the tables again.
     """
-    if not isinstance(snapshot, RoutingTableSnapshot):
-        snapshot = RoutingTableSnapshot.load(snapshot)
+    if isinstance(snapshot, RoutingTableSnapshot):
+        graph = snapshot.to_connectivity_graph()
+    else:
+        graph = RoutingTableSnapshot.load(snapshot).to_connectivity_graph()
     measurement = MeasurementSpec(algorithm, connectivity, sample_pairs, ci_level)
     with measurement.analyzer(
         seed,
@@ -310,7 +315,7 @@ def analyze_snapshot(
         source_fraction=sample_fraction,
         target_fraction=sample_fraction if sample_fraction else 0.05,
     ) as analyzer:
-        return analyzer.analyze_snapshot(snapshot.routing_tables)
+        return analyzer.analyze_graph(graph)
 
 
 def estimate_connectivity(

@@ -612,15 +612,19 @@ def _cmd_analyze_snapshot(args: argparse.Namespace) -> int:
     if args.exact and estimate_mode:
         raise SystemExit("--exact and --connectivity estimate are exclusive")
     snapshot = RoutingTableSnapshot.load(args.snapshot)
+    snapshot_time, network_size = snapshot.time, snapshot.network_size
+    # The tables are read once, into the graph; the analysis holds only that.
+    graph = snapshot.to_connectivity_graph()
+    del snapshot
     with measurement.analyzer(
         args.seed,
         ExecutionOptions(flow_jobs=args.flow_jobs),
         source_fraction=None if args.exact else args.sample_fraction,
         target_fraction=args.sample_fraction,
     ) as analyzer:
-        report = analyzer.analyze_snapshot(snapshot.routing_tables)
-    print(f"snapshot time:        {snapshot.time}")
-    print(f"network size:         {snapshot.network_size}")
+        report = analyzer.analyze_graph(graph)
+    print(f"snapshot time:        {snapshot_time}")
+    print(f"network size:         {network_size}")
     print(f"minimum connectivity: {report.min_connectivity}")
     print(f"average connectivity: {report.avg_connectivity:.2f}")
     print(f"resilience r:         {report.resilience}")
@@ -634,6 +638,13 @@ def _cmd_analyze_snapshot(args: argparse.Namespace) -> int:
         print(f"pairs sampled:        {report.pairs_sampled}")
         print(f"pairs pruned:         {report.pairs_pruned}")
         print(f"minimum is exact:     {report.min_is_exact}")
+        if report.short_sample:
+            print(
+                f"warning: rejection sampling drew {report.pairs_sampled} of "
+                f"{report.sample_pairs} pairs; the interval rests on fewer "
+                f"pairs than asked for",
+                file=sys.stderr,
+            )
     return 0
 
 

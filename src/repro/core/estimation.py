@@ -163,6 +163,19 @@ class EstimatedConnectivityReport:
         """Width of the confidence interval (0.0 on exact recovery)."""
         return self.ci_high - self.ci_low
 
+    @property
+    def short_sample(self) -> bool:
+        """Whether rejection sampling drew fewer pairs than it could.
+
+        True when ``pairs_sampled`` is below the ``sample_pairs`` budget
+        although the graph has more ordered non-adjacent pairs than were
+        drawn: the interval rests on a thinner sample than asked for.
+        Exact recovery, where the budget covers every such pair, is not
+        short.
+        """
+        available = self.vertex_count * (self.vertex_count - 1) - self.edge_count
+        return self.pairs_sampled < min(self.sample_pairs, available)
+
     # ------------------------------------------------------------------
     def as_dict(self) -> dict:
         """JSON-friendly encoding.
@@ -535,6 +548,7 @@ class ConnectivityEstimator(FlowEngineHost):
             report.min_pairs_evaluated + report.avg_pairs_evaluated,
         )
         registry.inc("estimation.pairs_pruned", report.pairs_pruned)
+        registry.inc("estimation.short_samples", int(report.short_sample))
         registry.observe("estimation.ci_width", report.ci_width)
 
 

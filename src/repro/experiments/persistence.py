@@ -146,7 +146,7 @@ def result_from_dict(document: Dict) -> ExperimentResult:
         )
     snapshots: List[RoutingTableSnapshot] = []
     for snapshot_doc in document.get("snapshots", []):
-        snapshots.append(RoutingTableSnapshot.from_json(json.dumps(snapshot_doc)))
+        snapshots.append(RoutingTableSnapshot.from_document(snapshot_doc))
     return ExperimentResult(
         scenario=scenario,
         profile_name=document["profile_name"],

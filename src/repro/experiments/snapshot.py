@@ -21,6 +21,17 @@ from repro.graph.digraph import DiGraph
 PathLike = Union[str, Path]
 
 
+class _NodeIds(dict):
+    """Captured node id -> its key object; any other contact -> ``int(contact)``.
+
+    One dict lookup per decoded contact both converts it and, when it
+    names a captured node, replaces it by that node's key.
+    """
+
+    def __missing__(self, contact):
+        return int(contact)
+
+
 @dataclass(frozen=True)
 class RoutingTableSnapshot:
     """Routing tables of all alive nodes at one simulated time."""
@@ -88,16 +99,34 @@ class RoutingTableSnapshot:
     def from_json(cls, text: str) -> "RoutingTableSnapshot":
         """Deserialise from :meth:`to_json` output.
 
-        Legacy payloads (written before the protocol dimension existed)
-        carry no ``protocol`` key and load as Kademlia snapshots.
+        ``json.loads`` plus :meth:`from_document`, so every contact that
+        names a captured node is that node's key object, not a copy.
         """
-        payload = json.loads(text)
+        return cls.from_document(json.loads(text))
+
+    @classmethod
+    def from_document(cls, payload: Mapping) -> "RoutingTableSnapshot":
+        """Build a snapshot from the decoded :meth:`to_json` document.
+
+        The one decoder: :meth:`from_json` and the result store
+        (:func:`repro.experiments.persistence.result_from_dict`) both end
+        here.  JSON decoding makes a new int for every contact; a contact
+        that names a captured node is replaced by that node's key, so a
+        node id is held once however many tables list it (other contacts
+        keep their own int).  Legacy payloads (written before the protocol
+        dimension existed) carry no ``protocol`` key and load as Kademlia
+        snapshots.
+        """
+        tables = {
+            int(node_id): contacts
+            for node_id, contacts in payload["routing_tables"].items()
+        }
+        node_id_of = _NodeIds(zip(tables, tables)).__getitem__
+        for node, contacts in tables.items():
+            tables[node] = list(map(node_id_of, contacts))
         return cls(
             time=float(payload["time"]),
-            routing_tables={
-                int(node_id): list(map(int, contacts))
-                for node_id, contacts in payload["routing_tables"].items()
-            },
+            routing_tables=tables,
             protocol=payload.get("protocol", "kademlia"),
         )
 

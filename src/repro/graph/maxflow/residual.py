@@ -4,7 +4,8 @@ Vertices of the input :class:`~repro.graph.digraph.DiGraph` are mapped to
 dense integer indices so the solvers can use flat lists instead of hash maps
 in their inner loops.  Edges are stored in a single arc array where the arc
 ``i`` and its reverse arc ``i ^ 1`` are adjacent — the standard trick that
-makes pushing flow on the residual edge O(1).
+makes pushing flow on the residual edge O(1).  Each vertex's list of arc
+indices is an ``array('q')``, so a network holds no Python int per arc id.
 
 For the batched pair-flow engine (:mod:`repro.runtime.pairflow`) the network
 can be frozen into a :class:`CompactNetwork` — a flat, ``array``-backed,
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from itertools import accumulate, chain, compress, count
+from itertools import accumulate, compress, count
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.graph.digraph import DiGraph
@@ -103,9 +104,11 @@ class ResidualNetwork:
     caps:
         ``caps[a]`` is the residual capacity of arc ``a``.
     adjacency:
-        ``adjacency[v]`` is the list of arc indices leaving ``v``: the
-        arcs created with capacity first (in creation order), their
-        twins — see :func:`is_twin` — after.
+        ``adjacency[v]`` is the ``array('q')`` of arc indices leaving
+        ``v``: the arcs created with capacity first (in creation order),
+        their twins — see :func:`is_twin` — after.  An array stores each
+        index as 8 bytes instead of a reference to an int object of its
+        own; solvers read it as a sequence, like a list.
     boundary:
         ``boundary[v]`` is where the twins start in ``adjacency[v]``.
     out_heads, in_tails:
@@ -128,6 +131,11 @@ class ResidualNetwork:
         level, flows ended by their cutoff, frontier vertices expanded
         through their whole arc list instead of their head tuple); see
         :data:`KERNEL_COUNTERS`.
+
+    A network whose vertices are their own indices (:meth:`from_columns`
+    and :meth:`from_arcs` without labels, :meth:`from_compact`) keeps
+    ``range(n)`` as its labels and no index dict; :meth:`index_of` still
+    rejects anything outside ``0 .. n - 1``.
     """
 
     __slots__ = (
@@ -173,11 +181,12 @@ class ResidualNetwork:
             setattr(self, name, 0)
         if graph is None:  # shell for the alternate constructors
             self.n = 0
-            self._index_of: Dict[Vertex, int] = {}
-            self._vertex_of: List[Vertex] = []
+            # Identity labels: ``index_of`` reads ``range(n)`` itself.
+            self._index_of: Optional[Dict[Vertex, int]] = None
+            self._vertex_of: Sequence[Vertex] = range(0)
             self.heads: List[int] = []
             self.caps: List[float] = []
-            self.adjacency: List[List[int]] = []
+            self.adjacency: List[array] = []
             self.boundary: List[int] = []
             self._initial_caps: List[float] = []
             return
@@ -227,9 +236,11 @@ class ResidualNetwork:
         rows) and so never make a tuple per arc.
         """
         network = cls(None)
-        labels = list(vertex_of) if vertex_of is not None else list(range(n))
-        network._vertex_of = labels
-        network._index_of = dict(zip(labels, range(n)))
+        if vertex_of is None:
+            network._vertex_of = range(n)
+        else:
+            network._vertex_of = list(vertex_of)
+            network._index_of = dict(zip(network._vertex_of, range(n)))
         network._build(n, tails, heads, capacities)
         return network
 
@@ -240,22 +251,23 @@ class ResidualNetwork:
         The heads/caps buffers are converted back to plain lists because
         list indexing is measurably faster than ``array`` indexing in the
         solvers' inner loops; the conversion is a one-time O(m) cost per
-        worker process.  Arc numbering, list order and ``boundary`` are
-        the frozen network's own, so the pair invariant (:func:`is_twin`)
-        and the two-half layout hold here because they held there.  The
-        head tuples are not shipped: the thawed network builds its own on
-        its first Dinic call.
+        worker process.  Each vertex's arc list is a slice of the shipped
+        CSR ``arcs`` — an ``array('q')`` already, copied without making
+        an int per arc.  Vertices are their own indices.  Arc numbering,
+        list order and ``boundary`` are the frozen network's own, so the
+        pair invariant (:func:`is_twin`) and the two-half layout hold here
+        because they held there.  The head tuples are not shipped: the
+        thawed network builds its own on its first Dinic call.
         """
         network = cls(None)
         n = compact.n
-        network._vertex_of = list(range(n))
-        network._index_of = dict(zip(network._vertex_of, range(n)))
+        network._vertex_of = range(n)
         offsets = compact.offsets
         arcs = compact.arcs
         network._adopt(
             list(compact.heads),
             list(compact.caps),
-            [arcs[offsets[v]:offsets[v + 1]].tolist() for v in range(n)],
+            [arcs[offsets[v]:offsets[v + 1]] for v in range(n)],
             list(compact.boundary),
         )
         return network
@@ -263,12 +275,15 @@ class ResidualNetwork:
     def compact(self) -> CompactNetwork:
         """Freeze the *initial* capacities into a picklable snapshot."""
         adjacency = self.adjacency
+        arcs = array("q")
+        for vertex_arcs in adjacency:
+            arcs += vertex_arcs
         return CompactNetwork(
             n=self.n,
             heads=array("q", self.heads),
             caps=array("d", self._initial_caps),
             offsets=array("q", accumulate(map(len, adjacency), initial=0)),
-            arcs=array("q", chain.from_iterable(adjacency)),
+            arcs=arcs,
             boundary=array("q", self.boundary),
         )
 
@@ -290,7 +305,8 @@ class ResidualNetwork:
         Dinic kernel read a vertex no flow has changed through a tuple of
         one half (:meth:`head_tuples`).
         ``heads`` and ``caps`` are filled by slice assignment; the passes
-        are one list append per arc.
+        are one ``array.append`` per arc, which stores the index and lets
+        the int the ``range`` made go at once.
         """
         arc_count = 2 * len(tails)
         arc_heads = [0] * arc_count
@@ -298,7 +314,7 @@ class ResidualNetwork:
         arc_heads[1::2] = tails
         caps = [0.0] * arc_count
         caps[0::2] = capacities
-        adjacency: List[List[int]] = [[] for _ in range(n)]
+        adjacency = [array("q") for _ in range(n)]
         for arc, tail in zip(range(0, arc_count, 2), tails):
             adjacency[tail].append(arc)
         boundary = list(map(len, adjacency))
@@ -310,7 +326,7 @@ class ResidualNetwork:
         self,
         heads: List[int],
         caps: List[float],
-        adjacency: List[List[int]],
+        adjacency: List[array],
         boundary: List[int],
     ) -> None:
         """Install laid-out arc lists; the network starts at these capacities."""
@@ -363,9 +379,16 @@ class ResidualNetwork:
                 for arc in inert:
                     ends[arc], ends[arc ^ 1] = ends[arc ^ 1], ends[arc]
             end = ends.__getitem__
-            adjacency, boundary = self.adjacency, self.boundary
-            self.out_heads = [tuple(map(end, arcs[:b])) for arcs, b in zip(adjacency, boundary)]
-            self.in_tails = [tuple(map(end, arcs[b:])) for arcs, b in zip(adjacency, boundary)]
+            # One tuple per vertex, sliced at the boundary: it makes no
+            # array slice, which pays for the slower array build of the
+            # arc lists (freed tuples stay on CPython's free lists).
+            out_heads: List[Tuple[int, ...]] = []
+            in_tails: List[Tuple[int, ...]] = []
+            for arcs, b in zip(self.adjacency, self.boundary):
+                vertex_ends = tuple(map(end, arcs))
+                out_heads.append(vertex_ends[:b])
+                in_tails.append(vertex_ends[b:])
+            self.out_heads, self.in_tails = out_heads, in_tails
         return self.out_heads, self.in_tails  # type: ignore[return-value]
 
     def kernel_counters(self) -> Tuple[int, ...]:
@@ -373,10 +396,16 @@ class ResidualNetwork:
         return tuple(getattr(self, name) for name in KERNEL_COUNTERS)
 
     def index_of(self, vertex: Vertex) -> int:
-        """Return the dense index of ``vertex``."""
+        """Return the dense index of ``vertex``.
+
+        With identity labels the lookup is ``range(n).index``, O(1) for
+        an int.
+        """
         try:
+            if self._index_of is None:
+                return self._vertex_of.index(vertex)
             return self._index_of[vertex]
-        except KeyError:
+        except (KeyError, ValueError):
             raise VertexNotFoundError(vertex) from None
 
     def vertex_of(self, index: int) -> Vertex:

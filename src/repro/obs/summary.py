@@ -175,10 +175,12 @@ def format_summary(snapshot: Dict[str, Any]) -> str:
     est_sampled = _counter(snapshot, "estimation.pairs_sampled")
     est_evaluated = _counter(snapshot, "estimation.pairs_evaluated")
     est_pruned = _counter(snapshot, "estimation.pairs_pruned")
+    est_short = _counter(snapshot, "estimation.short_samples")
     ci_width = _hist(snapshot, "estimation.ci_width")
     lines.append(
         f"estimate   runs: {est_runs} | pairs: {est_sampled} sampled, "
         f"{est_evaluated} evaluated, {est_pruned} pruned | "
+        f"short samples: {est_short} | "
         f"mean CI width: {(ci_width['mean'] if ci_width else 0.0):.3f}"
     )
     return "\n".join(lines)

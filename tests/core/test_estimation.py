@@ -19,6 +19,12 @@ from repro.experiments.snapshot import synthetic_snapshot
 from repro.graph.digraph import DiGraph
 
 
+#: Every node lists every other node but its ring successor.
+NEAR_COMPLETE_TABLES = {
+    i: [j for j in range(30) if j not in (i, (i + 1) % 30)] for i in range(30)
+}
+
+
 def bidirectional_cycle(n: int) -> DiGraph:
     """C_n with both edge directions: kappa(s, t) == 2 for every pair."""
     graph = DiGraph()
@@ -291,6 +297,36 @@ class TestSampledEstimates:
             obs.disable()
         assert snapshot["counters"].get("estimation.runs") == 1
         assert snapshot["counters"].get("estimation.pairs_sampled") == 8
+        assert snapshot["counters"].get("estimation.short_samples") == 0
+
+    @pytest.mark.parametrize(
+        "tables, sample_pairs, short",
+        [
+            # 30 ordered non-adjacent pairs among 870: rejection sampling
+            # draws 3 of 16 before its attempts run out.
+            (NEAR_COMPLETE_TABLES, 16, 1),
+            # The budget covers all 30 pairs: exact recovery, not short.
+            (NEAR_COMPLETE_TABLES, 64, 0),
+            (synthetic_snapshot(80, 8, seed=5).routing_tables, 16, 0),
+        ],
+        ids=["near-complete", "near-complete-exhaustive", "sparse"],
+    )
+    def test_short_samples_counted_and_summarised(self, tables, sample_pairs, short):
+        from repro import obs
+        from repro.obs.summary import format_summary
+
+        obs.enable()
+        try:
+            with obs.run_scope() as registry:
+                report = ConnectivityEstimator(
+                    sample_pairs=sample_pairs, seed=0
+                ).analyze_snapshot(tables)
+                snapshot = registry.snapshot()
+        finally:
+            obs.disable()
+        assert report.short_sample is bool(short)
+        assert snapshot["counters"]["estimation.short_samples"] == short
+        assert f"| short samples: {short} |" in format_summary(snapshot)
 
 
 class TestReportSurface:

@@ -37,6 +37,27 @@ class TestRoutingTableSnapshot:
         restored = RoutingTableSnapshot.load(path)
         assert restored.routing_tables == snapshot.routing_tables
 
+    def test_from_json_holds_each_node_id_once(self):
+        # Ids above 256, so no two equal ints are one object by accident.
+        snapshot = RoutingTableSnapshot.capture(
+            0.0, {1000: [2000, 3000], 2000: [1000, 5000], 3000: [2000, 1000]}
+        )
+        restored = RoutingTableSnapshot.from_json(snapshot.to_json())
+        assert restored.routing_tables == snapshot.routing_tables
+        keys = {node: node for node in restored.routing_tables}
+        for contacts in restored.routing_tables.values():
+            for contact in contacts:
+                if contact in keys:
+                    assert contact is keys[contact]
+        # A contact that names no captured node is decoded all the same.
+        assert restored.routing_tables[2000][1] == 5000
+
+    def test_from_document_is_from_json_without_the_text(self):
+        snapshot = RoutingTableSnapshot.capture(2.5, {1000: [2000], 2000: [1000]}, "chord")
+        document = json.loads(snapshot.to_json())
+        assert RoutingTableSnapshot.from_document(document) == snapshot
+        assert RoutingTableSnapshot.from_json(snapshot.to_json()) == snapshot
+
     def test_to_connectivity_graph(self):
         snapshot = RoutingTableSnapshot.capture(0.0, {1: [2], 2: [1], 3: [1]})
         graph = snapshot.to_connectivity_graph()

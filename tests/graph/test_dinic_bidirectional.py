@@ -16,6 +16,7 @@ same residual state.
 """
 
 import random
+from array import array
 
 import pytest
 
@@ -536,7 +537,10 @@ def test_thawed_network_carries_the_layout_and_matches_serial(obs_enabled):
     assert list(frozen.boundary) == engine.transform.network.boundary
     thawed = frozen.thaw()
     assert_layout(thawed)
-    assert thawed.adjacency == engine.transform.network.adjacency
+    assert [list(arcs) for arcs in thawed.adjacency] == [
+        list(arcs) for arcs in engine.transform.network.adjacency
+    ]
+    assert all(type(arcs) is array and arcs.typecode == "q" for arcs in thawed.adjacency)
     assert thawed.boundary == engine.transform.network.boundary
     # A thawed network builds its own tuples, on its first Dinic call.
     assert thawed.out_heads is None

@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+from repro.experiments.persistence import trajectory_digest
 from repro.experiments.scenarios import get_scenario
 from repro.runtime.cache import CHECKSUM_FIELD, QUARANTINE_DIRNAME, ResultCache
 from repro.runtime.campaign import Campaign
@@ -49,6 +50,22 @@ class TestResultCache:
         assert cache.stats.misses == 1
         assert cache.stats.stores == 1
         assert cache.stats.hit_rate == 0.5
+
+    def test_cached_snapshots_hold_each_node_id_once(self, task, result, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
+        cache.put(task, result)
+        restored = cache.get(task)
+        assert restored.snapshots
+        assert [s.routing_tables for s in restored.snapshots] == [
+            s.routing_tables for s in result.snapshots
+        ]
+        named = []
+        for snapshot in restored.snapshots:
+            keys = {node: node for node in snapshot.routing_tables}
+            for contacts in snapshot.routing_tables.values():
+                named += [(contact, keys[contact]) for contact in contacts if contact in keys]
+        assert named and all(contact is key for contact, key in named)
+        assert trajectory_digest(restored) == trajectory_digest(result)
 
     def test_cached_result_is_faithful(self, task, result, tmp_path):
         cache = ResultCache(tmp_path / "cache")

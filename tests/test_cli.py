@@ -188,6 +188,24 @@ class TestEstimationOptions:
         assert "95% CI of average:" in output
         assert "pairs sampled:        64" in output
 
+    def test_analyze_snapshot_warns_on_a_short_sample(self, big_snapshot_file, tmp_path, capsys):
+        from repro.experiments.snapshot import RoutingTableSnapshot
+
+        # Every node lists every other but its ring successor: 30 of 870
+        # ordered pairs are non-adjacent, too few to draw 16 by rejection.
+        near_complete = tmp_path / "near_complete.json"
+        RoutingTableSnapshot.capture(
+            0.0, {i: [j for j in range(30) if j not in (i, (i + 1) % 30)] for i in range(30)}
+        ).save(near_complete)
+        for path, warned in ((near_complete, True), (big_snapshot_file, False)):
+            assert main(
+                ["analyze-snapshot", str(path),
+                 "--connectivity", "estimate", "--sample-pairs", "16"]
+            ) == 0
+            captured = capsys.readouterr()
+            assert ("warning: rejection sampling drew" in captured.err) is warned
+            assert "warning" not in captured.out
+
     def test_analyze_snapshot_estimate_excludes_exact_flag(self, big_snapshot_file):
         with pytest.raises(SystemExit):
             main(["analyze-snapshot", str(big_snapshot_file),
