@@ -85,9 +85,7 @@ def result_to_dict(result: ExperimentResult, include_snapshots: bool = False) ->
     if result.scenario.protocol != "kademlia":
         document["scenario"]["protocol"] = result.scenario.protocol
     if include_snapshots and result.snapshots:
-        document["snapshots"] = [
-            json.loads(snapshot.to_json()) for snapshot in result.snapshots
-        ]
+        document["snapshots"] = [snapshot.to_document() for snapshot in result.snapshots]
     return document
 
 

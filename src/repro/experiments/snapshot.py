@@ -77,23 +77,29 @@ class RoutingTableSnapshot:
         )
 
     # ------------------------------------------------------------------
-    def to_json(self) -> str:
-        """Serialise to a JSON string.
+    def to_document(self) -> Dict:
+        """The JSON document of this snapshot, the twin of :meth:`from_document`.
 
+        Equal to ``json.loads(self.to_json())`` without the text in
+        between: node ids as string keys, each table a list of its own.
         Kademlia snapshots keep the pre-protocol-dimension encoding (no
         ``protocol`` key): snapshot bytes participate in the pinned
         trajectory digests, which must stay stable on the Kademlia path.
         """
-        payload = {
+        document = {
             "time": self.time,
             "routing_tables": {
-                str(node_id): contacts
+                str(node_id): list(contacts)
                 for node_id, contacts in self.routing_tables.items()
             },
         }
         if self.protocol != "kademlia":
-            payload["protocol"] = self.protocol
-        return json.dumps(payload)
+            document["protocol"] = self.protocol
+        return document
+
+    def to_json(self) -> str:
+        """Serialise :meth:`to_document` to a JSON string."""
+        return json.dumps(self.to_document())
 
     @classmethod
     def from_json(cls, text: str) -> "RoutingTableSnapshot":

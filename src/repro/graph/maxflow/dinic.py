@@ -33,11 +33,17 @@ b``.  The invariants the kernel relies on:
 * *Every shortest path is fully labelled.*  A vertex at position ``i`` of
   a shortest path has ``dist_s = i`` and ``dist_t = L - i``, so it lies in
   the forward ball when ``i <= f`` and in the backward ball otherwise.
-  Levels are unified as ``dist_s`` on the forward side and ``L - dist_t``
-  on the backward side.  The half-built layer that made contact holds no
-  such vertex (its members are ``f + 1`` from the source but more than
-  ``b`` from the sink), so the search stops at the first contact and
-  drops that layer.
+  The half-built layer that made contact holds no such vertex (its
+  members are ``f + 1`` from the source but more than ``b`` from the
+  sink), so the search stops at the first contact and drops that layer.
+* *Labels stay as the search wrote them.*  A forward vertex is labelled
+  ``dist_s`` (``>= 0``), a backward one ``-1 - dist_t`` (``< 0``, the sink
+  ``-1``), and nothing rewrites them once the searches met.  The level
+  graph's arcs go from label ``x`` to ``x + 1`` on either side, and from
+  the forward frontier to the backward one: the DFS reads the next level
+  ``f + 1`` as ``-1 - b``.  Every path of the level graph has ``L`` arcs;
+  the DFS raises on a longer one rather than go round the cycle a wrong
+  label would close.
 * *Progress and termination.*  The level graph contains every shortest
   residual path, so a blocking flow on it strictly increases the distance
   as in textbook Dinic, and a phase that met always augments at least
@@ -49,9 +55,10 @@ b``.  The invariants the kernel relies on:
 
 Nothing is cleared per phase or per pair: a vertex belongs to the current
 phase iff its stamp equals the network's generation, its current-arc
-pointer is zeroed when it is labelled, pruning a dead end clears its
-stamp, and the arcs of every augmenting path go to the network's undo log
-so :meth:`ResidualNetwork.reset` restores only those.
+pointer is zeroed when it is labelled, pruning a dead end or closing a
+single exit (below) clears its stamp, and the arcs of every augmenting
+path go to the network's undo log so :meth:`ResidualNetwork.reset`
+restores only those.
 
 **What a vertex is read through.**  Arcs come in pairs — the arc created
 with capacity and its twin, created with 0
@@ -87,6 +94,20 @@ no ``heads`` lookup — the searches iterate a tuple, the DFS indexes it at
   marked nothing) — the kernel then compares marks against epoch 0, which
   all of them reach.  ``full_scans`` counts the whole-list reads of the
   level-graph search.
+* *Single exits.*  An untouched vertex ``v`` other than the sink whose
+  tuple ``out_heads[v]`` holds exactly one head ``w`` has one way on.
+  When the DFS's scan of an untouched ``u`` offers such a ``v``, it
+  decides ``v`` from ``u`` instead of entering it: if ``w`` is stamped at
+  ``v``'s next level both arcs join the path and the DFS goes on from
+  ``w``; otherwise ``v`` is unstamped and the scan of ``u`` moves on.
+  Entering ``v`` would have read the same tuple from position 0 and done
+  the same, one loop turn later: a stamped, unmarked ``v`` was never
+  entered in this phase (the DFS leaves a vertex it entered only by a
+  path through it, which marks it, or by pruning it), so its pointer is
+  still 0.  The sink is always entered, as it ends a path; an inert exit
+  (``w`` is ``v`` itself) is never one level up, so it closes ``v``.  In
+  the Even network every untouched in-copy is such a vertex, its one
+  exit the arc to its out-copy.
 * *Inert pairs.*  A pair created with capacity 0 never qualifies while
   untouched, so it sits in both tuples as the vertex itself: already
   stamped by the search expanding it (never "met"), and never one level
@@ -129,64 +150,86 @@ from repro.graph.maxflow.residual import RESIDUAL_EPS, ResidualNetwork
 Vertex = Hashable
 
 
-def _expand_layer(
-    network: ResidualNetwork,
-    frontier: List[int],
-    backward: bool,
-    label: int,
-    epoch: int,
-) -> Tuple[List[int], bool]:
-    """Stamp the unlabelled residual neighbours of ``frontier`` with ``label``.
+def _level_graph(
+    network: ResidualNetwork, source: int, sink: int, epoch: int
+) -> Tuple[bool, int, int, int]:
+    """Grow one phase's level graph from both ends (module docstring).
 
-    The forward search follows arcs leaving the frontier (``caps[arc]``),
-    the backward search arcs entering it (``caps[arc ^ 1]``).  A vertex
-    whose mark is below ``epoch`` is read through its head tuple
-    (``out_heads`` forward, ``in_tails`` backward): the heads that can
-    qualify there, in arc order, and the vertex itself for an inert pair,
-    which changes nothing.  A marked vertex is read through its whole arc
-    list with the capacity test; on an untouched vertex that would yield
-    the same heads in the same order (module docstring).  Forward labels
-    are distances from the source (``>= 0``), backward labels are
-    ``-(distance to the sink) - 1`` (``< 0``), which is how a vertex of
-    the other search is recognised.  Returns ``(layer, met)``: the
-    vertices newly labelled, and whether an arc into the other search
-    was seen — in which case expansion stopped there and ``layer`` is
-    incomplete.
+    Stamps ``source`` and ``sink`` with a new generation, then expands the
+    smaller frontier by one complete layer at a time: the forward search
+    follows arcs leaving its frontier (``caps[arc]``), the backward search
+    arcs entering it (``caps[arc ^ 1]``).  A vertex whose mark is below
+    ``epoch`` is read through its head tuple (``out_heads`` forward,
+    ``in_tails`` backward): the heads that can qualify there, in arc
+    order, and the vertex itself for an inert pair, which changes nothing.
+    A marked vertex is read through its whole arc list with the capacity
+    test; on an untouched vertex that would yield the same heads in the
+    same order.  Forward labels are distances from the source (``>= 0``),
+    backward labels ``-(distance to the sink) - 1`` (``< 0``), which is how
+    a vertex of the other search is recognised.  The search stops at the
+    first arc into the other search and unstamps the layer it was growing.
+
+    Returns ``(met, f, b, labelled)``: whether the searches met, the
+    depths of the last complete forward and backward layers, and how many
+    vertices were stamped, the unstamped contact layer included.
     """
     heads = network.heads
     caps = network.caps
     adjacency = network.adjacency
-    untouched = network.in_tails if backward else network.out_heads
+    out_heads = network.out_heads
+    in_tails = network.in_tails
     changed = network._changed
     levels = network._levels
     iters = network._iters
     stamp = network._stamp
-    gen = network._gen
+    # Stored at once: a generation must never be reused, even by the
+    # search after an interrupted one.
+    network._gen = gen = network._gen + 1
+    stamp[source] = stamp[sink] = gen
+    levels[source] = iters[source] = 0
+    levels[sink] = -1
     eps = RESIDUAL_EPS
-    flip = int(backward)
-    layer: List[int] = []
-    append = layer.append
-    met = False
+    forward = [source]
+    backward = [sink]
+    f = b = 0
+    labelled = 2
     full_scans = 0
-    for u in frontier:
-        if changed[u] >= epoch:
-            full_scans += 1
-            ends = [heads[arc] for arc in adjacency[u] if caps[arc ^ flip] > eps]
+    while forward and backward:
+        backward_step = len(forward) > len(backward)
+        if backward_step:
+            frontier, untouched, flip, label = backward, in_tails, 1, -2 - b
         else:
-            ends = untouched[u]
-        for v in ends:
-            if stamp[v] != gen:
-                stamp[v] = gen
-                levels[v] = label
-                iters[v] = 0
-                append(v)
-            elif (levels[v] < 0) != backward:  # labelled by the other search
-                met = True
-                break
-        if met:
-            break
+            frontier, untouched, flip, label = forward, out_heads, 0, f + 1
+        layer: List[int] = []
+        append = layer.append
+        for u in frontier:
+            if changed[u] >= epoch:
+                full_scans += 1
+                ends = [heads[arc] for arc in adjacency[u] if caps[arc ^ flip] > eps]
+            else:
+                ends = untouched[u]
+            for v in ends:
+                if stamp[v] != gen:
+                    stamp[v] = gen
+                    levels[v] = label
+                    iters[v] = 0
+                    append(v)
+                elif (levels[v] < 0) != backward_step:  # labelled by the other search
+                    # The layer that made contact holds no vertex of a
+                    # shortest path.
+                    for x in layer:
+                        stamp[x] = 0
+                    network.full_scans += full_scans
+                    return True, f, b, labelled + len(layer)
+        labelled += len(layer)
+        if backward_step:
+            backward = layer
+            b += 1
+        else:
+            forward = layer
+            f += 1
     network.full_scans += full_scans
-    return layer, met
+    return False, f, b, labelled
 
 
 @register_network_solver("dinic")
@@ -198,11 +241,12 @@ def dinic_on_network(
 ) -> float:
     """Run Dinic on dense vertex indices; mutates the network in place.
 
-    Each phase grows the level graph from both ends (module docstring) and
-    then finds a blocking flow with an iterative DFS (an explicit arc path
-    instead of recursion — the Even-transformed graphs of large snapshots
-    exceed Python's recursion limit) that only enters vertices stamped in
-    this phase.  Level, current-arc and stamp arrays are owned by the
+    Each phase grows the level graph from both ends (:func:`_level_graph`)
+    and then finds a blocking flow with an iterative DFS (an explicit arc
+    path instead of recursion — the Even-transformed graphs of large
+    snapshots exceed Python's recursion limit) that only enters vertices
+    stamped in this phase and steps through single exits (module
+    docstring).  Level, current-arc and stamp arrays are owned by the
     network and never cleared; all hot containers are bound to locals.
 
     ``cutoff`` contract: the value is exact when below the cutoff and at
@@ -223,7 +267,6 @@ def dinic_on_network(
     levels, iters = network.scratch_buffers()
     out_heads, _ = network.head_tuples()
     stamp = network._stamp
-    gen = network._gen
     touched = network._touched
     # A vertex is read in full iff ``changed[v] >= epoch``: with the log
     # kept that means "marked since the last reset"; without it nothing
@@ -234,53 +277,24 @@ def dinic_on_network(
     phases = augmentations = labelled = 0
     cut = False
     while not cut:
-        # -- level graph: alternate complete BFS layers from both ends ----
-        # Stored at once: _expand_layer reads it, and a generation must
-        # never be reused, even by the call after an interrupted one.
-        network._gen = gen = gen + 1
-        stamp[source] = stamp[sink] = gen
-        levels[source] = iters[source] = 0
-        levels[sink] = -1  # -(distance to the sink) - 1, see _expand_layer
-        labelled += 2
-        forward = [source]
-        backward = [sink]
-        sink_side = [sink]  # every vertex of a completed backward layer
-        forward_depth = backward_depth = 0
-        met = False
-        while forward and backward and not met:
-            if len(forward) <= len(backward):
-                layer, met = _expand_layer(
-                    network, forward, False, forward_depth + 1, epoch
-                )
-                if not met:
-                    forward = layer
-                    forward_depth += 1
-            else:
-                layer, met = _expand_layer(
-                    network, backward, True, -2 - backward_depth, epoch
-                )
-                if not met:
-                    backward = layer
-                    backward_depth += 1
-                    sink_side += layer
-            labelled += len(layer)
+        met, f, b, grown = _level_graph(network, source, sink, epoch)
+        labelled += grown
         if not met:
             break  # one side is exhausted: no residual source-sink path
         phases += 1
         pushed_before = augmentations
-        # The layer that made contact holds no vertex of a shortest path.
-        for v in layer:
-            stamp[v] = 0
-        shift = forward_depth + backward_depth + 2  # distance L, plus 1
-        for v in sink_side:
-            levels[v] += shift
+        gen = network._gen
+        # The forward frontier's next level is the backward frontier.
+        top = f + 1
+        bridge = -1 - b
+        longest = f + b + 1  # every path of the level graph has this length
 
         # -- blocking flow: iterative DFS over the stamped level graph ----
         path: List[int] = []  # arcs of the current partial source->u path
         u = source
         while True:
             if u == sink:
-                pushed = min(caps[arc] for arc in path)
+                pushed = min(map(caps.__getitem__, path))
                 if pushed <= eps:
                     # A read that offered a saturated arc; pushing 0
                     # would repeat the same path forever.
@@ -307,6 +321,8 @@ def dinic_on_network(
                 continue
             position = iters[u]
             next_level = levels[u] + 1
+            if next_level == top:
+                next_level = bridge
             if changed[u] >= epoch:
                 arcs = adjacency[u]
                 degree = len(arcs)
@@ -324,11 +340,32 @@ def dinic_on_network(
                 while position < degree:
                     v = ends[position]
                     if stamp[v] == gen and levels[v] == next_level:
-                        break
+                        if v == sink or changed[v] >= epoch:
+                            break
+                        exits = out_heads[v]
+                        if len(exits) != 1:
+                            break
+                        # A single exit: decide v from here.
+                        w = exits[0]
+                        after = next_level + 1
+                        if after == top:
+                            after = bridge
+                        if stamp[w] == gen and levels[w] == after:
+                            # Take u -> v here and v -> w below, as if
+                            # the scan had been v's.
+                            iters[u] = position
+                            path.append(adjacency[u][position])
+                            u, v, position, degree = v, w, 0, 1
+                            break
+                        stamp[v] = 0  # its one way on leaves the level graph
                     position += 1
             iters[u] = position
             if position < degree:
                 path.append(adjacency[u][position])
+                if len(path) > longest:
+                    # Levels rise by one per arc, so a longer path has
+                    # left the level graph and could go round for ever.
+                    raise RuntimeError("Dinic: a path left the level graph")
                 u = v
             elif u == source:
                 if augmentations == pushed_before:

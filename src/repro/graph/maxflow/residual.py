@@ -251,9 +251,12 @@ class ResidualNetwork:
         The heads/caps buffers are converted back to plain lists because
         list indexing is measurably faster than ``array`` indexing in the
         solvers' inner loops; the conversion is a one-time O(m) cost per
-        worker process.  Each vertex's arc list is a slice of the shipped
-        CSR ``arcs`` — an ``array('q')`` already, copied without making
-        an int per arc.  Vertices are their own indices.  Arc numbering,
+        worker process.  It makes no object per arc: ``heads`` holds the
+        ``n`` ints of ``range(n)``, each as often as arcs lead to it, and
+        ``caps`` one float per distinct capacity (unpacking an array makes
+        a new object per element).  Each vertex's arc list is a slice of
+        the shipped CSR ``arcs`` — an ``array('q')`` already, copied
+        without making an int per arc.  Vertices are their own indices.  Arc numbering,
         list order and ``boundary`` are the frozen network's own, so the
         pair invariant (:func:`is_twin`) and the two-half layout hold here
         because they held there.  The head tuples are not shipped: the
@@ -264,9 +267,11 @@ class ResidualNetwork:
         network._vertex_of = range(n)
         offsets = compact.offsets
         arcs = compact.arcs
+        vertices = list(range(n))
+        capacities: Dict[float, float] = {}
         network._adopt(
-            list(compact.heads),
-            list(compact.caps),
+            list(map(vertices.__getitem__, compact.heads)),
+            list(map(capacities.setdefault, compact.caps, compact.caps)),
             [arcs[offsets[v]:offsets[v + 1]] for v in range(n)],
             list(compact.boundary),
         )

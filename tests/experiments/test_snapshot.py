@@ -58,6 +58,19 @@ class TestRoutingTableSnapshot:
         assert RoutingTableSnapshot.from_document(document) == snapshot
         assert RoutingTableSnapshot.from_json(snapshot.to_json()) == snapshot
 
+    def test_to_document_is_the_decoded_json(self):
+        for protocol in ("kademlia", "chord"):
+            snapshot = RoutingTableSnapshot.capture(
+                3.25, {1000: [2000, 3000], 2000: [1000], 3000: []}, protocol
+            )
+            document = snapshot.to_document()
+            assert document == json.loads(snapshot.to_json())
+            assert ("protocol" in document) == (protocol != "kademlia")
+            assert RoutingTableSnapshot.from_document(document) == snapshot
+            # Each table is a list of the document's own.
+            document["routing_tables"]["1000"].append(4000)
+            assert snapshot.routing_tables[1000] == [2000, 3000]
+
     def test_to_connectivity_graph(self):
         snapshot = RoutingTableSnapshot.capture(0.0, {1: [2], 2: [1], 3: [1]})
         graph = snapshot.to_connectivity_graph()

@@ -11,8 +11,8 @@ The last sections guard how a vertex is read (``dinic.py``, "What a
 vertex is read through"): flows run back to back *without* ``reset()``,
 so later ones search a network the earlier ones changed, and after every
 flow the invariant the head tuples stand on is asserted directly; every
-layer and every flow is also compared with the whole-list read of the
-same residual state.
+level graph and every flow is also compared with the whole-list read of
+the same residual state, and so are the single-exit steps of the DFS.
 """
 
 import random
@@ -567,8 +567,9 @@ def test_thawed_network_carries_the_layout_and_matches_serial(obs_enabled):
 # Head tuples against the whole-list read.  A network whose every vertex
 # is marked is read whole, with the capacity test, everywhere; on the
 # same residual state the kernel must grow the same layers in the same
-# order, meet at the same arc and push the same paths — so the residual
-# capacities after the flow match arc for arc.
+# order, meet at the same arc and push the same paths in the same order —
+# so the undo logs and the residual capacities after the flow match arc
+# for arc.
 # ----------------------------------------------------------------------
 def assert_head_tuples(network):
     """The tuples restate each half of each list at its initial capacities."""
@@ -584,14 +585,12 @@ def assert_head_tuples(network):
         ), v
 
 
-def whole_list_layer(network, frontier, backward, label):
-    """``_expand_layer`` by whole-list reads, on copies of stamps and levels."""
-    stamp, levels = list(network._stamp), list(network._levels)
-    gen, flip = network._gen, int(backward)
+def whole_list_layer(network, stamp, levels, gen, frontier, backward, label):
+    """One layer grown by whole-list reads into ``stamp`` and ``levels``."""
     layer = []
     for u in frontier:
         for arc in network.adjacency[u]:
-            if network.caps[arc ^ flip] > RESIDUAL_EPS:
+            if network.caps[arc ^ backward] > RESIDUAL_EPS:
                 v = network.heads[arc]
                 if stamp[v] != gen:
                     stamp[v], levels[v] = gen, label
@@ -601,20 +600,47 @@ def whole_list_layer(network, frontier, backward, label):
     return layer, False
 
 
-@pytest.fixture
-def checked_layers(monkeypatch):
-    """Compare every layer the kernel grows with the whole-list read."""
-    checked = []
-    expand_layer = dinic_module._expand_layer
+def whole_list_level_graph(network, source, sink):
+    """``_level_graph`` by whole-list reads, on copies of stamps and levels.
 
-    def compared(network, frontier, backward, label, epoch):
-        expected = whole_list_layer(network, frontier, backward, label)
-        grown = expand_layer(network, frontier, backward, label, epoch)
+    Returns ``((met, f, b, labelled), stamp, levels)``.
+    """
+    stamp, levels = list(network._stamp), list(network._levels)
+    gen = network._gen + 1
+    stamp[source] = stamp[sink] = gen
+    levels[source], levels[sink] = 0, -1
+    frontiers, depths, labelled = [[source], [sink]], [0, 0], 2
+    while frontiers[0] and frontiers[1]:
+        side = int(len(frontiers[0]) > len(frontiers[1]))  # 1: backward
+        label = -2 - depths[1] if side else depths[0] + 1
+        layer, met = whole_list_layer(
+            network, stamp, levels, gen, frontiers[side], side, label
+        )
+        labelled += len(layer)
+        if met:
+            for v in layer:
+                stamp[v] = 0
+            return (True, depths[0], depths[1], labelled), stamp, levels
+        frontiers[side] = layer
+        depths[side] += 1
+    return (False, depths[0], depths[1], labelled), stamp, levels
+
+
+@pytest.fixture
+def checked_searches(monkeypatch):
+    """Compare every level graph the kernel grows with the whole-list read."""
+    checked = []
+    level_graph = dinic_module._level_graph
+
+    def compared(network, source, sink, epoch):
+        expected, stamp, levels = whole_list_level_graph(network, source, sink)
+        grown = level_graph(network, source, sink, epoch)
         assert grown == expected
+        assert network._stamp == stamp and network._levels == levels
         checked.append(grown)
         return grown
 
-    monkeypatch.setattr(dinic_module, "_expand_layer", compared)
+    monkeypatch.setattr(dinic_module, "_level_graph", compared)
     return checked
 
 
@@ -625,21 +651,31 @@ def read_whole_everywhere(network):
     return twin
 
 
-def run_against_whole_list_reads(network, queries, rng):
-    """Dinic on a shared network, each flow also run on a read-whole twin."""
+def run_against_whole_list_reads(network, queries, rng, cutoffs=(None, None, 1.0, 2.0, 4.0)):
+    """Dinic on a shared network, each flow also run on a read-whole twin.
+
+    The twin's undo log must equal what the flow added to the network's,
+    arc for arc: the same augmenting paths, pushed in the same order.
+    Returns the flow values.
+    """
+    values = []
     for number, (source, sink) in enumerate(queries):
         if number == 0 or rng.random() < 0.4:
             network.reset()
-        cutoff = rng.choice((None, None, 1.0, 2.0, 4.0))
+        cutoff = rng.choice(cutoffs)
         twin = read_whole_everywhere(network)
         before = network.kernel_counters()
+        logged = len(network._touched)
         value = dinic(network, source, sink, cutoff)
         assert dinic(twin, source, sink, cutoff) == value
+        assert twin._touched == network._touched[logged:]
         assert twin.caps == network.caps
         moved = [after - was for was, after in zip(before, network.kernel_counters())]
         # phases, augmentations, vertices_labelled, cutoff_hits
         assert tuple(moved[:4]) == twin.kernel_counters()[:4]
+        values.append(value)
     assert_head_tuples(network)
+    return values
 
 
 def with_inert_pairs(graph, rng):
@@ -655,7 +691,7 @@ def with_inert_pairs(graph, rng):
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 @pytest.mark.parametrize("seed", range(3))
 def test_tuple_reads_match_whole_list_reads_on_deep_graphs(
-    family, seed, unit, checked_layers
+    family, seed, unit, checked_searches
 ):
     rng = random.Random(f"tuples-{family}-{seed}")
     graph = FAMILIES[family](rng)
@@ -664,20 +700,20 @@ def test_tuple_reads_match_whole_list_reads_on_deep_graphs(
     network = ResidualNetwork(graph)
     queries = [tuple(rng.sample(range(network.n), 2)) for _ in range(12)]
     run_against_whole_list_reads(network, queries, rng)
-    assert checked_layers
+    assert checked_searches
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_tuple_reads_match_whole_list_reads_on_even_networks(seed, checked_layers):
+def test_tuple_reads_match_whole_list_reads_on_even_networks(seed, checked_searches):
     rng = random.Random(f"tuples-even-{seed}")
     graph = random_regular_out_digraph(rng.choice((30, 60)), rng.choice((5, 8)), rng)
     transform, network = even_network(graph)
     run_against_whole_list_reads(network, even_queries(transform, graph, 20, rng), rng)
-    assert network.full_scans > 0 and checked_layers
+    assert network.full_scans > 0 and checked_searches
 
 
 @pytest.mark.parametrize("separators", (2, 4))
-def test_tuple_reads_match_whole_list_reads_across_a_planted_cut(separators, checked_layers):
+def test_tuple_reads_match_whole_list_reads_across_a_planted_cut(separators, checked_searches):
     rng = random.Random(f"tuples-planted-{separators}")
     half = 40
     transform, network = even_network(planted_middle_cut(half, separators, rng))
@@ -686,12 +722,12 @@ def test_tuple_reads_match_whole_list_reads_across_a_planted_cut(separators, che
     run_against_whole_list_reads(
         network, [transform.flow_endpoint_indices(*pair) for pair in pairs], rng
     )
-    assert checked_layers
+    assert checked_searches
 
 
 @pytest.mark.parametrize("unit", (True, False), ids=("unit", "fractional"))
 @pytest.mark.parametrize("seed", range(6))
-def test_tuple_reads_match_whole_list_reads_with_inert_pairs(seed, unit, checked_layers):
+def test_tuple_reads_match_whole_list_reads_with_inert_pairs(seed, unit, checked_searches):
     # Inert pairs sit in both tuples as the vertex itself; flows through
     # their neighbours mark vertices mid-phase, where the scan must resume
     # at the same list position it reached through the tuple.
@@ -704,7 +740,105 @@ def test_tuple_reads_match_whole_list_reads_with_inert_pairs(seed, unit, checked
     queries = [tuple(rng.sample(range(network.n), 2)) for _ in range(12)]
     run_against_whole_list_reads(network, queries, rng)
     run_interleaved(network, queries, rng, unit)
-    assert checked_layers
+    assert checked_searches
+
+
+# ----------------------------------------------------------------------
+# Single exits: the DFS decides an untouched vertex with one head from its
+# parent's scan (``dinic.py``, "Single exits").  Each case runs with and
+# without cutoffs against the read-whole twin, which enters every vertex,
+# so a step that pushes another path, or the same paths in another order,
+# fails on the undo log.
+# ----------------------------------------------------------------------
+CAPACITIES = {
+    "unit": lambda rng: 1.0,
+    "fractional": lambda rng: rng.choice(FRACTIONS),
+    "inert": lambda rng: 0.0 if rng.random() < 0.15 else 1.0,
+}
+CUT = {"uncut": (None,), "cut": (1.0, 2.0)}
+
+
+def chain_network(rng, capacity):
+    """Hubs joined by chains of single-exit vertices, built from arcs.
+
+    Returns ``(network, singles)``: ``singles`` are the chain vertices,
+    each the tail of exactly one arc.  Some chains end in another chain's
+    vertex, which then has several ways in: a path through it marks it
+    while it stays in the level graph for the next scan that offers it.
+    """
+    hubs = rng.randint(6, 16)
+    arcs, singles = [], []
+    for hub in range(hubs):
+        for _ in range(rng.randint(3, 6)):
+            tail = hub
+            for _ in range(rng.randint(1, 3)):
+                merges = [vertex for vertex in singles if vertex != tail]
+                if merges and rng.random() < 0.3:
+                    arcs.append((tail, rng.choice(merges), capacity(rng)))
+                    break
+                vertex = hubs + len(singles)
+                arcs.append((tail, vertex, capacity(rng)))
+                singles.append(vertex)
+                tail = vertex
+            else:
+                others = [other for other in range(hubs) if other != hub]
+                arcs.append((tail, rng.choice(others), capacity(rng)))
+    network = ResidualNetwork.from_arcs(hubs + len(singles), arcs)
+    assert all(network.boundary[vertex] == 1 for vertex in singles)
+    return network, singles
+
+
+@pytest.mark.parametrize("cut", sorted(CUT))
+@pytest.mark.parametrize("capacity", ("unit", "fractional"))
+@pytest.mark.parametrize("seed", range(4))
+def test_chains_of_single_exits_match_whole_list_reads(seed, capacity, cut, checked_searches):
+    rng = random.Random(f"chains-{capacity}-{seed}")
+    network, _ = chain_network(rng, CAPACITIES[capacity])
+    queries = [tuple(rng.sample(range(network.n), 2)) for _ in range(16)]
+    values = run_against_whole_list_reads(network, queries, rng, CUT[cut])
+    assert any(values) and checked_searches
+
+
+@pytest.mark.parametrize("cut", sorted(CUT))
+@pytest.mark.parametrize("seed", range(4))
+def test_single_exit_sinks_match_whole_list_reads(seed, cut, checked_searches):
+    # The sink ends the path; stepping past it would unstamp it or run on.
+    rng = random.Random(f"sinks-{seed}")
+    network, singles = chain_network(rng, CAPACITIES["unit"])
+    queries = [(rng.randrange(network.n), rng.choice(singles)) for _ in range(16)]
+    queries = [(source, sink) for source, sink in queries if source != sink]
+    values = run_against_whole_list_reads(network, queries, rng, CUT[cut])
+    assert any(values) and checked_searches
+
+
+@pytest.mark.parametrize("cut", sorted(CUT))
+@pytest.mark.parametrize("seed", range(4))
+def test_inert_single_exits_match_whole_list_reads(seed, cut, checked_searches):
+    # An inert exit sits in the tuple as the vertex itself, never one
+    # level above it: the step must close such a vertex, not take it.
+    rng = random.Random(f"inert-exits-{seed}")
+    network, singles = chain_network(rng, CAPACITIES["inert"])
+    out_heads, _ = network.head_tuples()
+    assert any(out_heads[vertex] == (vertex,) for vertex in singles)
+    queries = [tuple(rng.sample(range(network.n), 2)) for _ in range(16)]
+    values = run_against_whole_list_reads(network, queries, rng, CUT[cut])
+    assert any(values) and checked_searches
+
+
+@pytest.mark.parametrize("cutoff", (None, 2.0), ids=("uncut", "cut"))
+def test_single_exits_marked_mid_phase_are_entered(cutoff, checked_searches):
+    # One phase: s -> a -> v -> t is pushed first and marks v and t, which
+    # stay stamped.  Then b's tuple offers v again, whose tuple still says
+    # "one exit, t": only entering v (whole list, v -> t full) closes it.
+    # y's single exit into the marked sink is then taken.  a and b have
+    # two exits each (a -> d leads nowhere), so the DFS enters them.
+    s, a, b, v, y, d, t = range(7)
+    arcs = [(s, a), (s, b), (a, v), (a, d), (b, v), (b, y), (v, t), (y, t)]
+    network = ResidualNetwork.from_arcs(7, [(tail, head, 1.0) for tail, head in arcs])
+    values = run_against_whole_list_reads(network, [(s, t)], random.Random(0), (cutoff,))
+    assert values == [2.0] and checked_searches[0] == (True, 1, 1, 6)
+    paths = [arcs.index(arc) * 2 for arc in [(s, a), (a, v), (v, t), (s, b), (b, y), (y, t)]]
+    assert network._touched == paths
 
 
 class CountingTuples(list):
@@ -743,4 +877,6 @@ def test_untouched_vertices_are_read_through_their_tuples():
     # backward searches ``in_tails``; whole-list reads stay the exception.
     # The counts repeat exactly, so they are pinned: a kernel that stops
     # taking either tuple path in any of the three places reads fewer.
-    assert (out_heads.reads, in_tails.reads, scans) == (8574, 814, 123)
+    # A single exit is read once, from its parent's scan; one left
+    # stamped after it was closed is offered, and read, again.
+    assert (out_heads.reads, in_tails.reads, scans) == (6667, 814, 123)

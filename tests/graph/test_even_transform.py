@@ -314,6 +314,29 @@ def test_identity_labels_keep_no_index_dict():
         labelled.index_of(1)
 
 
+def test_a_thawed_network_holds_each_vertex_int_and_capacity_float_once():
+    # Vertex ids reach past 256, so no two equal ints are one object by
+    # accident; unpacking the shipped arrays would make one per arc.
+    rng = random.Random(8)
+    n = 600
+    triples = [
+        (rng.randrange(n), rng.randrange(n), rng.choice((0.0, 0.5, 1.0, 2.5)))
+        for _ in range(5000)
+    ]
+    graph = build_connectivity_graph(synthetic_snapshot(400, 8, seed=3).routing_tables)
+    flow = network_flow_function("dinic")
+    for frozen in (ResidualNetwork.from_arcs(n, triples), indexed_even_transform(graph).network):
+        thawed = frozen.compact().thaw()
+        assert len(set(map(id, thawed.heads))) <= thawed.n
+        assert len(set(map(id, thawed.caps))) <= len(set(thawed.caps))
+        assert set(map(id, thawed._initial_caps)) == set(map(id, thawed.caps))
+        for _ in range(6):
+            source, sink = rng.sample(range(frozen.n), 2)
+            frozen.reset()
+            thawed.reset()
+            assert flow(thawed, source, sink, None) == flow(frozen, source, sink, None)
+
+
 #: Traced peak bytes per arc on ``synthetic_snapshot(2000, 16, seed=1)``
 #: (68 000 arcs), of the Even build and of the build plus its first Dinic
 #: flow, on Python 3.10.13 / 3.11.7 / 3.12.1:

@@ -16,6 +16,8 @@ Covers the refactor's cross-layer contracts:
 * the **CLI** accepts ``--protocol`` wherever a scenario is run.
 """
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -130,6 +132,18 @@ class TestPersistenceRoundTrip:
         assert document["scenario"]["protocol"] == protocol
         restored = result_from_dict(document)
         assert restored.scenario.protocol == protocol
+
+
+    @pytest.mark.parametrize("protocol", ["kademlia", "chord"])
+    def test_snapshot_documents_are_the_decoded_json(self, protocol):
+        # result_to_dict builds each snapshot's document directly; it must
+        # be what a JSON text round trip of the snapshot gives.
+        result = self._run(protocol)
+        document = result_to_dict(result, include_snapshots=True)
+        assert result.snapshots
+        assert document["snapshots"] == [
+            json.loads(snapshot.to_json()) for snapshot in result.snapshots
+        ]
 
 
 class TestCrossProtocolSweep:
