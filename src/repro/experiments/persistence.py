@@ -13,7 +13,6 @@ holds them and ``include_snapshots=True``.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from pathlib import Path
 from typing import Dict, List, Union
@@ -21,6 +20,7 @@ from typing import Dict, List, Union
 from repro.core.analyzer import ConnectivityReport
 from repro.core.estimation import EstimatedConnectivityReport
 from repro.core.timeseries import ConnectivitySample, ConnectivityTimeSeries
+from repro.digest import sha256
 from repro.experiments.phases import PhaseSchedule
 from repro.experiments.runner import ExperimentResult
 from repro.experiments.scenarios import Scenario
@@ -178,7 +178,7 @@ def trajectory_digest(result: ExperimentResult) -> str:
     for sample in document["series"]["samples"]:
         sample["report"].pop("elapsed_seconds", None)
     canonical = json.dumps(document, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def save_result(

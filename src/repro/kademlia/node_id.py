@@ -9,9 +9,10 @@ address string (``id_from_key``) or draw ids uniformly at random
 
 from __future__ import annotations
 
-import hashlib
 import random
 from typing import Iterable, List, Optional, Set
+
+from repro.digest import sha256
 
 
 def xor_distance(id_a: int, id_b: int) -> int:
@@ -65,7 +66,7 @@ def id_from_key(key: str, bit_length: int) -> int:
     Mirrors how real deployments derive ids for data objects: SHA-256 of the
     key, truncated to ``bit_length`` bits.
     """
-    digest = hashlib.sha256(key.encode("utf-8")).digest()
+    digest = sha256(key.encode("utf-8")).digest()
     value = int.from_bytes(digest, "big")
     return value & ((1 << bit_length) - 1)
 

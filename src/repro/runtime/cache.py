@@ -42,7 +42,6 @@ publish means readers see either nothing or a complete entry.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 import os
@@ -51,6 +50,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
+from repro.digest import sha256
 from repro.experiments.persistence import result_from_dict, result_to_dict
 from repro.experiments.runner import ExperimentResult
 from repro.runtime import faults
@@ -118,7 +118,7 @@ def _document_checksum(document: dict) -> str:
     written with.
     """
     canonical = json.dumps(document, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return sha256(canonical.encode("utf-8")).hexdigest()
 
 
 @dataclass

@@ -51,12 +51,13 @@ cached and compared interchangeably with fault-free ones.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, FrozenSet, Optional, Tuple, Union
+
+from repro.digest import sha256
 
 #: Environment variable holding the fault spec (exported to workers).
 ENV_VAR = "REPRO_FAULTS"
@@ -104,9 +105,7 @@ class FaultSpecError(ValueError):
 
 def _unit_fraction(seed: int, kind: str, occurrence: int) -> float:
     """Uniform [0, 1) draw, a pure function of its arguments."""
-    digest = hashlib.sha256(
-        f"{seed}:{kind}:{occurrence}".encode("utf-8")
-    ).digest()
+    digest = sha256(f"{seed}:{kind}:{occurrence}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") / 2**64
 
 

@@ -33,7 +33,6 @@ never a bit of its result.
 
 from __future__ import annotations
 
-import hashlib
 import logging
 import os
 import signal
@@ -42,6 +41,7 @@ from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
+from repro.digest import sha256
 from repro.experiments.runner import ExperimentResult
 
 logger = logging.getLogger(__name__)
@@ -58,7 +58,7 @@ RETRIES_ENV_VAR = "REPRO_CAMPAIGN_RETRIES"
 
 def _unit_fraction(seed: int, key: str, attempt: int) -> float:
     """Uniform [0, 1) draw, a pure function of its arguments."""
-    digest = hashlib.sha256(f"{seed}/{key}/{attempt}".encode("utf-8")).digest()
+    digest = sha256(f"{seed}/{key}/{attempt}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") / 2**64
 
 

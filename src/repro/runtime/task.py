@@ -12,12 +12,12 @@ changing their output.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from typing import Dict
 
+from repro.digest import sha256
 from repro.experiments.profiles import ScaleProfile, get_profile
 from repro.experiments.runner import ExperimentResult, ExperimentRunner
 from repro.experiments.scenarios import Scenario
@@ -127,7 +127,7 @@ class ExperimentTask:
         canonical = json.dumps(
             self._fingerprint, sort_keys=True, separators=(",", ":")
         )
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        return sha256(canonical.encode("utf-8")).hexdigest()
 
     def label(self) -> str:
         """Short human-readable description (progress reporting)."""
@@ -166,5 +166,5 @@ def derive_seed(root_seed: int, *parts: object) -> int:
     every replication its own reproducible universe.
     """
     path = "/".join(str(part) for part in parts)
-    digest = hashlib.sha256(f"{int(root_seed)}/{path}".encode("utf-8")).digest()
+    digest = sha256(f"{int(root_seed)}/{path}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")

@@ -10,9 +10,10 @@ single dimension, exactly like the paper's one-dimension-at-a-time sweeps.
 
 from __future__ import annotations
 
-import hashlib
 import random
 from typing import Dict
+
+from repro.digest import sha256
 
 
 class RandomSource:
@@ -35,7 +36,7 @@ class RandomSource:
         they are first requested.
         """
         if name not in self._streams:
-            digest = hashlib.sha256(f"{self._seed}:{name}".encode("utf-8")).digest()
+            digest = sha256(f"{self._seed}:{name}".encode("utf-8")).digest()
             child_seed = int.from_bytes(digest[:8], "big")
             self._streams[name] = random.Random(child_seed)
         return self._streams[name]
@@ -46,5 +47,5 @@ class RandomSource:
         Used by parameter sweeps to give every scenario replication its own
         independent but reproducible universe of streams.
         """
-        digest = hashlib.sha256(f"{self._seed}/{name}".encode("utf-8")).digest()
+        digest = sha256(f"{self._seed}/{name}".encode("utf-8")).digest()
         return RandomSource(int.from_bytes(digest[:8], "big"))

@@ -10,6 +10,14 @@ does not depend on the speed of the host.
 The last group pins the rule that keeps cold-start numbers honest: the
 first call of an entry point imports no ``repro`` module, because the
 import its caller already made loaded everything the call runs.
+
+No process maps OpenSSL: SHA-256 comes from ``repro.digest`` (the
+interpreter's built-in module), so neither ``hashlib`` nor its
+``_hashlib`` extension — about 3.6 MiB of libcrypto in every process —
+may load after ``import repro.api``, ``import repro.cli`` or any first
+call below, the campaign's set-up and call included.  An ``import
+hashlib`` put back into ``simulator/random_source.py`` or
+``runtime/cache.py`` fails that check.
 """
 
 import importlib.util
@@ -36,6 +44,9 @@ OFF_THE_ANALYSIS_PATH = (
     "repro.overlay.pastry",
     "socket",
 )
+
+#: Modules that map OpenSSL's libcrypto; no path of the program loads them.
+HASHLIB_MODULES = ("hashlib", "_hashlib")
 
 #: ``__all__`` names without a ``__module__`` of their own.
 CONSTANT_HOMES = {
@@ -69,7 +80,8 @@ with api.open_campaign(jobs=1, cache_dir=path.parent / "cache") as campaign:
 format_table2(results)
 """
 
-#: Set-up, then the first call, then the ``repro`` modules the call loaded.
+#: Set-up, then the first call, then the ``repro`` modules the call loaded
+#: and every module loaded by then.
 FIRST_CALL = """
 import json, sys
 from pathlib import Path
@@ -77,9 +89,10 @@ path = Path(sys.argv[1]) / "snapshot.json"
 {setup}
 before = set(sys.modules)
 {call}
-print(json.dumps(sorted(
-    name for name in set(sys.modules) - before if name.split(".")[0] == "repro"
-)))
+print(json.dumps([
+    sorted(name for name in set(sys.modules) - before if name.split(".")[0] == "repro"),
+    sorted(sys.modules),
+]))
 """
 
 FIRST_CALLS = {
@@ -132,6 +145,11 @@ class TestWhatAnImportLoads:
             loaded, ("multiprocessing", "concurrent.futures.process", "socket")
         ) == []
 
+    @pytest.mark.parametrize("statement", ["import repro.api", "import repro.cli"])
+    def test_no_entry_point_loads_hashlib(self, statement):
+        loaded = run_fresh(LOADED_BY.format(statement=statement))
+        assert off_path(loaded, HASHLIB_MODULES) == []
+
     def test_there_is_no_tcp_backend_to_load(self):
         assert importlib.util.find_spec("repro.runtime.distributed") is None
 
@@ -154,6 +172,29 @@ print(json.dumps([mismatched, sorted(set(api.__all__) - set(namespace))]))
         assert not_starred == []
 
 
-@pytest.mark.parametrize("setup, call", FIRST_CALLS.values(), ids=FIRST_CALLS.keys())
-def test_first_call_imports_no_repro_module(setup, call, tmp_path):
-    assert run_fresh(FIRST_CALL.format(setup=setup, call=call), str(tmp_path)) == []
+@pytest.fixture(scope="module")
+def first_call(tmp_path_factory):
+    """Runs a ``FIRST_CALLS`` entry once in a fresh interpreter; returns what loaded."""
+    outcomes = {}
+
+    def run(name):
+        if name not in outcomes:
+            setup, call = FIRST_CALLS[name]
+            outcomes[name] = run_fresh(
+                FIRST_CALL.format(setup=setup, call=call), str(tmp_path_factory.mktemp(name))
+            )
+        return outcomes[name]
+
+    return run
+
+
+@pytest.mark.parametrize("name", FIRST_CALLS)
+def test_first_call_imports_no_repro_module(name, first_call):
+    imported_by_call, _ = first_call(name)
+    assert imported_by_call == []
+
+
+@pytest.mark.parametrize("name", FIRST_CALLS)
+def test_first_call_loads_no_hashlib(name, first_call):
+    _, loaded = first_call(name)
+    assert off_path(loaded, HASHLIB_MODULES) == []
