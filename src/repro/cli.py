@@ -53,7 +53,7 @@ import logging
 import os
 import sys
 from contextlib import contextmanager
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from repro import obs
 from repro.obs import tracing
@@ -65,18 +65,16 @@ from repro.experiments.report import (
     format_table1,
     format_table2,
 )
-from repro.experiments.scenarios import PAPER_BUCKET_SIZES, get_scenario
 from repro.experiments.snapshot import RoutingTableSnapshot
-from repro.experiments.sweep import run_bucket_size_sweep, run_scenario
 from repro.graph.io.dimacs import write_dimacs
 from repro.graph.transform.even_transform import even_transform
 from repro.options import ExecutionOptions, MeasurementSpec
 from repro.overlay import overlay_names
 from repro.analysis.figures import render_series_table
 from repro.runtime import faults
-from repro.runtime.cache import ResultCache
-from repro.runtime.campaign import sweep_tasks
-from repro.runtime.resilience import RetryPolicy
+
+if TYPE_CHECKING:
+    from repro.runtime.cache import ResultCache
 
 
 def _positive_int(text: str) -> int:
@@ -233,11 +231,22 @@ def _scenario_name(args: argparse.Namespace) -> str:
 
 
 def _make_cache(args: argparse.Namespace) -> Optional[ResultCache]:
+    from repro.runtime.cache import ResultCache
+
     return ResultCache(args.cache_dir) if args.cache_dir else None
+
+
+def _bucket_sizes(args: argparse.Namespace) -> List[int]:
+    """``--k``, or the paper's bucket sizes when it is not given."""
+    from repro.experiments.scenarios import PAPER_BUCKET_SIZES
+
+    return args.k if args.k is not None else list(PAPER_BUCKET_SIZES)
 
 
 def _execution(args: argparse.Namespace) -> ExecutionOptions:
     """The run commands' scheduling/placement flags as one value."""
+    from repro.runtime.resilience import RetryPolicy
+
     return ExecutionOptions(
         jobs=args.jobs,
         flow_jobs=args.flow_jobs,
@@ -303,7 +312,7 @@ def _configure_logging(verbosity: int) -> None:
     """Route the ``repro`` logger hierarchy to stderr.
 
     ``-v`` lifts the threshold to INFO, ``-vv`` to DEBUG; the default
-    WARNING keeps the cache/pool diagnostics (oversized-store drops,
+    WARNING keeps the cache/pool diagnostics (quarantined entries,
     cancelled batches) visible without any flag.  The handler is attached
     once per process (tests call ``main`` repeatedly) and writes to
     stderr so stdout stays bit-identical whatever the verbosity.
@@ -396,8 +405,17 @@ def _measurement(args: argparse.Namespace) -> MeasurementSpec:
     )
 
 
+def _scenario(args: argparse.Namespace):
+    """The named scenario with the command's overrides applied."""
+    from repro.experiments.scenarios import get_scenario
+
+    return _apply_overrides(get_scenario(_scenario_name(args)), args)
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
-    scenario = _apply_overrides(get_scenario(_scenario_name(args)), args)
+    from repro.experiments.sweep import run_scenario
+
+    scenario = _scenario(args)
     enabled_here = _obs_setup(args)
     cache = _make_cache(args)
     try:
@@ -425,13 +443,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep_k(args: argparse.Namespace) -> int:
-    scenario = _apply_overrides(get_scenario(_scenario_name(args)), args)
+    from repro.experiments.sweep import run_bucket_size_sweep
+
+    scenario = _scenario(args)
     enabled_here = _obs_setup(args)
     cache = _make_cache(args)
     try:
         with _faults_scope(args):
             results = run_bucket_size_sweep(
-                scenario, bucket_sizes=args.k, profile=args.profile,
+                scenario, bucket_sizes=_bucket_sizes(args), profile=args.profile,
                 seed=args.seed,
                 measurement=_measurement(args), execution=_execution(args),
                 cache=cache, progress=_make_progress(args),
@@ -449,6 +469,9 @@ def _cmd_table1(_args: argparse.Namespace) -> int:
 
 
 def _cmd_table2(args: argparse.Namespace) -> int:
+    from repro.experiments.scenarios import get_scenario
+    from repro.runtime.campaign import sweep_tasks
+
     enabled_here = _obs_setup(args)
     cache = _make_cache(args)
     # One batch across all four scenarios so --jobs parallelises the whole
@@ -462,7 +485,7 @@ def _cmd_table2(args: argparse.Namespace) -> int:
         for base in bases
         for task in sweep_tasks(
             base,
-            [{"bucket_size": k} for k in args.k],
+            [{"bucket_size": k} for k in _bucket_sizes(args)],
             profile=args.profile, seed=args.seed,
             measurement=measurement, execution=execution,
         )
@@ -488,7 +511,9 @@ def _cmd_obs_summary(args: argparse.Namespace) -> int:
     stdout.  The simulation results themselves are bit-identical to an
     uninstrumented run and still populate ``--cache-dir`` normally.
     """
-    scenario = _apply_overrides(get_scenario(_scenario_name(args)), args)
+    from repro.experiments.sweep import run_scenario
+
+    scenario = _scenario(args)
     was_enabled = obs.enabled()
     obs.enable()
     if args.trace_out:
@@ -520,6 +545,8 @@ def _cmd_obs_summary(args: argparse.Namespace) -> int:
 
 
 def _cmd_cache_info(args: argparse.Namespace) -> int:
+    from repro.runtime.cache import ResultCache
+
     cache = ResultCache(args.cache_dir)
     info = cache.info()
     exists = cache.directory.is_dir()
@@ -527,7 +554,6 @@ def _cmd_cache_info(args: argparse.Namespace) -> int:
     print(f"entries:         {info.entries}")
     print(f"total bytes:     {info.total_bytes}")
     print(f"evictions:       {info.evictions}")
-    print(f"stores dropped:  {info.stores_dropped}")
     print(f"corrupt entries: {info.corrupt_entries}")
     print(f"hits:            {info.hits}")
     print(f"misses:          {info.misses}")
@@ -537,6 +563,8 @@ def _cmd_cache_info(args: argparse.Namespace) -> int:
 
 
 def _cmd_cache_verify(args: argparse.Namespace) -> int:
+    from repro.runtime.cache import ResultCache
+
     cache = ResultCache(args.cache_dir)
     if not cache.directory.is_dir():
         print(
@@ -549,7 +577,6 @@ def _cmd_cache_verify(args: argparse.Namespace) -> int:
     print(f"cache directory: {report.path}")
     print(f"entries checked: {report.checked}")
     print(f"ok:              {report.ok}")
-    print(f"legacy:          {report.legacy}")
     print(f"corrupt:         {report.corrupt}")
     if report.quarantined:
         print(f"quarantined:     {len(report.quarantined)}")
@@ -559,24 +586,16 @@ def _cmd_cache_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_cache_clear(args: argparse.Namespace) -> int:
+    from repro.runtime.cache import ResultCache
+
     removed = ResultCache(args.cache_dir).clear()
     print(f"removed {removed} cache entries from {args.cache_dir}")
     return 0
 
 
 def _cmd_cache_prune(args: argparse.Namespace) -> int:
-    if args.max_bytes is None:
-        # ResultCache.prune() without a cap prunes nothing by design;
-        # reaching it from the CLI is always a mistake, so say what to do
-        # instead of silently succeeding.
-        print(
-            "error: this cache has no size cap configured, so there is "
-            "nothing to prune to; pass --max-bytes N to evict "
-            "least-recently-used entries down to N bytes "
-            "(--max-bytes 0 empties the cache)",
-            file=sys.stderr,
-        )
-        raise SystemExit(2)
+    from repro.runtime.cache import ResultCache
+
     if args.max_bytes < 0:
         print(f"error: --max-bytes must be >= 0, got {args.max_bytes}",
               file=sys.stderr)
@@ -687,8 +706,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_parser = subparsers.add_parser("sweep-k", help="bucket-size sweep of a scenario")
     _add_scenario_argument(sweep_parser)
     sweep_parser.add_argument(
-        "--k", type=int, nargs="+", default=list(PAPER_BUCKET_SIZES),
-        help="bucket sizes to sweep",
+        "--k", type=int, nargs="+", default=None,
+        help="bucket sizes to sweep (default: the paper's bucket sizes)",
     )
     _add_common_run_options(sweep_parser)
     sweep_parser.set_defaults(func=_cmd_sweep_k)
@@ -700,8 +719,8 @@ def build_parser() -> argparse.ArgumentParser:
         "table2", help="reproduce Table 2 (mean/RV of min connectivity)"
     )
     table2_parser.add_argument(
-        "--k", type=int, nargs="+", default=list(PAPER_BUCKET_SIZES),
-        help="bucket sizes to include",
+        "--k", type=int, nargs="+", default=None,
+        help="bucket sizes to include (default: the paper's bucket sizes)",
     )
     _add_common_run_options(table2_parser)
     table2_parser.set_defaults(func=_cmd_table2)
@@ -805,12 +824,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-dir", required=True, help="result cache directory"
     )
     cache_prune_parser.add_argument(
-        "--max-bytes", type=int, default=None,
-        help=(
-            "target size cap in bytes (0 empties the cache); required — "
-            "omitting it means the cache is uncapped and there is nothing "
-            "to prune to"
-        ),
+        "--max-bytes", type=int, required=True,
+        help="target size cap in bytes (0 empties the cache)",
     )
     cache_prune_parser.set_defaults(func=_cmd_cache_prune)
 

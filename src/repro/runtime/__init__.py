@@ -16,7 +16,7 @@ execution harness:
   call);
 * :mod:`repro.runtime.cache` — :class:`ResultCache`, an on-disk
   content-addressed store of :class:`ExperimentResult` documents with
-  hit/miss statistics and an eviction API;
+  hit/miss statistics and an on-demand LRU ``prune``;
 * :mod:`repro.runtime.campaign` — :class:`Campaign`, the driver that
   expresses sweeps and replications as task batches and streams progress
   (with per-task results) while dispatching them through executor and

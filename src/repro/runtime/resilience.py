@@ -39,10 +39,12 @@ import signal
 import threading
 from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from repro.digest import sha256
-from repro.experiments.runner import ExperimentResult
+
+if TYPE_CHECKING:
+    from repro.experiments.runner import ExperimentResult
 
 logger = logging.getLogger(__name__)
 

@@ -1,7 +1,6 @@
 """Tests for the content-addressed result cache."""
 
 import json
-import logging
 import multiprocessing
 import os
 import time
@@ -10,7 +9,12 @@ import pytest
 
 from repro.experiments.persistence import trajectory_digest
 from repro.experiments.scenarios import get_scenario
-from repro.runtime.cache import CHECKSUM_FIELD, QUARANTINE_DIRNAME, ResultCache
+from repro.runtime.cache import (
+    CHECKSUM_FIELD,
+    QUARANTINE_DIRNAME,
+    ResultCache,
+    _document_checksum,
+)
 from repro.runtime.campaign import Campaign
 from repro.runtime.executor import Executor
 from repro.runtime.task import ExperimentTask
@@ -42,14 +46,15 @@ class TestResultCache:
     def test_miss_then_hit(self, task, result, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         assert cache.get(task) is None
-        cache.put(task, result)
-        assert cache.contains(task)
+        path = cache.put(task, result)
+        assert path == tmp_path / "cache" / f"{task.key()}.json"
         restored = cache.get(task)
         assert restored is not None
         assert cache.stats.hits == 1
         assert cache.stats.misses == 1
         assert cache.stats.stores == 1
         assert cache.stats.hit_rate == 0.5
+        assert cache.stats.bytes_served == path.stat().st_size
 
     def test_cached_snapshots_hold_each_node_id_once(self, task, result, tmp_path):
         cache = ResultCache(tmp_path / "cache")
@@ -91,14 +96,11 @@ class TestResultCache:
         assert restored.series.minimum_series() == result.series.minimum_series()
         assert cache.stats.hit_rate == 1.0
 
-    def test_evict_and_clear(self, task, result, tmp_path):
+    def test_clear_removes_every_entry(self, task, result, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         cache.put(task, result)
         assert cache.info().entries == 1
         assert cache.info().total_bytes > 0
-        assert cache.evict(task)
-        assert not cache.evict(task)
-        cache.put(task, result)
         assert cache.clear() == 1
         assert cache.info().entries == 0
 
@@ -112,24 +114,22 @@ class TestResultCache:
         quarantined = tmp_path / "cache" / QUARANTINE_DIRNAME / path.name
         assert quarantined.read_text(encoding="utf-8") == "{not json"
         assert cache.stats.corrupt_entries == 1
+        assert cache.stats.bytes_served == 0
         assert cache.info().corrupt_entries == 1
         assert ResultCache(tmp_path / "cache").info().corrupt_entries == 1
-
-    def test_non_object_json_entry_is_a_miss(self, task, result, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        path = cache.put(task, result)
-        path.write_text("[]", encoding="utf-8")
-        assert cache.get(task) is None
-        assert not path.exists()
 
     def test_fingerprint_mismatch_is_a_miss(self, task, result, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         path = cache.put(task, result)
         document = json.loads(path.read_text(encoding="utf-8"))
         document["task"]["seed"] = document["task"]["seed"] + 1
-        document.pop(CHECKSUM_FIELD, None)
+        # Re-sealed, so only the fingerprint comparison can reject it.
+        document.pop(CHECKSUM_FIELD)
+        document[CHECKSUM_FIELD] = _document_checksum(document)
         path.write_text(json.dumps(document), encoding="utf-8")
+        assert cache.verify(repair=False).clean
         assert cache.get(task) is None
+        assert cache.stats.corrupt_entries == 1
 
     def test_checksum_mismatch_is_quarantined_miss(
         self, task, result, tmp_path
@@ -158,17 +158,42 @@ class TestResultCache:
         cache.put(task, result)  # the campaign re-runs and overwrites
         assert cache.get(task) is not None
 
-    def test_legacy_entry_without_checksum_still_hits(
+    def test_entry_without_checksum_is_quarantined_miss(
         self, task, result, tmp_path
     ):
+        """Nothing vouches for checksum-less bytes: they are recomputed."""
         cache = ResultCache(tmp_path / "cache")
         path = cache.put(task, result)
         document = json.loads(path.read_text(encoding="utf-8"))
         document.pop(CHECKSUM_FIELD)
         path.write_text(json.dumps(document), encoding="utf-8")
-        restored = cache.get(task)
-        assert restored is not None
+        assert cache.get(task) is None
+        assert (cache.stats.hits, cache.stats.misses) == (0, 1)
+        assert cache.stats.corrupt_entries == 1
+        assert not path.exists()
+        assert (tmp_path / "cache" / QUARANTINE_DIRNAME / path.name).exists()
+        cache.put(task, result)  # the campaign re-runs and overwrites
+        assert cache.get(task) is not None
+
+    def test_entry_in_a_shard_subdirectory_is_ignored(
+        self, task, result, tmp_path
+    ):
+        """Entries live flat: ``key[:2]/key.json`` is neither served nor counted."""
+        directory = tmp_path / "cache"
+        cache = ResultCache(directory)
+        flat = cache.put(task, result)
+        sharded = directory / task.key()[:2] / flat.name
+        sharded.parent.mkdir()
+        flat.replace(sharded)
+        assert cache.get(task) is None
+        assert (cache.stats.hits, cache.stats.misses) == (0, 1)
         assert cache.stats.corrupt_entries == 0
+        info = cache.info()
+        assert (info.entries, info.total_bytes) == (0, 0)
+        assert cache.prune(max_bytes=0) == 0
+        assert cache.verify().checked == 0
+        assert cache.clear() == 0
+        assert sharded.exists()
 
     def test_cache_survives_reopening(self, task, result, tmp_path):
         ResultCache(tmp_path / "cache").put(task, result)
@@ -190,23 +215,23 @@ def distinct_tasks(count):
     ]
 
 
-class TestSizeCapEviction:
-    def test_put_evicts_down_to_cap(self, task, result, tmp_path):
-        probe = ResultCache(tmp_path / "probe")
-        entry_bytes = probe.put(task, result).stat().st_size
-        tasks = distinct_tasks(4)
-        cache = ResultCache(tmp_path / "cache", max_bytes=2 * entry_bytes)
-        for t in tasks:
-            cache.put(t, result)
+class TestPruneEviction:
+    def test_prune_evicts_down_to_cap(self, result, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
+        paths = [cache.put(t, result) for t in distinct_tasks(4)]
+        entry_bytes = max(path.stat().st_size for path in paths)
+        # A store never evicts: the cap applies only when prune asks.
+        assert cache.info().entries == 4
+        assert cache.stats.evictions == 0
+        assert cache.prune(max_bytes=2 * entry_bytes) == 2
         info = cache.info()
-        assert info.entries <= 2
+        assert info.entries == 2
         assert info.total_bytes <= 2 * entry_bytes
-        assert cache.stats.evictions >= 2
+        assert cache.stats.evictions == 2
         assert info.evictions == cache.stats.evictions
 
     def test_lru_order_keeps_recently_used_entries(self, result, tmp_path):
-        import os
-
+        """A hit refreshes recency, so prune evicts the colder entry."""
         tasks = distinct_tasks(3)
         cache = ResultCache(tmp_path / "cache")
         paths = [cache.put(t, result) for t in tasks]
@@ -218,14 +243,16 @@ class TestSizeCapEviction:
         entry_bytes = paths[0].stat().st_size
         evicted = cache.prune(max_bytes=2 * entry_bytes)
         assert evicted == 1
-        assert cache.contains(tasks[0])
-        assert not cache.contains(tasks[1])
-        assert cache.contains(tasks[2])
+        assert [path.exists() for path in paths] == [True, False, True]
+        assert cache.get(tasks[0]) is not None  # the touched entry survived
 
-    def test_prune_without_cap_is_noop(self, task, result, tmp_path):
+    def test_prune_cap_is_required_and_non_negative(self, task, result, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         cache.put(task, result)
-        assert cache.prune() == 0
+        with pytest.raises(TypeError):
+            cache.prune()
+        with pytest.raises(ValueError):
+            cache.prune(max_bytes=-1)
         assert cache.info().entries == 1
 
     def test_prune_to_zero_empties_cache(self, task, result, tmp_path):
@@ -251,94 +278,25 @@ class TestSizeCapEviction:
         cache.put(task, result)
         assert cache.clear() == 1
 
-    def test_negative_cap_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            ResultCache(tmp_path / "cache", max_bytes=-1)
+def _without(document, name):
+    document.pop(name)
+    return json.dumps(document)
 
 
-class TestTouchSemantics:
-    def test_prescanned_hits_survive_eviction(self, result, tmp_path):
-        """contains() refreshes recency exactly like get().
-
-        A campaign pre-scan answers "is this cached?" with contains() and
-        reads the entry later; if the probe did not count as a use, a
-        size-cap prune between scan and read could evict the very entry
-        the scan just promised, ahead of colder ones.
-        """
-        import os
-
-        tasks = distinct_tasks(3)
-        cache = ResultCache(tmp_path / "cache")
-        paths = [cache.put(t, result) for t in tasks]
-        # Make recency explicit (mtime granularity): tasks[0] is the
-        # coldest on disk, then promoted by the pre-scan probe, leaving
-        # tasks[1] as the true LRU entry.
-        for age, path in enumerate(paths):
-            os.utime(path, (1_000_000 + age, 1_000_000 + age))
-        assert cache.contains(tasks[0])
-        entry_bytes = paths[0].stat().st_size
-        assert cache.prune(max_bytes=2 * entry_bytes) == 1
-        assert cache.get(tasks[0]) is not None  # the promised entry survived
-        assert not cache.contains(tasks[1])     # the colder entry went
-        assert cache.contains(tasks[2])
-
-    def test_contains_still_false_for_missing_entry(self, task, tmp_path):
-        assert not ResultCache(tmp_path / "cache").contains(task)
+def _tampered(document):
+    document["result"]["wall_seconds"] += 1.0
+    return json.dumps(document)
 
 
-class TestOversizedStores:
-    def test_oversized_put_is_surfaced_and_drops_only_itself(
-        self, task, result, tmp_path, caplog
-    ):
-        """A store larger than the cap warns and never displaces entries.
-
-        Historically the oversized entry went through the LRU prune as
-        the newest file, which first evicted every *older* entry and then
-        the new one — one oversized store silently emptied the cache and
-        still looked like a success.
-        """
-        import dataclasses
-
-        small_result = dataclasses.replace(result, snapshots=[])
-        small_tasks = distinct_tasks(2)
-        probe = ResultCache(tmp_path / "probe")
-        small_bytes = probe.put(small_tasks[0], small_result).stat().st_size
-        big_bytes = probe.put(task, result).stat().st_size
-
-        cap = 2 * small_bytes + 2
-        assert big_bytes > cap, "snapshot-bearing entry must exceed the cap"
-        cache = ResultCache(tmp_path / "cache", max_bytes=cap)
-        for t in small_tasks:
-            cache.put(t, small_result)
-        with caplog.at_level(logging.WARNING, logger="repro.runtime.cache"):
-            dropped_path = cache.put(task, result)
-        assert any(
-            "larger than the cache cap" in record.message
-            for record in caplog.records
-        )
-        assert not dropped_path.exists()
-        assert cache.stats.stores_dropped == 1
-        assert cache.stats.stores == 2  # the dropped store is not a store
-        assert cache.stats.evictions == 0
-        # The pre-existing entries are untouched and the counter persists.
-        for t in small_tasks:
-            assert cache.contains(t)
-        assert cache.info().stores_dropped == 1
-        assert ResultCache(tmp_path / "cache").info().stores_dropped == 1
-
-    def test_first_store_into_tiny_cap_is_dropped_with_warning(
-        self, task, result, tmp_path, caplog
-    ):
-        cache = ResultCache(tmp_path / "cache", max_bytes=64)
-        with caplog.at_level(logging.WARNING, logger="repro.runtime.cache"):
-            cache.put(task, result)
-        assert any(
-            "the store was dropped" in record.message
-            for record in caplog.records
-        )
-        assert cache.info().entries == 0
-        assert cache.stats.stores_dropped == 1
-        assert cache.get(task) is None  # and a later lookup is an honest miss
+#: Ways to damage a written entry's document; each must fail the one check.
+DAMAGES = {
+    "not-json": lambda document: "{torn",
+    "not-an-object": lambda document: json.dumps([document]),
+    "no-task": lambda document: _without(document, "task"),
+    "no-result": lambda document: _without(document, "result"),
+    "no-checksum": lambda document: _without(document, CHECKSUM_FIELD),
+    "checksum-mismatch": _tampered,
+}
 
 
 class TestVerify:
@@ -366,7 +324,7 @@ class TestVerify:
         # The good entries are untouched and a re-scan is clean.
         assert cache.verify().clean
         for t in good_tasks:
-            assert cache.contains(t)
+            assert cache.get(t) is not None
 
     def test_verify_no_repair_reports_without_moving(
         self, task, result, tmp_path
@@ -378,15 +336,22 @@ class TestVerify:
         assert report.corrupt == 1 and report.quarantined == []
         assert bad_path.exists()  # left in place for inspection
 
-    def test_verify_flags_legacy_entries(self, task, result, tmp_path):
+    @pytest.mark.parametrize("damage", sorted(DAMAGES))
+    def test_get_and_verify_reject_the_same_entries(
+        self, task, result, tmp_path, damage
+    ):
         cache = ResultCache(tmp_path / "cache")
         path = cache.put(task, result)
-        document = json.loads(path.read_text(encoding="utf-8"))
-        document.pop(CHECKSUM_FIELD)
-        path.write_text(json.dumps(document), encoding="utf-8")
-        report = cache.verify()
-        assert report.clean
-        assert report.legacy == 1 and report.ok == 0
+        path.write_text(
+            DAMAGES[damage](json.loads(path.read_text(encoding="utf-8"))),
+            encoding="utf-8",
+        )
+        report = cache.verify(repair=False)
+        assert (report.checked, report.ok, report.corrupt) == (1, 0, 1)
+        assert cache.get(task) is None
+        assert cache.stats.corrupt_entries == 1
+        assert not path.exists()
+        assert (tmp_path / "cache" / QUARANTINE_DIRNAME / path.name).exists()
 
     def test_clear_removes_quarantine(self, task, result, tmp_path):
         cache = ResultCache(tmp_path / "cache")
@@ -424,108 +389,6 @@ class TestStaleTmpSweep:
         cache = ResultCache(tmp_path / "never-created")
         assert cache.info().entries == 0
         assert not (tmp_path / "never-created").exists()
-
-
-# ----------------------------------------------------------------------
-# Sharded layout (placement knob)
-# ----------------------------------------------------------------------
-class TestSharding:
-    def test_shard_depth_validation(self, tmp_path):
-        for bogus in (-1, 9):
-            with pytest.raises(ValueError):
-                ResultCache(tmp_path / "cache", shard_depth=bogus)
-
-    def test_sharded_writes_and_flat_fallback_reads(
-        self, task, result, tmp_path
-    ):
-        directory = tmp_path / "cache"
-        flat_path = ResultCache(directory).put(task, result)
-        assert flat_path.parent == directory
-
-        # A sharded instance still serves the pre-sharding flat entry...
-        sharded = ResultCache(directory, shard_depth=2)
-        assert sharded.get(task) is not None
-
-        # ...and writes new entries under the fingerprint-prefix subdir.
-        sharded.evict(task)
-        assert not flat_path.exists()
-        shard_path = sharded.put(task, result)
-        assert shard_path.parent == directory / task.key()[:2]
-        assert sharded.get(task) is not None
-
-        # A flat instance reads the sharded entry via the fallback too.
-        assert ResultCache(directory).get(task) is not None
-
-    def test_maintenance_sees_every_depth(self, task, result, tmp_path):
-        directory = tmp_path / "cache"
-        tasks = distinct_tasks(2)
-        ResultCache(directory).put(tasks[0], result)
-        ResultCache(directory, shard_depth=1).put(tasks[1], result)
-        cache = ResultCache(directory)
-        assert cache.info().entries == 2
-        report = cache.verify()
-        assert report.clean and report.checked == 2
-        assert cache.clear() == 2
-        assert ResultCache(directory).info().entries == 0
-
-
-# ----------------------------------------------------------------------
-# Cross-depth reads: ``get`` verifies an entry wherever it was placed
-# ----------------------------------------------------------------------
-DEPTH_PAIRS = [
-    (write, read)
-    for write in (0, 1, 2)
-    for read in (0, 1, 2)
-    if write != read
-]
-
-
-class TestCrossDepthReads:
-    @pytest.mark.parametrize(
-        "write_depth, read_depth", DEPTH_PAIRS,
-        ids=[f"write{w}-read{r}" for w, r in DEPTH_PAIRS],
-    )
-    def test_entry_hits_from_another_depth(
-        self, task, result, tmp_path, write_depth, read_depth
-    ):
-        directory = tmp_path / "cache"
-        path = ResultCache(directory, shard_depth=write_depth).put(task, result)
-        reader = ResultCache(directory, shard_depth=read_depth)
-        restored = reader.get(task)
-        assert restored is not None
-        assert restored.series.minimum_series() == result.series.minimum_series()
-        assert reader.stats.hits == 1
-        assert reader.stats.bytes_served == path.stat().st_size
-        # A read never moves the entry to the reader's own layout.
-        assert path.exists() and reader.info().entries == 1
-
-    @pytest.mark.parametrize("write_depth", [0, 1, 2])
-    def test_corrupt_entry_is_never_served_from_another_depth(
-        self, task, result, tmp_path, write_depth
-    ):
-        directory = tmp_path / "cache"
-        path = ResultCache(directory, shard_depth=write_depth).put(task, result)
-        path.write_text("{torn", encoding="utf-8")
-        reader = ResultCache(directory, shard_depth=(write_depth + 1) % 3)
-        assert reader.get(task) is None
-        assert not path.exists()
-        assert (directory / QUARANTINE_DIRNAME / path.name).exists()
-        assert reader.stats.corrupt_entries == 1
-        assert reader.stats.bytes_served == 0
-
-    @pytest.mark.parametrize("write_depth", [0, 1, 2])
-    def test_legacy_entry_hits_from_another_depth(
-        self, task, result, tmp_path, write_depth
-    ):
-        directory = tmp_path / "cache"
-        path = ResultCache(directory, shard_depth=write_depth).put(task, result)
-        document = json.loads(path.read_text(encoding="utf-8"))
-        document.pop(CHECKSUM_FIELD)
-        path.write_text(json.dumps(document), encoding="utf-8")
-        reader = ResultCache(directory, shard_depth=(write_depth + 1) % 3)
-        assert reader.get(task) is not None
-        assert reader.stats.corrupt_entries == 0
-        assert path.exists()
 
 
 # ----------------------------------------------------------------------

@@ -113,14 +113,12 @@ class TestCachePruneMessages:
     def _populate(self, capsys, cache_dir):
         run_cli(capsys, SWEEP_ARGV + ["--cache-dir", cache_dir])
 
-    def test_prune_without_cap_is_an_actionable_error(self, capsys, tmp_path):
-        cache_dir = str(tmp_path / "cache")
-        self._populate(capsys, cache_dir)
+    def test_prune_requires_max_bytes(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
-            main(["cache", "prune", "--cache-dir", cache_dir])
+            main(["cache", "prune", "--cache-dir", str(tmp_path / "cache")])
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
-        assert "no size cap" in err
+        assert "required" in err
         assert "--max-bytes" in err
 
     def test_prune_missing_directory_is_an_error(self, capsys, tmp_path):
@@ -149,11 +147,14 @@ class TestCachePruneMessages:
         )
         assert "evicted 2 least-recently-used entries" in out
 
-    def test_cache_info_reports_dropped_stores(self, capsys, tmp_path):
+    def test_cache_info_reports_prune_evictions(self, capsys, tmp_path):
         cache_dir = str(tmp_path / "cache")
         self._populate(capsys, cache_dir)
+        run_cli(capsys, ["cache", "prune", "--cache-dir", cache_dir, "--max-bytes", "0"])
         info_out, _ = run_cli(capsys, ["cache", "info", "--cache-dir", cache_dir])
-        assert "stores dropped:  0" in info_out
+        assert "entries:         0" in info_out
+        assert "evictions:       2" in info_out
+        assert "stores dropped" not in info_out
 
 
 class TestRunCommandCache:

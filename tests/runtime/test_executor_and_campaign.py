@@ -32,6 +32,11 @@ def tiny_tasks(seeds=(11,), bucket_sizes=(3, 5)):
     ]
 
 
+def has_entry(cache, task):
+    """Whether ``task``'s entry file exists (no stats update, no touch)."""
+    return (cache.directory / f"{task.key()}.json").is_file()
+
+
 def series_of(results):
     return [
         (
@@ -371,8 +376,8 @@ class TestProgressAccounting:
         # fired, and reported exactly once; the third never ran.
         assert [event.completed for event in seen] == [1, 2]
         assert [event.index for event in seen] == [0, 1]
-        assert cache.contains(tasks[0]) and cache.contains(tasks[1])
-        assert not cache.contains(tasks[2])
+        assert has_entry(cache, tasks[0]) and has_entry(cache, tasks[1])
+        assert not has_entry(cache, tasks[2])
 
         # A re-run resumes from the cache without re-reporting the
         # finished work as fresh completions.
@@ -395,7 +400,7 @@ class TestProgressAccounting:
         with pytest.raises(RuntimeError):
             Campaign(cache=cache, progress=explode).run(tasks)
         # The entries the pre-scan already verified are still cached.
-        assert cache.contains(tasks[0]) and cache.contains(tasks[1])
+        assert has_entry(cache, tasks[0]) and has_entry(cache, tasks[1])
 
 
 class _ExplodingTask(ExperimentTask):
@@ -492,10 +497,10 @@ class TestPoolLifecycle:
             campaign.run(tasks)
         # The completed tasks streamed and were cached before the death...
         assert [event.index for event in events] == [0, 1]
-        assert cache.contains(good[0]) and cache.contains(good[1])
+        assert has_entry(cache, good[0]) and has_entry(cache, good[1])
         # ... the tasks on the dead pool were not reported or cached ...
-        assert not cache.contains(tasks[2])
-        assert not cache.contains(good[2])
+        assert not has_entry(cache, tasks[2])
+        assert not has_entry(cache, good[2])
         # ... and the broken session was unwound, leaking no processes.
         assert campaign._task_session is None
         assert self._live_children() <= before
@@ -592,10 +597,10 @@ class TestSelfHealingCampaign:
         for index, task in enumerate(tasks):
             if index == poison_at:
                 assert failure.results[index] is None
-                assert not cache.contains(task)
+                assert not has_entry(cache, task)
             else:
                 assert failure.results[index] is not None
-                assert cache.contains(task)
+                assert has_entry(cache, task)
         statuses = {event.index: event.status for event in events}
         assert statuses[poison_at] == "failed"
         assert all(statuses[index] == "completed" for index in healthy)

@@ -66,6 +66,16 @@ class TestParser:
             build_parser().parse_args(argv)
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("argv", [["sweep-k", "A"], ["table2"]], ids=["sweep-k", "table2"])
+    def test_bucket_sizes_default_to_the_papers(self, argv):
+        from repro.cli import _bucket_sizes
+
+        args = build_parser().parse_args(argv)
+        assert args.k is None  # resolved when the command runs
+        assert _bucket_sizes(args) == [5, 10, 20, 30]
+        args = build_parser().parse_args(argv + ["--k", "3", "8"])
+        assert _bucket_sizes(args) == [3, 8]
+
     def test_overrides_parsed(self):
         args = build_parser().parse_args(
             ["run", "E", "--bucket-size", "5", "--alpha", "5", "--loss", "high",

@@ -2,10 +2,12 @@
 
 ``import repro.api`` loads the snapshot-analysis path only; the simulator,
 Kademlia, the campaign/cache runtime, the extension studies and
-Chord/Pastry load the first time a caller names them.  Every
-check runs in a fresh interpreter, because this test process has long
-since imported everything, and counts modules rather than seconds, so it
-does not depend on the speed of the host.
+Chord/Pastry load the first time a caller names them.  ``import
+repro.cli`` leaves Kademlia, the experiment runner and the campaign/cache
+runtime to the commands that run them.  Every check runs in a fresh
+interpreter, because this test process has long since imported
+everything, and counts modules rather than seconds, so it does not
+depend on the speed of the host.
 
 The last group pins the rule that keeps cold-start numbers honest: the
 first call of an entry point imports no ``repro`` module, because the
@@ -43,6 +45,15 @@ OFF_THE_ANALYSIS_PATH = (
     "repro.overlay.chord",
     "repro.overlay.pastry",
     "socket",
+)
+
+#: Modules (and their submodules) ``import repro.cli`` must not load: each
+#: command imports the simulation and campaign layers it runs.
+OFF_THE_CLI_IMPORT = (
+    "repro.kademlia",
+    "repro.runtime.campaign",
+    "repro.runtime.cache",
+    "repro.experiments.runner",
 )
 
 #: Modules that map OpenSSL's libcrypto; no path of the program loads them.
@@ -144,6 +155,10 @@ class TestWhatAnImportLoads:
         assert off_path(
             loaded, ("multiprocessing", "concurrent.futures.process", "socket")
         ) == []
+
+    def test_cli_loads_no_simulation_or_campaign_module(self):
+        loaded = run_fresh(LOADED_BY.format(statement="import repro.cli"))
+        assert off_path(loaded, OFF_THE_CLI_IMPORT) == []
 
     @pytest.mark.parametrize("statement", ["import repro.api", "import repro.cli"])
     def test_no_entry_point_loads_hashlib(self, statement):
