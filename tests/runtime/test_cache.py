@@ -175,14 +175,17 @@ class TestResultCache:
         cache.put(task, result)  # the campaign re-runs and overwrites
         assert cache.get(task) is not None
 
+    # Every placement the sharded layout wrote an entry to: ``key[:d]/``
+    # for depths 1..8.
+    @pytest.mark.parametrize("depth", range(1, 9))
     def test_entry_in_a_shard_subdirectory_is_ignored(
-        self, task, result, tmp_path
+        self, task, result, tmp_path, depth
     ):
-        """Entries live flat: ``key[:2]/key.json`` is neither served nor counted."""
+        """Entries live flat: ``key[:d]/key.json`` is neither served nor counted."""
         directory = tmp_path / "cache"
         cache = ResultCache(directory)
         flat = cache.put(task, result)
-        sharded = directory / task.key()[:2] / flat.name
+        sharded = directory / task.key()[:depth] / flat.name
         sharded.parent.mkdir()
         flat.replace(sharded)
         assert cache.get(task) is None
@@ -194,6 +197,52 @@ class TestResultCache:
         assert cache.verify().checked == 0
         assert cache.clear() == 0
         assert sharded.exists()
+
+    def test_corrupt_entry_in_a_shard_subdirectory_is_left_alone(
+        self, task, result, tmp_path
+    ):
+        """A sharded entry is never read, so it is never quarantined either."""
+        directory = tmp_path / "cache"
+        cache = ResultCache(directory)
+        sharded = directory / task.key()[:2] / f"{task.key()}.json"
+        sharded.parent.mkdir(parents=True)
+        sharded.write_text("{torn", encoding="utf-8")
+        assert cache.get(task) is None
+        assert cache.verify().corrupt == 0
+        assert cache.stats.corrupt_entries == 0
+        assert sharded.read_text(encoding="utf-8") == "{torn"
+        assert not (directory / QUARANTINE_DIRNAME).exists()
+
+    def test_new_entry_bytes(self, task, result, tmp_path):
+        """A stored entry is ``json.dumps`` of key, task, result, checksum."""
+        path = ResultCache(tmp_path / "cache").put(task, result)
+        raw = path.read_bytes()
+        document = json.loads(raw)
+        assert list(document) == ["key", "task", "result", CHECKSUM_FIELD]
+        assert document["key"] == task.key()
+        assert document["task"] == task.fingerprint()
+        sealed = {name: document[name] for name in ("key", "task", "result")}
+        assert document[CHECKSUM_FIELD] == _document_checksum(sealed)
+        assert raw == json.dumps(document).encode("utf-8")
+
+    def test_synced_counters_persist_once(self, task, result, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
+        assert cache.get(task) is None
+        path = cache.put(task, result)
+        assert cache.get(task) is not None
+        cache.sync_persistent_stats()
+        cache.sync_persistent_stats()  # only the delta is flushed: a no-op
+        info = ResultCache(tmp_path / "cache").info()
+        assert (info.hits, info.misses) == (1, 1)
+        assert info.bytes_served == path.stat().st_size
+        meta = json.loads((tmp_path / "cache" / "_meta.json").read_text())
+        assert meta["stores"] == 1
+
+    def test_sync_leaves_an_unused_directory_absent(self, task, tmp_path):
+        cache = ResultCache(tmp_path / "never-created")
+        assert cache.get(task) is None
+        cache.sync_persistent_stats()
+        assert not (tmp_path / "never-created").exists()
 
     def test_cache_survives_reopening(self, task, result, tmp_path):
         ResultCache(tmp_path / "cache").put(task, result)
@@ -245,6 +294,39 @@ class TestPruneEviction:
         assert evicted == 1
         assert [path.exists() for path in paths] == [True, False, True]
         assert cache.get(tasks[0]) is not None  # the touched entry survived
+
+    #: Caps against three entries of sizes s0, s1, s2 (oldest first),
+    #: with which entries each leaves in place.
+    CAPS = {
+        "fits": (lambda s: sum(s), [True, True, True]),
+        "one-byte-over": (lambda s: sum(s) - 1, [False, True, True]),
+        "newest-only": (lambda s: s[2], [False, False, True]),
+        "below-newest": (lambda s: s[2] - 1, [False, False, False]),
+    }
+
+    @pytest.mark.parametrize("cap", sorted(CAPS))
+    def test_prune_stops_once_the_cache_fits(self, result, tmp_path, cap):
+        cache = ResultCache(tmp_path / "cache")
+        paths = [cache.put(t, result) for t in distinct_tasks(3)]
+        for age, path in enumerate(paths):
+            os.utime(path, (1_000_000 + age, 1_000_000 + age))
+        sizes = [path.stat().st_size for path in paths]
+        max_bytes, kept = self.CAPS[cap]
+        assert cache.prune(max_bytes=max_bytes(sizes)) == kept.count(False)
+        assert [path.exists() for path in paths] == kept
+        assert cache.info().total_bytes <= max_bytes(sizes)
+
+    def test_equal_recency_evicts_in_name_order(self, result, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
+        paths = [cache.put(t, result) for t in distinct_tasks(3)]
+        for path in paths:
+            os.utime(path, (1_000_000, 1_000_000))
+        total = sum(path.stat().st_size for path in paths)
+        assert cache.prune(max_bytes=total - 1) == 1
+        first = min(paths, key=lambda path: path.name)
+        assert [path.exists() for path in paths] == [
+            path != first for path in paths
+        ]
 
     def test_prune_cap_is_required_and_non_negative(self, task, result, tmp_path):
         cache = ResultCache(tmp_path / "cache")
@@ -384,6 +466,29 @@ class TestStaleTmpSweep:
             assert not path.exists()
         assert fresh.exists()  # age-gated: a live writer's file survives
         assert cache.info().entries == 1  # entries never swept
+
+    @pytest.mark.parametrize(
+        "name", ["deadbeef.1234.tmp", "_meta.5678.metatmp", "_costs.9012.coststmp"]
+    )
+    def test_clear_sweeps_tmp_files_of_any_age(self, task, result, tmp_path, name):
+        directory = tmp_path / "cache"
+        cache = ResultCache(directory)
+        cache.put(task, result)
+        fresh = directory / name
+        fresh.write_text("debris", encoding="utf-8")
+        assert cache.clear() == 1  # temp files are not counted as entries
+        assert not fresh.exists()
+
+    def test_sweep_leaves_shard_subdirectories_alone(self, tmp_path):
+        directory = tmp_path / "cache"
+        stale = directory / "de" / "deadbeef.1234.tmp"
+        stale.parent.mkdir(parents=True)
+        stale.write_text("debris", encoding="utf-8")
+        old = time.time() - 7200
+        os.utime(stale, (old, old))
+        cache = ResultCache(directory)  # open triggers the sweep
+        cache.clear()
+        assert stale.exists()
 
     def test_open_without_directory_is_fine(self, tmp_path):
         cache = ResultCache(tmp_path / "never-created")
