@@ -21,18 +21,14 @@ execution harness:
   expresses sweeps and replications as task batches and streams progress
   (with per-task results) while dispatching them through executor and
   cache in submission order;
-* :mod:`repro.runtime.costmodel` — the persistent cost models behind
-  straggler hedging: :class:`TaskCostModel` (wall-clock by coarse task
-  shape, ``_costs.json`` sidecar beside the result cache);
 * :mod:`repro.runtime.faults` — the deterministic fault-injection harness
   (``REPRO_FAULTS``): seeded nth-occurrence/probability matchers that
-  crash workers, raise task errors, stall tasks and corrupt cache
-  bytes, for chaos-testing the layers below without touching any
-  result;
+  crash workers, raise task errors and corrupt cache bytes, for
+  chaos-testing the layers below without touching any result;
 * :mod:`repro.runtime.resilience` — the self-healing primitives the
   campaign composes around the executor: :class:`RetryPolicy` (bounded
-  seeded backoff, respawn budget, straggler hedging), poison-task
-  records, and the cooperative :class:`ShutdownGuard`.
+  seeded backoff, respawn budget), poison-task records, and the
+  cooperative :class:`ShutdownGuard`.
 
 Every higher layer (``repro.experiments.sweep``, ``repro.experiments
 .replication``, the CLI and the benchmark harness) dispatches its runs

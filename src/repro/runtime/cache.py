@@ -15,10 +15,7 @@ fits the cap.  Recency is tracked through file modification times — a
 hit (``get``) touches the entry — so the policy survives process
 restarts without any index file.  The cumulative eviction counter and
 the hit/miss/corrupt counters are persisted in a ``_meta.json`` sidecar
-(never counted as an entry) and surfaced by ``cache info``.  The
-campaign scheduler's cost model lives in a sibling ``_costs.json``
-sidecar (see :mod:`repro.runtime.costmodel`), equally outside the entry
-namespace.
+(never counted as an entry) and surfaced by ``cache info``.
 
 Integrity tier: every entry written by :meth:`ResultCache.put` carries a
 ``checksum`` field — SHA-256 over the canonical serialisation of the
@@ -70,8 +67,8 @@ CHECKSUM_FIELD = "checksum"
 QUARANTINE_DIRNAME = "quarantine"
 
 #: Temporary-file patterns of the cache's own atomic writers (entries,
-#: ``_meta.json``, ``_costs.json``).
-TMP_PATTERNS = ("*.tmp", "*.metatmp", "*.coststmp")
+#: ``_meta.json``).
+TMP_PATTERNS = ("*.tmp", "*.metatmp")
 
 #: Age (mtime seconds) past which a leftover temporary file is considered
 #: the debris of a dead writer and swept on :class:`ResultCache` open.

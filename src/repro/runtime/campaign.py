@@ -7,9 +7,8 @@ optional :class:`~repro.runtime.cache.ResultCache` and runs batches of
 1. every task is first looked up in the cache — hits are reported
    immediately and skip all simulation work;
 2. the remaining tasks are dispatched through the executor in submission
-   order, and each result is written back to the cache (and its
-   wall-clock folded into the cost model that sets straggler deadlines)
-   the moment it completes;
+   order, and each result is written back to the cache the moment it
+   completes;
 3. a progress callback receives one :class:`TaskProgress` event per task,
    in completion order and *carrying the task's result*, so long
    campaigns can stream per-task figures incrementally instead of
@@ -19,14 +18,14 @@ Every pending task is dispatched through one **persistent task session**
 (:class:`repro.runtime.executor.TaskSession`): one long-lived worker pool
 survives across every ``run()`` call of the campaign, and each task goes
 out as its own *flight* (a one-task worker call).  Every flight is healed
-by the same driver (retry, respawn, hedging, graceful shutdown — see
+by the same driver (retry, respawn, graceful shutdown — see
 :meth:`Campaign._dispatch`).
 
 Dispatch is **order-only** by construction: tasks are independent (each
 carries its own seed-derived random universe) and ``run`` returns results
-in submission order regardless of completion order, so worker count,
-healing and hedging can change when a figure appears but never a single
-bit of it.
+in submission order regardless of completion order, so worker count
+and healing can change when a figure appears but never a single bit of
+it.
 
 The module also provides the batch builders (:func:`sweep_tasks`,
 :func:`replication_tasks`) used by ``repro.experiments.sweep`` and
@@ -65,7 +64,6 @@ from repro.experiments.scenarios import Scenario
 from repro.obs import tracing
 from repro.options import ExecutionOptions, MeasurementSpec
 from repro.runtime.cache import ResultCache
-from repro.runtime.costmodel import TaskCostModel
 from repro.runtime.executor import Executor, SerialExecutor, TaskSession
 from repro.runtime.resilience import (
     CampaignInterrupted,
@@ -88,9 +86,8 @@ FAILED = "failed"
 #: Flights kept in flight per executor worker; the rest of the queue is
 #: submitted as flights settle.  Two keeps one flight queued behind each
 #: running one (no worker idles while the driver records a result), yet
-#: a flight's straggler deadline still measures its own running time
-#: rather than the whole queue ahead of it, and a pool break fails only
-#: the flights actually handed to the pool.
+#: a pool break fails only the flights actually handed to the pool, not
+#: the whole queue.
 FLIGHTS_PER_WORKER = 2
 
 
@@ -132,24 +129,6 @@ class TaskProgress:
 ProgressCallback = Callable[[TaskProgress], None]
 
 
-class _Flight:
-    """One dispatched task (plus its optional hedge twin) in flight.
-
-    A flight is the unit of failure handling: when its last outstanding
-    future fails and the task is still unrecorded, the task is charged an
-    attempt and re-queued or recorded as failed.
-    """
-
-    __slots__ = ("index", "task", "futures", "deadline", "hedged")
-
-    def __init__(self, index: int, task: ExperimentTask) -> None:
-        self.index = index
-        self.task = task
-        self.futures: Set[Future] = set()
-        self.deadline: Optional[float] = None
-        self.hedged = False
-
-
 class Campaign:
     """Dispatches task batches through an executor and a result cache.
 
@@ -168,18 +147,11 @@ class Campaign:
     progress:
         Optional callback receiving one :class:`TaskProgress` per task,
         in completion order.
-    cost_model:
-        Explicit :class:`~repro.runtime.costmodel.TaskCostModel`, the
-        predictor of each flight's straggler deadline.  When omitted and
-        a cache is configured, the model persisted in the cache's
-        ``_costs.json`` sidecar is used; every fresh task's wall-clock is
-        folded in.  Without cache or model, no flight is ever hedged.
     retry_policy:
         :class:`~repro.runtime.resilience.RetryPolicy` governing the
         campaign's self-healing: bounded per-task retry attempts with
-        seeded backoff, bounded session respawns (then degradation to
-        in-process serial execution) and cost-model-predicted straggler
-        hedging.  Defaults to ``RetryPolicy()``; pass
+        seeded backoff and bounded session respawns (then degradation to
+        in-process serial execution).  Defaults to ``RetryPolicy()``; pass
         :data:`~repro.runtime.resilience.FAIL_FAST` for
         first-error-propagates behaviour.  Identity-free: healing changes
         when and where a task runs, never a bit of its result.
@@ -190,7 +162,6 @@ class Campaign:
         executor: Optional[Executor] = None,
         cache: Optional[ResultCache] = None,
         progress: Optional[ProgressCallback] = None,
-        cost_model: Optional[TaskCostModel] = None,
         retry_policy: Optional[RetryPolicy] = None,
     ) -> None:
         self.executor = executor or SerialExecutor()
@@ -199,9 +170,6 @@ class Campaign:
         self.retry_policy = (
             retry_policy if retry_policy is not None else default_retry_policy()
         )
-        if cost_model is None and cache is not None:
-            cost_model = TaskCostModel.for_cache(cache)
-        self.cost_model = cost_model
         self._task_session: Optional[TaskSession] = None
         self._guard: Optional[ShutdownGuard] = None
         # Captured once: ``None`` when observability is off, so every
@@ -308,8 +276,6 @@ class Campaign:
                 results[index] = result
                 if self.cache is not None:
                     self.cache.put(task, result)
-                if self.cost_model is not None:
-                    self.cost_model.observe_task(task, result.wall_seconds)
                 completed += 1
                 if registry is not None:
                     registry.inc("campaign.tasks_completed")
@@ -329,15 +295,9 @@ class Campaign:
                     None,
                 )
 
-            try:
-                failure_records = self._dispatch(
-                    tasks, pending_indices, _record, _record_failure
-                )
-            finally:
-                # Persist whatever was observed even when a task or the
-                # progress callback raised mid-batch.
-                if self.cost_model is not None:
-                    self.cost_model.save()
+            failure_records = self._dispatch(
+                tasks, pending_indices, _record, _record_failure
+            )
             if failure_records:
                 # Every healthy task completed (and was cached) before
                 # this raises: the poison tasks cost their own results,
@@ -408,10 +368,9 @@ class Campaign:
           ``max_respawns`` times, then degrades to in-process serial
           execution (safe for injected crash faults, which only ever
           fire in worker processes);
-        * a flight outliving its cost-model-predicted deadline is
-          **hedged**: its task is speculatively re-dispatched and the
-          first result wins (tasks are deterministic, cache puts
-          idempotent — duplicates are dropped on arrival);
+        * a slow flight is simply waited for: a duplicate would run the
+          same deterministic task in the same pool, and a running future
+          cannot be cancelled, so it could only add work;
         * a pending shutdown signal stops dispatch, drains what is
           already running (recording its results), closes the session
           and raises :class:`CampaignInterrupted`.
@@ -435,7 +394,7 @@ class Campaign:
         recorded: Set[int] = set()
         failures: Dict[int, TaskFailureRecord] = {}
         attempts: Dict[int, int] = {}
-        inflight: Dict[Future, _Flight] = {}
+        inflight: Dict[Future, int] = {}
         queue = deque(pending)
         requeued: List[int] = []
         # Flights a pool break failed, oldest first, with its error.
@@ -470,35 +429,15 @@ class Campaign:
                 self._task_session = SerialExecutor().open_task_session()
 
         def submit_flight(index: int) -> None:
-            flight = _Flight(index, tasks[index])
             while True:
                 try:
-                    future = self._task_session.submit(flight.task)
+                    future = self._task_session.submit(tasks[index])
                     break
                 except BrokenExecutor:
                     if policy.fail_fast:
                         raise
                     respawn_session()
-            if (
-                policy.hedge
-                and not degraded
-                and self.cost_model is not None
-                and workers > 1
-            ):
-                # ``None`` for an unseen task shape: a deadline
-                # extrapolated from nothing would hedge every flight of a
-                # cold model (or none), so such flights get no deadline.
-                predicted = self.cost_model.estimate_task(flight.task)
-                if predicted is not None:
-                    flight.deadline = perf_counter() + max(
-                        policy.min_straggler_seconds,
-                        policy.straggler_factor * predicted,
-                    )
-            flight.futures.add(future)
-            inflight[future] = flight
-
-        def settled(flight: _Flight) -> bool:
-            return flight.index in recorded or flight.index in failures
+            inflight[future] = index
 
         def requeue(index: int, error: BaseException) -> None:
             suspects.discard(index)
@@ -536,10 +475,7 @@ class Campaign:
                 record_failure(index)
 
         def handle_done(future: Future) -> None:
-            flight = inflight.pop(future, None)
-            if flight is None:
-                return
-            flight.futures.discard(future)
+            index = inflight.pop(future)
             try:
                 result = future.result()
             except CancelledError:
@@ -551,24 +487,14 @@ class Campaign:
                     # The first flight error propagates unhealed (the
                     # outer handler closes the session).
                     raise
-                if settled(flight) or flight.futures:
-                    # Either the task already has its outcome, or a hedge
-                    # twin is still out and may yet deliver it; the
-                    # twin's own completion (or failure) settles the
-                    # flight.
-                    return
                 if isinstance(error, BrokenExecutor):
-                    broken.append((flight.index, error))
+                    broken.append((index, error))
                 else:
-                    requeue(flight.index, error)
+                    requeue(index, error)
                 return
-            if settled(flight):
-                return  # duplicate delivery from a hedged flight
-            suspects.discard(flight.index)
-            recorded.add(flight.index)
-            record(flight.index, result)
-            for sibling in list(flight.futures):
-                sibling.cancel()
+            suspects.discard(index)
+            recorded.add(index)
+            record(index, result)
 
         def charge_break() -> None:
             # A dying worker fails every dispatched flight at once with
@@ -602,34 +528,6 @@ class Campaign:
                 charge_break()
             queue.extendleft(reversed(requeued))
             requeued.clear()
-
-        def hedge_overdue() -> None:
-            if not policy.hedge or degraded:
-                return
-            now = perf_counter()
-            for flight in list(inflight.values()):
-                if (
-                    flight.hedged
-                    or flight.deadline is None
-                    or now < flight.deadline
-                ):
-                    continue
-                flight.hedged = True
-                if settled(flight):
-                    continue
-                try:
-                    twin = self._task_session.submit(flight.task)
-                except BrokenExecutor:
-                    continue  # the flight's own failure path heals the pool
-                if registry is not None:
-                    registry.inc("campaign.hedges")
-                logger.warning(
-                    "task %s exceeded its straggler deadline; hedging "
-                    "with a duplicate dispatch (first result wins)",
-                    flight.task.label(),
-                )
-                flight.futures.add(twin)
-                inflight[twin] = flight
 
         try:
             while queue or inflight:
@@ -668,27 +566,12 @@ class Campaign:
                 timeout = None
                 if self._guard is not None and self._guard.installed:
                     timeout = 0.25  # poll the shutdown flag
-                pending_deadlines = [
-                    flight.deadline
-                    for flight in inflight.values()
-                    if flight.deadline is not None and not flight.hedged
-                ]
-                if pending_deadlines:
-                    until_next = max(
-                        0.05, min(pending_deadlines) - perf_counter()
-                    )
-                    timeout = (
-                        until_next
-                        if timeout is None
-                        else min(timeout, until_next)
-                    )
                 wait(
                     list(inflight),
                     timeout=timeout,
                     return_when=FIRST_COMPLETED,
                 )
                 settle_done()
-                hedge_overdue()
         except BaseException:
             logger.warning(
                 "closing persistent task session after a failed run; "

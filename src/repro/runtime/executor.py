@@ -54,8 +54,8 @@ class ExecutionSession(ABC):
         """Submit one call and return its :class:`~concurrent.futures.Future`.
 
         The primitive under the campaign's resilient dispatch loop: the
-        caller owns completion handling (``wait``, timeouts, hedged
-        duplicates) instead of the session.  The serial default executes
+        caller owns completion handling (``wait``, retries) instead of
+        the session.  The serial default executes
         inline and returns an already-settled future, so completion order
         equals submission order in one process — same contract, zero
         concurrency.
@@ -198,8 +198,8 @@ class TaskSession:
         """Submit one task and return the future of its result.
 
         The caller owns completion handling, which is what lets the
-        campaign driver track per-task completion, impose straggler
-        deadlines and re-dispatch failed tasks.  On a serial session the
+        campaign driver track per-task completion and re-dispatch failed
+        tasks.  On a serial session the
         task executes inline and the returned future is already settled.
         """
         return self._session.submit(execute_session_task, task)

@@ -1,11 +1,11 @@
 """Deterministic fault injection for the experiment runtime.
 
-The resilience layer (retry/backoff, session respawn, hedging,
-cache quarantine — see :mod:`repro.runtime.resilience` and the campaign
-driver) must be provable without flaky tests.  This module provides the
-harness: a :class:`FaultPlan` parsed from the ``REPRO_FAULTS`` environment
-variable (or the ``--faults`` CLI option, which sets it) describes *which*
-fault fires at *which occurrence* of each injection site, so a chaos test
+The resilience layer (retry/backoff, session respawn, cache quarantine
+— see :mod:`repro.runtime.resilience` and the campaign driver) must be
+provable without flaky tests.  This module provides the harness: a
+:class:`FaultPlan` parsed from the ``REPRO_FAULTS`` environment variable
+(or the ``--faults`` CLI option, which sets it) describes *which* fault
+fires at *which occurrence* of each injection site, so a chaos test
 can assert "the second task execution in every worker process crashes"
 and get exactly that, on every run, on every machine.
 
@@ -17,9 +17,6 @@ Sites and kinds
     Hard-kill the executing process with ``os._exit`` mid-task —
     *worker processes only* (a plan can never take down the campaign
     driver itself; in-process execution ignores crash faults).
-``stall``
-    Sleep before running a task (``=seconds`` parameter, default 0.5) —
-    used to provoke the campaign's straggler hedging.
 ``corrupt-read``
     Flip a byte of the on-disk cache entry before a ``get`` reads it.
 ``corrupt-write``
@@ -28,10 +25,9 @@ Sites and kinds
 
 Spec grammar
 ------------
-Semicolon-separated clauses, each ``kind@matcher`` with an optional
-``=param``::
+Semicolon-separated clauses, each ``kind@matcher``::
 
-    worker-crash@2;task-error@1,4;stall@3=0.25;corrupt-write@p0.1
+    worker-crash@2;task-error@1,4;corrupt-write@p0.1
 
 A matcher is either a comma list of 1-based occurrence numbers (the nth
 time that kind's site is reached *in the observing process*) or
@@ -52,7 +48,6 @@ cached and compared interchangeably with fault-free ones.
 from __future__ import annotations
 
 import os
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, FrozenSet, Optional, Tuple, Union
@@ -65,13 +60,11 @@ ENV_VAR = "REPRO_FAULTS"
 #: Fault kinds (also the clause names of the spec grammar).
 KIND_TASK_ERROR = "task-error"
 KIND_WORKER_CRASH = "worker-crash"
-KIND_STALL = "stall"
 KIND_CORRUPT_READ = "corrupt-read"
 KIND_CORRUPT_WRITE = "corrupt-write"
 KINDS = (
     KIND_TASK_ERROR,
     KIND_WORKER_CRASH,
-    KIND_STALL,
     KIND_CORRUPT_READ,
     KIND_CORRUPT_WRITE,
 )
@@ -79,9 +72,6 @@ KINDS = (
 #: Exit status of an injected worker crash (distinguishable from real
 #: segfaults and from pytest/interpreter exits in test assertions).
 CRASH_EXIT_CODE = 73
-
-#: Sleep applied by a ``stall`` clause with no ``=seconds`` parameter.
-DEFAULT_STALL_SECONDS = 0.5
 
 
 class FaultError(RuntimeError):
@@ -111,12 +101,11 @@ def _unit_fraction(seed: int, kind: str, occurrence: int) -> float:
 
 @dataclass(frozen=True)
 class FaultRule:
-    """One parsed clause: when (and how) a fault kind fires."""
+    """One parsed clause: when a fault kind fires."""
 
     kind: str
     occurrences: FrozenSet[int] = frozenset()
     probability: Optional[float] = None
-    param: Optional[float] = None
 
     def fires(self, occurrence: int, seed: int) -> bool:
         """Whether this rule fires at the given 1-based occurrence."""
@@ -164,20 +153,7 @@ class FaultPlan:
                 )
             if kind in rules:
                 raise FaultSpecError(f"duplicate fault clause for {kind!r}")
-            matcher, _, param_text = rest.partition("=")
-            matcher = matcher.strip()
-            param: Optional[float] = None
-            if param_text:
-                try:
-                    param = float(param_text)
-                except ValueError:
-                    raise FaultSpecError(
-                        f"invalid parameter {param_text!r} in clause {clause!r}"
-                    )
-                if param < 0:
-                    raise FaultSpecError(
-                        f"parameter must be >= 0 in clause {clause!r}"
-                    )
+            matcher = rest.strip()
             occurrences: FrozenSet[int] = frozenset()
             probability: Optional[float] = None
             if matcher.startswith("p"):
@@ -208,7 +184,6 @@ class FaultPlan:
                 kind=kind,
                 occurrences=occurrences,
                 probability=probability,
-                param=param,
             )
         return cls(rules=rules, seed=seed, spec=spec)
 
@@ -282,9 +257,6 @@ def maybe_inject_task_fault(label: str = "") -> None:
         # A hard crash, not an exception: skips atexit handlers and
         # pool bookkeeping exactly like an OOM kill would.
         os._exit(CRASH_EXIT_CODE)
-    rule = plan.check(KIND_STALL)
-    if rule is not None:
-        time.sleep(rule.param if rule.param is not None else DEFAULT_STALL_SECONDS)
     if plan.check(KIND_TASK_ERROR) is not None:
         raise InjectedTaskError(
             f"injected task fault ({label or 'task'})"

@@ -8,7 +8,7 @@ its one dispatch loop:
     pure function of ``(seed, key, attempt)``, so two runs of the same
     campaign back off identically (no flaky timing in tests) and two
     different tasks de-synchronise their retries.  Also carries the
-    session-respawn budget and the straggler-hedging knobs.
+    session-respawn budget.
 :func:`is_retryable`
     Error classification.  Infrastructure failures (broken pools, OS
     errors, timeouts, injected faults) are retryable; ordinary task
@@ -26,9 +26,9 @@ its one dispatch loop:
     sessions, raise :class:`CampaignInterrupted`); a second SIGINT
     raises :class:`KeyboardInterrupt` for users who really mean it.
 
-None of these knobs enters a task fingerprint: retrying, hedging or
-degrading to serial execution may change *when and where* a task runs,
-never a bit of its result.
+None of these knobs enters a task fingerprint: retrying or degrading to
+serial execution may change *when and where* a task runs, never a bit
+of its result.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ def _unit_fraction(seed: int, key: str, attempt: int) -> float:
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Bounded, deterministic retry/respawn/hedging policy.
+    """Bounded, deterministic retry/respawn policy.
 
     Parameters
     ----------
@@ -82,12 +82,6 @@ class RetryPolicy:
         max_delay)`` where ``u`` is a deterministic uniform draw.  With
         ``jitter <= 1`` the schedule is monotone non-decreasing (the
         doubling dominates the jitter band) and capped at ``max_delay``.
-    straggler_factor / min_straggler_seconds / hedge:
-        A dispatched task whose runtime exceeds
-        ``max(min_straggler_seconds, straggler_factor * predicted)`` —
-        prediction from the cost model — is *hedged*: it is
-        speculatively re-dispatched and the first result wins.
-        Safe because tasks are deterministic and cache puts idempotent.
     """
 
     max_attempts: int = 3
@@ -96,9 +90,6 @@ class RetryPolicy:
     max_delay: float = 2.0
     jitter: float = 0.5
     seed: int = 0
-    straggler_factor: float = 4.0
-    min_straggler_seconds: float = 2.0
-    hedge: bool = True
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
@@ -118,25 +109,19 @@ class RetryPolicy:
             )
         if not 0.0 <= self.jitter <= 1.0:
             raise ValueError(f"jitter must be in [0, 1], got {self.jitter}")
-        if self.straggler_factor < 1.0:
-            raise ValueError(
-                f"straggler_factor must be >= 1, got {self.straggler_factor}"
-            )
 
     @property
     def fail_fast(self) -> bool:
         """Whether every healing mechanism is disabled.
 
         Under a fail-fast policy the first flight error propagates out
-        of ``run()`` unhealed — no retry, no respawn, no hedge, no
-        serial degradation.  The degradation guarantee matters for
+        of ``run()`` unhealed — no retry, no respawn, no serial
+        degradation.  The degradation guarantee matters for
         callers whose *task code* can kill its process (the healing loop
         would otherwise eventually re-run such a task in the driver
         process).
         """
-        return (
-            self.max_attempts <= 1 and self.max_respawns == 0 and not self.hedge
-        )
+        return self.max_attempts <= 1 and self.max_respawns == 0
 
     def backoff_delay(self, attempt: int, key: str = "") -> float:
         """Seconds to wait before retry number ``attempt`` (1-based)."""
@@ -152,8 +137,8 @@ class RetryPolicy:
 
 
 #: Retry policy with every healing mechanism disabled — legacy fail-fast
-#: dispatch (first error propagates, no respawn, no hedging).
-FAIL_FAST = RetryPolicy(max_attempts=1, max_respawns=0, hedge=False)
+#: dispatch (first error propagates, no respawn).
+FAIL_FAST = RetryPolicy(max_attempts=1, max_respawns=0)
 
 
 def default_retry_policy() -> RetryPolicy:

@@ -452,7 +452,6 @@ class TestStaleTmpSweep:
         stale = [
             directory / "deadbeef.1234.tmp",
             directory / "_meta.5678.metatmp",
-            directory / "_costs.9012.coststmp",
         ]
         old = time.time() - 7200
         for path in stale:
@@ -468,7 +467,7 @@ class TestStaleTmpSweep:
         assert cache.info().entries == 1  # entries never swept
 
     @pytest.mark.parametrize(
-        "name", ["deadbeef.1234.tmp", "_meta.5678.metatmp", "_costs.9012.coststmp"]
+        "name", ["deadbeef.1234.tmp", "_meta.5678.metatmp"]
     )
     def test_clear_sweeps_tmp_files_of_any_age(self, task, result, tmp_path, name):
         directory = tmp_path / "cache"

@@ -142,16 +142,6 @@ class TestFaultedCampaignsConverge:
         assert cache.stats.corrupt_entries == 1
         assert cache.stats.hits == 1  # the other entry still served
 
-    def test_stalls_change_nothing_but_time(self, monkeypatch, tmp_path):
-        tasks = tiny_tasks(bucket_sizes=(3, 5))
-        golden = golden_digests(tasks)
-        _activate(monkeypatch, "stall@1=0.05")
-        with Campaign(
-            cache=ResultCache(tmp_path / "cache"), retry_policy=CHAOS_POLICY,
-        ) as campaign:
-            results = campaign.run(tasks)
-        assert digests_of(results) == golden
-
 
 class TestGracefulShutdown:
     @pytest.mark.parametrize("flushed", [1, 2, 3])

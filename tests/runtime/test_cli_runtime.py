@@ -208,11 +208,10 @@ class TestFaultInjectionCli:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
-        "spec", ["conn-drop@1", "frame-corrupt@1", "delay@1", "partition@1"]
+        "spec",
+        ["conn-drop@1", "frame-corrupt@1", "delay@1", "partition@1", "stall@1"],
     )
-    def test_retired_network_fault_kinds_are_argument_errors(
-        self, capsys, spec
-    ):
+    def test_retired_fault_kinds_are_argument_errors(self, capsys, spec):
         from repro.runtime import faults
 
         with pytest.raises(SystemExit) as excinfo:

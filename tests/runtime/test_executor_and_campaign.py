@@ -13,7 +13,6 @@ from repro.experiments.sweep import run_bucket_size_sweep
 from repro.options import ExecutionOptions
 from repro.runtime.cache import ResultCache
 from repro.runtime.campaign import Campaign
-from repro.runtime.costmodel import TaskCostModel
 from repro.runtime.executor import Executor, ParallelExecutor, SerialExecutor, make_executor
 from repro.runtime.resilience import FAIL_FAST, CampaignTaskFailure, RetryPolicy
 from repro.runtime.task import ExperimentTask
@@ -307,27 +306,29 @@ class TestCampaign:
         fresh = Campaign().run(tasks)
         assert series_of(results) == series_of(fresh)
 
-    def test_cost_model_sidecar_warms_across_campaigns(self, tmp_path):
+    def test_campaign_leaves_no_costs_sidecar(self, tmp_path):
+        # The cache directory holds entries and the cache's own metadata,
+        # nothing a campaign writes beside them.
         cache = ResultCache(tmp_path / "cache")
         tasks = tiny_tasks(bucket_sizes=(3, 5))
-        Campaign(cache=cache).run(tasks)  # the run observes costs
-        model = TaskCostModel.for_cache(cache)
-        assert model.estimate_task(tasks[0]) is not None
+        Campaign(cache=cache).run(tasks)
+        assert not (cache.directory / "_costs.json").exists()
+        assert {
+            path.name for path in cache.directory.iterdir()
+            if path.name.startswith("_")
+        } <= {"_meta.json", "_meta.lock"}
 
     @pytest.mark.parametrize("expensive_first", [True, False])
-    def test_known_costs_never_reorder_dispatch(self, expensive_first):
-        # The cost model only sets straggler deadlines: whichever way
-        # round the known costs lie, tasks run in submission order.
+    def test_expensive_task_never_reorders_dispatch(self, expensive_first):
+        # Whichever way round the expensive task lies, tasks run in
+        # submission order.
         expensive = ExperimentTask.create(
             scenario=get_scenario("K"), profile="tiny", seed=11
         )
         cheap = tiny_tasks(bucket_sizes=(3,))[0]
-        model = TaskCostModel()
-        model.observe_task(expensive, 30.0)
-        model.observe_task(cheap, 0.5)
         tasks = [expensive, cheap] if expensive_first else [cheap, expensive]
         events = []
-        Campaign(progress=events.append, cost_model=model).run(tasks)
+        Campaign(progress=events.append).run(tasks)
         assert [event.index for event in events] == [0, 1]
 
 

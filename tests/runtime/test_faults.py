@@ -8,7 +8,6 @@ from repro.experiments.scenarios import get_scenario
 from repro.runtime import faults
 from repro.runtime.executor import ParallelExecutor
 from repro.runtime.faults import (
-    DEFAULT_STALL_SECONDS,
     ENV_VAR,
     FaultPlan,
     FaultSpecError,
@@ -36,27 +35,23 @@ class TestSpecParsing:
 
     def test_full_grammar(self):
         plan = FaultPlan.parse(
-            "worker-crash@2;task-error@1,4;stall@3=0.25;"
-            "corrupt-write@p0.1;seed=7"
+            "worker-crash@2;task-error@1,4;corrupt-write@p0.1;seed=7"
         )
         assert plan.rules["task-error"].occurrences == frozenset({1, 4})
-        assert plan.rules["stall"].param == 0.25
         assert plan.rules["corrupt-write"].probability == 0.1
         assert plan.seed == 7
 
-    def test_kinds_are_the_five_local_ones(self):
+    def test_kinds_are_the_four_local_ones(self):
         assert faults.KINDS == (
-            "task-error", "worker-crash", "stall", "corrupt-read",
-            "corrupt-write",
+            "task-error", "worker-crash", "corrupt-read", "corrupt-write",
         )
 
     @pytest.mark.parametrize("kind", faults.KINDS)
     def test_every_kind_parses(self, kind):
-        plan = FaultPlan.parse(f"{kind}@1,3=0.5")
+        plan = FaultPlan.parse(f"{kind}@1,3")
         rule = plan.rules[kind]
         assert rule.kind == kind
         assert rule.occurrences == frozenset({1, 3})
-        assert rule.param == 0.5
         assert [plan.check(kind) is not None for _ in range(3)] == [
             True, False, True,
         ]
@@ -73,8 +68,8 @@ class TestSpecParsing:
             "task-error@0",  # occurrences are 1-based
             "task-error@x",  # not a number
             "task-error@p1.5",  # probability out of range
-            "stall@1=abc",  # bad parameter
-            "stall@1=-1",  # negative parameter
+            "task-error@1=0.5",  # no kind takes a parameter
+            "task-error@p0.5=1",
             "task-error@1;task-error@2",  # duplicate clause
             "seed=x",  # bad seed
             # Retired network kinds: a stale spec fails instead of
@@ -83,6 +78,7 @@ class TestSpecParsing:
             "frame-corrupt@1",
             "delay@1",
             "partition@1",
+            "stall@1",
         ],
     )
     def test_invalid_specs_raise(self, spec):
@@ -98,9 +94,9 @@ class TestOccurrenceCounting:
 
     def test_unconfigured_kinds_are_not_counted(self):
         plan = FaultPlan.parse("task-error@2")
-        # Stall sites are visited but carry no rule: they must not shift
+        # Crash sites are visited but carry no rule: they must not shift
         # the task-error numbering.
-        assert plan.check("stall") is None
+        assert plan.check("worker-crash") is None
         assert plan.check("task-error") is None
         assert plan.check("task-error") is not None
 
@@ -150,22 +146,6 @@ class TestInjectionSites:
         faults.reset()
         for _ in range(3):
             faults.maybe_inject_task_fault("t")  # would os._exit in a worker
-
-    def test_stall_sleeps_param_seconds(self, monkeypatch):
-        slept = []
-        monkeypatch.setenv(ENV_VAR, "stall@1=0.01")
-        monkeypatch.setattr(faults.time, "sleep", slept.append)
-        faults.reset()
-        faults.maybe_inject_task_fault("t")
-        assert slept == [0.01]
-
-    def test_stall_default_seconds(self, monkeypatch):
-        slept = []
-        monkeypatch.setenv(ENV_VAR, "stall@1")
-        monkeypatch.setattr(faults.time, "sleep", slept.append)
-        faults.reset()
-        faults.maybe_inject_task_fault("t")
-        assert slept == [DEFAULT_STALL_SECONDS]
 
     def test_corrupt_bytes_flips_payload(self, monkeypatch):
         monkeypatch.setenv(ENV_VAR, "corrupt-write@1")

@@ -14,6 +14,7 @@ import signal
 import threading
 import time
 from concurrent.futures import BrokenExecutor, Future, ThreadPoolExecutor
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -87,13 +88,22 @@ class TestBackoffProperties:
         with pytest.raises(ValueError):
             RetryPolicy(base_delay=1.0, max_delay=0.5)
         with pytest.raises(ValueError):
-            RetryPolicy(straggler_factor=0.5)
-        with pytest.raises(ValueError):
             RetryPolicy().backoff_delay(0)
 
     def test_fail_fast_sentinel(self):
         assert FAIL_FAST.fail_fast
         assert not RetryPolicy().fail_fast
+
+    def test_no_retries_and_no_respawns_is_fail_fast(self):
+        # Retries and respawns are the only healing knobs: switching both
+        # off leaves nothing that could heal a failed flight.
+        policy = RetryPolicy(max_attempts=1, max_respawns=0)
+        assert policy == FAIL_FAST
+        assert policy.fail_fast
+        assert [field.name for field in fields(RetryPolicy)] == [
+            "max_attempts", "max_respawns", "base_delay", "max_delay",
+            "jitter", "seed",
+        ]
 
     def test_default_policy_env_override(self, monkeypatch):
         monkeypatch.delenv(RETRIES_ENV_VAR, raising=False)
@@ -439,7 +449,6 @@ class TestPoolBreakAttribution:
                 executor=executor,
                 retry_policy=RetryPolicy(
                     max_attempts=3, max_respawns=20, base_delay=0.0, jitter=0.0,
-                    hedge=False,
                 ),
             )
         finally:
@@ -456,7 +465,7 @@ class TestPoolBreakAttribution:
 
 
 # ----------------------------------------------------------------------
-# Straggler hedging
+# Slow flights
 # ----------------------------------------------------------------------
 class _TimedSession:
     """Two worker threads; every stub task sleeps for its own duration."""
@@ -478,65 +487,35 @@ class _TimedSession:
         self._pool.shutdown(wait=True)
 
 
-class _FlatCostModel:
-    """Warm cost model predicting the same cost for every task."""
-
-    def __init__(self, seconds):
-        self.seconds = seconds
-
-    def estimate_task(self, task):
-        return self.seconds
-
-
-def _drive_timed(durations, predicted):
-    """One-task flights on two workers under a warm cost model."""
-    obs.disable()
-    registry = obs.enable()
-    try:
-        campaign = Campaign(
-            executor=ParallelExecutor(jobs=2),
-            cost_model=_FlatCostModel(predicted),
-            retry_policy=RetryPolicy(
-                min_straggler_seconds=0.0, straggler_factor=6.0
-            ),
-        )
-    finally:
+class TestSlowFlightsAreWaitedFor:
+    def test_a_slow_flight_is_never_dispatched_twice(self):
+        # One flight runs 10x the others on two workers: the driver waits
+        # for it, and every task goes out exactly once, in order.
+        durations = [0.05] * 24
+        durations[1] = 0.5
         obs.disable()
-    session = _TimedSession(durations)
-    campaign._task_session = session
-    recorded = {}
-    try:
-        failures = campaign._dispatch(
-            [_StubTask(i) for i in range(len(durations))],
-            list(range(len(durations))),
-            lambda index, result: recorded.__setitem__(index, result),
-            lambda index: None,
-        )
-    finally:
-        campaign._task_session = None
-        session.close()
-    assert failures == []
-    assert set(recorded) == set(range(len(durations)))
-    return registry.counter("campaign.hedges"), session
-
-
-class TestStragglerHedging:
-    def test_queue_time_is_not_run_time(self):
-        # 24 healthy tasks of exactly the predicted cost: the last flight
-        # starts ~1.1 s after the first, far beyond its 6 x 0.1 s
-        # deadline if that were stamped with the whole queue ahead of it.
-        hedges, session = _drive_timed([0.1] * 24, predicted=0.1)
-        assert hedges == 0
-        assert sorted(session.dispatched) == list(range(24))
-
-    def test_real_straggler_is_hedged(self):
-        # One task runs 10x its prediction: it outlives its deadline and
-        # is speculatively re-dispatched; the first result wins.
-        durations = [0.1] * 6
-        durations[1] = 1.0
-        hedges, session = _drive_timed(durations, predicted=0.1)
-        assert hedges == 1
-        assert session.dispatched.count(1) == 2
+        registry = obs.enable()
+        try:
+            campaign = Campaign(executor=ParallelExecutor(jobs=2))
+        finally:
+            obs.disable()
+        session = _TimedSession(durations)
+        campaign._task_session = session
+        recorded = {}
+        try:
+            failures = campaign._dispatch(
+                [_StubTask(i) for i in range(len(durations))],
+                list(range(len(durations))),
+                lambda index, result: recorded.__setitem__(index, result),
+                lambda index: None,
+            )
+        finally:
+            campaign._task_session = None
+            session.close()
+        assert failures == []
+        assert recorded == {i: f"result-{i}" for i in range(len(durations))}
+        assert session.dispatched == list(range(len(durations)))
+        assert "campaign.hedges" not in registry.snapshot()["counters"]
 
 
 # ----------------------------------------------------------------------
