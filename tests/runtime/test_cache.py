@@ -478,6 +478,25 @@ class TestStaleTmpSweep:
         assert cache.clear() == 1  # temp files are not counted as entries
         assert not fresh.exists()
 
+    @pytest.mark.parametrize("name", ["_costs.json", "_costs.9012.coststmp"])
+    def test_leftover_costs_files_are_neither_entries_nor_swept(
+        self, task, result, tmp_path, name
+    ):
+        # Older versions kept a task cost sidecar here. Nothing reads or
+        # writes it any more; the cache leaves it alone, as it does any
+        # file it does not own, and never counts it as an entry.
+        directory = tmp_path / "cache"
+        ResultCache(directory).put(task, result)
+        leftover = directory / name
+        leftover.write_text("{}", encoding="utf-8")
+        old = time.time() - 7200
+        os.utime(leftover, (old, old))
+        cache = ResultCache(directory)  # open triggers the sweep
+        assert leftover.exists()
+        assert cache.info().entries == 1
+        assert cache.clear() == 1
+        assert leftover.exists()
+
     def test_sweep_leaves_shard_subdirectories_alone(self, tmp_path):
         directory = tmp_path / "cache"
         stale = directory / "de" / "deadbeef.1234.tmp"

@@ -222,6 +222,17 @@ class TestFaultInjectionCli:
         assert "Traceback" not in err
         assert faults.ENV_VAR not in os.environ
 
+    def test_fault_parameter_is_an_argument_error(self, capsys):
+        from repro.runtime import faults
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(SWEEP_ARGV + ["--faults", "task-error@1=0.5"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid --faults spec" in err
+        assert "Traceback" not in err
+        assert faults.ENV_VAR not in os.environ
+
     def test_invalid_retries_rejected(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(SWEEP_ARGV + ["--retries", "0"])

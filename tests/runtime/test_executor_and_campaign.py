@@ -318,6 +318,19 @@ class TestCampaign:
             if path.name.startswith("_")
         } <= {"_meta.json", "_meta.lock"}
 
+    def test_stale_costs_sidecar_is_ignored(self, tmp_path):
+        # A sidecar left by an older version is neither read nor
+        # rewritten, and changes no result.
+        cache = ResultCache(tmp_path / "cache")
+        sidecar = cache.directory / "_costs.json"
+        sidecar.parent.mkdir(parents=True, exist_ok=True)
+        stale = '{"entries": {"tiny:A": [30.0, 4]}}'
+        sidecar.write_text(stale, encoding="utf-8")
+        tasks = tiny_tasks(bucket_sizes=(3, 5))
+        results = Campaign(cache=cache).run(tasks)
+        assert series_of(results) == series_of(Campaign().run(tasks))
+        assert sidecar.read_text(encoding="utf-8") == stale
+
     @pytest.mark.parametrize("expensive_first", [True, False])
     def test_expensive_task_never_reorders_dispatch(self, expensive_first):
         # Whichever way round the expensive task lies, tasks run in

@@ -56,6 +56,13 @@ class TestSpecParsing:
             True, False, True,
         ]
 
+    @pytest.mark.parametrize("kind", faults.KINDS)
+    def test_no_kind_takes_a_parameter(self, kind):
+        # A '=param' suffix once fed the stall kind; on every remaining
+        # kind it fails loudly instead of being dropped.
+        with pytest.raises(FaultSpecError, match="=0.5"):
+            FaultPlan.parse(f"{kind}@1=0.5")
+
     def test_whitespace_and_empty_clauses_tolerated(self):
         plan = FaultPlan.parse(" task-error@1 ; ; ")
         assert set(plan.rules) == {"task-error"}

@@ -105,6 +105,16 @@ class TestBackoffProperties:
             "jitter", "seed",
         ]
 
+    @pytest.mark.parametrize(
+        "max_attempts, max_respawns", [(2, 0), (1, 1), (3, 2)]
+    )
+    def test_either_healing_knob_keeps_a_policy_healing(
+        self, max_attempts, max_respawns
+    ):
+        policy = RetryPolicy(max_attempts=max_attempts, max_respawns=max_respawns)
+        assert not policy.fail_fast
+        assert policy != FAIL_FAST
+
     def test_default_policy_env_override(self, monkeypatch):
         monkeypatch.delenv(RETRIES_ENV_VAR, raising=False)
         assert default_retry_policy() == RetryPolicy()
@@ -488,11 +498,13 @@ class _TimedSession:
 
 
 class TestSlowFlightsAreWaitedFor:
-    def test_a_slow_flight_is_never_dispatched_twice(self):
+    @pytest.mark.parametrize("slow", [0, 1, 23])
+    def test_a_slow_flight_is_never_dispatched_twice(self, slow):
         # One flight runs 10x the others on two workers: the driver waits
-        # for it, and every task goes out exactly once, in order.
+        # for it, and every task goes out exactly once, in order, whether
+        # the slow flight opens, interrupts or closes the queue.
         durations = [0.05] * 24
-        durations[1] = 0.5
+        durations[slow] = 0.5
         obs.disable()
         registry = obs.enable()
         try:
