@@ -391,13 +391,13 @@ def _measurement(args: argparse.Namespace) -> MeasurementSpec:
     }
     if args.connectivity != "estimate":
         if sampling:
-            raise SystemExit(
-                "--sample-pairs/--ci-level require --connectivity estimate"
-            )
+            print("error: --sample-pairs/--ci-level require --connectivity "
+                  "estimate", file=sys.stderr)
+            raise SystemExit(2)
     elif not 0.0 < sampling.get("ci_level", MeasurementSpec.ci_level) < 1.0:
-        raise SystemExit(
-            f"--ci-level must be in (0, 1), got {sampling['ci_level']}"
-        )
+        print(f"error: --ci-level must be in (0, 1), got {sampling['ci_level']}",
+              file=sys.stderr)
+        raise SystemExit(2)
     return MeasurementSpec(
         algorithm=getattr(args, "algorithm", MeasurementSpec.algorithm),
         connectivity=args.connectivity,
@@ -629,7 +629,9 @@ def _cmd_analyze_snapshot(args: argparse.Namespace) -> int:
     measurement = _measurement(args)
     estimate_mode = measurement.connectivity == "estimate"
     if args.exact and estimate_mode:
-        raise SystemExit("--exact and --connectivity estimate are exclusive")
+        print("error: --exact and --connectivity estimate are exclusive",
+              file=sys.stderr)
+        raise SystemExit(2)
     snapshot = RoutingTableSnapshot.load(args.snapshot)
     snapshot_time, network_size = snapshot.time, snapshot.network_size
     # The tables are read once, into the graph; the analysis holds only that.

@@ -182,10 +182,7 @@ class FlowEngineHost:
     def _make_engine(self, graph: DiGraph):
         """Build the pair-flow engine for one connectivity graph."""
         return PairFlowEngine(
-            graph,
-            algorithm=self.algorithm,
-            flow_jobs=self.flow_jobs,
-            session=self._flow_pool(),
+            graph, algorithm=self.algorithm, session=self._flow_pool()
         )
 
 
@@ -268,8 +265,7 @@ class ConnectivityAnalyzer(FlowEngineHost):
             )
 
         if self.source_fraction is None:
-            with self._make_engine(graph) as engine:
-                stats = exhaustive_statistics(engine)
+            stats = exhaustive_statistics(self._make_engine(graph))
             elapsed = wallclock.perf_counter() - started
             return self._report(
                 minimum=stats.minimum, average=stats.average, graph=graph,
@@ -279,41 +275,40 @@ class ConnectivityAnalyzer(FlowEngineHost):
             )
 
         # One Even-transformed network is built here and reused for every
-        # pair of both passes; with flow_jobs > 1 the surrounding ``with``
-        # additionally pins one worker pool (the network ships to each
-        # worker once) across both passes.
-        with self._make_engine(graph) as engine:
-            # Minimum pass.  A graph that is not strongly connected
-            # contains a pair with no directed path, so its connectivity
-            # is exactly 0 and no flow computation is needed.
-            min_pairs = 0
-            if not strongly_connected:
-                minimum = 0
-            else:
-                source_count = max(
-                    self.min_sources, math.ceil(self.source_fraction * n)
-                )
-                target_count = max(
-                    self.min_targets, math.ceil(self.target_fraction * n)
-                )
-                sources = lowest_out_degree_vertices(graph, min(source_count, n))
-                targets = lowest_in_degree_vertices(graph, min(target_count, n))
-                degree_bound = min(graph.min_out_degree(), graph.min_in_degree())
-                minimum, min_pairs = engine.minimum_over(
-                    sources, targets, initial_minimum=degree_bound
-                )
+        # pair of both passes; with flow_jobs > 1 both passes run on the
+        # host's one worker pool (the network ships to each worker once).
+        engine = self._make_engine(graph)
+        # Minimum pass.  A graph that is not strongly connected
+        # contains a pair with no directed path, so its connectivity
+        # is exactly 0 and no flow computation is needed.
+        min_pairs = 0
+        if not strongly_connected:
+            minimum = 0
+        else:
+            source_count = max(
+                self.min_sources, math.ceil(self.source_fraction * n)
+            )
+            target_count = max(
+                self.min_targets, math.ceil(self.target_fraction * n)
+            )
+            sources = lowest_out_degree_vertices(graph, min(source_count, n))
+            targets = lowest_in_degree_vertices(graph, min(target_count, n))
+            degree_bound = min(graph.min_out_degree(), graph.min_in_degree())
+            minimum, min_pairs = engine.minimum_over(
+                sources, targets, initial_minimum=degree_bound
+            )
 
-            # Average pass (unbiased, no cutoffs).  The pairs are sampled
-            # before evaluation — the rng stream depends only on the graph,
-            # so serial and parallel runs see identical pairs.
-            if self.average_pairs > 0:
-                average, avg_pairs = engine.average_over(
-                    sample_non_adjacent_pairs(graph, self.average_pairs, self._rng)
-                )
-                if avg_pairs == 0:
-                    average = float(minimum)
-            else:
-                average, avg_pairs = float(minimum), 0
+        # Average pass (unbiased, no cutoffs).  The pairs are sampled
+        # before evaluation — the rng stream depends only on the graph,
+        # so serial and parallel runs see identical pairs.
+        if self.average_pairs > 0:
+            average, avg_pairs = engine.average_over(
+                sample_non_adjacent_pairs(graph, self.average_pairs, self._rng)
+            )
+            if avg_pairs == 0:
+                average = float(minimum)
+        else:
+            average, avg_pairs = float(minimum), 0
 
         elapsed = wallclock.perf_counter() - started
         return self._report(

@@ -295,14 +295,14 @@ class ConnectivityEstimator(FlowEngineHost):
             )
 
         total_pairs = n * (n - 1) - graph.number_of_edges()
-        with self._make_engine(graph) as engine:
-            if total_pairs <= self.sample_pairs:
-                return self._analyze_exhaustive(
-                    graph, engine, disconnected, strongly_connected, started
-                )
-            return self._analyze_sampled(
+        engine = self._make_engine(graph)
+        if total_pairs <= self.sample_pairs:
+            return self._analyze_exhaustive(
                 graph, engine, disconnected, strongly_connected, started
             )
+        return self._analyze_sampled(
+            graph, engine, disconnected, strongly_connected, started
+        )
 
     def analyze_snapshot(
         self,

@@ -10,9 +10,10 @@ indices is an ``array('q')``, so a network holds no Python int per arc id.
 For the batched pair-flow engine (:mod:`repro.runtime.pairflow`) the network
 can be frozen into a :class:`CompactNetwork` — a flat, ``array``-backed,
 picklable snapshot.  One Even-transformed network is built per connectivity
-graph, compacted once, shipped to every worker process once (through the
-pool initializer), and thawed back into a :class:`ResidualNetwork` there;
-no worker ever rebuilds the transformation per pair.
+graph, compacted once, shipped to the workers with the shards of the
+first wave (and again on a payload miss), and thawed back into a
+:class:`ResidualNetwork` there; no worker ever rebuilds the
+transformation per pair.
 """
 
 from __future__ import annotations

@@ -10,10 +10,13 @@ execution harness:
   content-addressed key and deterministic child-seed derivation;
 * :mod:`repro.runtime.executor` — :class:`SerialExecutor` and the
   process-pool backed :class:`ParallelExecutor`, which produce bit-identical
-  results because every task carries its own random universe; both
-  hand the campaign a persistent-worker :class:`TaskSession` (one
-  long-lived pool, warm across a campaign, running one task per worker
-  call);
+  results because every task carries its own random universe; each
+  opens one kind of session (``map``, ``submit``, ``close``), which the
+  campaign keeps for its whole life and on which it submits one task
+  per worker call;
+* :mod:`repro.runtime.pairflow` — :class:`PairFlowEngine`, the batched
+  κ(s, t) evaluator of one snapshot: in-process, or on a session it
+  borrows and never closes;
 * :mod:`repro.runtime.cache` — :class:`ResultCache`, an on-disk
   content-addressed store of :class:`ExperimentResult` documents with
   hit/miss statistics and an on-demand LRU ``prune``;
@@ -37,6 +40,6 @@ through this package.
 The package re-exports nothing: import each name from its defining
 module above (external callers use :mod:`repro.api`).  The snapshot
 analysis needs only :mod:`~repro.runtime.pairflow` and
-:mod:`~repro.runtime.executor`, and loads neither the campaign nor the
-cache.
+:mod:`~repro.runtime.executor` (the analyzer opens the ``--flow-jobs``
+pool), and loads neither the campaign nor the cache.
 """

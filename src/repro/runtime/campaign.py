@@ -14,10 +14,11 @@ optional :class:`~repro.runtime.cache.ResultCache` and runs batches of
    campaigns can stream per-task figures incrementally instead of
    waiting for the whole batch.
 
-Every pending task is dispatched through one **persistent task session**
-(:class:`repro.runtime.executor.TaskSession`): one long-lived worker pool
-survives across every ``run()`` call of the campaign, and each task goes
-out as its own *flight* (a one-task worker call).  Every flight is healed
+Every pending task is dispatched through one **persistent session**
+(:meth:`repro.runtime.executor.Executor.open_session`): one long-lived
+worker pool survives across every ``run()`` call of the campaign, and
+each task goes out as its own *flight*, one
+``submit(execute_task, task)`` worker call.  Every flight is healed
 by the same driver (retry, respawn, graceful shutdown — see
 :meth:`Campaign._dispatch`).
 
@@ -64,7 +65,7 @@ from repro.experiments.scenarios import Scenario
 from repro.obs import tracing
 from repro.options import ExecutionOptions, MeasurementSpec
 from repro.runtime.cache import ResultCache
-from repro.runtime.executor import Executor, SerialExecutor, TaskSession
+from repro.runtime.executor import Executor, SerialExecutor
 from repro.runtime.resilience import (
     CampaignInterrupted,
     CampaignTaskFailure,
@@ -74,7 +75,7 @@ from repro.runtime.resilience import (
     default_retry_policy,
     is_retryable,
 )
-from repro.runtime.task import ExperimentTask, derive_seed
+from repro.runtime.task import ExperimentTask, derive_seed, execute_task
 
 logger = logging.getLogger("repro.runtime.campaign")
 
@@ -170,7 +171,7 @@ class Campaign:
         self.retry_policy = (
             retry_policy if retry_policy is not None else default_retry_policy()
         )
-        self._task_session: Optional[TaskSession] = None
+        self._task_session = None
         self._guard: Optional[ShutdownGuard] = None
         # Captured once: ``None`` when observability is off, so every
         # per-task touch point below is a single attribute test.
@@ -318,7 +319,7 @@ class Campaign:
         simulations — cache hits and dispatch overhead both lower it.
         """
         elapsed = perf_counter() - self._run_started
-        workers = max(1, getattr(self.executor, "worker_count", 1))
+        workers = max(1, self.executor.worker_count)
         registry.set_gauge("campaign.workers", workers)
         registry.set_gauge("campaign.elapsed_seconds", elapsed)
         if elapsed > 0.0:
@@ -382,10 +383,10 @@ class Campaign:
         """
         policy = self.retry_policy
         registry = self._obs
-        workers = max(1, getattr(self.executor, "worker_count", 1))
+        workers = max(1, self.executor.worker_count)
         window = FLIGHTS_PER_WORKER * workers
         if self._task_session is None:
-            self._task_session = self.executor.open_task_session()
+            self._task_session = self.executor.open_session()
             if registry is not None:
                 registry.inc("campaign.sessions_opened")
         if registry is not None:
@@ -416,7 +417,7 @@ class Campaign:
                 )
                 if registry is not None:
                     registry.inc("campaign.respawns")
-                self._task_session = self.executor.open_task_session()
+                self._task_session = self.executor.open_session()
             else:
                 degraded = True
                 logger.warning(
@@ -426,12 +427,12 @@ class Campaign:
                 )
                 if registry is not None:
                     registry.inc("campaign.degraded_serial")
-                self._task_session = SerialExecutor().open_task_session()
+                self._task_session = SerialExecutor().open_session()
 
         def submit_flight(index: int) -> None:
             while True:
                 try:
-                    future = self._task_session.submit(tasks[index])
+                    future = self._task_session.submit(execute_task, tasks[index])
                     break
                 except BrokenExecutor:
                     if policy.fail_fast:

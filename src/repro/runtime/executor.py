@@ -1,26 +1,26 @@
 """Task executors.
 
-An :class:`Executor` is a factory of worker *sessions*.  Because each
-:class:`ExperimentTask` carries its own seed-derived random universe,
-execution order and process placement cannot influence any result:
-:class:`ParallelExecutor` is bit-identical to :class:`SerialExecutor` (the
-equivalence is asserted by ``tests/runtime``).
+An :class:`Executor` is a factory of worker *sessions*.
+:meth:`Executor.open_session` returns a serial session (every call runs
+in the current process) or, on a :class:`ParallelExecutor`, a pool
+session pinning worker processes until ``close()``; both have ``map``,
+``submit`` and ``close``.  Because each :class:`ExperimentTask` carries
+its own seed-derived random universe, execution order and process
+placement cannot influence any result: :class:`ParallelExecutor` is
+bit-identical to :class:`SerialExecutor` (the equivalence is asserted by
+``tests/runtime``).
 
-The generic *session* API (:meth:`Executor.open_session`) is used by the
-batched pair-flow engine (:mod:`repro.runtime.pairflow`): a session pins
-worker processes for its whole lifetime and runs an optional initializer
-once per worker, so per-snapshot state (the compact Even-transformed
-network) is shipped to each worker exactly once and then reused by every
-shard dispatched through :meth:`ExecutionSession.map`.
+Two callers share the one session shape:
 
-On top of it sits the *task session*
-(:meth:`Executor.open_task_session` → :class:`TaskSession`), the one way
-experiment tasks reach a worker: a long-lived pool that runs one task
-per worker call (:func:`execute_session_task`), each submitted as a
-future the campaign driver tracks.  Workers stay warm across the tasks
-of a session: imported modules stay imported and bytecode stays
-specialised — the dominant per-task overhead under the ``spawn`` start
-method, paid once per session instead of once per task.
+* the campaign (:mod:`repro.runtime.campaign`) submits
+  :func:`~repro.runtime.task.execute_task` once per task on one session
+  that lives as long as the campaign.  Workers stay warm across its
+  tasks: imported modules stay imported and bytecode stays specialised —
+  the dominant per-task overhead under the ``spawn`` start method, paid
+  once per session instead of once per task;
+* the pair-flow engine (:mod:`repro.runtime.pairflow`) maps shards onto
+  a session it borrows from the analyzer.  The compact network travels
+  with the shards, so one pool serves every snapshot of a run.
 """
 
 from __future__ import annotations
@@ -28,37 +28,30 @@ from __future__ import annotations
 import logging
 import os
 import threading
-from abc import ABC, abstractmethod
 from concurrent.futures import Future
 from contextlib import ExitStack, contextmanager
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, List, Optional, Sequence
 
 if TYPE_CHECKING:
     from concurrent.futures import ProcessPoolExecutor
 
-    from repro.experiments.runner import ExperimentResult
-    from repro.runtime.task import ExperimentTask
-
 logger = logging.getLogger("repro.runtime.executor")
 
 
-class ExecutionSession(ABC):
-    """A pinned set of workers accepting successive batches of calls."""
+class _SerialSession:
+    """Runs every call in the current process."""
 
-    @abstractmethod
     def map(self, fn: Callable[[Any], Any], items: Sequence[Any]) -> List[Any]:
         """Run ``fn`` over ``items`` and return results in submission order."""
+        return [fn(item) for item in items]
 
     def submit(self, fn: Callable[[Any], Any], item: Any) -> Future:
-        """Submit one call and return its :class:`~concurrent.futures.Future`.
+        """Run one call inline and return its already-settled future.
 
-        The primitive under the campaign's resilient dispatch loop: the
-        caller owns completion handling (``wait``, retries) instead of
-        the session.  The serial default executes
-        inline and returns an already-settled future, so completion order
-        equals submission order in one process — same contract, zero
-        concurrency.
+        The same contract as :meth:`_PoolSession.submit` with zero
+        concurrency: completion order equals submission order, and a
+        raising call fails its own future instead of raising here.
         """
         future: Future = Future()
         future.set_running_or_notify_cancel()
@@ -69,20 +62,10 @@ class ExecutionSession(ABC):
         return future
 
     def close(self) -> None:
-        """Release session-owned resources (no-op unless the session owns a pool)."""
-
-
-class _SerialSession(ExecutionSession):
-    """Runs every call in the current process."""
-
-    def map(self, fn: Callable[[Any], Any], items: Sequence[Any]) -> List[Any]:
-        return [fn(item) for item in items]
-
-    def close(self) -> None:
         """Nothing to release for in-process execution."""
 
 
-class _PoolSession(ExecutionSession):
+class _PoolSession:
     """Dispatches calls onto a live :class:`ProcessPoolExecutor`.
 
     The session *owns* its pool through ``owned``: :meth:`close` unwinds
@@ -95,24 +78,28 @@ class _PoolSession(ExecutionSession):
         self._owned: Optional[ExitStack] = owned
 
     def map(self, fn: Callable[[Any], Any], items: Sequence[Any]) -> List[Any]:
+        """Run ``fn`` over ``items`` on the pool, results in submission order."""
         futures = [self._pool.submit(fn, item) for item in items]
         try:
             return [future.result() for future in futures]
         except BaseException:
-            # A failing call (or a worker initializer that broke the
-            # pool) must not leave the rest of the batch queued: cancel
-            # whatever has not started so the session can be closed (or
-            # reused, when the pool survived) immediately.
-            logger.warning(
-                "cancelling %d queued call(s) after a failed pool call",
-                len(futures),
-            )
-            for future in futures:
-                future.cancel()
+            # A failing call must not leave the rest of the batch queued:
+            # cancel whatever has not started so the session can be
+            # closed (or reused, when the pool survived) immediately.
+            cancelled = sum(future.cancel() for future in futures)
+            if cancelled:
+                logger.warning(
+                    "cancelling %d queued call(s) after a failed pool call",
+                    cancelled,
+                )
             raise
 
     def submit(self, fn: Callable[[Any], Any], item: Any) -> Future:
-        """Submit one call onto the pool (raises if the pool is broken)."""
+        """Submit one call onto the pool (raises if the pool is broken).
+
+        The caller owns completion handling (``wait``, retries): this is
+        the primitive under the campaign's resilient dispatch loop.
+        """
         return self._pool.submit(fn, item)
 
     def close(self) -> None:
@@ -144,75 +131,6 @@ class _PoolSession(ExecutionSession):
                 process.kill()
 
 
-# ----------------------------------------------------------------------
-# Worker entry point
-# ----------------------------------------------------------------------
-#: Per-process throughput counter (one per worker process; also one in
-#: the parent process when a serial session runs tasks in-process).
-#: Diagnostics only — the warmth a persistent worker keeps is the process
-#: itself (interpreter start-up, imports, specialised bytecode); Python-
-#: level caching of runner objects was measured to save nothing on top.
-_WORKER_COUNTERS = {"tasks_executed": 0}
-
-
-def execute_session_task(task: ExperimentTask) -> ExperimentResult:
-    """Worker entry point: run one task of a task session.
-
-    The task goes through :func:`~repro.runtime.task.execute_task`, the
-    one fault-injection site.
-    """
-    # The task layer imports the simulator; the pair-flow engine, which
-    # imports this module, must not.
-    from repro.runtime.task import execute_task
-
-    _WORKER_COUNTERS["tasks_executed"] += 1
-    return execute_task(task)
-
-
-def _worker_counters_snapshot(_item: Any = None) -> Dict[str, int]:
-    """Report the calling process's throughput counter (test/debug aid)."""
-    return {"pid": os.getpid(), **_WORKER_COUNTERS}
-
-
-class TaskSession:
-    """A long-lived dispatcher of experiment tasks.
-
-    Wraps one caller-owned :class:`ExecutionSession` (a pinned worker
-    pool, or the current process for serial executors) and runs one task
-    per worker call through :func:`execute_session_task`.  The session —
-    and with it every warm worker — survives across :meth:`submit` calls
-    until :meth:`close`, which is what turns a grid of small simulations
-    from "one pool per task" into "one pool per campaign".
-
-    Failure containment: tasks are independent worker calls, so a task
-    that raises (or a worker that dies) fails its own future and no
-    other.  A dead worker breaks the underlying process pool — callers
-    must close this session and open a fresh one; unfinished tasks
-    simply re-run there (or are served from the cache next time).
-    """
-
-    def __init__(self, session: ExecutionSession) -> None:
-        self._session = session
-
-    def submit(self, task: ExperimentTask) -> Future:
-        """Submit one task and return the future of its result.
-
-        The caller owns completion handling, which is what lets the
-        campaign driver track per-task completion and re-dispatch failed
-        tasks.  On a serial session the
-        task executes inline and the returned future is already settled.
-        """
-        return self._session.submit(execute_session_task, task)
-
-    def warm_state_snapshots(self, probes: int = 1) -> List[Dict[str, int]]:
-        """Sample per-worker throughput counters (diagnostics/tests)."""
-        return self._session.map(_worker_counters_snapshot, list(range(probes)))
-
-    def close(self) -> None:
-        """Release the underlying session (idempotent)."""
-        self._session.close()
-
-
 class Executor:
     """A factory of worker sessions; the base class executes in-process."""
 
@@ -221,33 +139,14 @@ class Executor:
     #: window by it.
     worker_count: int = 1
 
-    def open_task_session(self) -> TaskSession:
-        """Open a caller-owned :class:`TaskSession` over a persistent pool.
-
-        The serial default runs tasks in the current process; parallel
-        executors pin one process pool whose workers stay warm across
-        every task of the session.  The caller must ``close()`` it.
-        """
-        return TaskSession(self.open_session())
-
-    def open_session(
-        self,
-        initializer: Optional[Callable[..., None]] = None,
-        initargs: Tuple[Any, ...] = (),
-    ) -> ExecutionSession:
+    def open_session(self) -> _SerialSession | _PoolSession:
         """Open a session whose lifetime the *caller* controls.
 
-        The returned session stays open until its ``close()`` is called —
-        the pair-flow engine pool reuse keeps one session alive across
-        every snapshot of an experiment run.  The serial default runs
-        the initializer in-process and returns a no-op-close session;
-        parallel executors run it once per worker process when the worker
-        starts, which is what lets callers ship a large read-only payload
-        (e.g. a compact residual network) to each worker exactly once
-        instead of once per submitted item.
+        The returned session stays open until its ``close()`` is called:
+        a campaign keeps one across all its runs, the analyzer one
+        across every snapshot of a run.  The serial default runs each
+        call in the current process and has nothing to release.
         """
-        if initializer is not None:
-            initializer(*initargs)
         return _SerialSession()
 
 
@@ -272,7 +171,7 @@ class ParallelExecutor(Executor):
         (the only method on Windows, the default on macOS, and the
         direction CPython is moving on Linux) starts a fresh interpreter
         per worker and re-imports ``repro``, which is exactly the
-        per-task overhead the persistent task session amortises.
+        per-task overhead the campaign's persistent session amortises.
     """
 
     def __init__(
@@ -285,7 +184,7 @@ class ParallelExecutor(Executor):
         self.start_method = start_method
         # The process-pool machinery (and the ``socket`` module it pulls
         # in) loads with the first parallel executor, not with the
-        # pair-flow engine that imports this module.
+        # analyzer that imports this module.
         import multiprocessing
 
         self._mp_context = (
@@ -298,11 +197,7 @@ class ParallelExecutor(Executor):
     def worker_count(self) -> int:  # type: ignore[override]
         return self.jobs
 
-    def open_session(
-        self,
-        initializer: Optional[Callable[..., None]] = None,
-        initargs: Tuple[Any, ...] = (),
-    ) -> ExecutionSession:
+    def open_session(self) -> _PoolSession:
         """Open a caller-owned pool session (see :meth:`Executor.open_session`).
 
         The exported package path stays in the environment until
@@ -319,8 +214,6 @@ class ParallelExecutor(Executor):
                 ProcessPoolExecutor(
                     max_workers=self.jobs,
                     mp_context=self._mp_context,
-                    initializer=initializer,
-                    initargs=initargs,
                 )
             )
         except BaseException:
@@ -345,7 +238,7 @@ def make_executor(jobs: Optional[int] = None) -> Executor:
 
 
 #: Reference count / pre-export snapshot of the ``PYTHONPATH`` export.
-#: Persistent task sessions keep the export alive for a whole campaign,
+#: A campaign's persistent session keeps the export alive for its life,
 #: so two campaigns can overlap in one process; restoring per-context
 #: (each context re-instating whatever it saw at *its* open) would let
 #: an early close strip the path out from under a still-open session, or

@@ -7,10 +7,11 @@ serial Python loop into a sharded, cutoff-aware kernel:
 
 * the connectivity graph is Even-transformed **once** into an
   integer-indexed :class:`~repro.graph.maxflow.residual.ResidualNetwork`,
-  frozen into a picklable
-  :class:`~repro.graph.maxflow.residual.CompactNetwork`, and shipped to
-  every worker process exactly once through the executor session's
-  initializer — no worker ever rebuilds the transformation per pair;
+  and, when the engine borrows a worker session, frozen into a picklable
+  :class:`~repro.graph.maxflow.residual.CompactNetwork` that ships with
+  the shards of the first wave (and again on a payload miss, when a
+  worker first sees the network in a later wave) — no worker ever
+  rebuilds the transformation per pair;
 * the (source, target) pair list is split into fixed-size **shards**, and
   shards are dispatched in **waves**: every shard of a wave inherits the
   running minimum established by the waves before it as its flow cutoff,
@@ -18,8 +19,9 @@ serial Python loop into a sharded, cutoff-aware kernel:
   minimum-pass trick, now parallel);
 * shard boundaries, wave boundaries and the combination rules depend only
   on the engine parameters — never on the number of workers — so the
-  engine's statistics are **bit-identical** whether shards run serially,
-  on 2 workers or on 32 (asserted by ``tests/runtime/test_pairflow.py``).
+  engine's statistics are **bit-identical** whether shards run
+  in-process, on 2 workers or on 32 (asserted by
+  ``tests/runtime/test_pairflow.py``).
 
 The cutoff inherited by wave ``w + 1`` is exactly the minimum over all
 values recorded in waves ``<= w``; within a shard the worker additionally
@@ -47,7 +49,6 @@ from repro.graph.transform.even_transform import (
 )
 from repro.obs import active as obs_active
 from repro.obs import tracing
-from repro.runtime.executor import Executor, make_executor
 
 Vertex = object
 
@@ -170,8 +171,8 @@ def _run_shard_counted(
 # most recently thawed network, keyed by the shard epoch; the compact
 # network is shipped with the first wave of an engine's work (and again
 # on the rare payload miss, when a worker first sees an epoch in a later
-# wave).  Serial engines never touch these globals — they evaluate shards
-# directly against the engine's own network.
+# wave).  An engine without a session never touches these globals — it
+# evaluates shards directly against its own network.
 # ----------------------------------------------------------------------
 _WORKER_EPOCH: int = 0
 _WORKER_NETWORK: Optional[ResidualNetwork] = None
@@ -204,36 +205,27 @@ class PairFlowEngine:
     algorithm:
         Max-flow algorithm (``"dinic"``, ``"edmonds_karp"``,
         ``"push_relabel"``).
-    flow_jobs:
-        Worker processes for shard evaluation; ``1`` (default) runs every
-        shard in-process through the same scheduling code path.
     shard_size / wave_width:
         Scheduling granularity (see module docstring).  Both shape which
         cutoff each pair sees, so the two sides of an equivalence check
         must share them — the defaults are used everywhere in practice.
-    executor:
-        Pre-built :class:`Executor` overriding ``flow_jobs``.
     session:
-        External, caller-owned :class:`ExecutionSession` (worker pool).
-        The engine borrows it for every evaluation and never closes it —
-        this is how the analyzer reuses **one** pool across the engines of
-        consecutive snapshots: only the compact network changes between
-        snapshots (shipped under a fresh epoch), the processes persist.
-
-    The engine may also be used as a context manager; inside a ``with``
-    block one executor session (process pool) is pinned across all
-    evaluations, which shares a pool between the minimum and average
-    passes of one snapshot.
+        A caller-owned worker session
+        (:meth:`repro.runtime.executor.Executor.open_session`), or
+        ``None`` (default) to evaluate every shard in-process through
+        the same scheduling code path.  The engine borrows the session
+        for every evaluation and never closes it — this is how the
+        analyzer reuses **one** pool across the engines of consecutive
+        snapshots: only the compact network changes between snapshots
+        (shipped under a fresh epoch), the processes persist.
     """
 
     def __init__(
         self,
         graph: DiGraph,
         algorithm: str = "dinic",
-        flow_jobs: int = 1,
         shard_size: int = DEFAULT_SHARD_SIZE,
         wave_width: int = DEFAULT_WAVE_WIDTH,
-        executor: Optional[Executor] = None,
         session=None,
     ) -> None:
         if shard_size < 1:
@@ -245,28 +237,24 @@ class PairFlowEngine:
         self.algorithm = algorithm
         self.shard_size = shard_size
         self.wave_width = wave_width
-        self.executor = executor or make_executor(flow_jobs)
         self.transform: IndexedEvenTransform = indexed_even_transform(graph)
         self._compact: Optional[CompactNetwork] = None
         self._epoch = next(_EPOCH_COUNTER)
         self._payload_shipped = False
-        self._external_session = session
-        self._session = None
+        self._session = session
         # ``None`` when observability is off; the per-pair kernel above is
         # untouched either way — counters are folded in once per
         # evaluation, after the waves have run.
         self._obs = obs_active()
 
     # ------------------------------------------------------------------
+    # A no-op context manager: the engine owns nothing to release, but
+    # callers (``bench/layers.py`` among them) still write ``with engine:``.
     def __enter__(self) -> "PairFlowEngine":
-        if self._external_session is None:
-            self._session = self._make_session()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        session, self._session = self._session, None
-        if session is not None:
-            session.close()
+        return None
 
     # ------------------------------------------------------------------
     def evaluate(
@@ -306,13 +294,14 @@ class PairFlowEngine:
         shards_dispatched = 0
         payload_misses = 0
         kernel_totals = [0] * len(KERNEL_COUNTERS)
-        session, owns_session = self._acquire_session()
+        session = self._session
+        network = self.transform.network
+        flow_fn = self._flow_fn
         span = tracing.span(
             "pairflow.evaluate", pairs=len(pairs), cutoff=use_cutoff
         )
         try:
             span.__enter__()
-            serial = isinstance(session, _EngineLocalSession)
             for wave_start in range(0, len(shards), wave_width):
                 if stop_at_zero and running == 0:
                     break
@@ -322,7 +311,7 @@ class PairFlowEngine:
                 # another engine's epoch displaced it) answer with a
                 # payload miss and get the shards re-sent with payload.
                 compact = None
-                if not serial and not self._payload_shipped:
+                if session is not None and not self._payload_shipped:
                     compact = self._compact_payload()
                     self._payload_shipped = True
                 wave = shards[wave_start:wave_start + wave_width]
@@ -340,7 +329,13 @@ class PairFlowEngine:
                     )
                     for shard in wave
                 ]
-                shard_results = session.map(_execute_shard, tasks)
+                if session is None:
+                    shard_results = [
+                        _run_shard_counted(network, flow_fn, task)
+                        for task in tasks
+                    ]
+                else:
+                    shard_results = session.map(_execute_shard, tasks)
                 missed = [
                     index
                     for index, result in enumerate(shard_results)
@@ -370,8 +365,6 @@ class PairFlowEngine:
                             running = value
         finally:
             span.__exit__(None, None, None)
-            if owns_session:
-                session.close()
 
         registry = self._obs
         if registry is not None:
@@ -460,62 +453,9 @@ class PairFlowEngine:
         return outcome.average, outcome.pairs_evaluated
 
     # ------------------------------------------------------------------
-    def _acquire_session(self):
-        """Return ``(session, owns)`` — the session to evaluate on.
-
-        Priority: the session pinned by ``with`` (borrowed), then the
-        caller-provided external session (borrowed), then a fresh one the
-        caller of this method must close (``owns=True``).
-        """
-        if self._session is not None:
-            return self._session, False
-        if self._external_session is not None:
-            return self._external_session, False
-        return self._make_session(), True
-
-    def _make_session(self):
-        """Open a fresh session of the right flavour for this executor.
-
-        A :class:`SerialExecutor` evaluates shards directly against the
-        engine's own network — no worker globals, no compact snapshot, so
-        two serial engines can be open concurrently without interference.
-        Parallel executors get a caller-owned pool session; the compact
-        network travels with the first wave (and on payload misses).
-        """
-        from repro.runtime.executor import SerialExecutor
-
-        if isinstance(self.executor, SerialExecutor):
-            return _EngineLocalSession(self.transform.network, self._flow_fn)
-        return self.executor.open_session()
-
     def _compact_payload(self) -> CompactNetwork:
         """Build (lazily) the picklable network payload shipped to workers."""
         if self._compact is None:
             self._compact = self.transform.compact()
         return self._compact
 
-
-class _EngineLocalSession:
-    """In-process session bound to one engine's network (serial path)."""
-
-    def __init__(self, network: ResidualNetwork, flow_fn) -> None:
-        self._network = network
-        self._flow_fn = flow_fn
-
-    def __enter__(self) -> "_EngineLocalSession":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        return None
-
-    def map(self, fn, shards) -> List[ShardResult]:
-        # ``fn`` is always _execute_shard here; run its body against the
-        # engine-local state instead of the worker-pool globals (epoch and
-        # compact payload are irrelevant in-process).
-        return [
-            _run_shard_counted(self._network, self._flow_fn, shard)
-            for shard in shards
-        ]
-
-    def close(self) -> None:
-        """Nothing to release; the engine owns the network."""

@@ -146,8 +146,8 @@ def execute_task(task: ExperimentTask) -> ExperimentResult:
     """Module-level task entry point (picklable for process pools).
 
     Every task of every flight — in-process or in a pool worker — runs
-    through here (via :func:`~repro.runtime.executor.execute_session_task`),
-    which makes this the one injection site for the deterministic fault
+    through here (the campaign submits it on its session), which makes
+    this the one injection site for the deterministic fault
     harness (:mod:`repro.runtime.faults`); a no-op when ``REPRO_FAULTS``
     is unset.
     """

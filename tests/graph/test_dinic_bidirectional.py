@@ -38,6 +38,7 @@ from repro.graph.maxflow.residual import (
     is_twin,
 )
 from repro.graph.transform.even_transform import indexed_even_transform
+from repro.runtime.executor import make_executor
 from repro.runtime.pairflow import PairFlowEngine
 
 dinic = network_flow_function("dinic")
@@ -547,16 +548,20 @@ def test_thawed_network_carries_the_layout_and_matches_serial(obs_enabled):
     assert thawed.head_tuples() == engine.transform.network.head_tuples()
     assert_head_tuples(thawed)
     runs = {}
-    for jobs in (1, 2):
-        for cut in (False, True):
-            obs_enabled.clear()
-            outcome = PairFlowEngine(graph, flow_jobs=jobs, shard_size=8, wave_width=2).evaluate(
-                pairs, use_cutoff=cut, initial_minimum=3
-            )
-            counters = {
-                name: obs_enabled.counter(f"maxflow.{name}") for name in KERNEL_COUNTERS
-            }
-            runs[jobs, cut] = (outcome.values, counters)
+    session = make_executor(2).open_session()
+    try:
+        for jobs, borrowed in ((1, None), (2, session)):
+            for cut in (False, True):
+                obs_enabled.clear()
+                outcome = PairFlowEngine(
+                    graph, shard_size=8, wave_width=2, session=borrowed
+                ).evaluate(pairs, use_cutoff=cut, initial_minimum=3)
+                counters = {
+                    name: obs_enabled.counter(f"maxflow.{name}") for name in KERNEL_COUNTERS
+                }
+                runs[jobs, cut] = (outcome.values, counters)
+    finally:
+        session.close()
     for cut in (False, True):
         assert runs[2, cut] == runs[1, cut]
         assert runs[1, cut][1]["phases"] > 0

@@ -23,7 +23,7 @@ from repro.runtime.task import ExperimentTask
 class ExplodingExecutor(Executor):
     """Fails the test if any task reaches the executor (cache must serve)."""
 
-    def open_task_session(self):
+    def open_session(self):
         raise AssertionError("a task was not served from the cache")
 
 

@@ -1,7 +1,10 @@
 """Executor equivalence and campaign driver tests."""
 
+import logging
 import multiprocessing
 import os
+import re
+import time
 from concurrent.futures import BrokenExecutor
 
 import pytest
@@ -15,7 +18,7 @@ from repro.runtime.cache import ResultCache
 from repro.runtime.campaign import Campaign
 from repro.runtime.executor import Executor, ParallelExecutor, SerialExecutor, make_executor
 from repro.runtime.resilience import FAIL_FAST, CampaignTaskFailure, RetryPolicy
-from repro.runtime.task import ExperimentTask
+from repro.runtime.task import ExperimentTask, execute_task
 
 
 def tiny_tasks(seeds=(11,), bucket_sizes=(3, 5)):
@@ -71,7 +74,7 @@ class TestExecutors:
 
     def test_executor_surface_is_sessions_and_worker_count(self):
         public = {name for name in vars(Executor) if not name.startswith("_")}
-        assert public == {"open_session", "open_task_session", "worker_count"}
+        assert public == {"open_session", "worker_count"}
 
     def test_parallel_matches_serial(self):
         """Same seeds through both executors -> identical time series."""
@@ -109,11 +112,13 @@ class TestExecutors:
     )
     def test_submit_settles_with_the_task_result(self, executor):
         tasks = tiny_tasks()
-        session = executor.open_task_session()
+        session = executor.open_session()
         try:
             # One task per call, the same task twice: each future carries
             # its own task's result, whatever order they settle in.
-            futures = [session.submit(task) for task in tasks + tasks[:1]]
+            futures = [
+                session.submit(execute_task, task) for task in tasks + tasks[:1]
+            ]
             settled = [future.result() for future in futures]
         finally:
             session.close()
@@ -125,12 +130,12 @@ class TestExecutors:
     )
     def test_task_error_reaches_its_future_only(self, executor):
         good = tiny_tasks()[0]
-        session = executor.open_task_session()
+        session = executor.open_session()
         try:
-            failed = session.submit(_poison_task())
+            failed = session.submit(execute_task, _poison_task())
             error = failed.exception()
             # The session survives a raising task: the next call runs.
-            after = session.submit(good).result()
+            after = session.submit(execute_task, good).result()
         finally:
             session.close()
         assert isinstance(error, ValueError)
@@ -142,16 +147,18 @@ class TestExecutors:
     )
     def test_each_submit_is_one_worker_call(self, executor):
         tasks = tiny_tasks(bucket_sizes=(3, 5, 8))
-        session = executor.open_task_session()
+        session = executor.open_session()
         try:
-            before = session.warm_state_snapshots()[0]
+            before = session.map(_pid, [0])
             for task in tasks:
-                session.submit(task).result()
-            after = session.warm_state_snapshots()[0]
+                session.submit(execute_task, task).result()
+            after = session.map(_pid, [0])
         finally:
             session.close()
-        assert after["pid"] == before["pid"]
-        assert after["tasks_executed"] == before["tasks_executed"] + len(tasks)
+        # The one pinned process served every call, the serial session's
+        # being the caller's own.
+        assert after == before
+        assert (before == [os.getpid()]) is isinstance(executor, SerialExecutor)
 
     def test_dead_worker_fails_queued_and_later_submits(self):
         from concurrent.futures.process import BrokenProcessPool
@@ -159,14 +166,14 @@ class TestExecutors:
         before = {
             p.pid for p in multiprocessing.active_children() if p.is_alive()
         }
-        session = ParallelExecutor(jobs=1).open_task_session()
+        session = ParallelExecutor(jobs=1).open_session()
         try:
-            doomed = session.submit(_exploding_task())
-            queued = session.submit(tiny_tasks()[0])
+            doomed = session.submit(execute_task, _exploding_task())
+            queued = session.submit(execute_task, tiny_tasks()[0])
             assert isinstance(doomed.exception(), BrokenProcessPool)
             assert isinstance(queued.exception(), BrokenProcessPool)
             with pytest.raises(BrokenExecutor):
-                session.submit(tiny_tasks()[0])
+                session.submit(execute_task, tiny_tasks()[0])
         finally:
             session.close()
         live = {p.pid for p in multiprocessing.active_children() if p.is_alive()}
@@ -177,12 +184,27 @@ def _failing_shard(_item):
     raise RuntimeError("shard failed")
 
 
-def _failing_initializer():
-    raise RuntimeError("initializer failed")
+def _pid(_item):
+    return os.getpid()
+
+
+def _fail_first(item):
+    if item == 0:
+        raise RuntimeError("shard failed")
+    time.sleep(0.05)
+    return item
+
+
+def _cancel_counts(caplog):
+    return [
+        int(re.search(r"cancelling (\d+) queued", record.getMessage()).group(1))
+        for record in caplog.records
+        if "cancelling" in record.getMessage()
+    ]
 
 
 class TestSessionLifecycle:
-    """A failing shard or worker initializer must not leak the pinned pool."""
+    """A failing shard must not leak the pinned pool."""
 
     @staticmethod
     def _live_children():
@@ -200,21 +222,34 @@ class TestSessionLifecycle:
         assert self._live_children() <= before
         assert os.environ.get("PYTHONPATH") == original_pythonpath
 
-    def test_failing_initializer_leaves_no_live_workers(self):
-        from concurrent.futures.process import BrokenProcessPool
-
-        before = self._live_children()
-        original_pythonpath = os.environ.get("PYTHONPATH")
-        session = ParallelExecutor(jobs=2).open_session(
-            initializer=_failing_initializer
-        )
+    def test_a_failed_call_with_nothing_queued_logs_no_cancel(self, caplog):
+        # The one call already settled when it failed: nothing is left to
+        # cancel, so nothing is logged.
+        session = ParallelExecutor(jobs=2).open_session()
         try:
-            with pytest.raises(BrokenProcessPool):
-                session.map(str, [1, 2])
+            with caplog.at_level(logging.WARNING, "repro.runtime.executor"):
+                with pytest.raises(RuntimeError, match="shard failed"):
+                    session.map(_failing_shard, [1])
         finally:
             session.close()
-        assert self._live_children() <= before
-        assert os.environ.get("PYTHONPATH") == original_pythonpath
+        assert _cancel_counts(caplog) == []
+
+    def test_the_cancel_log_counts_only_calls_still_queued(self, caplog):
+        # One worker: the first call fails while the rest wait behind it.
+        # The calls already settled, or handed to the worker, cannot be
+        # cancelled and are not counted.
+        calls = list(range(40))
+        session = ParallelExecutor(jobs=1).open_session()
+        try:
+            with caplog.at_level(logging.WARNING, "repro.runtime.executor"):
+                with pytest.raises(RuntimeError, match="shard failed"):
+                    session.map(_fail_first, calls)
+            # The pool survived the failed call and takes the next batch.
+            assert session.map(_fail_first, [1]) == [1]
+        finally:
+            session.close()
+        [cancelled] = _cancel_counts(caplog)
+        assert 0 < cancelled < len(calls) - 1
 
     def test_close_is_idempotent(self):
         session = ParallelExecutor(jobs=2).open_session()
@@ -222,19 +257,25 @@ class TestSessionLifecycle:
         session.close()
         session.close()
 
-    def test_failing_shard_through_engine_releases_owned_session(self):
-        # The engine opens (and must close) its own session per evaluate
-        # call when none is pinned; a worker exception must not leak it.
+    def test_failing_shard_through_analyzer_leaves_no_live_workers(self):
+        # The analyzer owns the --flow-jobs pool its engines borrow: a
+        # shard that fails in a worker reaches the caller, and closing
+        # the analyzer still shuts every worker down.
+        from repro.core.analyzer import ConnectivityAnalyzer
         from repro.graph.generators import circulant_graph
-        from repro.runtime.pairflow import PairFlowEngine
+
+        class _FailingShards(ConnectivityAnalyzer):
+            def _make_engine(self, graph):
+                engine = super()._make_engine(graph)
+                engine.algorithm = "does-not-exist"  # workers fail resolving it
+                return engine
 
         before = self._live_children()
-        engine = PairFlowEngine(
-            circulant_graph(8, [1, 2]), flow_jobs=2, algorithm="dinic"
-        )
-        engine.algorithm = "does-not-exist"  # workers fail resolving it
-        with pytest.raises(Exception):
-            engine.evaluate([(0, 4), (1, 5)])
+        analyzer = _FailingShards(flow_jobs=2)
+        with pytest.raises(ValueError, match="does-not-exist"):
+            with analyzer:
+                analyzer.analyze_graph(circulant_graph(8, [1, 2]))
+        assert analyzer._flow_session is None
         assert self._live_children() <= before
 
 
@@ -469,14 +510,14 @@ class TestParallelCampaign:
             campaign.run(tasks[:2])
             session = campaign._task_session
             assert session is not None
-            first = session.warm_state_snapshots()[0]
+            first = session.map(_pid, [0])
             campaign.run(tasks[2:])
             assert campaign._task_session is session  # same pinned pool
-            second = session.warm_state_snapshots()[0]
-        # Same worker process served both runs and its warm state
-        # advanced — the pool (with its imports) really persisted.
-        assert second["pid"] == first["pid"]
-        assert second["tasks_executed"] >= first["tasks_executed"] + 2
+            second = session.map(_pid, [0])
+        # Same worker process served both runs: the pool (with its
+        # imports) really persisted.
+        assert second == first
+        assert first != [os.getpid()]
 
 
 class TestPoolLifecycle:
@@ -635,7 +676,7 @@ class TestSelfHealingCampaign:
         attempts = {"count": 0}
 
         class _FlakySession:
-            def submit(self, task):
+            def submit(self, fn, task):
                 from concurrent.futures import Future
 
                 future = Future()
@@ -668,14 +709,14 @@ class TestSelfHealingCampaign:
         opened = {"count": 0}
 
         class _BrokenSession:
-            def submit(self, task):
+            def submit(self, fn, task):
                 raise BrokenExecutor("pool is broken")
 
             def close(self):
                 pass
 
         class _BrokenExecutorBackend(SerialExecutor):
-            def open_task_session(self):
+            def open_session(self):
                 opened["count"] += 1
                 return _BrokenSession()
 

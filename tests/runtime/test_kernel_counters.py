@@ -17,6 +17,7 @@ from repro.graph.generators import random_regular_out_digraph
 from repro.graph.maxflow import network_flow_function
 from repro.graph.maxflow.residual import KERNEL_COUNTERS
 from repro.obs.summary import format_summary
+from repro.runtime.executor import make_executor
 from repro.runtime.pairflow import PairFlowEngine
 
 
@@ -106,11 +107,15 @@ def test_serial_and_pool_report_the_same_kernel_counts(obs_enabled):
     graph = random_regular_out_digraph(60, 5, random.Random(11))
     pairs = sample_non_adjacent_pairs(graph, 40, random.Random(3))
     totals = []
-    for jobs in (1, 2):
-        obs_enabled.clear()
-        engine = PairFlowEngine(graph, flow_jobs=jobs, shard_size=8, wave_width=2)
-        outcome = engine.evaluate(pairs, use_cutoff=True, initial_minimum=4)
-        totals.append((outcome.values, kernel_counts(obs_enabled)))
+    session = make_executor(2).open_session()
+    try:
+        for borrowed in (None, session):
+            obs_enabled.clear()
+            engine = PairFlowEngine(graph, shard_size=8, wave_width=2, session=borrowed)
+            outcome = engine.evaluate(pairs, use_cutoff=True, initial_minimum=4)
+            totals.append((outcome.values, kernel_counts(obs_enabled)))
+    finally:
+        session.close()
     assert totals[0] == totals[1]
     counts = totals[0][1]
     assert counts["phases"] > 0 and counts["cutoff_hits"] > 0

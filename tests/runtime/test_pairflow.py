@@ -8,7 +8,9 @@ The two load-bearing guarantees:
    shard/wave structure is a function of the engine parameters only.
 """
 
+import multiprocessing
 import random
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,7 +25,19 @@ from repro.core.vertex_connectivity import (
 from repro.experiments.runner import ExperimentRunner
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import circulant_graph, random_regular_out_digraph
+from repro.graph.maxflow.residual import KERNEL_COUNTERS
+from repro.runtime.executor import ParallelExecutor, make_executor
 from repro.runtime.pairflow import PairFlowEngine, PairFlowShard, _run_shard_on
+
+
+@contextmanager
+def pool_session(jobs):
+    """A ``jobs``-worker session the engines under test borrow."""
+    session = make_executor(jobs).open_session()
+    try:
+        yield session
+    finally:
+        session.close()
 
 
 def make_random_graph(n: int, density: float, seed: int) -> DiGraph:
@@ -109,9 +123,9 @@ class TestSerialParallelEquivalence:
     def test_evaluate_bit_identical_across_worker_counts(self):
         graph = random_regular_out_digraph(60, 4, random.Random(3))
         pairs = sample_non_adjacent_pairs(graph, 40, random.Random(5))
-        serial = PairFlowEngine(graph, flow_jobs=1).evaluate(pairs)
-        with PairFlowEngine(graph, flow_jobs=3) as engine:
-            parallel = engine.evaluate(pairs)
+        serial = PairFlowEngine(graph).evaluate(pairs)
+        with pool_session(3) as session:
+            parallel = PairFlowEngine(graph, session=session).evaluate(pairs)
         assert serial == parallel
 
     def test_minimum_pass_bit_identical_across_worker_counts(self):
@@ -119,12 +133,13 @@ class TestSerialParallelEquivalence:
         sources = lowest_out_degree_vertices(graph, 8)
         targets = lowest_in_degree_vertices(graph, 8)
         bound = min(graph.min_out_degree(), graph.min_in_degree())
-        serial = PairFlowEngine(graph, flow_jobs=1).minimum_over(
+        serial = PairFlowEngine(graph).minimum_over(
             sources, targets, initial_minimum=bound
         )
-        parallel = PairFlowEngine(graph, flow_jobs=3).minimum_over(
-            sources, targets, initial_minimum=bound
-        )
+        with pool_session(3) as session:
+            parallel = PairFlowEngine(graph, session=session).minimum_over(
+                sources, targets, initial_minimum=bound
+            )
         assert serial == parallel
 
     def test_stop_at_zero_deterministic(self):
@@ -134,12 +149,13 @@ class TestSerialParallelEquivalence:
             [(1, 2), (2, 3), (3, 1), (4, 5), (5, 6), (6, 4)]
         )
         pairs = non_adjacent_pairs(graph)
-        outcomes = [
-            PairFlowEngine(
-                graph, flow_jobs=jobs, shard_size=2, wave_width=2
-            ).evaluate(pairs, use_cutoff=True, stop_at_zero=True)
-            for jobs in (1, 2)
-        ]
+        with pool_session(2) as session:
+            outcomes = [
+                PairFlowEngine(
+                    graph, shard_size=2, wave_width=2, session=borrowed
+                ).evaluate(pairs, use_cutoff=True, stop_at_zero=True)
+                for borrowed in (None, session)
+            ]
         assert outcomes[0] == outcomes[1]
         assert outcomes[0].minimum == 0
         assert outcomes[0].pairs_evaluated < len(pairs)
@@ -209,8 +225,9 @@ class TestCarvedBottleneck:
         per_pair = min(
             pairwise_vertex_connectivity(graph, s, t) for s, t in pairs
         )
-        serial = PairFlowEngine(graph, flow_jobs=1)
-        with PairFlowEngine(graph, flow_jobs=4) as parallel:
+        serial = PairFlowEngine(graph)
+        with pool_session(4) as session:
+            parallel = PairFlowEngine(graph, session=session)
             minimum_passes = [
                 engine.minimum_over(sources, targets, initial_minimum=bound)[0]
                 for engine in (serial, parallel)
@@ -240,8 +257,8 @@ class TestShardSemantics:
         assert values == [0]
 
     def test_concurrently_open_serial_engines_stay_independent(self):
-        # Serial sessions must not share process-global worker state: two
-        # engines pinned at the same time evaluate against their own graphs.
+        # In-process engines must not share process-global worker state:
+        # two engines open at the same time evaluate their own graphs.
         sparse = circulant_graph(10, [1])       # kappa 2
         dense = circulant_graph(10, [1, 2, 3])  # kappa 6
         with PairFlowEngine(sparse) as a, PairFlowEngine(dense) as b:
@@ -289,37 +306,66 @@ class TestPoolReuseAcrossSnapshots:
     the compact network (under a fresh epoch) travels between engines."""
 
     def test_external_session_shared_by_consecutive_engines(self):
-        from repro.runtime.executor import ParallelExecutor
-
-        executor = ParallelExecutor(jobs=2)
         graphs = [circulant_graph(10, [1]), circulant_graph(10, [1, 2, 3])]
         expected = [2, 6]
-        session = executor.open_session()
-        try:
+        with pool_session(2) as session:
             for graph, kappa in zip(graphs, expected):
-                engine = PairFlowEngine(
-                    graph, executor=executor, session=session
-                )
-                outcome = engine.evaluate([(0, 5), (1, 6)])
+                with PairFlowEngine(graph, session=session) as engine:
+                    outcome = engine.evaluate([(0, 5), (1, 6)])
                 assert outcome.values == [kappa, kappa]
+                # The shards ran on the borrowed session: the network was
+                # frozen for shipping, which an in-process run never does.
+                assert engine._compact is not None
+            # Borrowed, never closed: neither the evaluations nor the
+            # ``with`` blocks shut the caller's pool down.
+            assert session.map(abs, [-3]) == [3]
+
+    @pytest.mark.skipif(
+        "spawn" not in multiprocessing.get_all_start_methods(),
+        reason="the platform has no spawn start method",
+    )
+    def test_consecutive_engines_on_one_spawn_pool(self, obs_enabled):
+        # Spawned workers start a fresh interpreter: they import the
+        # engine's worker side on their own and see each network only
+        # through the shards, never through inherited memory.
+        graphs = [
+            random_regular_out_digraph(40, 4, random.Random(seed))
+            for seed in (7, 8)
+        ]
+
+        def run(graph, session):
+            obs_enabled.clear()
+            engine = PairFlowEngine(
+                graph, shard_size=6, wave_width=2, session=session
+            )
+            pairs = sample_non_adjacent_pairs(graph, 30, random.Random(1))
+            outcome = engine.evaluate(pairs, use_cutoff=True)
+            counters = [
+                obs_enabled.counter(f"maxflow.{name}")
+                for name in KERNEL_COUNTERS
+            ]
+            return engine, (outcome, counters)
+
+        expected = [run(graph, None)[1] for graph in graphs]
+        session = ParallelExecutor(jobs=2, start_method="spawn").open_session()
+        try:
+            for graph, reference in zip(graphs, expected):
+                engine, observed = run(graph, session)
+                assert observed == reference
+                assert engine._compact is not None  # built to ship
+            assert observed[1][0] > 0  # the kernel ran: phases counted
         finally:
             session.close()
 
     def test_payload_miss_is_resent(self):
-        from repro.runtime.executor import ParallelExecutor
-
-        executor = ParallelExecutor(jobs=2)
         graph = circulant_graph(8, [1, 2])
-        session = executor.open_session()
-        try:
-            engine = PairFlowEngine(graph, executor=executor, session=session)
+        with pool_session(2) as session:
+            engine = PairFlowEngine(graph, session=session)
             # Pretend the payload already shipped: every worker will miss
             # this engine's epoch and must be answered via the re-send path.
             engine._payload_shipped = True
             outcome = engine.evaluate([(0, 4), (1, 5), (2, 6)])
             assert outcome.values == [4, 4, 4]
-        finally:
-            session.close()
 
     def test_analyzer_reuses_one_pool_across_graphs(self):
         analyzer = ConnectivityAnalyzer(seed=5, flow_jobs=2)

@@ -241,7 +241,7 @@ class _ScriptedSession:
         self.error_factory = error_factory
         self.dispatched = []
 
-    def submit(self, task):
+    def submit(self, fn, task):
         self.dispatched.append(task.index)
         future = Future()
         future.set_running_or_notify_cancel()
@@ -334,7 +334,7 @@ class _PoolBreakSession:
         self.later = []
         self.broke = False
 
-    def submit(self, task):
+    def submit(self, fn, task):
         self.dispatched.append(task.index)
         future = Future()
         future.set_running_or_notify_cancel()
@@ -371,7 +371,7 @@ class _CrashingPool:
         self.lock = threading.Lock()
         self.threads = ThreadPoolExecutor(max_workers=2)
 
-    def submit(self, task):
+    def submit(self, fn, task):
         if self.broken:
             raise BrokenExecutor("the pool is broken")
         self.dispatched.append(task.index)
@@ -406,7 +406,7 @@ class _CrashingExecutor:
         self.dispatched = []
         self.pools = 0
 
-    def open_task_session(self):
+    def open_session(self):
         self.pools += 1
         return _CrashingPool(self.poison, self.dispatched)
 
@@ -464,7 +464,7 @@ class TestPoolBreakAttribution:
         finally:
             obs.disable()
         recorded, failed, failures = _dispatch_stubs(
-            campaign, executor.open_task_session(), 6
+            campaign, executor.open_session(), 6
         )
         assert failed == [poison]
         assert [record.index for record in failures] == [poison]
@@ -489,7 +489,7 @@ class _TimedSession:
         time.sleep(self.durations[index])
         return f"result-{index}"
 
-    def submit(self, task):
+    def submit(self, fn, task):
         self.dispatched.append(task.index)
         return self._pool.submit(self._run, task.index)
 

@@ -16,6 +16,33 @@ def snapshot_file(tmp_path):
     return path
 
 
+#: Argument errors the sampling flags can make, with the message each
+#: prints (``run`` has no ``--exact``, so the last applies to
+#: ``analyze-snapshot`` only).
+_FLAG_ERRORS = {
+    "sample-pairs-without-estimate": (
+        ["--sample-pairs", "64"],
+        "--sample-pairs/--ci-level require --connectivity estimate",
+    ),
+    "ci-level-without-estimate": (
+        ["--ci-level", "0.9"],
+        "--sample-pairs/--ci-level require --connectivity estimate",
+    ),
+    "ci-level-0": (
+        ["--connectivity", "estimate", "--ci-level", "0"],
+        "--ci-level must be in (0, 1), got 0.0",
+    ),
+    "ci-level-1.5": (
+        ["--connectivity", "estimate", "--ci-level", "1.5"],
+        "--ci-level must be in (0, 1), got 1.5",
+    ),
+    "exact-with-estimate": (
+        ["--connectivity", "estimate", "--exact"],
+        "--exact and --connectivity estimate are exclusive",
+    ),
+}
+
+
 class TestParser:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
@@ -226,13 +253,39 @@ class TestEstimationOptions:
             main(["analyze-snapshot", str(big_snapshot_file),
                   "--sample-pairs", "64"])
 
-    def test_analyze_snapshot_ci_level_range_is_one_line(self, big_snapshot_file):
+    def test_analyze_snapshot_ci_level_range_is_one_line(self, big_snapshot_file, capsys):
         # The same one-line message ``run`` gives, not a ValueError
         # traceback out of the estimator.
         with pytest.raises(SystemExit) as error:
             main(["analyze-snapshot", str(big_snapshot_file),
                   "--connectivity", "estimate", "--ci-level", "1.5"])
-        assert str(error.value) == "--ci-level must be in (0, 1), got 1.5"
+        assert error.value.code == 2
+        assert capsys.readouterr().err == "error: --ci-level must be in (0, 1), got 1.5\n"
+
+    @pytest.mark.parametrize(
+        "command, flags, message",
+        [
+            pytest.param(command, flags, message, id=f"{command}-{name}")
+            for command in ("run", "analyze-snapshot")
+            for name, (flags, message) in _FLAG_ERRORS.items()
+            if command == "analyze-snapshot" or "--exact" not in flags
+        ],
+    )
+    def test_argument_errors_exit_2_with_an_error_line(
+        self, command, flags, message, snapshot_file, capsys
+    ):
+        # Like every other argument error: ``error: ...`` on stderr, exit
+        # code 2, nothing on stdout.
+        if command == "run":
+            argv = ["run", "A", "--profile", "tiny", *flags]
+        else:
+            argv = ["analyze-snapshot", str(snapshot_file), *flags]
+        with pytest.raises(SystemExit) as error:
+            main(argv)
+        captured = capsys.readouterr()
+        assert error.value.code == 2
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
 
     def test_analyze_snapshot_honours_seed_like_the_facade(
         self, big_snapshot_file, capsys
