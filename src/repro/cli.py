@@ -173,8 +173,8 @@ def _add_common_run_options(parser: argparse.ArgumentParser) -> None:
         "--faults", default=None, metavar="SPEC",
         help=(
             "deterministic fault injection for the run (sets REPRO_FAULTS; "
-            "e.g. 'worker-crash@2;task-error@1' or 'corrupt-write@p0.1;"
-            "seed=7'); identity-free — the campaign heals the faults and "
+            "clauses kind@n[,n...], e.g. 'worker-crash@2;task-error@1,3'); "
+            "identity-free — the campaign heals the faults and "
             "results stay bit-identical to a fault-free run"
         ),
     )
@@ -182,8 +182,8 @@ def _add_common_run_options(parser: argparse.ArgumentParser) -> None:
         "--retries", type=_positive_int, default=None, metavar="N",
         help=(
             "max executions of a failing task before it is reported as a "
-            "poison task (default: 3; 1 disables retries); retry/backoff "
-            "knobs are identity-free like --jobs"
+            "poison task (default: 3; 1 disables retries); a retry is "
+            "re-queued at once, and like --jobs the budget is identity-free"
         ),
     )
     parser.add_argument(

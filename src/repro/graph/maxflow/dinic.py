@@ -107,7 +107,10 @@ no ``heads`` lookup — the searches iterate a tuple, the DFS indexes it at
   still 0.  The sink is always entered, as it ends a path; an inert exit
   (``w`` is ``v`` itself) is never one level up, so it closes ``v``.  In
   the Even network every untouched in-copy is such a vertex, its one
-  exit the arc to its out-copy.
+  exit the arc to its out-copy.  The retreat is decided the same way:
+  when ``w`` turns out a dead end, an untouched ``v`` on the path with
+  ``boundary[v] == 1`` has no second way on, so it is pruned in the same
+  turn instead of being re-entered only to be pruned.
 * *Inert pairs.*  A pair created with capacity 0 never qualifies while
   untouched, so it sits in both tuples as the vertex itself: already
   stamped by the search expanding it (never "met"), and never one level
@@ -266,6 +269,7 @@ def dinic_on_network(
     changed = network._changed
     levels, iters = network.scratch_buffers()
     out_heads, _ = network.head_tuples()
+    boundary = network.boundary
     stamp = network._stamp
     touched = network._touched
     # A vertex is read in full iff ``changed[v] >= epoch``: with the log
@@ -377,6 +381,12 @@ def dinic_on_network(
                 stamp[u] = 0
                 path.pop()
                 u = source if not path else heads[path[-1]]
+                # An untouched single exit whose one way on was u is a
+                # dead end too: prune it now instead of re-entering it.
+                while u != source and changed[u] < epoch and boundary[u] == 1:
+                    stamp[u] = 0
+                    path.pop()
+                    u = source if not path else heads[path[-1]]
                 iters[u] += 1
     network.phases += phases
     network.augmentations += augmentations

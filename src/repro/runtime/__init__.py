@@ -7,7 +7,7 @@ execution harness:
 
 * :mod:`repro.runtime.task` — :class:`ExperimentTask`, the fully specified
   unit of work (scenario, profile, seed, measurement), with a stable
-  content-addressed key and deterministic child-seed derivation;
+  content-addressed key;
 * :mod:`repro.runtime.executor` — :class:`SerialExecutor` and the
   process-pool backed :class:`ParallelExecutor`, which produce bit-identical
   results because every task carries its own random universe; each
@@ -25,13 +25,13 @@ execution harness:
   (with per-task results) while dispatching them through executor and
   cache in submission order;
 * :mod:`repro.runtime.faults` — the deterministic fault-injection harness
-  (``REPRO_FAULTS``): seeded nth-occurrence/probability matchers that
-  crash workers, raise task errors and corrupt cache bytes, for
-  chaos-testing the layers below without touching any result;
+  (``REPRO_FAULTS``): nth-occurrence matchers that crash workers, raise
+  task errors and corrupt cache bytes, for chaos-testing the layers
+  below without touching any result;
 * :mod:`repro.runtime.resilience` — the self-healing primitives the
-  campaign composes around the executor: :class:`RetryPolicy` (bounded
-  seeded backoff, respawn budget), poison-task records, and the
-  cooperative :class:`ShutdownGuard`.
+  campaign composes around the executor: :class:`RetryPolicy` (attempt
+  and respawn budgets; a retry is re-queued at once), poison-task
+  records, and the cooperative :class:`ShutdownGuard`.
 
 Every higher layer (``repro.experiments.sweep``, ``repro.experiments
 .replication``, the CLI and the benchmark harness) dispatches its runs

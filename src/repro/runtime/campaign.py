@@ -19,7 +19,7 @@ Every pending task is dispatched through one **persistent session**
 worker pool survives across every ``run()`` call of the campaign, and
 each task goes out as its own *flight*, one
 ``submit(execute_task, task)`` worker call.  Every flight is healed
-by the same driver (retry, respawn, graceful shutdown — see
+by the same driver (immediate retry, respawn, graceful shutdown — see
 :meth:`Campaign._dispatch`).
 
 Dispatch is **order-only** by construction: tasks are independent (each
@@ -45,7 +45,7 @@ from concurrent.futures import (
     wait,
 )
 from dataclasses import dataclass
-from time import perf_counter, sleep
+from time import perf_counter
 from typing import (
     Callable,
     Dict,
@@ -75,7 +75,7 @@ from repro.runtime.resilience import (
     default_retry_policy,
     is_retryable,
 )
-from repro.runtime.task import ExperimentTask, derive_seed, execute_task
+from repro.runtime.task import ExperimentTask, execute_task
 
 logger = logging.getLogger("repro.runtime.campaign")
 
@@ -150,11 +150,11 @@ class Campaign:
         in completion order.
     retry_policy:
         :class:`~repro.runtime.resilience.RetryPolicy` governing the
-        campaign's self-healing: bounded per-task retry attempts with
-        seeded backoff and bounded session respawns (then degradation to
-        in-process serial execution).  Defaults to ``RetryPolicy()``; pass
-        :data:`~repro.runtime.resilience.FAIL_FAST` for
-        first-error-propagates behaviour.  Identity-free: healing changes
+        campaign's self-healing: bounded per-task retry attempts (a
+        retry is re-queued at once) and bounded session respawns (then
+        degradation to in-process serial execution).  Defaults to
+        ``RetryPolicy()``; pass :data:`~repro.runtime.resilience.FAIL_FAST`
+        for first-error-propagates behaviour.  Identity-free: healing changes
         when and where a task runs, never a bit of its result.
     """
 
@@ -356,7 +356,7 @@ class Campaign:
         instead of aborting the run:
 
         * a failed flight charges its task one attempt; retryable errors
-          back off (seeded, bounded) and re-queue, everything else — or
+          re-queue the task at once, everything else — or
           an exhausted budget — records a structured
           :class:`TaskFailureRecord` and the campaign moves on;
         * a pool break is charged only to a flight that must have caused
@@ -445,21 +445,15 @@ class Campaign:
             task = tasks[index]
             attempts[index] = attempts.get(index, 0) + 1
             if is_retryable(error) and attempts[index] < policy.max_attempts:
-                delay = policy.backoff_delay(attempts[index], key=task.key())
                 if registry is not None:
                     registry.inc("campaign.retries")
-                    registry.observe("campaign.retry_backoff_seconds", delay)
                 logger.warning(
-                    "retrying task %s (attempt %d/%d, backoff %.2fs) "
-                    "after: %s",
+                    "retrying task %s (attempt %d/%d) after: %s",
                     task.label(),
                     attempts[index] + 1,
                     policy.max_attempts,
-                    delay,
                     error,
                 )
-                if delay > 0:
-                    sleep(delay)
                 requeued.append(index)
             else:
                 failures[index] = TaskFailureRecord.from_error(
@@ -665,15 +659,3 @@ def replication_tasks(
         )
         for seed in seeds
     ]
-
-
-def replication_seeds(root_seed: int, count: int) -> List[int]:
-    """Derive ``count`` independent replication seeds from ``root_seed``.
-
-    Deterministic and order-independent (see
-    :func:`repro.runtime.task.derive_seed`), so a campaign that grows from 5
-    to 10 replications reuses the first 5 cached runs unchanged.
-    """
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    return [derive_seed(root_seed, "replication", index) for index in range(count)]

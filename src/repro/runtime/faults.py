@@ -1,6 +1,6 @@
 """Deterministic fault injection for the experiment runtime.
 
-The resilience layer (retry/backoff, session respawn, cache quarantine
+The resilience layer (retry, session respawn, cache quarantine
 — see :mod:`repro.runtime.resilience` and the campaign driver) must be
 provable without flaky tests.  This module provides the harness: a
 :class:`FaultPlan` parsed from the ``REPRO_FAULTS`` environment variable
@@ -25,15 +25,13 @@ Sites and kinds
 
 Spec grammar
 ------------
-Semicolon-separated clauses, each ``kind@matcher``::
+Semicolon-separated clauses, each ``kind@n[,n...]``::
 
-    worker-crash@2;task-error@1,4;corrupt-write@p0.1
+    worker-crash@2;task-error@1,4;corrupt-write@1
 
-A matcher is either a comma list of 1-based occurrence numbers (the nth
-time that kind's site is reached *in the observing process*) or
-``p<fraction>`` — a seeded pseudo-random coin whose outcome is a pure
-function of ``(seed, kind, occurrence)``, deterministic across runs.  A
-``seed=N`` clause sets the plan seed (default 0).
+The numbers are 1-based occurrences: the nth time that kind's site is
+reached *in the observing process*.  A fault fires at exactly the listed
+occurrences and nowhere else; no clause draws a random number.
 
 Occurrence counters are per process: a respawned worker starts a fresh
 count, which is exactly what makes "every worker crashes on its second
@@ -51,8 +49,6 @@ import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, FrozenSet, Optional, Tuple, Union
-
-from repro.digest import sha256
 
 #: Environment variable holding the fault spec (exported to workers).
 ENV_VAR = "REPRO_FAULTS"
@@ -93,27 +89,12 @@ class FaultSpecError(ValueError):
     """A ``REPRO_FAULTS`` spec that does not parse."""
 
 
-def _unit_fraction(seed: int, kind: str, occurrence: int) -> float:
-    """Uniform [0, 1) draw, a pure function of its arguments."""
-    digest = sha256(f"{seed}:{kind}:{occurrence}".encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big") / 2**64
-
-
 @dataclass(frozen=True)
 class FaultRule:
     """One parsed clause: when a fault kind fires."""
 
     kind: str
-    occurrences: FrozenSet[int] = frozenset()
-    probability: Optional[float] = None
-
-    def fires(self, occurrence: int, seed: int) -> bool:
-        """Whether this rule fires at the given 1-based occurrence."""
-        if self.occurrences:
-            return occurrence in self.occurrences
-        if self.probability is not None:
-            return _unit_fraction(seed, self.kind, occurrence) < self.probability
-        return False
+    occurrences: FrozenSet[int]
 
 
 @dataclass
@@ -121,7 +102,6 @@ class FaultPlan:
     """A parsed fault spec plus this process's occurrence counters."""
 
     rules: Dict[str, FaultRule]
-    seed: int = 0
     spec: str = ""
     counters: Dict[str, int] = field(default_factory=dict)
 
@@ -129,16 +109,9 @@ class FaultPlan:
     def parse(cls, spec: str) -> "FaultPlan":
         """Parse a spec string (see the module docstring for the grammar)."""
         rules: Dict[str, FaultRule] = {}
-        seed = 0
         for raw_clause in spec.split(";"):
             clause = raw_clause.strip()
             if not clause:
-                continue
-            if clause.startswith("seed="):
-                try:
-                    seed = int(clause[len("seed="):])
-                except ValueError:
-                    raise FaultSpecError(f"invalid seed clause {clause!r}")
                 continue
             if "@" not in clause:
                 raise FaultSpecError(
@@ -154,38 +127,19 @@ class FaultPlan:
             if kind in rules:
                 raise FaultSpecError(f"duplicate fault clause for {kind!r}")
             matcher = rest.strip()
-            occurrences: FrozenSet[int] = frozenset()
-            probability: Optional[float] = None
-            if matcher.startswith("p"):
-                try:
-                    probability = float(matcher[1:])
-                except ValueError:
-                    raise FaultSpecError(
-                        f"invalid probability matcher {matcher!r}"
-                    )
-                if not 0.0 <= probability <= 1.0:
-                    raise FaultSpecError(
-                        f"probability must be in [0, 1], got {probability}"
-                    )
-            else:
-                try:
-                    numbers = [int(part) for part in matcher.split(",")]
-                except ValueError:
-                    raise FaultSpecError(
-                        f"invalid occurrence matcher {matcher!r} in "
-                        f"clause {clause!r}"
-                    )
-                if not numbers or any(number < 1 for number in numbers):
-                    raise FaultSpecError(
-                        f"occurrences must be >= 1 in clause {clause!r}"
-                    )
-                occurrences = frozenset(numbers)
-            rules[kind] = FaultRule(
-                kind=kind,
-                occurrences=occurrences,
-                probability=probability,
-            )
-        return cls(rules=rules, seed=seed, spec=spec)
+            try:
+                numbers = [int(part) for part in matcher.split(",")]
+            except ValueError:
+                raise FaultSpecError(
+                    f"invalid occurrence matcher {matcher!r} in "
+                    f"clause {clause!r}"
+                )
+            if any(number < 1 for number in numbers):
+                raise FaultSpecError(
+                    f"occurrences must be >= 1 in clause {clause!r}"
+                )
+            rules[kind] = FaultRule(kind=kind, occurrences=frozenset(numbers))
+        return cls(rules=rules, spec=spec)
 
     def check(self, kind: str) -> Optional[FaultRule]:
         """Count one occurrence of ``kind``'s site; return a firing rule.
@@ -199,7 +153,7 @@ class FaultPlan:
             return None
         occurrence = self.counters.get(kind, 0) + 1
         self.counters[kind] = occurrence
-        if rule.fires(occurrence, self.seed):
+        if occurrence in rule.occurrences:
             return rule
         return None
 

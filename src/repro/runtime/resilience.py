@@ -4,11 +4,8 @@ The campaign driver (:mod:`repro.runtime.campaign`) composes these into
 its one dispatch loop:
 
 :class:`RetryPolicy`
-    Bounded attempts with seeded exponential backoff — the schedule is a
-    pure function of ``(seed, key, attempt)``, so two runs of the same
-    campaign back off identically (no flaky timing in tests) and two
-    different tasks de-synchronise their retries.  Also carries the
-    session-respawn budget.
+    Bounded attempts per task — a retryable failure re-queues its task
+    at once, with no delay — and the session-respawn budget.
 :func:`is_retryable`
     Error classification.  Infrastructure failures (broken pools, OS
     errors, timeouts, injected faults) are retryable; ordinary task
@@ -41,8 +38,6 @@ from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
-from repro.digest import sha256
-
 if TYPE_CHECKING:
     from repro.experiments.runner import ExperimentResult
 
@@ -58,38 +53,23 @@ logger = logging.getLogger(__name__)
 RETRIES_ENV_VAR = "REPRO_CAMPAIGN_RETRIES"
 
 
-def _unit_fraction(seed: int, key: str, attempt: int) -> float:
-    """Uniform [0, 1) draw, a pure function of its arguments."""
-    digest = sha256(f"{seed}/{key}/{attempt}".encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big") / 2**64
-
-
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Bounded, deterministic retry/respawn policy.
+    """Bounded retry/respawn policy.
 
     Parameters
     ----------
     max_attempts:
-        Executions of a single task before it is poisoned.  ``1`` disables retries.
+        Executions of a single task before it is poisoned.  ``1``
+        disables retries; a retry is re-queued at once.
     max_respawns:
         Worker-pool respawns per ``run()`` after the pool broke (a worker
         died); once exhausted the campaign degrades to in-process serial
         execution for the remaining tasks.
-    base_delay / max_delay / jitter / seed:
-        Backoff schedule: attempt ``a`` (1-based) sleeps
-        ``min(base_delay * 2**(a-1) * (1 + jitter * u(seed, key, a)),
-        max_delay)`` where ``u`` is a deterministic uniform draw.  With
-        ``jitter <= 1`` the schedule is monotone non-decreasing (the
-        doubling dominates the jitter band) and capped at ``max_delay``.
     """
 
     max_attempts: int = 3
     max_respawns: int = 2
-    base_delay: float = 0.05
-    max_delay: float = 2.0
-    jitter: float = 0.5
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
@@ -100,15 +80,6 @@ class RetryPolicy:
             raise ValueError(
                 f"max_respawns must be >= 0, got {self.max_respawns}"
             )
-        if self.base_delay < 0:
-            raise ValueError(f"base_delay must be >= 0, got {self.base_delay}")
-        if self.max_delay < self.base_delay:
-            raise ValueError(
-                f"max_delay ({self.max_delay}) must be >= base_delay "
-                f"({self.base_delay})"
-            )
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ValueError(f"jitter must be in [0, 1], got {self.jitter}")
 
     @property
     def fail_fast(self) -> bool:
@@ -122,18 +93,6 @@ class RetryPolicy:
         process).
         """
         return self.max_attempts <= 1 and self.max_respawns == 0
-
-    def backoff_delay(self, attempt: int, key: str = "") -> float:
-        """Seconds to wait before retry number ``attempt`` (1-based)."""
-        if attempt < 1:
-            raise ValueError(f"attempt must be >= 1, got {attempt}")
-        raw = self.base_delay * (2.0 ** (attempt - 1))
-        raw *= 1.0 + self.jitter * _unit_fraction(self.seed, key, attempt)
-        return min(raw, self.max_delay)
-
-    def backoff_schedule(self, attempts: int, key: str = "") -> List[float]:
-        """The full delay sequence for ``attempts`` retries of one task."""
-        return [self.backoff_delay(a, key) for a in range(1, attempts + 1)]
 
 
 #: Retry policy with every healing mechanism disabled — legacy fail-fast

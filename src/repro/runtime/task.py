@@ -155,16 +155,3 @@ def execute_task(task: ExperimentTask) -> ExperimentResult:
 
     faults.maybe_inject_task_fault(task.label())
     return task.run()
-
-
-def derive_seed(root_seed: int, *parts: object) -> int:
-    """Derive a child seed from ``root_seed`` and a path of name parts.
-
-    Mirrors :meth:`repro.simulator.random_source.RandomSource.spawn`: the
-    derivation hashes the textual path, so it is stable across processes and
-    independent of execution order.  Used by the campaign driver to give
-    every replication its own reproducible universe.
-    """
-    path = "/".join(str(part) for part in parts)
-    digest = sha256(f"{int(root_seed)}/{path}".encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big")

@@ -883,5 +883,53 @@ def test_untouched_vertices_are_read_through_their_tuples():
     # The counts repeat exactly, so they are pinned: a kernel that stops
     # taking either tuple path in any of the three places reads fewer.
     # A single exit is read once, from its parent's scan; one left
-    # stamped after it was closed is offered, and read, again.
-    assert (out_heads.reads, in_tails.reads, scans) == (6667, 814, 123)
+    # stamped after it was closed is offered, and read, again.  A dead
+    # end reached through a single exit prunes that exit in the same
+    # turn, without re-reading its tuple.
+    assert (out_heads.reads, in_tails.reads, scans) == (6348, 814, 123)
+
+
+class TupleReadsByVertex(list):
+    """A per-vertex tuple list that counts the reads of each vertex's tuple."""
+
+    def __init__(self, tuples):
+        super().__init__(tuples)
+        self.reads = [0] * len(tuples)
+
+    def __getitem__(self, index):
+        self.reads[index] += 1
+        return list.__getitem__(self, index)
+
+
+def dead_end_behind_single_exits():
+    """s -> a -> v -> w, where w leads nowhere, beside s -> p -> ... -> t.
+
+    t's three tails keep the backward frontier the wider one, so the
+    forward search labels w at depth 3 before q's layer reaches r1.
+    """
+    s, a, v, w, p, q, x, r1, r2, r3, t = range(11)
+    arcs = [(s, a), (s, p), (a, v), (v, w), (p, q), (q, x), (x, r1), (r1, t), (r2, t), (r3, t)]
+    network = ResidualNetwork.from_arcs(11, [(tail, head, 1.0) for tail, head in arcs])
+    return network, (s, a, v, w, t)
+
+
+def test_a_dead_end_prunes_the_single_exits_behind_it_in_the_same_turn():
+    # One phase (the cutoff stops the flow at its first path): s's scan
+    # steps through a, whose one exit is v; the DFS enters v and then w,
+    # which has no way on.  v and a are untouched with one exit each, so
+    # w's turn prunes both: each tuple is read once by the forward search
+    # and once by the DFS.  Re-entering them would read each a third time.
+    network, (s, a, v, w, t) = dead_end_behind_single_exits()
+    out_heads, _ = network.head_tuples()
+    network.out_heads = counted = TupleReadsByVertex(out_heads)
+    assert dinic(network, s, t, 1.0) == 1.0
+    assert network.phases == 1 and network.augmentations == 1
+    assert (counted.reads[a], counted.reads[v]) == (2, 2)
+    assert network._stamp[a] == network._stamp[v] == network._stamp[w] == 0
+
+
+@pytest.mark.parametrize("cutoff", (None, 1.0), ids=("uncut", "cut"))
+def test_a_dead_end_behind_single_exits_matches_whole_list_reads(cutoff, checked_searches):
+    network, (s, _, _, _, t) = dead_end_behind_single_exits()
+    values = run_against_whole_list_reads(network, [(s, t)], random.Random(0), (cutoff,))
+    assert values == [1.0] and checked_searches[0] == (True, 3, 1, 11)

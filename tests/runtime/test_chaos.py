@@ -9,11 +9,14 @@ change a bit of any result.
 
 import os
 import signal
+import time
 
 import pytest
 
+from repro import obs
 from repro.experiments.persistence import trajectory_digest
 from repro.experiments.scenarios import get_scenario
+from repro.runtime import campaign as campaign_module
 from repro.runtime import faults
 from repro.runtime.cache import QUARANTINE_DIRNAME, ResultCache
 from repro.runtime.campaign import Campaign
@@ -21,13 +24,10 @@ from repro.runtime.executor import ParallelExecutor
 from repro.runtime.resilience import CampaignInterrupted, RetryPolicy
 from repro.runtime.task import ExperimentTask
 
-#: Fast, jitter-free policy for chaos runs (healing behaviour unchanged,
-#: test wall-clock bounded).  The attempt budget is generous because a
+#: Policy for chaos runs.  The attempt budget is generous because a
 #: worker-crash profile charges attempts to whichever tasks happened to
 #: be in flight when the pool broke.
-CHAOS_POLICY = RetryPolicy(
-    max_attempts=6, base_delay=0.01, max_delay=0.05, jitter=0.0
-)
+CHAOS_POLICY = RetryPolicy(max_attempts=6)
 
 
 @pytest.fixture(autouse=True)
@@ -74,6 +74,39 @@ class TestFaultedCampaignsConverge:
             results = campaign.run(tasks)
         assert digests_of(results) == golden
         assert cache.verify().clean
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_default_policy_retries_at_once(self, monkeypatch, jobs):
+        """A retryable failure under the default ``RetryPolicy()`` is
+        re-queued without waiting: nothing sleeps, the failed task heals
+        on its second attempt and the digests are the golden ones."""
+        tasks = tiny_tasks(bucket_sizes=(3, 5))
+        golden = golden_digests(tasks)
+
+        def no_sleep(seconds):
+            pytest.fail(f"the campaign slept {seconds!r} s before a retry")
+
+        # The stdlib function and any name the campaign module binds it to.
+        for module in (time, campaign_module):
+            monkeypatch.setattr(module, "sleep", no_sleep, raising=False)
+        _activate(monkeypatch, "task-error@1")
+        obs.disable()
+        registry = obs.enable()
+        try:
+            executor = ParallelExecutor(jobs=jobs) if jobs > 1 else None
+            with Campaign(
+                executor=executor, retry_policy=RetryPolicy()
+            ) as campaign:
+                results = campaign.run(tasks)
+        finally:
+            obs.disable()
+        assert digests_of(results) == golden
+        assert registry.counter("campaign.retries") >= 1
+        assert registry.counter("campaign.tasks_failed") == 0
+        if jobs == 1:
+            # One execution per task plus the one retry of the first.
+            plan = faults.active_plan()
+            assert plan.counters["task-error"] == len(tasks) + 1
 
     def test_worker_crashes_and_corruption_heal_to_golden_digests(
         self, monkeypatch, tmp_path

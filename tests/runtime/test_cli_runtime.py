@@ -222,11 +222,21 @@ class TestFaultInjectionCli:
         assert "Traceback" not in err
         assert faults.ENV_VAR not in os.environ
 
-    def test_fault_parameter_is_an_argument_error(self, capsys):
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "task-error@1=0.5",
+            # The probability matcher and the seed clause are retired.
+            "task-error@p0.5",
+            "corrupt-write@p0.1;seed=7",
+            "seed=3",
+        ],
+    )
+    def test_malformed_clauses_are_argument_errors(self, capsys, spec):
         from repro.runtime import faults
 
         with pytest.raises(SystemExit) as excinfo:
-            main(SWEEP_ARGV + ["--faults", "task-error@1=0.5"])
+            main(SWEEP_ARGV + ["--faults", spec])
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert "invalid --faults spec" in err

@@ -692,9 +692,7 @@ class TestSelfHealingCampaign:
                 pass
 
         tasks = tiny_tasks(bucket_sizes=(3,))
-        campaign = Campaign(
-            retry_policy=RetryPolicy(base_delay=0.0, jitter=0.0),
-        )
+        campaign = Campaign(retry_policy=RetryPolicy())
         campaign._task_session = _FlakySession()
         results = campaign.run(tasks)
         campaign._task_session = None  # the stub is not a real session
@@ -721,9 +719,7 @@ class TestSelfHealingCampaign:
                 return _BrokenSession()
 
         tasks = tiny_tasks(bucket_sizes=(3, 5))
-        policy = RetryPolicy(
-            max_respawns=max_respawns, base_delay=0.0, jitter=0.0
-        )
+        policy = RetryPolicy(max_respawns=max_respawns)
         with Campaign(
             executor=_BrokenExecutorBackend(), retry_policy=policy,
         ) as campaign:

@@ -1,6 +1,7 @@
 """Fault-injection harness tests: DSL, determinism, identity-freedom."""
 
 import json
+from dataclasses import fields
 
 import pytest
 
@@ -10,6 +11,7 @@ from repro.runtime.executor import ParallelExecutor
 from repro.runtime.faults import (
     ENV_VAR,
     FaultPlan,
+    FaultRule,
     FaultSpecError,
     InjectedTaskError,
 )
@@ -30,16 +32,19 @@ class TestSpecParsing:
         plan = FaultPlan.parse("worker-crash@2")
         rule = plan.rules["worker-crash"]
         assert rule.occurrences == frozenset({2})
-        assert rule.probability is None
-        assert plan.seed == 0
 
     def test_full_grammar(self):
-        plan = FaultPlan.parse(
-            "worker-crash@2;task-error@1,4;corrupt-write@p0.1;seed=7"
-        )
+        plan = FaultPlan.parse("worker-crash@2;task-error@1,4;corrupt-write@3")
+        assert plan.rules["worker-crash"].occurrences == frozenset({2})
         assert plan.rules["task-error"].occurrences == frozenset({1, 4})
-        assert plan.rules["corrupt-write"].probability == 0.1
-        assert plan.seed == 7
+        assert plan.rules["corrupt-write"].occurrences == frozenset({3})
+
+    def test_a_plan_holds_occurrences_only(self):
+        # No probability, no seed: a fault fires by occurrence or never.
+        assert [f.name for f in fields(FaultRule)] == ["kind", "occurrences"]
+        assert [f.name for f in fields(FaultPlan)] == [
+            "rules", "spec", "counters",
+        ]
 
     def test_kinds_are_the_four_local_ones(self):
         assert faults.KINDS == (
@@ -74,11 +79,16 @@ class TestSpecParsing:
             "explode@1",  # unknown kind
             "task-error@0",  # occurrences are 1-based
             "task-error@x",  # not a number
-            "task-error@p1.5",  # probability out of range
             "task-error@1=0.5",  # no kind takes a parameter
             "task-error@p0.5=1",
             "task-error@1;task-error@2",  # duplicate clause
-            "seed=x",  # bad seed
+            # Retired probability matcher and seed clause: occurrence
+            # lists are the only matcher.
+            "task-error@p0.5",
+            "task-error@p1.5",
+            "corrupt-write@p0.1;seed=7",
+            "seed=3",
+            "seed=x",
             # Retired network kinds: a stale spec fails instead of
             # silently injecting nothing.
             "conn-drop@1",
@@ -106,36 +116,6 @@ class TestOccurrenceCounting:
         assert plan.check("worker-crash") is None
         assert plan.check("task-error") is None
         assert plan.check("task-error") is not None
-
-    def test_probability_matcher_is_deterministic(self):
-        outcomes_a = [
-            FaultPlan.parse("task-error@p0.5;seed=3").check("task-error")
-            is not None
-            for _ in range(1)
-        ]
-        plan_b = FaultPlan.parse("task-error@p0.5;seed=3")
-        fires_a = [
-            FaultPlan.parse("task-error@p0.5;seed=3")
-            .rules["task-error"]
-            .fires(n, 3)
-            for n in range(1, 50)
-        ]
-        fires_b = [plan_b.rules["task-error"].fires(n, 3) for n in range(1, 50)]
-        assert fires_a == fires_b
-        assert any(fires_a) and not all(fires_a)  # a real coin, same every run
-        assert outcomes_a  # parsed fine
-
-    def test_seed_changes_probability_outcomes(self):
-        fires = {
-            seed: tuple(
-                FaultPlan.parse(f"task-error@p0.5;seed={seed}")
-                .rules["task-error"]
-                .fires(n, seed)
-                for n in range(1, 50)
-            )
-            for seed in (0, 1)
-        }
-        assert fires[0] != fires[1]
 
 
 class TestInjectionSites:
@@ -207,7 +187,7 @@ class TestIdentityFreedom:
         )
         baseline_key = task.key()
         baseline_fingerprint = task.fingerprint()
-        monkeypatch.setenv(ENV_VAR, "worker-crash@2;task-error@1;seed=9")
+        monkeypatch.setenv(ENV_VAR, "worker-crash@2;task-error@1")
         faults.reset()
         assert task.key() == baseline_key
         assert task.fingerprint() == baseline_fingerprint

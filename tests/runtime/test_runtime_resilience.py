@@ -1,12 +1,10 @@
-"""Property tests of the resilience layer.
+"""Tests of the resilience layer.
 
-Two families, both hypothesis-driven:
-
-* :class:`RetryPolicy` backoff — deterministic under a fixed seed,
-  monotone non-decreasing in the attempt number, capped at ``max_delay``;
-* poison isolation — for *any* poison position, the campaign driver
-  fails exactly the poison task in its own one-task flight (everything
-  else completes and is recorded exactly once).
+* :class:`RetryPolicy` — two budgets (attempts, respawns), validation,
+  the fail-fast sentinel and the environment override;
+* poison isolation (hypothesis-driven) — for *any* poison position, the
+  campaign driver fails exactly the poison task in its own one-task
+  flight (everything else completes and is recorded exactly once).
 """
 
 import logging
@@ -35,60 +33,14 @@ from repro.runtime.resilience import (
 
 
 # ----------------------------------------------------------------------
-# RetryPolicy backoff properties
+# RetryPolicy
 # ----------------------------------------------------------------------
-policies = st.builds(
-    RetryPolicy,
-    base_delay=st.floats(min_value=0.0, max_value=1.0),
-    max_delay=st.floats(min_value=1.0, max_value=10.0),
-    jitter=st.floats(min_value=0.0, max_value=1.0),
-    seed=st.integers(min_value=0, max_value=2**32),
-)
-
-
-class TestBackoffProperties:
-    @settings(max_examples=200, deadline=None)
-    @given(policy=policies, key=st.text(max_size=16),
-           attempt=st.integers(min_value=1, max_value=30))
-    def test_deterministic_under_fixed_seed(self, policy, key, attempt):
-        rebuilt = RetryPolicy(
-            base_delay=policy.base_delay, max_delay=policy.max_delay,
-            jitter=policy.jitter, seed=policy.seed,
-        )
-        assert policy.backoff_delay(attempt, key) == rebuilt.backoff_delay(
-            attempt, key
-        )
-
-    @settings(max_examples=200, deadline=None)
-    @given(policy=policies, key=st.text(max_size=16))
-    def test_monotone_and_capped(self, policy, key):
-        schedule = policy.backoff_schedule(12, key)
-        assert all(
-            later >= earlier
-            for earlier, later in zip(schedule, schedule[1:])
-        )
-        assert all(delay <= policy.max_delay for delay in schedule)
-        assert all(delay >= 0.0 for delay in schedule)
-
-    @settings(max_examples=100, deadline=None)
-    @given(seed=st.integers(min_value=0, max_value=2**32),
-           attempt=st.integers(min_value=1, max_value=10))
-    def test_distinct_keys_desynchronise(self, seed, attempt):
-        policy = RetryPolicy(jitter=1.0, seed=seed, max_delay=1000.0)
-        delays = {policy.backoff_delay(attempt, f"task-{i}") for i in range(8)}
-        assert len(delays) > 1  # jitter spreads tasks apart
-
+class TestRetryPolicy:
     def test_validation(self):
         with pytest.raises(ValueError):
             RetryPolicy(max_attempts=0)
         with pytest.raises(ValueError):
             RetryPolicy(max_respawns=-1)
-        with pytest.raises(ValueError):
-            RetryPolicy(jitter=1.5)
-        with pytest.raises(ValueError):
-            RetryPolicy(base_delay=1.0, max_delay=0.5)
-        with pytest.raises(ValueError):
-            RetryPolicy().backoff_delay(0)
 
     def test_fail_fast_sentinel(self):
         assert FAIL_FAST.fail_fast
@@ -101,8 +53,7 @@ class TestBackoffProperties:
         assert policy == FAIL_FAST
         assert policy.fail_fast
         assert [field.name for field in fields(RetryPolicy)] == [
-            "max_attempts", "max_respawns", "base_delay", "max_delay",
-            "jitter", "seed",
+            "max_attempts", "max_respawns",
         ]
 
     @pytest.mark.parametrize(
@@ -279,7 +230,7 @@ class TestPoisonIsolation:
         recorded, failed, failures, session = _drive(
             count, poison,
             lambda: RuntimeError("poison"),  # non-retryable: one attempt
-            RetryPolicy(base_delay=0.0, jitter=0.0),
+            RetryPolicy(),
         )
         # One task per flight, in submission order, nothing re-run.
         assert session.dispatched == list(range(count))
@@ -299,9 +250,7 @@ class TestPoisonIsolation:
         recorded, failed, failures, session = _drive(
             count, poison,
             lambda: TimeoutError("still poisoned"),
-            RetryPolicy(
-                max_attempts=max_attempts, base_delay=0.0, jitter=0.0
-            ),
+            RetryPolicy(max_attempts=max_attempts),
         )
         assert [record.index for record in failures] == [poison]
         assert failures[0].attempts == max_attempts
@@ -433,7 +382,7 @@ class TestPoolBreakAttribution:
         try:
             campaign = Campaign(
                 executor=ParallelExecutor(jobs=2),
-                retry_policy=RetryPolicy(base_delay=0.0, jitter=0.0),
+                retry_policy=RetryPolicy(),
             )
         finally:
             obs.disable()
@@ -457,9 +406,7 @@ class TestPoolBreakAttribution:
         try:
             campaign = Campaign(
                 executor=executor,
-                retry_policy=RetryPolicy(
-                    max_attempts=3, max_respawns=20, base_delay=0.0, jitter=0.0,
-                ),
+                retry_policy=RetryPolicy(max_attempts=3, max_respawns=20),
             )
         finally:
             obs.disable()

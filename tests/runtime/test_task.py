@@ -12,8 +12,7 @@ from repro.experiments.persistence import trajectory_digest
 from repro.experiments.profiles import get_profile
 from repro.experiments.scenarios import Scenario, get_scenario
 from repro.options import MeasurementSpec
-from repro.runtime.task import ExperimentTask, derive_seed
-from repro.runtime.campaign import replication_seeds
+from repro.runtime.task import ExperimentTask
 
 
 def make_task(**overrides):
@@ -127,21 +126,3 @@ class TestIdentityIsComputedOncePerObject:
         assert changed.key() == make_task(seed=task.seed + 1).key()
         assert task.key() == key
 
-
-class TestSeedDerivation:
-    def test_derive_seed_deterministic(self):
-        assert derive_seed(42, "replication", 0) == derive_seed(42, "replication", 0)
-
-    def test_derive_seed_varies_with_path_and_root(self):
-        seeds = {
-            derive_seed(42, "replication", 0),
-            derive_seed(42, "replication", 1),
-            derive_seed(43, "replication", 0),
-            derive_seed(42, "other", 0),
-        }
-        assert len(seeds) == 4
-
-    def test_replication_seeds_grow_stably(self):
-        """Growing a campaign keeps the earlier seeds (and cached runs)."""
-        assert replication_seeds(42, 5) == replication_seeds(42, 8)[:5]
-        assert len(set(replication_seeds(42, 8))) == 8
