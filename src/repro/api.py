@@ -299,11 +299,18 @@ def analyze_snapshot(
     ``"estimate"`` runs the sampled-pair estimator and returns an
     :class:`EstimatedConnectivityReport`.  Both satisfy the shared
     report protocol (``min_connectivity`` / ``avg_connectivity`` /
-    ``is_exact`` / ``confidence_interval``).
+    ``is_exact`` / ``confidence_interval``).  ``sample_fraction`` is an
+    exact-mode parameter: passing it with ``"estimate"`` is a
+    ``ValueError``, since the estimator samples ``sample_pairs`` pairs.
 
     A snapshot loaded from a path is dropped once its connectivity graph
     is built: nothing in the analysis reads the tables again.
     """
+    if connectivity == "estimate" and sample_fraction is not None:
+        raise ValueError(
+            "sample_fraction applies to connectivity='exact' only; "
+            "estimate mode samples sample_pairs pairs"
+        )
     if isinstance(snapshot, RoutingTableSnapshot):
         graph = snapshot.to_connectivity_graph()
     else:

@@ -628,10 +628,12 @@ def _cmd_cache_prune(args: argparse.Namespace) -> int:
 def _cmd_analyze_snapshot(args: argparse.Namespace) -> int:
     measurement = _measurement(args)
     estimate_mode = measurement.connectivity == "estimate"
-    if args.exact and estimate_mode:
-        print("error: --exact and --connectivity estimate are exclusive",
+    if estimate_mode and (args.exact or args.sample_fraction is not None):
+        flag = "--exact" if args.exact else "--sample-fraction"
+        print(f"error: {flag} and --connectivity estimate are exclusive",
               file=sys.stderr)
         raise SystemExit(2)
+    sample_fraction = 0.05 if args.sample_fraction is None else args.sample_fraction
     snapshot = RoutingTableSnapshot.load(args.snapshot)
     snapshot_time, network_size = snapshot.time, snapshot.network_size
     # The tables are read once, into the graph; the analysis holds only that.
@@ -640,8 +642,8 @@ def _cmd_analyze_snapshot(args: argparse.Namespace) -> int:
     with measurement.analyzer(
         args.seed,
         ExecutionOptions(flow_jobs=args.flow_jobs),
-        source_fraction=None if args.exact else args.sample_fraction,
-        target_fraction=args.sample_fraction,
+        source_fraction=None if args.exact else sample_fraction,
+        target_fraction=sample_fraction,
     ) as analyzer:
         report = analyzer.analyze_graph(graph)
     print(f"snapshot time:        {snapshot_time}")
@@ -735,8 +737,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--exact", action="store_true", help="exact (all-pairs) connectivity"
     )
     analyze_parser.add_argument(
-        "--sample-fraction", type=float, default=0.05,
-        help="source/target sampling fraction (ignored with --exact)",
+        "--sample-fraction", type=float, default=None,
+        help="source/target sampling fraction (default: 0.05; ignored with "
+             "--exact; exact connectivity only)",
     )
     analyze_parser.add_argument(
         "--algorithm", default=MeasurementSpec.algorithm,

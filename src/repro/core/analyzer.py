@@ -1,8 +1,13 @@
-"""High-level connectivity analyzer used at every snapshot.
+"""The per-snapshot measurement: its shared skeleton and the exact analyzer.
 
-The analyzer packages the paper's measurement pipeline (Sections 4.2–4.4 and
-the sampling reduction of Section 5.2) into one object with a configurable
-cost/exactness trade-off:
+:class:`FlowEngineHost` does what every mode does to a connectivity
+graph — the timer, the disconnected-vertex and strong-connectivity
+checks, the ``n <= 1`` and complete-graph shortcuts, exhaustive
+recovery, the pair-flow engine and the report fields both report
+classes share — and its subclasses add only their sampled passes: the
+estimator's (:mod:`repro.core.estimation`) and
+:class:`ConnectivityAnalyzer`'s, which packages the paper's pipeline
+(Sections 4.2–4.4 and the sampling reduction of Section 5.2):
 
 * **exact mode** (``source_fraction=None``) — every ordered non-adjacent
   pair is evaluated (:func:`~repro.core.vertex_connectivity
@@ -31,7 +36,7 @@ import math
 import random
 import time as wallclock
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.core.connectivity_graph import build_connectivity_graph, disconnected_vertices
 from repro.core.resilience import resilience_of
@@ -45,6 +50,17 @@ from repro.graph.algorithms.components import is_strongly_connected
 from repro.graph.digraph import DiGraph
 from repro.runtime.executor import make_executor
 from repro.runtime.pairflow import PairFlowEngine
+
+#: Lower bounds on the minimum pass's corner, so tiny graphs still
+#: evaluate a meaningful set of pairs: ``max(MIN_SOURCES, ceil(c * n))``
+#: lowest-out-degree sources x ``max(MIN_TARGETS, ceil(c_t * n))``
+#: lowest-in-degree targets.
+MIN_SOURCES = 4
+MIN_TARGETS = 8
+
+#: What a pass hands the skeleton: the measured minimum (which fixes the
+#: report's ``resilience``) and the report fields of the host's own class.
+PassFields = Tuple[int, Dict[str, object]]
 
 
 @dataclass(frozen=True)
@@ -137,20 +153,98 @@ class ConnectivityReport:
 
 
 class FlowEngineHost:
-    """Shared engine plumbing of the exact analyzer and the estimator.
+    """The measurement skeleton of the exact analyzer and the estimator.
 
-    Owns the max-flow engine configuration (algorithm, worker count) and
-    the lazily opened worker pool that persists across every snapshot
-    the host sees.  Subclasses implement ``analyze_graph`` /
-    ``analyze_snapshot`` on top of :meth:`_make_engine`.
+    :meth:`analyze_graph` is the one analysis body (see the module
+    docstring); a subclass names its ``report_class`` and supplies the
+    three hooks below.  The host also owns the engine configuration,
+    the seeded sampling stream (one stream across every snapshot the
+    host sees, drawn from graph structure only, never from a flow value)
+    and the lazily opened worker pool, reused until :meth:`close`.
     """
 
-    def __init__(self, algorithm: str = "dinic", flow_jobs: int = 1) -> None:
+    report_class: type
+
+    def __init__(
+        self, algorithm: str = "dinic", seed: int = 0, flow_jobs: int = 1
+    ) -> None:
         if flow_jobs < 1:
             raise ValueError("flow_jobs must be >= 1")
         self.algorithm = algorithm
+        self.seed = int(seed)
         self.flow_jobs = flow_jobs
+        self._rng = random.Random(self.seed)
         self._flow_session = None
+
+    # ------------------------------------------------------------------
+    def analyze_graph(self, graph: DiGraph):
+        """Analyze an already-built connectivity graph."""
+        started = wallclock.perf_counter()
+        n = graph.number_of_vertices()
+        disconnected = disconnected_vertices(graph)
+        strongly_connected = is_strongly_connected(graph)
+
+        if n <= 1:
+            strongly_connected = True
+            minimum, fields = self._exact_fields(0, 0.0, 0)
+        elif graph.is_complete():
+            minimum, fields = self._exact_fields(n - 1, float(n - 1), 0)
+        else:
+            # One Even-transformed network serves every pair of every
+            # pass; with flow_jobs > 1 they all run on the host's pool.
+            engine = self._make_engine(graph)
+            if self._covers_every_pair(graph):
+                stats = exhaustive_statistics(engine)
+                minimum, fields = self._exact_fields(
+                    stats.minimum, stats.average, stats.pairs_evaluated
+                )
+            else:
+                minimum, fields = self._sampled_fields(
+                    graph, engine, strongly_connected
+                )
+
+        elapsed = wallclock.perf_counter() - started
+        report = self.report_class(
+            resilience=resilience_of(minimum),
+            vertex_count=n,
+            edge_count=graph.number_of_edges(),
+            disconnected_count=len(disconnected),
+            strongly_connected=strongly_connected,
+            symmetry_ratio=graph.symmetry_ratio(),
+            elapsed_seconds=elapsed,
+            **fields,
+        )
+        self._record_obs(report)
+        return report
+
+    def analyze_snapshot(
+        self,
+        routing_tables: Mapping[int, Sequence[int]],
+        alive_nodes: Optional[Sequence[int]] = None,
+    ):
+        """Build the connectivity graph from a snapshot and analyze it."""
+        graph = build_connectivity_graph(routing_tables, alive_nodes=alive_nodes)
+        return self.analyze_graph(graph)
+
+    # -- hooks ---------------------------------------------------------
+    def _covers_every_pair(self, graph: DiGraph) -> bool:
+        """Whether to evaluate every non-adjacent pair (exact recovery)."""
+        raise NotImplementedError
+
+    def _exact_fields(self, minimum: int, average: float, pairs: int) -> PassFields:
+        """Fields of an exact result: a shortcut (``pairs == 0``) or
+        exhaustive recovery over ``pairs`` evaluated pairs."""
+        raise NotImplementedError
+
+    def _sampled_fields(
+        self, graph: DiGraph, engine: PairFlowEngine, strongly_connected: bool
+    ) -> PassFields:
+        """Run the host's sampled passes on a graph with ``n >= 2``
+        that is not complete."""
+        raise NotImplementedError
+
+    def _record_obs(self, report) -> None:
+        """Fold one report into the active metrics registry (default: none)."""
 
     # ------------------------------------------------------------------
     # Worker-pool lifetime.  One host typically serves every snapshot of
@@ -179,7 +273,7 @@ class FlowEngineHost:
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
 
-    def _make_engine(self, graph: DiGraph):
+    def _make_engine(self, graph: DiGraph) -> PairFlowEngine:
         """Build the pair-flow engine for one connectivity graph."""
         return PairFlowEngine(
             graph, algorithm=self.algorithm, session=self._flow_pool()
@@ -189,20 +283,21 @@ class FlowEngineHost:
 class ConnectivityAnalyzer(FlowEngineHost):
     """Computes :class:`ConnectivityReport` objects from connectivity graphs.
 
+    The skeleton (shortcuts, exhaustive recovery, engine, shared report
+    fields) is :class:`FlowEngineHost`'s; this class adds the corner
+    minimum pass and the uniform average pass of sampled mode.
+
     Parameters
     ----------
     algorithm:
         Max-flow algorithm used for the pairwise computations.
     source_fraction:
         The paper's ``c`` — fraction of lowest-out-degree vertices used as
-        flow sources in the minimum pass.  ``None`` selects every vertex
-        (exact mode).
+        flow sources in the minimum pass (at least :data:`MIN_SOURCES`).
+        ``None`` selects every vertex (exact mode).
     target_fraction:
         Fraction of lowest-in-degree vertices used as flow targets in the
-        minimum pass (ignored in exact mode).
-    min_sources / min_targets:
-        Lower bounds on the sampled counts, so tiny graphs still evaluate a
-        meaningful set of pairs.
+        minimum pass (at least :data:`MIN_TARGETS`; ignored in exact mode).
     average_pairs:
         Number of random non-adjacent pairs evaluated (without cutoff) for
         the "Avg" series.  0 disables the average pass (the average is then
@@ -217,13 +312,13 @@ class ConnectivityAnalyzer(FlowEngineHost):
         of the worker count.
     """
 
+    report_class = ConnectivityReport
+
     def __init__(
         self,
         algorithm: str = "dinic",
         source_fraction: Optional[float] = 0.05,
         target_fraction: float = 0.05,
-        min_sources: int = 4,
-        min_targets: int = 8,
         average_pairs: int = 48,
         seed: int = 0,
         flow_jobs: int = 1,
@@ -232,52 +327,26 @@ class ConnectivityAnalyzer(FlowEngineHost):
             raise ValueError("source_fraction must be positive or None")
         if target_fraction <= 0:
             raise ValueError("target_fraction must be positive")
-        super().__init__(algorithm=algorithm, flow_jobs=flow_jobs)
+        super().__init__(algorithm=algorithm, seed=seed, flow_jobs=flow_jobs)
         self.source_fraction = source_fraction
         self.target_fraction = target_fraction
-        self.min_sources = min_sources
-        self.min_targets = min_targets
         self.average_pairs = average_pairs
-        self._rng = random.Random(seed)
 
     # ------------------------------------------------------------------
-    def analyze_graph(self, graph: DiGraph) -> ConnectivityReport:
-        """Analyze an already-built connectivity graph."""
-        started = wallclock.perf_counter()
+    def _covers_every_pair(self, graph: DiGraph) -> bool:
+        return self.source_fraction is None
+
+    def _exact_fields(self, minimum: int, average: float, pairs: int) -> PassFields:
+        # Exhaustive evaluation serves both passes at once.
+        return minimum, dict(
+            minimum=minimum, average=average, min_pairs_evaluated=pairs,
+            avg_pairs_evaluated=pairs, exact=True,
+        )
+
+    def _sampled_fields(
+        self, graph: DiGraph, engine: PairFlowEngine, strongly_connected: bool
+    ) -> PassFields:
         n = graph.number_of_vertices()
-        disconnected = disconnected_vertices(graph)
-        strongly_connected = is_strongly_connected(graph)
-
-        if n <= 1:
-            elapsed = wallclock.perf_counter() - started
-            return self._report(
-                minimum=0, average=0.0, graph=graph, disconnected=disconnected,
-                strongly_connected=True, min_pairs=0, avg_pairs=0, exact=True,
-                elapsed=elapsed,
-            )
-
-        if graph.is_complete():
-            elapsed = wallclock.perf_counter() - started
-            return self._report(
-                minimum=n - 1, average=float(n - 1), graph=graph,
-                disconnected=disconnected, strongly_connected=strongly_connected,
-                min_pairs=0, avg_pairs=0, exact=True, elapsed=elapsed,
-            )
-
-        if self.source_fraction is None:
-            stats = exhaustive_statistics(self._make_engine(graph))
-            elapsed = wallclock.perf_counter() - started
-            return self._report(
-                minimum=stats.minimum, average=stats.average, graph=graph,
-                disconnected=disconnected, strongly_connected=strongly_connected,
-                min_pairs=stats.pairs_evaluated, avg_pairs=stats.pairs_evaluated,
-                exact=True, elapsed=elapsed,
-            )
-
-        # One Even-transformed network is built here and reused for every
-        # pair of both passes; with flow_jobs > 1 both passes run on the
-        # host's one worker pool (the network ships to each worker once).
-        engine = self._make_engine(graph)
         # Minimum pass.  A graph that is not strongly connected
         # contains a pair with no directed path, so its connectivity
         # is exactly 0 and no flow computation is needed.
@@ -285,12 +354,8 @@ class ConnectivityAnalyzer(FlowEngineHost):
         if not strongly_connected:
             minimum = 0
         else:
-            source_count = max(
-                self.min_sources, math.ceil(self.source_fraction * n)
-            )
-            target_count = max(
-                self.min_targets, math.ceil(self.target_fraction * n)
-            )
+            source_count = max(MIN_SOURCES, math.ceil(self.source_fraction * n))
+            target_count = max(MIN_TARGETS, math.ceil(self.target_fraction * n))
             sources = lowest_out_degree_vertices(graph, min(source_count, n))
             targets = lowest_in_degree_vertices(graph, min(target_count, n))
             degree_bound = min(graph.min_out_degree(), graph.min_in_degree())
@@ -310,46 +375,7 @@ class ConnectivityAnalyzer(FlowEngineHost):
         else:
             average, avg_pairs = float(minimum), 0
 
-        elapsed = wallclock.perf_counter() - started
-        return self._report(
-            minimum=minimum, average=average, graph=graph,
-            disconnected=disconnected, strongly_connected=strongly_connected,
-            min_pairs=min_pairs, avg_pairs=avg_pairs, exact=False, elapsed=elapsed,
-        )
-
-    def analyze_snapshot(
-        self,
-        routing_tables: Mapping[int, Sequence[int]],
-        alive_nodes: Optional[Sequence[int]] = None,
-    ) -> ConnectivityReport:
-        """Build the connectivity graph from a snapshot and analyze it."""
-        graph = build_connectivity_graph(routing_tables, alive_nodes=alive_nodes)
-        return self.analyze_graph(graph)
-
-    # ------------------------------------------------------------------
-    def _report(
-        self,
-        minimum: int,
-        average: float,
-        graph: DiGraph,
-        disconnected,
-        strongly_connected: bool,
-        min_pairs: int,
-        avg_pairs: int,
-        exact: bool,
-        elapsed: float,
-    ) -> ConnectivityReport:
-        return ConnectivityReport(
-            minimum=minimum,
-            average=average,
-            resilience=resilience_of(minimum),
-            vertex_count=graph.number_of_vertices(),
-            edge_count=graph.number_of_edges(),
-            disconnected_count=len(disconnected),
-            strongly_connected=strongly_connected,
-            symmetry_ratio=graph.symmetry_ratio(),
-            min_pairs_evaluated=min_pairs,
-            avg_pairs_evaluated=avg_pairs,
-            exact=exact,
-            elapsed_seconds=elapsed,
+        return minimum, dict(
+            minimum=minimum, average=average, min_pairs_evaluated=min_pairs,
+            avg_pairs_evaluated=avg_pairs, exact=False,
         )

@@ -45,7 +45,10 @@ replaces this pass with the exact minimum.
 Exact recovery — when the requested budget covers every non-adjacent
 ordered pair, the estimator enumerates them all: the average equals the
 exhaustive mean, the interval collapses to zero width and
-``min_is_exact`` is True.
+``min_is_exact`` is True.  Recovery, the ``n <= 1`` and complete-graph
+shortcuts, the engine and the report fields shared with the exact
+pipeline come from :class:`~repro.core.analyzer.FlowEngineHost`; this
+module adds the two passes above.
 
 Results ship as :class:`EstimatedConnectivityReport` — deliberately
 **not** bit-compatible with the exact pipeline's
@@ -59,30 +62,25 @@ and observability never branch on the result class.
 from __future__ import annotations
 
 import math
-import random
-import time as wallclock
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Tuple
 
-from repro.core.analyzer import FlowEngineHost
-from repro.core.connectivity_graph import build_connectivity_graph, disconnected_vertices
-from repro.core.resilience import resilience_of
+from repro.core.analyzer import FlowEngineHost, PassFields
 from repro.core.vertex_connectivity import (
-    exhaustive_statistics,
     lowest_in_degree_vertices,
     lowest_out_degree_vertices,
 )
-from repro.graph.algorithms.components import is_strongly_connected
 from repro.graph.digraph import DiGraph
 from repro.options import ExecutionOptions, MeasurementSpec
+from repro.runtime.pairflow import PairFlowEngine
 
-#: Default number of degree-bound strata for the average pass.
-DEFAULT_STRATA = 4
-#: Minimum-pass candidate corner: ``max(MIN_CANDIDATES, ceil(frac * n))``
-#: lowest-out-degree sources x lowest-in-degree targets.
-DEFAULT_MIN_FRACTION = 0.02
-DEFAULT_MIN_CANDIDATES = 8
+#: Number of degree-bound strata of the average pass.
+STRATA = 4
+#: Minimum-pass candidate corner: ``max(MIN_CANDIDATES, ceil(MIN_FRACTION
+#: * n))`` lowest-out-degree sources x lowest-in-degree targets.
+MIN_FRACTION = 0.02
+MIN_CANDIDATES = 8
 
 
 @dataclass(frozen=True)
@@ -218,6 +216,13 @@ class EstimatedConnectivityReport:
 class ConnectivityEstimator(FlowEngineHost):
     """Drop-in estimation-mode analyzer (same ``analyze_*`` surface).
 
+    The skeleton (shortcuts, exhaustive recovery, engine, shared report
+    fields) is :class:`~repro.core.analyzer.FlowEngineHost`'s; this class
+    adds the stratified average pass (:data:`STRATA` degree-bound strata)
+    and the degree-bound minimum over a candidate corner of
+    ``max(MIN_CANDIDATES, ceil(MIN_FRACTION * n))`` lowest-out-degree
+    sources and as many lowest-in-degree targets.
+
     Parameters
     ----------
     sample_pairs:
@@ -226,12 +231,6 @@ class ConnectivityEstimator(FlowEngineHost):
         evaluation (exact recovery).
     ci_level:
         Two-sided confidence level of the reported interval, in (0, 1).
-    strata:
-        Number of degree-bound strata for the average pass.
-    min_fraction / min_candidates:
-        Size of the minimum-pass candidate corner:
-        ``max(min_candidates, ceil(min_fraction * n))`` lowest-out-degree
-        sources (and as many lowest-in-degree targets).
     seed:
         Seed of the sampling stream.  One stream persists across the
         snapshots an estimator instance sees (like the exact analyzer's),
@@ -242,13 +241,12 @@ class ConnectivityEstimator(FlowEngineHost):
         bits).
     """
 
+    report_class = EstimatedConnectivityReport
+
     def __init__(
         self,
         sample_pairs: int = MeasurementSpec.sample_pairs,
         ci_level: float = MeasurementSpec.ci_level,
-        strata: int = DEFAULT_STRATA,
-        min_fraction: float = DEFAULT_MIN_FRACTION,
-        min_candidates: int = DEFAULT_MIN_CANDIDATES,
         seed: int = 0,
         algorithm: str = "dinic",
         flow_jobs: int = 1,
@@ -257,79 +255,27 @@ class ConnectivityEstimator(FlowEngineHost):
             raise ValueError(f"sample_pairs must be >= 1, got {sample_pairs}")
         if not 0.0 < ci_level < 1.0:
             raise ValueError(f"ci_level must be in (0, 1), got {ci_level}")
-        if strata < 1:
-            raise ValueError(f"strata must be >= 1, got {strata}")
-        super().__init__(algorithm=algorithm, flow_jobs=flow_jobs)
+        super().__init__(algorithm=algorithm, seed=seed, flow_jobs=flow_jobs)
         self.sample_pairs = int(sample_pairs)
         self.ci_level = float(ci_level)
-        self.strata = int(strata)
-        self.min_fraction = float(min_fraction)
-        self.min_candidates = int(min_candidates)
-        self.seed = int(seed)
-        self._rng = random.Random(seed)
         # The normal quantile is a pure function of ci_level; hoist it so
         # every snapshot reports from the same constant.
         self._z = NormalDist().inv_cdf((1.0 + self.ci_level) / 2.0)
 
     # ------------------------------------------------------------------
-    def analyze_graph(self, graph: DiGraph) -> EstimatedConnectivityReport:
-        """Estimate the connectivity of an already-built graph."""
-        started = wallclock.perf_counter()
+    def _covers_every_pair(self, graph: DiGraph) -> bool:
         n = graph.number_of_vertices()
-        disconnected = disconnected_vertices(graph)
-        strongly_connected = is_strongly_connected(graph)
+        return n * (n - 1) - graph.number_of_edges() <= self.sample_pairs
 
-        if n <= 1:
-            return self._finish(
-                graph, disconnected, strongly_connected=True, started=started,
-                minimum=0, min_is_exact=True, average=0.0, ci=(0.0, 0.0),
-                sampled=0, pruned=0, min_pairs=0, avg_pairs=0,
-            )
-        if graph.is_complete():
-            value = float(n - 1)
-            return self._finish(
-                graph, disconnected, strongly_connected, started,
-                minimum=n - 1, min_is_exact=True, average=value,
-                ci=(value, value), sampled=0, pruned=0, min_pairs=0,
-                avg_pairs=0,
-            )
-
-        total_pairs = n * (n - 1) - graph.number_of_edges()
-        engine = self._make_engine(graph)
-        if total_pairs <= self.sample_pairs:
-            return self._analyze_exhaustive(
-                graph, engine, disconnected, strongly_connected, started
-            )
-        return self._analyze_sampled(
-            graph, engine, disconnected, strongly_connected, started
+    def _exact_fields(self, minimum: int, average: float, pairs: int) -> PassFields:
+        # Exact recovery: the interval collapses, the sample is every pair.
+        return self._fields(
+            minimum, True, average, (average, average), pairs, 0, pairs
         )
 
-    def analyze_snapshot(
-        self,
-        routing_tables: Mapping[int, Sequence[int]],
-        alive_nodes: Optional[Sequence[int]] = None,
-    ) -> EstimatedConnectivityReport:
-        """Build the connectivity graph from a snapshot and estimate it."""
-        graph = build_connectivity_graph(routing_tables, alive_nodes=alive_nodes)
-        return self.analyze_graph(graph)
-
-    # ------------------------------------------------------------------
-    def _analyze_exhaustive(
-        self, graph, engine, disconnected, strongly_connected, started
-    ) -> EstimatedConnectivityReport:
-        """Exact recovery: the budget covers every non-adjacent pair."""
-        stats = exhaustive_statistics(engine)
-        average = stats.average
-        return self._finish(
-            graph, disconnected, strongly_connected, started,
-            minimum=stats.minimum, min_is_exact=True, average=average,
-            ci=(average, average), sampled=stats.pairs_evaluated, pruned=0,
-            min_pairs=0, avg_pairs=stats.pairs_evaluated,
-        )
-
-    def _analyze_sampled(
-        self, graph, engine, disconnected, strongly_connected, started
-    ) -> EstimatedConnectivityReport:
+    def _sampled_fields(
+        self, graph: DiGraph, engine: PairFlowEngine, strongly_connected: bool
+    ) -> PassFields:
         vertices = graph.vertices()
         n = len(vertices)
 
@@ -339,9 +285,7 @@ class ConnectivityEstimator(FlowEngineHost):
         flat_pairs = [pair for block in pair_blocks for pair in block]
         outcome = engine.evaluate(flat_pairs, use_cutoff=False)
         values = outcome.values
-        sampled = len(flat_pairs)
         average, ci = self._stratified_estimate(graph, plan, pair_blocks, values)
-        observed_min = min(values) if values else None
 
         # -- minimum pass: min(degree bound, sample minimum), no flow --
         # (see the module docstring for why the corner is never evaluated)
@@ -349,9 +293,7 @@ class ConnectivityEstimator(FlowEngineHost):
             minimum = 0
             pruned = 0
         else:
-            count = min(
-                max(self.min_candidates, math.ceil(self.min_fraction * n)), n
-            )
+            count = min(max(MIN_CANDIDATES, math.ceil(MIN_FRACTION * n)), n)
             sources = lowest_out_degree_vertices(graph, count)
             targets = lowest_in_degree_vertices(graph, count)
             has_edge = graph.has_edge
@@ -361,18 +303,39 @@ class ConnectivityEstimator(FlowEngineHost):
                 for target in targets
                 if target != source and not has_edge(source, target)
             )
-            minimum = min(graph.min_out_degree(), graph.min_in_degree())
-            if observed_min is not None:
-                minimum = min(minimum, observed_min)
+            minimum = min(graph.min_out_degree(), graph.min_in_degree(), *values)
         # Strong connectivity alone proves kappa >= 1, so a bound of 1 is
         # tight without a flow.
         min_is_exact = not strongly_connected or minimum == 1
+        return self._fields(
+            minimum, min_is_exact, average, ci, len(flat_pairs), pruned,
+            outcome.pairs_evaluated,
+        )
 
-        return self._finish(
-            graph, disconnected, strongly_connected, started,
-            minimum=minimum, min_is_exact=min_is_exact, average=average,
-            ci=ci, sampled=sampled, pruned=pruned, min_pairs=0,
-            avg_pairs=outcome.pairs_evaluated,
+    def _fields(
+        self,
+        minimum: int,
+        min_is_exact: bool,
+        average: float,
+        ci: Tuple[float, float],
+        sampled: int,
+        pruned: int,
+        avg_pairs: int,
+    ) -> PassFields:
+        """The estimate-only report fields; the minimum pass runs no flow."""
+        return minimum, dict(
+            minimum_bound=minimum,
+            min_is_exact=min_is_exact,
+            average_estimate=average,
+            ci_low=ci[0],
+            ci_high=ci[1],
+            ci_level=self.ci_level,
+            sample_pairs=self.sample_pairs,
+            pairs_sampled=sampled,
+            pairs_pruned=pruned,
+            min_pairs_evaluated=0,
+            avg_pairs_evaluated=avg_pairs,
+            seed=self.seed,
         )
 
     # ------------------------------------------------------------------
@@ -390,7 +353,7 @@ class ConnectivityEstimator(FlowEngineHost):
         out_degrees = graph.out_degrees()
         # Stable: ties stay in vertex order.
         order = sorted(range(n), key=out_degrees.__getitem__)
-        count = min(self.strata, n)
+        count = min(STRATA, n)
         base, extra = divmod(n, count)
         strata: List[Tuple[List, int]] = []
         position = 0
@@ -493,47 +456,6 @@ class ConnectivityEstimator(FlowEngineHost):
         )
         half_width = self._z * variance ** 0.5
         return estimate, (max(0.0, estimate - half_width), estimate + half_width)
-
-    # ------------------------------------------------------------------
-    def _finish(
-        self,
-        graph,
-        disconnected,
-        strongly_connected: bool,
-        started: float,
-        minimum: int,
-        min_is_exact: bool,
-        average: float,
-        ci: Tuple[float, float],
-        sampled: int,
-        pruned: int,
-        min_pairs: int,
-        avg_pairs: int,
-    ) -> EstimatedConnectivityReport:
-        elapsed = wallclock.perf_counter() - started
-        report = EstimatedConnectivityReport(
-            minimum_bound=minimum,
-            min_is_exact=min_is_exact,
-            average_estimate=average,
-            ci_low=ci[0],
-            ci_high=ci[1],
-            ci_level=self.ci_level,
-            sample_pairs=self.sample_pairs,
-            pairs_sampled=sampled,
-            pairs_pruned=pruned,
-            min_pairs_evaluated=min_pairs,
-            avg_pairs_evaluated=avg_pairs,
-            resilience=resilience_of(minimum),
-            vertex_count=graph.number_of_vertices(),
-            edge_count=graph.number_of_edges(),
-            disconnected_count=len(disconnected),
-            strongly_connected=strongly_connected,
-            symmetry_ratio=graph.symmetry_ratio(),
-            seed=self.seed,
-            elapsed_seconds=elapsed,
-        )
-        self._record_obs(report)
-        return report
 
     def _record_obs(self, report: EstimatedConnectivityReport) -> None:
         from repro.obs import active as obs_active

@@ -364,7 +364,3 @@ class ExperimentRunner:
             return result
         finally:
             simulation.close()
-
-    def run_many(self, scenarios: List[Scenario]) -> List[ExperimentResult]:
-        """Run several scenarios sequentially."""
-        return [self.run(scenario) for scenario in scenarios]

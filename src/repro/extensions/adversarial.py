@@ -51,10 +51,6 @@ class MaliciousKademliaProtocol(KademliaProtocol):
         self.dropped_stores = 0
 
     # ------------------------------------------------------------------
-    def set_accomplices(self, accomplices: Iterable[int]) -> None:
-        """Replace the set of fellow compromised nodes to refer victims to."""
-        self._accomplices = {a for a in accomplices if a != self.node_id}
-
     @property
     def accomplices(self) -> Set[int]:
         """The compromised nodes this node advertises instead of honest ones."""

@@ -157,11 +157,6 @@ class DisjointPathStudyRow:
         """Fraction of lookups that reached any of the ``k`` closest honest nodes."""
         return self.replica_hits / self.lookups if self.lookups else 0.0
 
-    @property
-    def success_rate(self) -> float:
-        """Alias for :attr:`replica_hit_rate` (a store/retrieve would succeed)."""
-        return self.replica_hit_rate
-
 
 #: Default protocol parameters of the disjoint-path study.  The network must
 #: be much larger than what one routing table can hold, otherwise initiators

@@ -18,10 +18,10 @@ serial Python loop into a sharded, cutoff-aware kernel:
   so later shards do strictly less max-flow work (the analyzer's
   minimum-pass trick, now parallel);
 * shard boundaries, wave boundaries and the combination rules depend only
-  on the engine parameters — never on the number of workers — so the
-  engine's statistics are **bit-identical** whether shards run
-  in-process, on 2 workers or on 32 (asserted by
-  ``tests/runtime/test_pairflow.py``).
+  on the module constants :data:`SHARD_SIZE` and :data:`WAVE_WIDTH` —
+  never on the number of workers — so the engine's statistics are
+  **bit-identical** whether shards run in-process, on 2 workers or on 32
+  (asserted by ``tests/runtime/test_pairflow.py``).
 
 The cutoff inherited by wave ``w + 1`` is exactly the minimum over all
 values recorded in waves ``<= w``; within a shard the worker additionally
@@ -55,14 +55,14 @@ Vertex = object
 #: Pairs per shard.  One shard is the unit of work dispatched to a worker;
 #: large enough that inter-process overhead amortises, small enough that a
 #: wave spreads across workers.
-DEFAULT_SHARD_SIZE = 24
+SHARD_SIZE = 24
 
 #: Shards per wave.  Cutoffs propagate only *between* waves (shards of one
 #: wave run concurrently), so a smaller width tightens cutoffs faster and a
-#: larger width exposes more parallelism.  The width is a fixed engine
-#: parameter — never derived from the worker count — because the statistics
-#: must not depend on how many processes happen to be available.
-DEFAULT_WAVE_WIDTH = 8
+#: larger width exposes more parallelism.  The width is a fixed constant —
+#: never derived from the worker count — because the statistics must not
+#: depend on how many processes happen to be available.
+WAVE_WIDTH = 8
 
 
 #: Distinguishes engine payloads when one worker pool serves several
@@ -205,10 +205,6 @@ class PairFlowEngine:
     algorithm:
         Max-flow algorithm (``"dinic"``, ``"edmonds_karp"``,
         ``"push_relabel"``).
-    shard_size / wave_width:
-        Scheduling granularity (see module docstring).  Both shape which
-        cutoff each pair sees, so the two sides of an equivalence check
-        must share them — the defaults are used everywhere in practice.
     session:
         A caller-owned worker session
         (:meth:`repro.runtime.executor.Executor.open_session`), or
@@ -224,19 +220,11 @@ class PairFlowEngine:
         self,
         graph: DiGraph,
         algorithm: str = "dinic",
-        shard_size: int = DEFAULT_SHARD_SIZE,
-        wave_width: int = DEFAULT_WAVE_WIDTH,
         session=None,
     ) -> None:
-        if shard_size < 1:
-            raise ValueError(f"shard_size must be >= 1, got {shard_size}")
-        if wave_width < 1:
-            raise ValueError(f"wave_width must be >= 1, got {wave_width}")
         self._flow_fn = network_flow_function(algorithm)  # validates the name
         self.graph = graph
         self.algorithm = algorithm
-        self.shard_size = shard_size
-        self.wave_width = wave_width
         self.transform: IndexedEvenTransform = indexed_even_transform(graph)
         self._compact: Optional[CompactNetwork] = None
         self._epoch = next(_EPOCH_COUNTER)
@@ -278,7 +266,7 @@ class PairFlowEngine:
             )
         endpoint_indices = self.transform.flow_endpoint_indices
         indexed = [endpoint_indices(source, target) for source, target in pairs]
-        shard_size = self.shard_size
+        shard_size = SHARD_SIZE
         shards = [
             tuple(indexed[start:start + shard_size])
             for start in range(0, len(indexed), shard_size)
@@ -287,7 +275,7 @@ class PairFlowEngine:
         values: List[int] = []
         evaluated_positions: List[int] = []
         running = initial_minimum
-        wave_width = self.wave_width
+        wave_width = WAVE_WIDTH
         epoch = self._epoch
         algorithm = self.algorithm
         waves_dispatched = 0

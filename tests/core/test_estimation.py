@@ -60,10 +60,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             ConnectivityEstimator(ci_level=0.0)
 
-    def test_rejects_bad_strata(self):
-        with pytest.raises(ValueError):
-            ConnectivityEstimator(strata=0)
-
 
 def test_stratified_plan_is_the_per_vertex_plan():
     # Strata come from one degree list; members, order and weights are

@@ -39,6 +39,7 @@ from repro.graph.maxflow.residual import (
 )
 from repro.graph.transform.even_transform import indexed_even_transform
 from repro.runtime.executor import make_executor
+from repro.runtime import pairflow
 from repro.runtime.pairflow import PairFlowEngine
 
 dinic = network_flow_function("dinic")
@@ -529,7 +530,7 @@ class TestMarks:
             assert solver(network, network.index_of(0), network.index_of(3), None) == 1.0, name
 
 
-def test_thawed_network_carries_the_layout_and_matches_serial(obs_enabled):
+def test_thawed_network_carries_the_layout_and_matches_serial(obs_enabled, monkeypatch):
     rng = random.Random(77)
     graph = random_regular_out_digraph(60, 5, rng)
     pairs = sample_non_adjacent_pairs(graph, 30, rng)
@@ -547,15 +548,17 @@ def test_thawed_network_carries_the_layout_and_matches_serial(obs_enabled):
     assert thawed.out_heads is None
     assert thawed.head_tuples() == engine.transform.network.head_tuples()
     assert_head_tuples(thawed)
+    monkeypatch.setattr(pairflow, "SHARD_SIZE", 8)
+    monkeypatch.setattr(pairflow, "WAVE_WIDTH", 2)
     runs = {}
     session = make_executor(2).open_session()
     try:
         for jobs, borrowed in ((1, None), (2, session)):
             for cut in (False, True):
                 obs_enabled.clear()
-                outcome = PairFlowEngine(
-                    graph, shard_size=8, wave_width=2, session=borrowed
-                ).evaluate(pairs, use_cutoff=cut, initial_minimum=3)
+                outcome = PairFlowEngine(graph, session=borrowed).evaluate(
+                    pairs, use_cutoff=cut, initial_minimum=3
+                )
                 counters = {
                     name: obs_enabled.counter(f"maxflow.{name}") for name in KERNEL_COUNTERS
                 }

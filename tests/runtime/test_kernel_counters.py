@@ -18,6 +18,7 @@ from repro.graph.maxflow import network_flow_function
 from repro.graph.maxflow.residual import KERNEL_COUNTERS
 from repro.obs.summary import format_summary
 from repro.runtime.executor import make_executor
+from repro.runtime import pairflow
 from repro.runtime.pairflow import PairFlowEngine
 
 
@@ -103,7 +104,9 @@ def test_without_an_undo_log_every_expanded_vertex_is_read_whole():
     assert unlogged["full_scans"] >= 2 * unlogged["phases"]
 
 
-def test_serial_and_pool_report_the_same_kernel_counts(obs_enabled):
+def test_serial_and_pool_report_the_same_kernel_counts(obs_enabled, monkeypatch):
+    monkeypatch.setattr(pairflow, "SHARD_SIZE", 8)
+    monkeypatch.setattr(pairflow, "WAVE_WIDTH", 2)
     graph = random_regular_out_digraph(60, 5, random.Random(11))
     pairs = sample_non_adjacent_pairs(graph, 40, random.Random(3))
     totals = []
@@ -111,7 +114,7 @@ def test_serial_and_pool_report_the_same_kernel_counts(obs_enabled):
     try:
         for borrowed in (None, session):
             obs_enabled.clear()
-            engine = PairFlowEngine(graph, shard_size=8, wave_width=2, session=borrowed)
+            engine = PairFlowEngine(graph, session=borrowed)
             outcome = engine.evaluate(pairs, use_cutoff=True, initial_minimum=4)
             totals.append((outcome.values, kernel_counts(obs_enabled)))
     finally:

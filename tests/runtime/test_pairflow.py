@@ -27,7 +27,18 @@ from repro.graph.digraph import DiGraph
 from repro.graph.generators import circulant_graph, random_regular_out_digraph
 from repro.graph.maxflow.residual import KERNEL_COUNTERS
 from repro.runtime.executor import ParallelExecutor, make_executor
+from repro.runtime import pairflow
 from repro.runtime.pairflow import PairFlowEngine, PairFlowShard, _run_shard_on
+
+
+@contextmanager
+def engine_grain(shard_size, wave_width):
+    """Shrink the engine's shards and waves inside the block, so that
+    small batches still span several waves."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pairflow, "SHARD_SIZE", shard_size)
+        patch.setattr(pairflow, "WAVE_WIDTH", wave_width)
+        yield
 
 
 @contextmanager
@@ -76,8 +87,8 @@ class TestEngineMatchesOracle:
         pairs = non_adjacent_pairs(graph)
         if not pairs:
             return
-        engine = PairFlowEngine(graph, shard_size=3, wave_width=2)
-        outcome = engine.evaluate(pairs)
+        with engine_grain(3, 2):
+            outcome = PairFlowEngine(graph).evaluate(pairs)
         expected = [pairwise_vertex_connectivity(graph, v, w) for v, w in pairs]
         assert outcome.values == expected
         assert outcome.pairs_evaluated == len(pairs)
@@ -93,8 +104,10 @@ class TestEngineMatchesOracle:
             return
         sources = graph.vertices()
         targets = graph.vertices()
-        engine = PairFlowEngine(graph, shard_size=2, wave_width=2)
-        minimum, evaluated = engine.minimum_over(sources, targets)
+        with engine_grain(2, 2):
+            minimum, evaluated = PairFlowEngine(graph).minimum_over(
+                sources, targets
+            )
         expected = min(
             pairwise_vertex_connectivity(graph, v, w) for v, w in pairs
         )
@@ -149,11 +162,11 @@ class TestSerialParallelEquivalence:
             [(1, 2), (2, 3), (3, 1), (4, 5), (5, 6), (6, 4)]
         )
         pairs = non_adjacent_pairs(graph)
-        with pool_session(2) as session:
+        with pool_session(2) as session, engine_grain(2, 2):
             outcomes = [
-                PairFlowEngine(
-                    graph, shard_size=2, wave_width=2, session=borrowed
-                ).evaluate(pairs, use_cutoff=True, stop_at_zero=True)
+                PairFlowEngine(graph, session=borrowed).evaluate(
+                    pairs, use_cutoff=True, stop_at_zero=True
+                )
                 for borrowed in (None, session)
             ]
         assert outcomes[0] == outcomes[1]
@@ -324,7 +337,7 @@ class TestPoolReuseAcrossSnapshots:
         "spawn" not in multiprocessing.get_all_start_methods(),
         reason="the platform has no spawn start method",
     )
-    def test_consecutive_engines_on_one_spawn_pool(self, obs_enabled):
+    def test_consecutive_engines_on_one_spawn_pool(self, obs_enabled, monkeypatch):
         # Spawned workers start a fresh interpreter: they import the
         # engine's worker side on their own and see each network only
         # through the shards, never through inherited memory.
@@ -333,11 +346,14 @@ class TestPoolReuseAcrossSnapshots:
             for seed in (7, 8)
         ]
 
+        # Spawned workers never read the constants: the parent cuts
+        # the shards.
+        monkeypatch.setattr(pairflow, "SHARD_SIZE", 6)
+        monkeypatch.setattr(pairflow, "WAVE_WIDTH", 2)
+
         def run(graph, session):
             obs_enabled.clear()
-            engine = PairFlowEngine(
-                graph, shard_size=6, wave_width=2, session=session
-            )
+            engine = PairFlowEngine(graph, session=session)
             pairs = sample_non_adjacent_pairs(graph, 30, random.Random(1))
             outcome = engine.evaluate(pairs, use_cutoff=True)
             counters = [

@@ -87,6 +87,14 @@ class TestEntryPoints:
         low, high = report.confidence_interval
         assert low <= report.avg_connectivity <= high
 
+    def test_analyze_snapshot_estimate_rejects_a_sample_fraction(self, snapshot):
+        # The fraction sizes the exact analyzer's corner; the estimator
+        # has no use for it, so it must not be accepted silently.
+        with pytest.raises(ValueError, match="sample_fraction"):
+            api.analyze_snapshot(
+                snapshot, connectivity="estimate", sample_fraction=0.1
+            )
+
     def test_analyze_snapshot_from_a_path_drops_the_tables(self, tmp_path):
         path = tmp_path / "snapshot.json"
         api.synthetic_snapshot(2000, contacts_per_node=16, seed=1).save(path)

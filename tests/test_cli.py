@@ -17,8 +17,8 @@ def snapshot_file(tmp_path):
 
 
 #: Argument errors the sampling flags can make, with the message each
-#: prints (``run`` has no ``--exact``, so the last applies to
-#: ``analyze-snapshot`` only).
+#: prints (``run`` has neither ``--exact`` nor ``--sample-fraction``, so
+#: the last two apply to ``analyze-snapshot`` only).
 _FLAG_ERRORS = {
     "sample-pairs-without-estimate": (
         ["--sample-pairs", "64"],
@@ -39,6 +39,10 @@ _FLAG_ERRORS = {
     "exact-with-estimate": (
         ["--connectivity", "estimate", "--exact"],
         "--exact and --connectivity estimate are exclusive",
+    ),
+    "sample-fraction-with-estimate": (
+        ["--connectivity", "estimate", "--sample-fraction", "0.1"],
+        "--sample-fraction and --connectivity estimate are exclusive",
     ),
 }
 
@@ -268,7 +272,8 @@ class TestEstimationOptions:
             pytest.param(command, flags, message, id=f"{command}-{name}")
             for command in ("run", "analyze-snapshot")
             for name, (flags, message) in _FLAG_ERRORS.items()
-            if command == "analyze-snapshot" or "--exact" not in flags
+            if command == "analyze-snapshot"
+            or not {"--exact", "--sample-fraction"} & set(flags)
         ],
     )
     def test_argument_errors_exit_2_with_an_error_line(
